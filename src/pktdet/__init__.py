@@ -8,7 +8,6 @@ SNR sweeps.
 
 from .coarse import (
     CoarseConfig,
-    CoarseDetector,
     CoarseOutput,
     coarse_trigger,
     detect_coarse,
@@ -19,24 +18,12 @@ from .correlator import (
     CoefficientBank,
     CorrelatorOutput,
     SignCorrelator,
-    SignPair,
-    WindowState,
-    categorize,
-    correlate_at,
-    correlate_stream,
     dump_bank,
     latch_enable,
     load_coefficients,
     parse_bank,
 )
-from .energy import (
-    EnergyConfig,
-    EnergyDecision,
-    EnergyDetector,
-    enable_array,
-    energy_gate,
-    window_energy,
-)
+from .energy import EnergyConfig, EnergyDetector, enable_array
 from .harness import (
     ScopeResult,
     SweepConfig,
@@ -48,11 +35,11 @@ from .harness import (
     run_sweep,
     run_trial,
     scenario_profiles,
+    synthesize,
 )
 from .iqfile import read_iq, write_iq
 from .signal import (
     FixedPointFormat,
-    IqSample,
     Preamble,
     Q1_15,
     SampleStream,
@@ -71,7 +58,6 @@ from .standards import (
     arbitrate,
     build_register_map,
     run_detector_bank,
-    write_register,
 )
 
 __version__ = "0.1.0"

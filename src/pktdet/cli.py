@@ -22,9 +22,9 @@ from . import config as cfgfile
 from .coarse import CoarseConfig
 from .correlator import dump_bank, load_coefficients
 from .energy import EnergyConfig
-from .harness import default_sweep_config, run_scope_scenario, run_sweep
+from .harness import default_sweep_config, run_scope_scenario, run_sweep, synthesize
 from .iqfile import read_iq, write_iq
-from .signal import FixedPointFormat, add_awgn, embed_preamble, quantize
+from .signal import FixedPointFormat
 from .standards import build_register_map, run_detector_bank
 
 
@@ -48,10 +48,14 @@ def _cmd_gen_iq(args) -> int:
         print(f"error: unknown profile {args.transmit!r}", file=sys.stderr)
         return 2
     tx = by_id[args.transmit]
-    rng = np.random.default_rng(args.seed)
-    clean, start = embed_preamble(tx.preamble, args.pad_before, args.pad_after)
-    noisy = add_awgn(clean, args.snr, rng, tx.preamble.mean_power())
-    stream = quantize(noisy, FixedPointFormat.parse(args.format))
+    stream, start = synthesize(
+        tx.preamble,
+        args.pad_before,
+        args.pad_after,
+        args.snr,
+        np.random.default_rng(args.seed),
+        FixedPointFormat.parse(args.format),
+    )
     write_iq(args.out, stream)
     print(f"wrote {len(stream)} samples (preamble starts at {start})", file=sys.stderr)
     return 0

@@ -20,7 +20,6 @@ consecutive positions so single-sample spikes cannot fire it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,7 @@ def schmidl_cox_correlations(
 
     Computed with prefix sums over the lag products, i.e. each position is a
     single add/subtract update of its neighbour.  int64 is exact here for
-    16-bit formats and any practical stream length.
+    the <= 16-bit formats and streams shorter than 2**32 samples.
     """
     n = len(stream)
     if lag < 1 or n < 2 * lag:
@@ -82,7 +81,6 @@ def schmidl_cox_correlations(
 def schmidl_cox_metric(stream: SampleStream, lag: int) -> np.ndarray:
     """Timing metric M(d) = |P(d)|^2 / R(d)^2, with M = 0 where R = 0."""
     p_re, p_im, r = schmidl_cox_correlations(stream, lag)
-    # square by explicit multiply so batch and streaming paths round alike
     p_re_f = p_re.astype(np.float64)
     p_im_f = p_im.astype(np.float64)
     r_f = r.astype(np.float64)
@@ -108,54 +106,3 @@ def coarse_trigger(metric, cfg: CoarseConfig) -> int | None:
 def detect_coarse(stream: SampleStream, cfg: CoarseConfig) -> CoarseOutput:
     metric = schmidl_cox_metric(stream, cfg.half_period)
     return CoarseOutput(metric=metric, first_trigger=coarse_trigger(metric, cfg))
-
-
-class CoarseDetector:
-    """Streaming single-owner variant with O(1) updates per sample.
-
-    P and R are maintained as running Python-int sums (add the entering lag
-    product, drop the leaving one), so the emitted values match
-    :func:`schmidl_cox_correlations` bit-exactly.
-    """
-
-    def __init__(self, lag: int) -> None:
-        if lag < 1:
-            raise ValueError("lag must be >= 1")
-        self.lag = lag
-        self._history: deque[tuple[int, int]] = deque(maxlen=2 * lag)
-        self._p_re = 0
-        self._p_im = 0
-        self._r = 0
-        self._index = -1
-
-    def push(self, i_code: int, q_code: int) -> tuple[int, float] | None:
-        """Feed one sample; once warm, returns (d, M(d)) for d = index - 2*lag + 1."""
-        self._index += 1
-        lag = self.lag
-        newest = (int(i_code), int(q_code))
-        if len(self._history) == 2 * lag:
-            # position d-1 -> d: drop pair (y[d-1], y[d-1+L]), add (y[d+L-1], y[d+2L-1])
-            old_a = self._history[0]
-            old_b = self._history[lag]
-            self._p_re -= old_a[0] * old_b[0] + old_a[1] * old_b[1]
-            self._p_im -= old_a[0] * old_b[1] - old_a[1] * old_b[0]
-            self._r -= old_b[0] * old_b[0] + old_b[1] * old_b[1]
-        self._history.append(newest)
-        if len(self._history) == 2 * lag:
-            new_a = self._history[lag - 1]
-            self._p_re += new_a[0] * newest[0] + new_a[1] * newest[1]
-            self._p_im += new_a[0] * newest[1] - new_a[1] * newest[0]
-            self._r += newest[0] * newest[0] + newest[1] * newest[1]
-            metric = 0.0
-            if self._r:
-                # same float op order as the batch path, so outputs are bit-identical
-                p_re_f, p_im_f, r_f = float(self._p_re), float(self._p_im), float(self._r)
-                metric = (p_re_f * p_re_f + p_im_f * p_im_f) / (r_f * r_f)
-            return self._index - 2 * lag + 1, metric
-        if len(self._history) > lag:
-            # still filling: accumulate the products that are already in view
-            new_a = self._history[-1 - lag]
-            self._p_re += new_a[0] * newest[0] + new_a[1] * newest[1]
-            self._p_im += new_a[0] * newest[1] - new_a[1] * newest[0]
-            self._r += newest[0] * newest[0] + newest[1] * newest[1]
-        return None

@@ -101,7 +101,7 @@ def parse_preamble_source(source: str, name: str, base_dir: Path | None = None) 
 
         bank = parse_bank(resolve(source[6:]).read_text())
         amp = 1.0 / math.sqrt(2.0)
-        samples = np.array([amp * (p.si + 1j * p.sq) for p in bank.signs()])
+        samples = np.array([amp * (si + 1j * sq) for si, sq in bank.signs()])
         return Preamble(id=name, samples=samples)
     raise ValueError(
         f"preamble source must start with 'pn:', 'file:' or 'coeff:', got {source!r}"

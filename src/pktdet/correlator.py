@@ -1,10 +1,10 @@
 """Sign-quantized cross-correlation (fine detection).
 
-Received samples are reduced to their component signs ("categorized" to
-+-1), and the reference preamble's component signs are packed into 32-bit
-coefficient words, one bit per sample component (bit = 1 for a component
->= 0).  An n-point correlation then needs no multipliers: a sign product
-is +1 exactly when the two sign bits agree, so each partial sum is
+Received samples are reduced to their component signs (+-1, with a code of
+0 counting as +1), and the reference preamble's component signs are packed
+into 32-bit coefficient words, one bit per sample component (bit = 1 for a
+component >= 0).  An n-point correlation then needs no multipliers: a sign
+product is +1 exactly when the two sign bits agree, so each partial sum is
 
     partial = 2 * popcount(XNOR(window_bits, coeff_bits)) - n
 
@@ -26,27 +26,14 @@ threshold; the magnitude is available from the partials when needed.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import IqSample, Preamble, SampleStream
+from .signal import Preamble, SampleStream
 
 WORD_BITS = 32
 WORD_MASK = 0xFFFFFFFF
-
-
-@dataclass(frozen=True, slots=True)
-class SignPair:
-    """Categorized sample: each component is exactly +1 or -1 (never 0)."""
-
-    si: int
-    sq: int
-
-    def __post_init__(self) -> None:
-        if self.si not in (-1, 1) or self.sq not in (-1, 1):
-            raise ValueError("sign components must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -91,11 +78,11 @@ class CoefficientBank:
     def packed_q(self) -> int:
         return _join_words(self.q_words)
 
-    def signs(self) -> list[SignPair]:
-        """Unpack back to per-sample sign pairs (index order)."""
+    def signs(self) -> list[tuple[int, int]]:
+        """Unpack back to per-sample ``(si, sq)`` signs of +-1 (index order)."""
         pi, pq = self.packed_i(), self.packed_q()
         return [
-            SignPair(1 if (pi >> k) & 1 else -1, 1 if (pq >> k) & 1 else -1)
+            (1 if (pi >> k) & 1 else -1, 1 if (pq >> k) & 1 else -1)
             for k in range(self.length)
         ]
 
@@ -110,12 +97,6 @@ def _join_words(words: tuple[int, ...]) -> int:
 def _split_words(value: int, length: int) -> tuple[int, ...]:
     count = -(-length // WORD_BITS)
     return tuple((value >> (WORD_BITS * w)) & WORD_MASK for w in range(count))
-
-
-def categorize(sample: IqSample) -> SignPair:
-    """Map a sample to component signs; >= 0 maps to +1 (zero included),
-    matching the coefficient-loading rule so self-correlation is exact."""
-    return SignPair(1 if sample.i >= 0 else -1, 1 if sample.q >= 0 else -1)
 
 
 def load_coefficients(preamble: Preamble) -> CoefficientBank:
@@ -183,57 +164,11 @@ class CorrelatorOutput:
         return self.p_qi - self.p_iq
 
 
-class WindowState:
-    """Buffer of the most recent ``capacity`` categorized samples."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.contents: deque[SignPair] = deque(maxlen=capacity)
-
-    def push(self, pair: SignPair) -> None:
-        self.contents.append(pair)
-
-    def __len__(self) -> int:
-        return len(self.contents)
-
-
-def _partial(a_bits: int, b_bits: int, mask: int, n: int) -> int:
-    # sign product is +1 exactly where the packed bits agree
-    return 2 * ((~(a_bits ^ b_bits)) & mask).bit_count() - n
-
-
-def correlate_at(window: WindowState, bank: CoefficientBank) -> CorrelatorOutput | None:
-    """Correlate the most recent ``bank.length`` window samples against the
-    bank (oldest sample against reference index 0).  Returns None while the
-    window holds fewer samples than the bank needs (not-ready)."""
-    n = bank.length
-    if len(window) < n:
-        return None
-    recent = list(window.contents)[-n:]
-    a_i = 0
-    a_q = 0
-    for m, pair in enumerate(recent):
-        if pair.si > 0:
-            a_i |= 1 << m
-        if pair.sq > 0:
-            a_q |= 1 << m
-    mask = (1 << n) - 1
-    b_i = bank.packed_i()
-    b_q = bank.packed_q()
-    return CorrelatorOutput(
-        p_ii=_partial(a_i, b_i, mask, n),
-        p_qq=_partial(a_q, b_q, mask, n),
-        p_qi=_partial(a_q, b_i, mask, n),
-        p_iq=_partial(a_i, b_q, mask, n),
-    )
-
-
 class SignCorrelator:
-    """Streaming windowed sign correlator for one coefficient bank.
+    """Windowed sign correlator for one coefficient bank.
 
-    Every incoming sample shifts through the window; the partial sums are
+    :meth:`push` takes one sample and :meth:`process` a whole stream; both
+    shift every sample through the same window, and the partial sums are
     only computed at enabled positions once the window is full, and
     ``work_count`` tallies exactly those computations (the energy gate's
     power-saving contract).
@@ -262,21 +197,23 @@ class SignCorrelator:
         self._b_i = bank.packed_i()
         self._b_q = bank.packed_q()
 
-    def push(self, pair: SignPair, enabled: bool = True) -> CorrelatorOutput | None:
-        """Shift one categorized sample in; correlate if enabled and ready."""
-        top = self._n - 1
-        self._win_i = (self._win_i >> 1) | ((pair.si > 0) << top)
-        self._win_q = (self._win_q >> 1) | ((pair.sq > 0) << top)
+    def push(
+        self, i_code: int, q_code: int, enabled: bool = True
+    ) -> CorrelatorOutput | None:
+        """Shift one sample's raw codes in; correlate if enabled and ready."""
+        top_bit = 1 << (self._n - 1)
+        win_i = self._win_i = (self._win_i >> 1) | (top_bit if i_code >= 0 else 0)
+        win_q = self._win_q = (self._win_q >> 1) | (top_bit if q_code >= 0 else 0)
         self._seen += 1
         if not enabled or self._seen < self._n:
             return None
         self.work_count += 1
         n, mask, b_i, b_q = self._n, self._mask, self._b_i, self._b_q
         return CorrelatorOutput(
-            p_ii=_partial(self._win_i, b_i, mask, n),
-            p_qq=_partial(self._win_q, b_q, mask, n),
-            p_qi=_partial(self._win_q, b_i, mask, n),
-            p_iq=_partial(self._win_i, b_q, mask, n),
+            p_ii=2 * ((~(win_i ^ b_i)) & mask).bit_count() - n,
+            p_qq=2 * ((~(win_q ^ b_q)) & mask).bit_count() - n,
+            p_qi=2 * ((~(win_q ^ b_i)) & mask).bit_count() - n,
+            p_iq=2 * ((~(win_i ^ b_q)) & mask).bit_count() - n,
         )
 
     def process(
@@ -322,14 +259,6 @@ class SignCorrelator:
         self._win_i, self._win_q, self._seen = win_i, win_q, seen
         self.work_count += work
         return out
-
-
-def correlate_stream(
-    stream: SampleStream, bank: CoefficientBank, enable=None
-) -> list[tuple[int, CorrelatorOutput]]:
-    """Convenience wrapper: fresh correlator over one stream.  Use
-    :class:`SignCorrelator` directly when the work counter matters."""
-    return SignCorrelator(bank).process(stream, enable)
 
 
 def latch_enable(enable, holdoff: int) -> np.ndarray:

@@ -6,10 +6,10 @@ strictly above a configurable per-sample threshold; the window is "active"
 when that count is strictly above a second configurable count threshold.
 The decision stream gates the downstream correlators.
 
-Energies are accumulated on raw integer codes and only rescaled to natural
-units (where full scale is ~1.0) at the API boundary, so the sliding update
-matches a naive per-window recomputation bit-exactly: there is no float
-drift to accumulate.
+Energies are computed on raw integer codes (exact in int64 for the <= 16-bit
+formats) and compared against the threshold rescaled to raw units by an
+exact power of two, so the batch and streaming gates agree with a naive
+per-window recount bit for bit.
 """
 
 from __future__ import annotations
@@ -19,17 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import SampleStream
+from .signal import FixedPointFormat, SampleStream
 
 
 @dataclass(frozen=True)
 class EnergyConfig:
     """Energy-gate parameters.
 
-    ``sample_energy_threshold`` is in natural squared-magnitude units (the
-    same scale as ``window_energy`` returns: a full-scale component is ~1.0).
-    ``rssi_gate`` is an optional externally supplied carrier-sense flag that
-    is ANDed into every decision when present.
+    ``sample_energy_threshold`` is in natural squared-magnitude units (a
+    full-scale component is ~1.0).  ``rssi_gate`` is an optional externally
+    supplied carrier-sense flag that is ANDed into every decision when
+    present.
     """
 
     window_len: int
@@ -46,80 +46,13 @@ class EnergyConfig:
             raise ValueError("sample_energy_threshold must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class EnergyDecision:
-    """Decision for the window ending at ``at_index`` (inclusive)."""
-
-    active: bool
-    window_energy: float
-    exceed_count: int
-    at_index: int
-
-
-def _raw_threshold(cfg: EnergyConfig, stream: SampleStream) -> float:
+def _raw_threshold(cfg: EnergyConfig, fmt: FixedPointFormat) -> float:
     # natural units -> raw code-squared units (exact power-of-two scaling)
-    return cfg.sample_energy_threshold * float(stream.format.scale) ** 2
+    return cfg.sample_energy_threshold * float(fmt.scale) ** 2
 
 
-def _sample_energies_raw(stream: SampleStream) -> np.ndarray:
-    # int64 holds i^2+q^2 exactly for formats up to 16 bits; wider formats
-    # fall back to Python ints to keep the arithmetic exact.
-    if stream.format.total_bits <= 16:
-        i = stream.i.astype(np.int64)
-        q = stream.q.astype(np.int64)
-        return i * i + q * q
-    energies = [int(a) * int(a) + int(b) * int(b) for a, b in zip(stream.i, stream.q)]
-    return np.array(energies, dtype=object)
-
-
-def window_energy(stream: SampleStream, start: int, window_len: int) -> float:
-    """Sum of ``|y[n]|^2`` over ``[start, start+window_len)`` in natural units.
-
-    Accumulated in exact integer arithmetic; the result is exact in float64
-    for window sums below 2**53 raw units (any window up to 2**16 samples in
-    the default 16-bit format).
-    """
-    if start < 0 or window_len < 1 or start + window_len > len(stream):
-        raise IndexError("window out of range")
-    total = 0
-    for n in range(start, start + window_len):
-        a = int(stream.i[n])
-        b = int(stream.q[n])
-        total += a * a + b * b
-    return total / float(stream.format.scale) ** 2
-
-
-def energy_gate(stream: SampleStream, cfg: EnergyConfig) -> list[EnergyDecision]:
-    """Per-sample sliding energy decisions (one per full window position).
-
-    Decision ``k`` covers the window ending at sample index
-    ``cfg.window_len - 1 + k``.  The window advances one sample at a time;
-    counts and sums are maintained incrementally via integer prefix sums.
-    """
-    if len(stream) < cfg.window_len:
-        raise ValueError("stream shorter than the energy window")
-    w = cfg.window_len
-    energies = _sample_energies_raw(stream)
-    exceed = energies > _raw_threshold(cfg, stream)
-
-    counts = np.cumsum(exceed.astype(np.int64))
-    sums = np.cumsum(energies)
-    win_counts = counts[w - 1 :].copy()
-    win_counts[1:] -= counts[: len(counts) - w]
-    win_sums = sums[w - 1 :].copy()
-    win_sums[1:] -= sums[: len(sums) - w]
-
-    rssi_ok = True if cfg.rssi_gate is None else bool(cfg.rssi_gate)
-    inv_scale2 = 1.0 / float(stream.format.scale) ** 2
-    return [
-        EnergyDecision(
-            active=bool(c > cfg.count_threshold) and rssi_ok,
-            window_energy=float(s) * inv_scale2,
-            exceed_count=int(c),
-            at_index=w - 1 + k,
-        )
-        for k, (c, s) in enumerate(zip(win_counts, win_sums))
-    ]
+def _rssi_ok(cfg: EnergyConfig) -> bool:
+    return cfg.rssi_gate is None or bool(cfg.rssi_gate)
 
 
 def enable_array(stream: SampleStream, cfg: EnergyConfig) -> np.ndarray:
@@ -128,47 +61,55 @@ def enable_array(stream: SampleStream, cfg: EnergyConfig) -> np.ndarray:
     ``enable[n]`` is the decision for the window ending at ``n``; positions
     before the first full window are disabled.
     """
+    w = cfg.window_len
+    if len(stream) < w:
+        raise ValueError("stream shorter than the energy window")
+    i = stream.i.astype(np.int64)
+    q = stream.q.astype(np.int64)
+    exceed = i * i + q * q > _raw_threshold(cfg, stream.format)
+    counts = np.concatenate(([0], np.cumsum(exceed)))
     enable = np.zeros(len(stream), dtype=bool)
-    for d in energy_gate(stream, cfg):
-        enable[d.at_index] = d.active
+    if _rssi_ok(cfg):
+        enable[w - 1 :] = counts[w:] - counts[: len(counts) - w] > cfg.count_threshold
     return enable
 
 
 class EnergyDetector:
-    """Streaming single-owner variant of :func:`energy_gate`.
+    """Streaming single-owner variant of :func:`enable_array`.
 
-    Feed samples one at a time; a decision is produced once the window is
-    full.  State is held in exact integer accumulators, so the output stream
-    is identical to the batch computation.
+    Feed samples one at a time; each push returns the decision for the
+    window ending at that sample, False until the window is full.
     """
 
-    def __init__(self, cfg: EnergyConfig, stream_format) -> None:
-        self.cfg = cfg
-        self._thr_raw = cfg.sample_energy_threshold * float(stream_format.scale) ** 2
-        self._inv_scale2 = 1.0 / float(stream_format.scale) ** 2
-        self._window: deque[int] = deque()
+    def __init__(self, cfg: EnergyConfig, stream_format: FixedPointFormat) -> None:
+        self._format = stream_format
         self._exceed: deque[bool] = deque()
-        self._sum = 0
         self._count = 0
-        self._index = -1
+        self._adopt(cfg)
 
-    def push(self, i_code: int, q_code: int) -> EnergyDecision | None:
-        self._index += 1
-        energy = int(i_code) * int(i_code) + int(q_code) * int(q_code)
-        above = energy > self._thr_raw
-        self._window.append(energy)
+    def reconfigure(self, cfg: EnergyConfig) -> None:
+        """Adopt new thresholds from the next sample on.
+
+        Samples already in the window keep the comparison made with the
+        sample threshold in force when they arrived; the next decision uses
+        the new count threshold.  The window length cannot change.
+        """
+        if cfg.window_len != self.cfg.window_len:
+            raise ValueError("window_len cannot change mid-stream")
+        self._adopt(cfg)
+
+    def _adopt(self, cfg: EnergyConfig) -> None:
+        self.cfg = cfg
+        self._thr_raw = _raw_threshold(cfg, self._format)
+        self._rssi_ok = _rssi_ok(cfg)
+
+    def push(self, i_code: int, q_code: int) -> bool:
+        i, q = int(i_code), int(q_code)
+        above = i * i + q * q > self._thr_raw
         self._exceed.append(above)
-        self._sum += energy
         self._count += above
-        if len(self._window) > self.cfg.window_len:
-            self._sum -= self._window.popleft()
+        if len(self._exceed) > self.cfg.window_len:
             self._count -= self._exceed.popleft()
-        if len(self._window) < self.cfg.window_len:
-            return None
-        rssi_ok = True if self.cfg.rssi_gate is None else bool(self.cfg.rssi_gate)
-        return EnergyDecision(
-            active=(self._count > self.cfg.count_threshold) and rssi_ok,
-            window_energy=self._sum * self._inv_scale2,
-            exceed_count=self._count,
-            at_index=self._index,
-        )
+        elif len(self._exceed) < self.cfg.window_len:
+            return False
+        return self._count > self.cfg.count_threshold and self._rssi_ok

@@ -32,7 +32,16 @@ import numpy as np
 from .coarse import CoarseConfig
 from .correlator import SignCorrelator, load_coefficients
 from .energy import EnergyConfig
-from .signal import FixedPointFormat, Q1_15, add_awgn, embed_preamble, pn_preamble, quantize
+from .signal import (
+    FixedPointFormat,
+    Preamble,
+    Q1_15,
+    SampleStream,
+    add_awgn,
+    embed_preamble,
+    pn_preamble,
+    quantize,
+)
 from .standards import (
     DetectionEvent,
     StandardProfile,
@@ -184,6 +193,26 @@ def default_sweep_config(
     )
 
 
+def synthesize(
+    preamble: Preamble,
+    pad_before: int,
+    pad_after: int,
+    snr_db: float,
+    rng,
+    fmt: FixedPointFormat,
+) -> tuple[SampleStream, int]:
+    """Embed ``preamble`` between zero pads, add AWGN at ``snr_db`` against
+    the preamble's mean power, and quantize to ``fmt``.
+
+    Returns the stream and the ground-truth preamble start.  ``rng`` is
+    anything ``numpy.random.default_rng`` accepts; a Generator is drawn
+    from in place, after whatever the caller drew before.
+    """
+    clean, start = embed_preamble(preamble, pad_before, pad_after)
+    noisy = add_awgn(clean, snr_db, rng, preamble.mean_power())
+    return quantize(noisy, fmt), start
+
+
 def run_trial(cfg: SweepConfig, snr_db: float, trial_seed) -> TrialOutcome:
     """One embed -> noise -> quantize -> detect -> classify pass.
 
@@ -195,9 +224,9 @@ def run_trial(cfg: SweepConfig, snr_db: float, trial_seed) -> TrialOutcome:
     lo, hi = cfg.pad_before_range
     pad_before = int(rng.integers(lo, hi + 1))
     tx = cfg.transmitted_profile()
-    clean, _ = embed_preamble(tx.preamble, pad_before, cfg.pad_after)
-    noisy = add_awgn(clean, snr_db, rng, tx.preamble.mean_power())
-    stream = quantize(noisy, cfg.sample_format)
+    stream, _ = synthesize(
+        tx.preamble, pad_before, cfg.pad_after, snr_db, rng, cfg.sample_format
+    )
     regs = build_register_map(
         cfg.profiles, energy=cfg.energy, coarse=cfg.coarse, fmt=cfg.sample_format
     )
@@ -292,9 +321,9 @@ def run_scope_scenario(cfg: SweepConfig, snr_db: float = 10.0, seed: int = 0) ->
     lo, hi = cfg.pad_before_range
     pad_before = int(rng.integers(lo, hi + 1))
     tx = cfg.transmitted_profile()
-    clean, start = embed_preamble(tx.preamble, pad_before, cfg.pad_after)
-    noisy = add_awgn(clean, snr_db, rng, tx.preamble.mean_power())
-    stream = quantize(noisy, cfg.sample_format)
+    stream, start = synthesize(
+        tx.preamble, pad_before, cfg.pad_after, snr_db, rng, cfg.sample_format
+    )
 
     traces: dict[str, np.ndarray] = {}
     candidates = []

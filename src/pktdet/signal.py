@@ -29,15 +29,20 @@ MAX_PREAMBLE_LEN = 1 << 14
 
 @dataclass(frozen=True)
 class FixedPointFormat:
-    """Two's-complement (or unsigned) fixed-point format for one I/Q component."""
+    """Two's-complement (or unsigned) fixed-point format for one I/Q component.
+
+    At most 16 bits: every stage squares and sums codes in int64, the energy
+    threshold register holds a squared code in 32 bits, and IQPD captures
+    store int16.
+    """
 
     total_bits: int = 16
     fractional_bits: int = 15
     signed: bool = True
 
     def __post_init__(self) -> None:
-        if not 2 <= self.total_bits <= 32:
-            raise ValueError(f"total_bits must be in [2, 32], got {self.total_bits}")
+        if not 2 <= self.total_bits <= 16:
+            raise ValueError(f"total_bits must be in [2, 16], got {self.total_bits}")
         if not 0 <= self.fractional_bits < self.total_bits:
             raise ValueError(
                 f"fractional_bits must be in [0, total_bits), got {self.fractional_bits}"
@@ -88,14 +93,6 @@ class FixedPointFormat:
 Q1_15 = FixedPointFormat(16, 15, True)
 
 
-@dataclass(frozen=True, slots=True)
-class IqSample:
-    """One complex sample as raw integer codes in the owning stream's format."""
-
-    i: int
-    q: int
-
-
 @dataclass(frozen=True)
 class SampleStream:
     """Immutable block of quantized I/Q samples.
@@ -124,9 +121,6 @@ class SampleStream:
 
     def __len__(self) -> int:
         return len(self.i)
-
-    def sample(self, index: int) -> IqSample:
-        return IqSample(int(self.i[index]), int(self.q[index]))
 
     def to_complex(self) -> np.ndarray:
         """Exact float values of the stored codes (power-of-two scaling)."""

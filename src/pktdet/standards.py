@@ -26,17 +26,16 @@ import numpy as np
 
 from .coarse import CoarseConfig, detect_coarse
 from .correlator import (
+    WORD_BITS,
     CoefficientBank,
     CorrelatorOutput,
     SignCorrelator,
-    SignPair,
     latch_enable,
     load_coefficients,
 )
 from .energy import EnergyConfig, EnergyDetector, enable_array
 from .signal import FixedPointFormat, Preamble, SampleStream
 
-WORD_BITS = 32
 ARB_PRIORITY_LONGEST = 0  # the only supported arbitration policy
 
 
@@ -123,12 +122,6 @@ class RegisterMap(Mapping):
 
     def __len__(self) -> int:
         return len(self._values)
-
-
-def write_register(regs: RegisterMap, key: str, value: int) -> RegisterMap:
-    """Functional register write; the pipeline sees the new map once it is
-    published to it (next sample boundary)."""
-    return regs.write(key, value)
 
 
 def build_register_map(
@@ -438,28 +431,22 @@ class DetectorBank:
         for correlator, bank in zip(self._correlators, view.banks):
             correlator.rebind_bank(bank)
         if self._energy is not None:
-            self._energy.cfg = view.energy_cfg
-            self._energy._thr_raw = (
-                view.energy_cfg.sample_energy_threshold * float(self._fmt.scale) ** 2
-            )
+            self._energy.reconfigure(view.energy_cfg)
         self._view = view
         self._pending = None
 
     def push(self, i_code: int, q_code: int) -> dict[str, CorrelatorOutput | None]:
         self._adopt_pending()
-        if self._energy is not None:
-            decision = self._energy.push(i_code, q_code)
-            raw_active = decision.active if decision is not None else False
-        else:
-            raw_active = True
+        raw_active = self._energy.push(i_code, q_code) if self._energy is not None else True
         if raw_active:
             self._holdoff_left = self._view.holdoff
             enabled = True
         else:
             enabled = self._holdoff_left > 0
             self._holdoff_left = max(0, self._holdoff_left - 1)
-        pair = SignPair(1 if i_code >= 0 else -1, 1 if q_code >= 0 else -1)
         return {
-            profile.id: self._correlators[p].push(pair, enabled and self._view.enabled[p])
+            profile.id: self._correlators[p].push(
+                i_code, q_code, enabled and self._view.enabled[p]
+            )
             for p, profile in enumerate(self._profiles)
         }

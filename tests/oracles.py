@@ -40,14 +40,6 @@ def quantize_oracle(values, fmt) -> tuple[list[tuple[int, int]], int]:
     return pairs, saturations
 
 
-def window_energy_raw(i_codes, q_codes, start: int, window_len: int) -> int:
-    """Arbitrary-precision sum of squares over one window."""
-    total = 0
-    for n in range(start, start + window_len):
-        total += int(i_codes[n]) ** 2 + int(q_codes[n]) ** 2
-    return total
-
-
 def exceed_count(i_codes, q_codes, start: int, window_len: int, thr_raw) -> int:
     count = 0
     for n in range(start, start + window_len):

@@ -18,19 +18,18 @@ import time
 import numpy as np
 import pytest
 
-from pktdet.coarse import CoarseDetector, schmidl_cox_correlations, schmidl_cox_metric
-from pktdet.correlator import (
-    CoefficientBank,
-    SignCorrelator,
-    SignPair,
-    WindowState,
-    correlate_at,
-    latch_enable,
-    load_coefficients,
-)
+from pktdet.coarse import schmidl_cox_correlations, schmidl_cox_metric
+from pktdet.correlator import CoefficientBank, SignCorrelator, latch_enable, load_coefficients
 from pktdet.energy import EnergyConfig, enable_array
 from pktdet.harness import default_sweep_config, run_scope_scenario, run_sweep
-from pktdet.signal import Preamble, Q1_15, embed_preamble, pn_preamble, quantize
+from pktdet.signal import (
+    Preamble,
+    Q1_15,
+    SampleStream,
+    embed_preamble,
+    pn_preamble,
+    quantize,
+)
 from pktdet.standards import Candidate, StandardProfile, arbitrate, build_register_map, run_detector_bank
 
 from oracles import (
@@ -59,19 +58,28 @@ def bank_from_sign_words(n: int, i_bits: int, q_bits: int) -> CoefficientBank:
     )
 
 
-def window_from_bits(n: int, i_bits: int, q_bits: int) -> WindowState:
-    window = WindowState(capacity=n)
-    for k in range(n):
-        window.push(
-            SignPair(1 if (i_bits >> k) & 1 else -1, 1 if (q_bits >> k) & 1 else -1)
-        )
-    return window
-
-
 def pairs_from_bits(n: int, i_bits: int, q_bits: int):
     return [
         (1 if (i_bits >> k) & 1 else -1, 1 if (q_bits >> k) & 1 else -1) for k in range(n)
     ]
+
+
+def correlate_both_ways(pairs, bank: CoefficientBank, every: int = 1) -> dict:
+    """Outputs at every ``every``-th position (the last of each group) of the
+    streaming (``push``) and batch (``process``) paths of fresh correlators
+    over the same Q1.15 (i, q) codes; the two must agree."""
+    enable = [t % every == every - 1 for t in range(len(pairs))]
+    corr = SignCorrelator(bank)
+    streamed = []
+    for t, (i, q) in enumerate(pairs):
+        out = corr.push(i, q, enable[t])
+        if out is not None:
+            streamed.append((t, out))
+    codes = np.array(pairs, dtype=np.int32).reshape(-1, 2)
+    stream = SampleStream(format=Q1_15, i=codes[:, 0], q=codes[:, 1])
+    batch = SignCorrelator(bank).process(stream, enable)
+    assert streamed == batch
+    return dict(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +91,17 @@ def test_criterion_1_oracle_equivalence():
     t0 = time.perf_counter()
     checked = 0
 
-    # exhaustive over every single-channel sign pattern pair at lengths 1..8
+    # exhaustive over every single-channel sign pattern pair at lengths 1..8:
+    # per reference b, all 2**n window patterns a stream through one window
+    # back to back, and pattern a fills it exactly at position a*n + n - 1
     for n in range(1, 9):
-        for a in range(1 << n):
-            for b in range(1 << n):
-                bank = bank_from_sign_words(n, b, 0)
-                out = correlate_at(window_from_bits(n, a, 0), bank)
-                expected = sign_partials(pairs_from_bits(n, a, 0), pairs_from_bits(n, b, 0))
+        patterns = [pairs_from_bits(n, a, 0) for a in range(1 << n)]
+        codes = [pair for pattern in patterns for pair in pattern]
+        for b in range(1 << n):
+            outputs = correlate_both_ways(codes, bank_from_sign_words(n, b, 0), every=n)
+            for a, pattern in enumerate(patterns):
+                out = outputs[a * n + n - 1]
+                expected = sign_partials(pattern, patterns[b])
                 assert (out.p_ii, out.p_qq, out.p_qi, out.p_iq) == expected
                 checked += 1
 
@@ -106,7 +118,7 @@ def test_criterion_1_oracle_equivalence():
         for _ in range(per_length):
             a_i, a_q, b_i, b_q = (rand_bits(n) for _ in range(4))
             bank = bank_from_sign_words(n, b_i, b_q)
-            out = correlate_at(window_from_bits(n, a_i, a_q), bank)
+            out = correlate_both_ways(pairs_from_bits(n, a_i, a_q), bank)[n - 1]
             expected = sign_partials(
                 pairs_from_bits(n, a_i, a_q), pairs_from_bits(n, b_i, b_q)
             )
@@ -133,20 +145,16 @@ def test_criterion_2_ideal_maxima():
     for n, ideal in ((32, 64), (64, 128)):
         preamble = pn_preamble("p", n, seed=(2, n))
         bank = load_coefficients(preamble)
-        window = WindowState(capacity=n)
-        for pair in bank.signs():
-            window.push(pair)
-        out = correlate_at(window, bank)
+        out = correlate_both_ways(bank.signs(), bank)[n - 1]
         assert out.re == ideal
         assert out.im == 0
 
     # zero components categorize as +1 on both sides, so the maximum survives
     samples = np.array([0 + 0j, 1j, -0.5 + 0j, 0.25 - 0.25j] * 8)
     zero_bank = load_coefficients(Preamble(id="z", samples=samples))
-    window = WindowState(capacity=32)
-    for pair in zero_bank.signs():
-        window.push(pair)
-    assert correlate_at(window, zero_bank).re == 64
+    stream = quantize(samples, Q1_15)
+    codes = list(zip(stream.i.tolist(), stream.q.tolist()))
+    assert correlate_both_ways(codes, zero_bank)[31].re == 64
 
     elapsed = time.perf_counter() - t0
     assert report("criterion 2: ideal maxima 64/128 at alignment", elapsed < 1.0, elapsed)
@@ -397,15 +405,6 @@ def test_criterion_6_coarse_stage():
         0.4 * (rng.normal(size=6 * lag) + 1j * rng.normal(size=6 * lag)), Q1_15
     )
     p_re, p_im, r = schmidl_cox_correlations(noisy, lag)
-    det = CoarseDetector(lag)
-    streamed = [
-        out
-        for out in (det.push(int(i), int(q)) for i, q in zip(noisy.i, noisy.q))
-        if out is not None
-    ]
-    batch_metric = schmidl_cox_metric(noisy, lag)
-    assert [d for d, _ in streamed] == list(range(len(p_re)))
-    assert [m for _, m in streamed] == batch_metric.tolist()
     for d in range(len(p_re)):
         assert (int(p_re[d]), int(p_im[d]), int(r[d])) == schmidl_point(
             noisy.i, noisy.q, lag, d

@@ -48,7 +48,7 @@ def test_gen_coeff_from_file(tmp_path):
     assert main(["gen-coeff", "--preamble", f"file:{ref}", "--out", str(out)]) == 0
     bank = parse_bank(out.read_text())
     assert bank.length == 2
-    assert [(p.si, p.sq) for p in bank.signs()] == [(1, -1), (-1, 1)]
+    assert bank.signs() == [(1, -1), (-1, 1)]
 
 
 def test_gen_iq_then_detect_round_trip(tmp_path, config_file):

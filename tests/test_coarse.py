@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from pktdet.coarse import (
     CoarseConfig,
-    CoarseDetector,
     coarse_trigger,
     detect_coarse,
     schmidl_cox_correlations,
@@ -67,21 +66,6 @@ class TestMetric:
             assert (int(p_re[d]), int(p_im[d]), int(r[d])) == schmidl_point(
                 stream.i, stream.q, lag, d
             )
-
-    @given(code_lists, st.integers(1, 8))
-    def test_streaming_equals_batch(self, codes, lag):
-        stream = stream_from_codes(codes)
-        if len(stream) < 2 * lag:
-            lag = len(stream) // 2
-        metric = schmidl_cox_metric(stream, lag)
-        det = CoarseDetector(lag)
-        emitted = [
-            out
-            for out in (det.push(int(i), int(q)) for i, q in zip(stream.i, stream.q))
-            if out is not None
-        ]
-        assert [d for d, _ in emitted] == list(range(len(metric)))
-        assert [m for _, m in emitted] == metric.tolist()
 
     def test_phase_rotation_leaves_metric_close(self):
         lag = 16

@@ -5,18 +5,12 @@ from hypothesis import given, strategies as st
 from pktdet.correlator import (
     CoefficientBank,
     SignCorrelator,
-    SignPair,
-    WindowState,
-    categorize,
-    correlate_at,
-    correlate_stream,
     dump_bank,
     latch_enable,
     load_coefficients,
     parse_bank,
 )
 from pktdet.signal import (
-    IqSample,
     Preamble,
     Q1_15,
     add_awgn,
@@ -37,30 +31,32 @@ def bank_from_signs(pairs):
     return load_coefficients(Preamble(id="ref", samples=samples))
 
 
-def window_from_signs(pairs):
-    w = WindowState(capacity=len(pairs))
-    for si, sq in pairs:
-        w.push(SignPair(si, sq))
-    return w
+def correlate_codes(codes, bank):
+    """Push raw (i, q) codes through a fresh correlator; the last output."""
+    corr = SignCorrelator(bank)
+    out = None
+    for i, q in codes:
+        out = corr.push(i, q)
+    return out
 
 
 class TestCategorize:
     def test_zero_maps_positive(self):
-        assert categorize(IqSample(0, 0)) == SignPair(1, 1)
+        bank = bank_from_signs([(1, 1)])
+        assert correlate_codes([(0, 0)], bank).re == 2
 
     def test_mixed_signs(self):
         stream = quantize([-0.3 + 0.2j], Q1_15)
-        assert categorize(stream.sample(0)) == SignPair(-1, 1)
+        bank = bank_from_signs([(-1, 1)])
+        out = correlate_codes([(int(stream.i[0]), int(stream.q[0]))], bank)
+        assert (out.p_ii, out.p_qq, out.p_qi, out.p_iq) == (1, 1, -1, -1)
 
     @given(st.integers(-32768, 32767), st.integers(-32768, 32767))
     def test_matches_componentwise_sign(self, i, q):
-        pair = categorize(IqSample(i, q))
-        assert pair.si == (1 if i >= 0 else -1)
-        assert pair.sq == (1 if q >= 0 else -1)
-
-    def test_rejects_zero_sign(self):
-        with pytest.raises(ValueError):
-            SignPair(0, 1)
+        # against the all-positive reference, p_ii and p_qq are the signs
+        out = correlate_codes([(i, q)], bank_from_signs([(1, 1)]))
+        assert out.p_ii == (1 if i >= 0 else -1)
+        assert out.p_qq == (1 if q >= 0 else -1)
 
 
 class TestCoefficientBank:
@@ -84,11 +80,11 @@ class TestCoefficientBank:
         expected = [
             (1 if s.real >= 0 else -1, 1 if s.imag >= 0 else -1) for s in preamble.samples
         ]
-        assert [(p.si, p.sq) for p in bank.signs()] == expected
+        assert bank.signs() == expected
 
     def test_zero_component_loads_as_one(self):
         bank = load_coefficients(Preamble(id="z", samples=np.array([0 + 0j, -1 - 1j])))
-        assert [(p.si, p.sq) for p in bank.signs()] == [(1, 1), (-1, -1)]
+        assert bank.signs() == [(1, 1), (-1, -1)]
 
     def test_word_count_validation(self):
         with pytest.raises(ValueError):
@@ -111,29 +107,28 @@ class TestCorrelateAt:
         for n, ideal in ((32, 64), (64, 128)):
             preamble = pn_preamble("p", n, seed=9)
             bank = load_coefficients(preamble)
-            window = window_from_signs([(p.si, p.sq) for p in bank.signs()])
-            out = correlate_at(window, bank)
+            out = correlate_codes(bank.signs(), bank)
             assert out.re == ideal
             assert out.im == 0
 
     def test_negated_window_hits_ideal_minimum(self):
         bank = load_coefficients(pn_preamble("p", 32, seed=9))
-        window = window_from_signs([(-p.si, -p.sq) for p in bank.signs()])
-        out = correlate_at(window, bank)
+        out = correlate_codes([(-si, -sq) for si, sq in bank.signs()], bank)
         assert out.re == -64
 
     def test_underfilled_window_not_ready(self):
         bank = load_coefficients(pn_preamble("p", 8, seed=1))
-        window = WindowState(capacity=8)
-        window.push(SignPair(1, 1))
-        assert correlate_at(window, bank) is None
+        corr = SignCorrelator(bank)
+        assert corr.push(1, 1) is None
+        assert not corr.ready
+        assert corr.work_count == 0
 
     @given(sign_pair_lists, st.randoms(use_true_random=False))
     def test_matches_naive_dot_product(self, ref_pairs, rnd):
         n = len(ref_pairs)
         window_pairs = [(rnd.choice((-1, 1)), rnd.choice((-1, 1))) for _ in range(n)]
         bank = bank_from_signs(ref_pairs)
-        out = correlate_at(window_from_signs(window_pairs), bank)
+        out = correlate_codes(window_pairs, bank)
         assert (out.p_ii, out.p_qq, out.p_qi, out.p_iq) == sign_partials(
             window_pairs, ref_pairs
         )
@@ -145,19 +140,15 @@ class TestCorrelateAt:
         window = [
             (si if k % 2 else -si, sq if k % 3 else -sq) for k, (si, sq) in enumerate(pairs)
         ]
-        out = correlate_at(window_from_signs(window), bank)
+        out = correlate_codes(window, bank)
         assert abs(out.re) <= 2 * len(pairs)
         if len(pairs) % 2 == 0:
             assert out.re % 2 == 0
 
     def test_window_keeps_most_recent_samples(self):
         bank = load_coefficients(pn_preamble("p", 4, seed=3))
-        window = WindowState(capacity=4)
-        for _ in range(3):
-            window.push(SignPair(-1, -1))
-        for p in bank.signs():
-            window.push(SignPair(p.si, p.sq))  # evicts the three decoys
-        assert correlate_at(window, bank).re == 8
+        decoys = [(-1, -1)] * 3
+        assert correlate_codes(decoys + bank.signs(), bank).re == 8  # decoys evicted
 
     def test_stacking_two_halves(self):
         preamble = pn_preamble("p", 64, seed=21)
@@ -172,9 +163,9 @@ class TestCorrelateAt:
 
         rng = np.random.default_rng(5)
         window_pairs = [tuple(rng.choice((-1, 1), size=2)) for _ in range(64)]
-        full = correlate_at(window_from_signs(window_pairs), bank64)
-        lo = correlate_at(window_from_signs(window_pairs[:32]), bank_lo)
-        hi = correlate_at(window_from_signs(window_pairs[32:]), bank_hi)
+        full = correlate_codes(window_pairs, bank64)
+        lo = correlate_codes(window_pairs[:32], bank_lo)
+        hi = correlate_codes(window_pairs[32:], bank_hi)
         assert full.re == lo.re + hi.re
         assert full.im == lo.im + hi.im
 
@@ -185,8 +176,10 @@ class TestScalingInvariance:
         preamble = pn_preamble("p", 32, seed=13)
         signal, _ = embed_preamble(preamble, 8, 8)
         bank = load_coefficients(preamble)
-        base = correlate_stream(quantize(np.asarray(signal) * 0.2, Q1_15), bank)
-        scaled = correlate_stream(quantize(np.asarray(signal) * 0.2 * gain, Q1_15), bank)
+        base = SignCorrelator(bank).process(quantize(np.asarray(signal) * 0.2, Q1_15))
+        scaled = SignCorrelator(bank).process(
+            quantize(np.asarray(signal) * 0.2 * gain, Q1_15)
+        )
         assert [(i, o.re, o.im) for i, o in base] == [(i, o.re, o.im) for i, o in scaled]
 
 
@@ -203,7 +196,7 @@ class TestCorrelateStream:
         preamble = pn_preamble("p", 64, seed=4)
         signal, start = embed_preamble(preamble, 37, 50)
         stream = quantize(signal, Q1_15)
-        outputs = correlate_stream(stream, load_coefficients(preamble))
+        outputs = SignCorrelator(load_coefficients(preamble)).process(stream)
         re_values = {i: o.re for i, o in outputs}
         peak_index = max(re_values, key=re_values.get)
         assert peak_index == start + preamble.length - 1
@@ -216,12 +209,12 @@ class TestCorrelateStream:
         signal, start = embed_preamble(preamble, 40, 40)
         stream = quantize(signal, Q1_15)
         bank = load_coefficients(preamble)
-        full = correlate_stream(stream, bank)
+        full = SignCorrelator(bank).process(stream)
         peak_index, peak = max(((i, o.re) for i, o in full), key=lambda t: t[1])
 
         enable = np.zeros(len(stream), dtype=bool)
         enable[start : start + 2 * preamble.length] = True
-        gated = correlate_stream(stream, bank, enable)
+        gated = SignCorrelator(bank).process(stream, enable)
         gated_peak_index, gated_peak = max(((i, o.re) for i, o in gated), key=lambda t: t[1])
         assert (gated_peak_index, gated_peak) == (peak_index, peak)
 
@@ -247,7 +240,7 @@ class TestCorrelateStream:
         single = SignCorrelator(bank)
         stepped = []
         for n in range(len(stream)):
-            out = single.push(categorize(stream.sample(n)), bool(enable[n]))
+            out = single.push(int(stream.i[n]), int(stream.q[n]), bool(enable[n]))
             if out is not None:
                 stepped.append((n, out))
         assert stepped == batch
@@ -256,7 +249,7 @@ class TestCorrelateStream:
         preamble = pn_preamble("p", 8, seed=1)
         stream = quantize(np.zeros(16, dtype=complex), Q1_15)
         with pytest.raises(ValueError):
-            correlate_stream(stream, load_coefficients(preamble), enable=[True] * 5)
+            SignCorrelator(load_coefficients(preamble)).process(stream, enable=[True] * 5)
 
 
 class TestSignFlipModel:

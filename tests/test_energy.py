@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pktdet.energy import EnergyConfig, EnergyDetector, enable_array, energy_gate, window_energy
-from pktdet.signal import Q1_15, embed_preamble, pn_preamble, quantize
+from pktdet.energy import EnergyConfig, EnergyDetector, enable_array
+from pktdet.signal import (
+    FixedPointFormat,
+    Q1_15,
+    SampleStream,
+    embed_preamble,
+    pn_preamble,
+    quantize,
+)
 
-from oracles import exceed_count, window_energy_raw
+from oracles import exceed_count
 
 
 def make_stream(values):
@@ -19,59 +26,55 @@ code_lists = st.lists(
 )
 
 
-def stream_from_codes(codes):
+def stream_from_codes(codes, fmt=Q1_15):
     i = np.array([c[0] for c in codes], dtype=np.int32)
     q = np.array([c[1] for c in codes], dtype=np.int32)
-    from pktdet.signal import SampleStream
+    return SampleStream(format=fmt, i=i, q=q)
 
-    return SampleStream(format=Q1_15, i=i, q=q)
+
+def streamed_enable(stream, cfg):
+    det = EnergyDetector(cfg, stream.format)
+    return [det.push(int(i), int(q)) for i, q in zip(stream.i, stream.q)]
+
+
+def oracle_enable(stream, cfg):
+    """Naive per-window recount of the gate decision at every position."""
+    w = cfg.window_len
+    thr_raw = cfg.sample_energy_threshold * stream.format.scale**2
+    return [
+        n >= w - 1
+        and exceed_count(stream.i, stream.q, n - w + 1, w, thr_raw) > cfg.count_threshold
+        for n in range(len(stream))
+    ]
 
 
 class TestWindowEnergy:
+    """Per-sample energies in natural units, as the gate compares them."""
+
     def test_zero_stream(self):
+        # a silent sample has energy 0, which never exceeds even a 0 threshold
         stream = make_stream(np.zeros(32, dtype=complex))
-        assert window_energy(stream, 0, 16) == 0.0
+        cfg = EnergyConfig(window_len=16, sample_energy_threshold=0.0, count_threshold=0)
+        assert not enable_array(stream, cfg).any()
+        assert not any(streamed_enable(stream, cfg))
 
     def test_unit_samples(self):
-        # sixteen samples at (1.0, 0.0): codes saturate to 32767, |y|^2 = (32767/32768)^2
+        # (1.0, 0.0) saturates to code 32767: |y|^2 = (32767/32768)^2 exactly
         stream = make_stream(np.ones(16, dtype=complex).real + 0j)
-        expected = 16 * (32767 / 32768) ** 2
-        assert window_energy(stream, 0, 16) == pytest.approx(expected, rel=1e-12)
-
-    @given(code_lists)
-    def test_matches_wide_integer_oracle(self, codes):
-        stream = stream_from_codes(codes)
-        w = min(len(codes), 8)
-        got = window_energy(stream, 0, w)
-        raw = window_energy_raw(stream.i, stream.q, 0, w)
-        assert got == raw / Q1_15.scale**2  # both sides exact in float64
-
-    def test_out_of_range_window(self):
-        stream = make_stream(np.zeros(8, dtype=complex))
-        with pytest.raises(IndexError):
-            window_energy(stream, 4, 8)
-
-    def test_phase_rotation_invariance_within_step(self):
-        rng = np.random.default_rng(3)
-        mags = rng.uniform(0.3, 0.9, size=64)
-        phases = rng.uniform(0, 2 * np.pi, size=64)
-        ideal = mags * np.exp(1j * phases)
-        rotated = ideal * np.exp(1j * 1.234)
-        w = 64
-        e0 = window_energy(make_stream(ideal), 0, w)
-        e1 = window_energy(make_stream(rotated), 0, w)
-        half_step = 2.0 ** -(Q1_15.fractional_bits + 1)
-        bound = w * (4 * half_step + 2 * half_step**2)  # per-sample |d(i^2+q^2)| bound
-        assert abs(e0 - e1) <= bound
+        energy = (32767 / 32768) ** 2
+        for threshold, expected in ((energy, False), (energy - 2.0**-30, True)):
+            cfg = EnergyConfig(16, threshold, 0)
+            assert enable_array(stream, cfg)[15] == expected
+            assert streamed_enable(stream, cfg)[15] == expected
 
 
 class TestEnergyGate:
     def test_silence_never_active(self):
         stream = make_stream(np.zeros(40, dtype=complex))
         cfg = EnergyConfig(window_len=8, sample_energy_threshold=0.01, count_threshold=2)
-        decisions = energy_gate(stream, cfg)
-        assert len(decisions) == 40 - 8 + 1
-        assert not any(d.active for d in decisions)
+        enable = enable_array(stream, cfg)
+        assert len(enable) == 40
+        assert not enable.any()
 
     def test_preamble_opens_gate_near_start(self):
         preamble = pn_preamble("p", 64, seed=1)
@@ -79,41 +82,28 @@ class TestEnergyGate:
         stream = make_stream(signal)
         w = 16
         cfg = EnergyConfig(window_len=w, sample_energy_threshold=0.25, count_threshold=w - 1)
-        first = next(d.at_index for d in energy_gate(stream, cfg) if d.active)
+        first = int(np.flatnonzero(enable_array(stream, cfg))[0])
         assert 100 <= first <= 100 + w
 
     def test_count_threshold_equal_window_never_fires(self):
         stream = make_stream(0.9 * np.ones(32) + 0.9j * np.ones(32))
         cfg = EnergyConfig(window_len=8, sample_energy_threshold=0.1, count_threshold=8)
-        assert not any(d.active for d in energy_gate(stream, cfg))
+        assert not enable_array(stream, cfg).any()
 
-    @given(code_lists, st.integers(1, 8), st.floats(0, 2.5))
-    def test_matches_naive_recount(self, codes, window_len, threshold):
+    @given(code_lists, st.integers(1, 8), st.floats(0, 2.5), st.integers(0, 8))
+    def test_matches_naive_recount(self, codes, window_len, threshold, count_threshold):
         stream = stream_from_codes(codes)
         window_len = min(window_len, len(stream))
-        cfg = EnergyConfig(window_len, threshold, count_threshold=window_len // 2)
-        decisions = energy_gate(stream, cfg)
-        thr_raw = threshold * Q1_15.scale**2
-        for d in decisions:
-            start = d.at_index - window_len + 1
-            assert d.exceed_count == exceed_count(stream.i, stream.q, start, window_len, thr_raw)
-            assert d.window_energy == (
-                window_energy_raw(stream.i, stream.q, start, window_len) / Q1_15.scale**2
-            )
-            assert d.active == (d.exceed_count > cfg.count_threshold)
+        cfg = EnergyConfig(window_len, threshold, min(count_threshold, window_len))
+        expected = oracle_enable(stream, cfg)
+        assert enable_array(stream, cfg).tolist() == expected
+        assert streamed_enable(stream, cfg) == expected
 
     @given(code_lists)
     def test_streaming_equals_batch(self, codes):
         stream = stream_from_codes(codes)
         cfg = EnergyConfig(window_len=4, sample_energy_threshold=0.3, count_threshold=2)
-        batch = energy_gate(stream, cfg)
-        det = EnergyDetector(cfg, Q1_15)
-        streamed = [
-            d
-            for d in (det.push(int(i), int(q)) for i, q in zip(stream.i, stream.q))
-            if d is not None
-        ]
-        assert streamed == batch
+        assert streamed_enable(stream, cfg) == enable_array(stream, cfg).tolist()
 
     @given(
         st.lists(
@@ -124,20 +114,22 @@ class TestEnergyGate:
         st.floats(1.0, 2.4),
     )
     def test_scaling_up_never_decreases_counts(self, values, gain):
+        # the count over every window is non-decreasing iff the gate stays
+        # open under gain at every count threshold
         base = make_stream(values)
         scaled = make_stream(np.asarray(values) * gain)
-        cfg = EnergyConfig(window_len=8, sample_energy_threshold=0.05, count_threshold=3)
-        for d0, d1 in zip(energy_gate(base, cfg), energy_gate(scaled, cfg)):
-            assert d1.exceed_count >= d0.exceed_count
+        for count_threshold in range(8):
+            cfg = EnergyConfig(8, sample_energy_threshold=0.05, count_threshold=count_threshold)
+            assert not (enable_array(base, cfg) & ~enable_array(scaled, cfg)).any()
 
     def test_rssi_gate_is_anded_in(self):
         stream = make_stream(0.9 * np.ones(32) + 0j)
         on = EnergyConfig(8, 0.1, 2, rssi_gate=True)
         off = EnergyConfig(8, 0.1, 2, rssi_gate=False)
         absent = EnergyConfig(8, 0.1, 2)
-        assert all(d.active for d in energy_gate(stream, on))
-        assert not any(d.active for d in energy_gate(stream, off))
-        assert all(d.active for d in energy_gate(stream, absent))
+        for cfg, expected in ((on, True), (off, False), (absent, True)):
+            assert enable_array(stream, cfg)[7:].tolist() == [expected] * 25
+            assert streamed_enable(stream, cfg)[7:] == [expected] * 25
 
     def test_enable_array_marks_window_ends(self):
         stream = make_stream(0.9 * np.ones(12) + 0j)
@@ -149,25 +141,22 @@ class TestEnergyGate:
     def test_short_stream_rejected(self):
         stream = make_stream(np.zeros(4, dtype=complex))
         with pytest.raises(ValueError):
-            energy_gate(stream, EnergyConfig(8, 0.1, 2))
+            enable_array(stream, EnergyConfig(8, 0.1, 2))
 
     def test_wide_format_stays_exact(self):
-        # >16-bit codes take the arbitrary-precision path
-        from pktdet.signal import FixedPointFormat
-
-        fmt = FixedPointFormat(20, 15, True)
+        # formats wider than 16 bits are refused, so int64 energies never wrap
+        with pytest.raises(ValueError, match="total_bits"):
+            FixedPointFormat(20, 15, True)
+        # the widest accepted codes: uq16.0 at full scale, energy 2 * 65535**2
+        fmt = FixedPointFormat(16, 0, False)
         rng = np.random.default_rng(2)
-        values = rng.normal(size=40) * 8 + 1j * rng.normal(size=40) * 8
-        stream = quantize(values, fmt)
-        assert int(np.abs(stream.i).max()) > 32767  # actually exercises wide codes
-        cfg = EnergyConfig(window_len=8, sample_energy_threshold=5.0, count_threshold=4)
-        thr_raw = 5.0 * fmt.scale**2
-        for d in energy_gate(stream, cfg):
-            start = d.at_index - 7
-            assert d.exceed_count == exceed_count(stream.i, stream.q, start, 8, thr_raw)
-            assert d.window_energy == (
-                window_energy_raw(stream.i, stream.q, start, 8) / fmt.scale**2
-            )
+        codes = [(65535, 65535)] * 8 + [tuple(c) for c in rng.integers(0, 65536, size=(32, 2))]
+        stream = stream_from_codes(codes, fmt)
+        for threshold in (0.0, 2.0**31, 2 * 65535.0**2 - 1, 2 * 65535.0**2):
+            cfg = EnergyConfig(8, sample_energy_threshold=threshold, count_threshold=4)
+            expected = oracle_enable(stream, cfg)
+            assert enable_array(stream, cfg).tolist() == expected
+            assert streamed_enable(stream, cfg) == expected
 
 
 class TestConfigValidation:

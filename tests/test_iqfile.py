@@ -46,7 +46,7 @@ def test_truncated_payload_rejected(tmp_path):
 
 
 def test_wide_format_rejected(tmp_path):
-    fmt = FixedPointFormat(20, 15, True)
+    fmt = FixedPointFormat.parse("uq1.15")  # codes up to 65535 do not fit int16
     stream = quantize([0.0 + 0.0j], fmt)
     with pytest.raises(ValueError, match="16-bit"):
         write_iq(tmp_path / "wide.iqpd", stream)

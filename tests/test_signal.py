@@ -34,7 +34,9 @@ class TestFixedPointFormat:
         with pytest.raises(ValueError):
             FixedPointFormat.parse(text)
 
-    @pytest.mark.parametrize("total,frac", [(1, 0), (33, 10), (8, 8), (8, -1)])
+    @pytest.mark.parametrize(
+        "total,frac", [(1, 0), (33, 10), (8, 8), (8, -1), (17, 10), (20, 15), (32, 16)]
+    )
     def test_invalid_formats(self, total, frac):
         with pytest.raises(ValueError):
             FixedPointFormat(total, frac)

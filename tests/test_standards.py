@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pktdet.correlator import SignCorrelator, load_coefficients
-from pktdet.energy import EnergyConfig
+from pktdet.correlator import SignCorrelator, latch_enable, load_coefficients
+from pktdet.energy import EnergyConfig, enable_array
 from pktdet.harness import scenario_profiles
-from pktdet.signal import Q1_15, add_awgn, embed_preamble, pn_preamble, quantize
+from pktdet.signal import (
+    Q1_15,
+    SampleStream,
+    add_awgn,
+    embed_preamble,
+    pn_preamble,
+    quantize,
+)
 from pktdet.standards import (
     Candidate,
     ConfigurationError,
@@ -17,7 +24,6 @@ from pktdet.standards import (
     arbitrate,
     build_register_map,
     run_detector_bank,
-    write_register,
 )
 
 
@@ -66,7 +72,7 @@ class TestRegisterMap:
 
     def test_write_returns_new_map(self):
         regs = build_register_map([profile("a", 32, 50)])
-        updated = write_register(regs, "prof0/threshold", 60)
+        updated = regs.write("prof0/threshold", 60)
         assert regs.read("prof0/threshold") == 50
         assert updated.read("prof0/threshold") == 60
 
@@ -75,14 +81,14 @@ class TestRegisterMap:
         with pytest.raises(ConfigurationError):
             regs.read("prof9/threshold")
         with pytest.raises(ConfigurationError):
-            write_register(regs, "bogus/key", 1)
+            regs.write("bogus/key", 1)
 
     def test_non_word_value_rejected(self):
         regs = build_register_map([profile("a", 32, 50)])
         with pytest.raises(ConfigurationError):
-            write_register(regs, "prof0/threshold", 1 << 32)
+            regs.write("prof0/threshold", 1 << 32)
         with pytest.raises(ConfigurationError):
-            write_register(regs, "prof0/threshold", -1)
+            regs.write("prof0/threshold", -1)
 
     def test_every_stage_parameter_has_a_key(self):
         regs = build_register_map([profile("a", 40, 50)])
@@ -197,14 +203,14 @@ class TestRunDetectorBank:
         p = profile("a", 32, 64)
         stream, _ = make_capture(p)
         regs = build_register_map([p], energy=EnergyConfig(16, 0.25, 8))
-        regs = write_register(regs, "prof0/enabled", 0)
+        regs = regs.write("prof0/enabled", 0)
         assert run_detector_bank(stream, [p], regs) == []
 
     def test_threshold_register_is_authoritative(self):
         p = profile("a", 32, 64)  # ideal max 64
         stream, start = make_capture(p)
         regs = build_register_map([p], energy=EnergyConfig(16, 0.25, 8))
-        regs = write_register(regs, "prof0/threshold", 65)  # just above the ideal max
+        regs = regs.write("prof0/threshold", 65)  # just above the ideal max
         assert run_detector_bank(stream, [p], regs) == []
 
     def test_rssi_false_blocks_everything(self):
@@ -262,7 +268,7 @@ class TestRegisterValidation:
     def test_tampered_length_register(self):
         p = profile("a", 32, 50)
         regs = build_register_map([p])
-        bad = write_register(regs, "prof0/len", 16)
+        bad = regs.write("prof0/len", 16)
         stream, _ = make_capture(p)
         with pytest.raises(ConfigurationError):
             run_detector_bank(stream, [p], bad)
@@ -270,45 +276,127 @@ class TestRegisterValidation:
     def test_garbage_coefficient_word(self):
         p = profile("a", 40, 50)  # 40-point bank: 8 valid bits in the last word
         regs = build_register_map([p])
-        bad = write_register(regs, "prof0/coeff_i/1", 0xFFFFFFFF)
+        bad = regs.write("prof0/coeff_i/1", 0xFFFFFFFF)
         stream, _ = make_capture(p)
         with pytest.raises(ConfigurationError):
             run_detector_bank(stream, [p], bad)
 
     def test_unsupported_priority_policy(self):
         p = profile("a", 32, 50)
-        regs = write_register(build_register_map([p]), "arb/priority", 3)
+        regs = build_register_map([p]).write("arb/priority", 3)
         stream, _ = make_capture(p)
         with pytest.raises(ConfigurationError):
             run_detector_bank(stream, [p], regs)
 
     def test_zero_threshold_register(self):
         p = profile("a", 32, 50)
-        regs = write_register(build_register_map([p]), "prof0/threshold", 0)
+        regs = build_register_map([p]).write("prof0/threshold", 0)
         stream, _ = make_capture(p)
         with pytest.raises(ConfigurationError):
             run_detector_bank(stream, [p], regs)
 
 
 class TestStreamingDetectorBank:
-    def test_matches_batch_outputs_when_idle(self):
-        p = profile("a", 32, 50)
-        stream, _ = make_capture(p, snr_db=10.0, seed=5)
-        regs = build_register_map([p], energy=EnergyConfig(16, 0.5, 8))
-        bank = DetectorBank([p], regs, Q1_15)
+    @example(seed=5, length=200, specs=[(32, 0, True)], energy=(16, 1 << 22, 8), holdoff=12)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(16, 200),
+        st.lists(
+            st.tuples(st.integers(1, 40), st.integers(0, 1 << 16), st.booleans()),
+            min_size=1,
+            max_size=3,
+        ),
+        st.none()
+        | st.tuples(
+            st.integers(1, 16),
+            st.integers(1 << 15, 1 << 29) | st.integers(0, 1 << 31),
+            st.integers(0, 15),
+        ),
+        st.integers(0, 12) | st.integers(0, 40),
+    )
+    @settings(max_examples=200)
+    def test_matches_batch_outputs_when_idle(self, seed, length, specs, energy, holdoff):
+        codes = burst_codes(seed, length)
+        stream = SampleStream(format=Q1_15, i=codes[:, 0].copy(), q=codes[:, 1].copy())
+        profiles = [profile(f"p{k}", n, 1, s) for k, (n, s, _) in enumerate(specs)]
+        cfg = None
+        if energy is not None:
+            window, thr_raw, count = energy
+            cfg = EnergyConfig(window, thr_raw / Q1_15.scale**2, count % window)
+        regs = build_register_map(profiles, energy=cfg, holdoff=holdoff)
+        for k, (_, _, on) in enumerate(specs):
+            regs = regs.write(f"prof{k}/enabled", int(on))
+
+        bank = DetectorBank(profiles, regs, Q1_15)
+        pushed = [bank.push(int(i), int(q)) for i, q in zip(stream.i, stream.q)]
+
+        raw = enable_array(stream, cfg) if cfg else np.ones(len(stream), dtype=bool)
+        enable = latch_enable(raw, regs.read("fine/holdoff"))
+        for p, (_, _, on) in zip(profiles, specs):
+            batch = SignCorrelator(load_coefficients(p.preamble)).process(stream, enable)
+            if not on:
+                batch = []
+            streamed = [(n, out[p.id]) for n, out in enumerate(pushed) if out[p.id] is not None]
+            assert streamed == batch
+
+    def test_energy_thresholds_adopted_mid_stream(self):
+        p = profile("a", 16, 20)
+        w = 8
+        regs_old = build_register_map([p], energy=EnergyConfig(w, 0.2, 3), holdoff=0)
+        thr_old = regs_old.read("energy/sample_thresh_raw")
+        thr_new = round(0.35 * Q1_15.scale**2)
+        regs_new = regs_old.write("energy/count_thresh", 5).write(
+            "energy/sample_thresh_raw", thr_new
+        )
+        rng = np.random.default_rng(3)
+        length = 240
+        stream = quantize(
+            rng.uniform(0.0, 0.9, length) * np.exp(2j * np.pi * rng.uniform(size=length)),
+            Q1_15,
+        )
+        publish = {90: regs_new, 170: regs_old}
+
+        bank = DetectorBank([p], regs_old, Q1_15)
         streamed = []
-        for n in range(len(stream)):
+        for n in range(length):
+            if n in publish:
+                bank.update_registers(publish[n])
             out = bank.push(int(stream.i[n]), int(stream.q[n]))["a"]
             if out is not None:
                 streamed.append((n, out))
-        from pktdet.correlator import latch_enable
-        from pktdet.energy import enable_array
 
-        enable = latch_enable(
-            enable_array(stream, EnergyConfig(16, 0.5, 8)), regs.read("fine/holdoff")
+        # naive model: the registers in force at each sample
+        new_at = [90 <= n < 170 for n in range(length)]
+        energy = [int(i) ** 2 + int(q) ** 2 for i, q in zip(stream.i, stream.q)]
+
+        def model(thr_of, count_of, recompare=False):
+            enable = []
+            for n in range(length):
+                window = range(n - w + 1, n + 1)
+                # each sample meets the threshold in force when it arrived,
+                # unless recompare replays the window under the current one
+                count = sum(energy[k] > thr_of(n if recompare else k) for k in window)
+                enable.append(n >= w - 1 and count > count_of(n))
+            return enable
+
+        expected = model(
+            lambda k: thr_new if new_at[k] else thr_old, lambda n: 5 if new_at[n] else 3
         )
-        batch = SignCorrelator(load_coefficients(p.preamble)).process(stream, enable)
+        batch = SignCorrelator(load_coefficients(p.preamble)).process(stream, expected)
         assert streamed == batch
+        # the capture tells the model apart from the plausible wrong ones
+        wrong = (
+            model(lambda k: thr_old, lambda n: 3),
+            model(lambda k: thr_new, lambda n: 5),
+            model(lambda k: thr_new if new_at[k] else thr_old, lambda n: 3),
+            model(lambda k: thr_old, lambda n: 5 if new_at[n] else 3),
+            model(
+                lambda k: thr_new if new_at[k] else thr_old,
+                lambda n: 5 if new_at[n] else 3,
+                recompare=True,
+            ),
+        )
+        assert all(alternative != expected for alternative in wrong)
 
     def test_register_adoption_is_atomic(self):
         # two sentinel banks: all-positive signs vs all-negative signs
@@ -319,9 +407,9 @@ class TestStreamingDetectorBank:
         )
         regs_new = regs_old
         for w, word in enumerate(neg_bank.i_words):
-            regs_new = write_register(regs_new, f"prof0/coeff_i/{w}", word)
+            regs_new = regs_new.write(f"prof0/coeff_i/{w}", word)
         for w, word in enumerate(neg_bank.q_words):
-            regs_new = write_register(regs_new, f"prof0/coeff_q/{w}", word)
+            regs_new = regs_new.write(f"prof0/coeff_q/{w}", word)
 
         stream = quantize(0.5 * np.ones(96) + 0.5j * np.ones(96), Q1_15)
         bank = DetectorBank([ones], regs_old, Q1_15)
@@ -342,9 +430,23 @@ class TestStreamingDetectorBank:
         p = profile("a", 32, 50)
         regs = build_register_map([p])
         bank = DetectorBank([p], regs, Q1_15)
-        bank.update_registers(write_register(regs, "prof0/len", 16))
+        bank.update_registers(regs.write("prof0/len", 16))
         with pytest.raises(ConfigurationError):
             bank.push(0, 0)
+
+
+def burst_codes(seed, length):
+    """Random Q1.15 codes in alternating loud and quiet runs of 1-47 samples.
+
+    Loud components have magnitude >= 2**14 and quiet ones <= 128, so a
+    sample threshold between 2**15 and 2**29 opens and closes the gate.
+    """
+    rng = np.random.default_rng(seed)
+    runs = rng.integers(1, 48, size=length)
+    loud = np.repeat(np.arange(length) % 2, runs)[:length] == rng.integers(2)
+    codes = rng.integers(-32768, 32768, size=(length, 2)).astype(np.int32)
+    forced = np.where(codes < 0, codes & ~0x4000, codes | 0x4000)
+    return np.where(loud[:, None], forced, codes >> 8)
 
 
 def pn_from_signs(name, signs):
