@@ -61,15 +61,6 @@ def _cmd_gen_iq(args) -> int:
     return 0
 
 
-def _energy_from_args(args) -> EnergyConfig:
-    return EnergyConfig(
-        window_len=args.energy_window,
-        sample_energy_threshold=args.energy_sample_thresh,
-        count_threshold=args.energy_count_thresh,
-        rssi_gate=args.rssi,
-    )
-
-
 def _cmd_detect(args) -> int:
     profiles = cfgfile.load_profiles(args.profiles)
     stream = read_iq(args.input)
@@ -80,9 +71,12 @@ def _cmd_detect(args) -> int:
             metric_threshold=args.coarse_thresh,
             plateau_min=args.coarse_plateau,
         )
-    regs = build_register_map(
-        profiles, energy=_energy_from_args(args), coarse=coarse, fmt=stream.format
+    energy = EnergyConfig(
+        window_len=args.energy_window,
+        sample_energy_threshold=args.energy_sample_thresh,
+        count_threshold=args.energy_count_thresh,
     )
+    regs = build_register_map(profiles, energy=energy, coarse=coarse, fmt=stream.format)
     events = run_detector_bank(stream, profiles, regs, rssi=args.rssi)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -167,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "rssi", None) is not None:
-        args.rssi = bool(args.rssi)
     return args.func(args)
 
 

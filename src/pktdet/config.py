@@ -154,7 +154,6 @@ def _profiles_from_parser(parser, base_dir: Path) -> tuple[StandardProfile, ...]
             StandardProfile(
                 id=name,
                 preamble=preamble,
-                correlator_len=preamble.length,
                 fine_threshold=block.getint("threshold"),
                 packet_len=block.getint("packet_len", fallback=0),
                 symbol_size=block.getint("symbol_size", fallback=0),

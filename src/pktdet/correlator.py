@@ -20,6 +20,10 @@ Alignment convention: the newest window sample lines up with the *last*
 reference coefficient (matched-filter orientation), so the peak for a
 preamble starting at stream index s lands at output index s + n - 1.
 
+The batch path computes the same partials with one ``np.correlate`` of the
++-1 sign arrays per partial, which is the popcount identity above written
+as a dot product.
+
 The detection decision elsewhere in the pipeline compares ``re`` against a
 threshold; the magnitude is available from the partials when needed.
 """
@@ -27,6 +31,7 @@ threshold; the magnitude is available from the partials when needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +54,6 @@ class CoefficientBank:
     length: int
     i_words: tuple[int, ...]
     q_words: tuple[int, ...]
-    valid_bits_in_last_word: int
 
     def __post_init__(self) -> None:
         if self.length < 1:
@@ -57,10 +61,7 @@ class CoefficientBank:
         expected_words = -(-self.length // WORD_BITS)
         if len(self.i_words) != expected_words or len(self.q_words) != expected_words:
             raise ValueError("word count must be ceil(length / 32) for I and Q")
-        expected_valid = self.length - WORD_BITS * (expected_words - 1)
-        if self.valid_bits_in_last_word != expected_valid:
-            raise ValueError("valid_bits_in_last_word inconsistent with length")
-        tail_mask = (1 << expected_valid) - 1
+        tail_mask = (1 << self.valid_bits_in_last_word) - 1
         for words in (self.i_words, self.q_words):
             if any(not 0 <= w <= WORD_MASK for w in words):
                 raise ValueError("coefficient words must be unsigned 32-bit values")
@@ -71,6 +72,24 @@ class CoefficientBank:
     def word_count(self) -> int:
         return len(self.i_words)
 
+    @property
+    def valid_bits_in_last_word(self) -> int:
+        return self.length - WORD_BITS * (-(-self.length // WORD_BITS) - 1)
+
+    @cached_property
+    def sign_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The I and Q reference signs as +-1 int64 arrays in sample order;
+        built on first use, so a bank that only streams never pays for it."""
+        shifts = np.arange(WORD_BITS, dtype=np.uint32)
+
+        def unpack(words: tuple[int, ...]) -> np.ndarray:
+            bits = (np.array(words, dtype=np.uint32)[:, None] >> shifts) & 1
+            signs = 2 * bits.ravel()[: self.length].astype(np.int64) - 1
+            signs.flags.writeable = False
+            return signs
+
+        return unpack(self.i_words), unpack(self.q_words)
+
     def packed_i(self) -> int:
         """All I-sign bits as one integer, bit k = reference sample k."""
         return _join_words(self.i_words)
@@ -80,11 +99,8 @@ class CoefficientBank:
 
     def signs(self) -> list[tuple[int, int]]:
         """Unpack back to per-sample ``(si, sq)`` signs of +-1 (index order)."""
-        pi, pq = self.packed_i(), self.packed_q()
-        return [
-            (1 if (pi >> k) & 1 else -1, 1 if (pq >> k) & 1 else -1)
-            for k in range(self.length)
-        ]
+        si, sq = self.sign_arrays
+        return list(zip(si.tolist(), sq.tolist()))
 
 
 def _join_words(words: tuple[int, ...]) -> int:
@@ -113,7 +129,6 @@ def load_coefficients(preamble: Preamble) -> CoefficientBank:
         length=n,
         i_words=_split_words(re_bits, n),
         q_words=_split_words(im_bits, n),
-        valid_bits_in_last_word=n - WORD_BITS * (-(-n // WORD_BITS) - 1),
     )
 
 
@@ -142,7 +157,6 @@ def parse_bank(text: str) -> CoefficientBank:
         length=length,
         i_words=tuple(words[:expected_words]),
         q_words=tuple(words[expected_words:]),
-        valid_bits_in_last_word=length - WORD_BITS * (expected_words - 1),
     )
 
 
@@ -167,23 +181,26 @@ class CorrelatorOutput:
 class SignCorrelator:
     """Windowed sign correlator for one coefficient bank.
 
-    :meth:`push` takes one sample and :meth:`process` a whole stream; both
-    shift every sample through the same window, and the partial sums are
-    only computed at enabled positions once the window is full, and
-    ``work_count`` tallies exactly those computations (the energy gate's
-    power-saving contract).
+    :meth:`push` shifts one sample through the window and computes the
+    partial sums only at enabled positions once the window is full.
+    :meth:`process` correlates a whole stream from an empty window and
+    reports the same positions.  ``work_count`` tallies the enabled, ready
+    positions of both (the energy gate's power-saving contract).
     """
 
     def __init__(self, bank: CoefficientBank) -> None:
+        self._bind(bank)
+        self._win_i = 0
+        self._win_q = 0
+        self._seen = 0
+        self.work_count = 0
+
+    def _bind(self, bank: CoefficientBank) -> None:
         self.bank = bank
         self._n = bank.length
         self._mask = (1 << bank.length) - 1
         self._b_i = bank.packed_i()
         self._b_q = bank.packed_q()
-        self._win_i = 0
-        self._win_q = 0
-        self._seen = 0
-        self.work_count = 0
 
     @property
     def ready(self) -> bool:
@@ -193,9 +210,7 @@ class SignCorrelator:
         """Swap coefficients without disturbing the sample window."""
         if bank.length != self._n:
             raise ValueError("replacement bank must have the same length")
-        self.bank = bank
-        self._b_i = bank.packed_i()
-        self._b_q = bank.packed_q()
+        self._bind(bank)
 
     def push(
         self, i_code: int, q_code: int, enabled: bool = True
@@ -216,49 +231,36 @@ class SignCorrelator:
             p_iq=2 * ((~(win_i ^ b_q)) & mask).bit_count() - n,
         )
 
-    def process(
-        self, stream: SampleStream, enable=None
-    ) -> list[tuple[int, CorrelatorOutput]]:
-        """Run over a whole stream; one (index, output) per enabled, ready
-        position.  ``enable`` must match the stream length when given."""
-        length = len(stream)
-        if enable is None:
-            enable_list = [True] * length
-        else:
-            if len(enable) != length:
-                raise ValueError("enable must have one entry per stream sample")
-            enable_list = [bool(e) for e in enable]
-        i_bits = (stream.i >= 0).astype(np.uint8).tolist()
-        q_bits = (stream.q >= 0).astype(np.uint8).tolist()
+    def process(self, stream: SampleStream, enable=None) -> tuple[np.ndarray, np.ndarray]:
+        """Correlate a whole stream, starting from an empty window.
 
-        n = self._n
-        top = n - 1
-        mask = self._mask
-        b_i, b_q = self._b_i, self._b_q
-        win_i, win_q, seen = self._win_i, self._win_q, self._seen
-        work = 0
-        out: list[tuple[int, CorrelatorOutput]] = []
-        append = out.append
-        for idx in range(length):
-            win_i = (win_i >> 1) | (i_bits[idx] << top)
-            win_q = (win_q >> 1) | (q_bits[idx] << top)
-            seen += 1
-            if enable_list[idx] and seen >= n:
-                work += 1
-                append(
-                    (
-                        idx,
-                        CorrelatorOutput(
-                            p_ii=2 * ((~(win_i ^ b_i)) & mask).bit_count() - n,
-                            p_qq=2 * ((~(win_q ^ b_q)) & mask).bit_count() - n,
-                            p_qi=2 * ((~(win_q ^ b_i)) & mask).bit_count() - n,
-                            p_iq=2 * ((~(win_i ^ b_q)) & mask).bit_count() - n,
-                        ),
-                    )
-                )
-        self._win_i, self._win_q, self._seen = win_i, win_q, seen
-        self.work_count += work
-        return out
+        Returns ``(index, partials)``: the enabled positions where the window
+        is full, and a (4, len(index)) int64 array whose rows are p_ii,
+        p_qq, p_qi and p_iq at those positions.  ``enable`` must match the
+        stream length when given.
+        """
+        length = len(stream)
+        if enable is not None and len(enable) != length:
+            raise ValueError("enable must have one entry per stream sample")
+        first = self._n - 1  # the first position with a full window
+        if length <= first:
+            return np.zeros(0, dtype=np.int64), np.zeros((4, 0), dtype=np.int64)
+        index = np.arange(first, length)
+        if enable is not None:
+            index = index[np.asarray(enable, dtype=bool)[first:]]
+        s_i = np.where(stream.i >= 0, 1, -1)
+        s_q = np.where(stream.q >= 0, 1, -1)
+        ref_i, ref_q = self.bank.sign_arrays
+        partials = np.stack(
+            [
+                np.correlate(s_i, ref_i),
+                np.correlate(s_q, ref_q),
+                np.correlate(s_q, ref_i),
+                np.correlate(s_i, ref_q),
+            ]
+        )[:, index - first]
+        self.work_count += len(index)
+        return index, partials
 
 
 def latch_enable(enable, holdoff: int) -> np.ndarray:

@@ -27,15 +27,12 @@ class EnergyConfig:
     """Energy-gate parameters.
 
     ``sample_energy_threshold`` is in natural squared-magnitude units (a
-    full-scale component is ~1.0).  ``rssi_gate`` is an optional externally
-    supplied carrier-sense flag that is ANDed into every decision when
-    present.
+    full-scale component is ~1.0).
     """
 
     window_len: int
     sample_energy_threshold: float
     count_threshold: int
-    rssi_gate: bool | None = None
 
     def __post_init__(self) -> None:
         if self.window_len < 1:
@@ -49,10 +46,6 @@ class EnergyConfig:
 def _raw_threshold(cfg: EnergyConfig, fmt: FixedPointFormat) -> float:
     # natural units -> raw code-squared units (exact power-of-two scaling)
     return cfg.sample_energy_threshold * float(fmt.scale) ** 2
-
-
-def _rssi_ok(cfg: EnergyConfig) -> bool:
-    return cfg.rssi_gate is None or bool(cfg.rssi_gate)
 
 
 def enable_array(stream: SampleStream, cfg: EnergyConfig) -> np.ndarray:
@@ -69,8 +62,7 @@ def enable_array(stream: SampleStream, cfg: EnergyConfig) -> np.ndarray:
     exceed = i * i + q * q > _raw_threshold(cfg, stream.format)
     counts = np.concatenate(([0], np.cumsum(exceed)))
     enable = np.zeros(len(stream), dtype=bool)
-    if _rssi_ok(cfg):
-        enable[w - 1 :] = counts[w:] - counts[: len(counts) - w] > cfg.count_threshold
+    enable[w - 1 :] = counts[w:] - counts[: len(counts) - w] > cfg.count_threshold
     return enable
 
 
@@ -101,7 +93,6 @@ class EnergyDetector:
     def _adopt(self, cfg: EnergyConfig) -> None:
         self.cfg = cfg
         self._thr_raw = _raw_threshold(cfg, self._format)
-        self._rssi_ok = _rssi_ok(cfg)
 
     def push(self, i_code: int, q_code: int) -> bool:
         i, q = int(i_code), int(q_code)
@@ -112,4 +103,4 @@ class EnergyDetector:
             self._count -= self._exceed.popleft()
         elif len(self._exceed) < self.cfg.window_len:
             return False
-        return self._count > self.cfg.count_threshold and self._rssi_ok
+        return self._count > self.cfg.count_threshold

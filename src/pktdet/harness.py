@@ -23,9 +23,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -44,10 +44,9 @@ from .signal import (
 )
 from .standards import (
     DetectionEvent,
+    RegisterMap,
     StandardProfile,
-    _extract_candidates,
     build_register_map,
-    events_from_candidates,
     run_detector_bank,
 )
 
@@ -86,6 +85,13 @@ class SweepConfig:
             raise ValueError("pad_before_range must satisfy 0 <= lo <= hi")
         if self.pad_after < 0:
             raise ValueError("pad_after must be >= 0")
+
+    @cached_property
+    def registers(self) -> RegisterMap:
+        """The register map every trial of the sweep runs under."""
+        return build_register_map(
+            self.profiles, energy=self.energy, coarse=self.coarse, fmt=self.sample_format
+        )
 
     def transmitted_profile(self) -> StandardProfile:
         for p in self.profiles:
@@ -151,7 +157,6 @@ def scenario_profiles(seed: int = 7) -> tuple[StandardProfile, ...]:
         StandardProfile(
             id="pn32",
             preamble=pn_preamble("pn32", 32, (seed, 0)),
-            correlator_len=32,
             fine_threshold=50,
             packet_len=256,
             symbol_size=64,
@@ -160,7 +165,6 @@ def scenario_profiles(seed: int = 7) -> tuple[StandardProfile, ...]:
         StandardProfile(
             id="pn64a",
             preamble=pn_preamble("pn64a", 64, (seed, 1)),
-            correlator_len=64,
             fine_threshold=100,
             packet_len=512,
             symbol_size=64,
@@ -169,7 +173,6 @@ def scenario_profiles(seed: int = 7) -> tuple[StandardProfile, ...]:
         StandardProfile(
             id="pn64b",
             preamble=pn_preamble("pn64b", 64, (seed, 2)),
-            correlator_len=64,
             fine_threshold=100,
             packet_len=1024,
             symbol_size=128,
@@ -227,10 +230,7 @@ def run_trial(cfg: SweepConfig, snr_db: float, trial_seed) -> TrialOutcome:
     stream, _ = synthesize(
         tx.preamble, pad_before, cfg.pad_after, snr_db, rng, cfg.sample_format
     )
-    regs = build_register_map(
-        cfg.profiles, energy=cfg.energy, coarse=cfg.coarse, fmt=cfg.sample_format
-    )
-    events = run_detector_bank(stream, cfg.profiles, regs)
+    events = run_detector_bank(stream, cfg.profiles, cfg.registers)
     if not events:
         return TrialOutcome.MISSED
     if events[0].standard_id == tx.id:
@@ -251,6 +251,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     to a process pool; outcomes are identical either way."""
     tasks = [(cfg, k, snr) for k, snr in enumerate(cfg.snr_points_db)]
     if workers > 1:
+        # imported here: multiprocessing adds about 2 MB of resident memory
+        # that serial sweeps and the other subcommands never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_sweep_point, tasks))
     else:
@@ -311,8 +315,9 @@ def run_scope_scenario(cfg: SweepConfig, snr_db: float = 10.0, seed: int = 0) ->
     profile's full ``re`` time series can be plotted and compared.
 
     Positions before a correlator's window first fills are reported as 0.
-    Events are extracted from the same traces with the configured
-    thresholds and arbitration, so with a healthy SNR the transmitted
+    Events come from the detector bank with the energy and coarse stages
+    off, so they are taken from these same traces with the configured
+    thresholds and arbitration; with a healthy SNR the transmitted
     profile's trace holds the only threshold crossing.
     """
     if len(cfg.profiles) != 3:
@@ -326,18 +331,13 @@ def run_scope_scenario(cfg: SweepConfig, snr_db: float = 10.0, seed: int = 0) ->
     )
 
     traces: dict[str, np.ndarray] = {}
-    candidates = []
-    for order, profile in enumerate(cfg.profiles):
-        outputs = SignCorrelator(load_coefficients(profile.preamble)).process(stream)
+    for profile in cfg.profiles:
+        index, partials = SignCorrelator(load_coefficients(profile.preamble)).process(stream)
         trace = np.zeros(len(stream), dtype=np.int32)
-        for index, out in outputs:
-            trace[index] = out.re
+        trace[index] = partials[0] + partials[1]
         traces[profile.id] = trace
-        candidates.extend(
-            _extract_candidates(outputs, profile.fine_threshold, profile, order)
-        )
-    arb_window = max(p.correlator_len for p in cfg.profiles)
-    events = events_from_candidates(candidates, arb_window)
+    regs = build_register_map(cfg.profiles, fmt=cfg.sample_format)
+    events = run_detector_bank(stream, cfg.profiles, regs)
     return ScopeResult(
         profile_ids=tuple(p.id for p in cfg.profiles),
         thresholds=tuple(p.fine_threshold for p in cfg.profiles),

@@ -11,8 +11,7 @@ Conventions:
   * Rounding is round-half-away-from-zero with saturation at the format
     bounds; saturations are counted, never raised.
   * All sample indices reported by pipeline stages are local to the stream
-    (0-based); ``origin_index`` is carried as metadata for callers that
-    stitch streams into a longer timeline.
+    (0-based).
 """
 
 from __future__ import annotations
@@ -105,12 +104,9 @@ class SampleStream:
     format: FixedPointFormat
     i: np.ndarray
     q: np.ndarray
-    origin_index: int = 0
     saturation_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.origin_index < 0:
-            raise ValueError("origin_index must be non-negative")
         if self.i.shape != self.q.shape or self.i.ndim != 1:
             raise ValueError("i and q must be 1-D arrays of equal length")
         lo, hi = self.format.min_code, self.format.max_code

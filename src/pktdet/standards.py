@@ -55,19 +55,20 @@ class StandardProfile:
 
     id: str
     preamble: Preamble
-    correlator_len: int
     fine_threshold: int
     packet_len: int = 0
     symbol_size: int = 0
     training_period: int = 0
 
     def __post_init__(self) -> None:
-        if self.correlator_len != self.preamble.length:
-            raise ValueError("correlator_len must equal the preamble length")
         # No upper bound on the threshold: configuring a value above the
         # ideal maximum 2n is a legitimate way to park a correlator.
         if self.fine_threshold < 1:
             raise ValueError("fine_threshold must be positive")
+
+    @property
+    def correlator_len(self) -> int:
+        return self.preamble.length
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,9 +183,7 @@ class _PipelineView:
     enabled: tuple[bool, ...]
 
 
-def _decode_registers(
-    profiles, regs: RegisterMap, fmt: FixedPointFormat, rssi: bool | None = None
-) -> _PipelineView:
+def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _PipelineView:
     profiles = list(profiles)
     if not profiles:
         raise ConfigurationError("at least one profile is required")
@@ -198,7 +197,6 @@ def _decode_registers(
                 window_len=regs.read("energy/window_len"),
                 sample_energy_threshold=regs.read("energy/sample_thresh_raw") / fmt.scale**2,
                 count_threshold=regs.read("energy/count_thresh"),
-                rssi_gate=rssi,
             )
         except ValueError as exc:
             raise ConfigurationError(f"bad energy registers: {exc}") from None
@@ -228,12 +226,7 @@ def _decode_registers(
         try:
             i_words = tuple(regs.read(f"prof{p}/coeff_i/{w}") for w in range(word_count))
             q_words = tuple(regs.read(f"prof{p}/coeff_q/{w}") for w in range(word_count))
-            bank = CoefficientBank(
-                length=length,
-                i_words=i_words,
-                q_words=q_words,
-                valid_bits_in_last_word=length - WORD_BITS * (word_count - 1),
-            )
+            bank = CoefficientBank(length=length, i_words=i_words, q_words=q_words)
         except (ConfigurationError, ValueError) as exc:
             raise ConfigurationError(
                 f"profile {profile.id!r}: coefficient words do not form a valid "
@@ -269,33 +262,21 @@ def arbitrate(candidates) -> Candidate:
     )
 
 
-def _extract_candidates(outputs, threshold: int, profile: StandardProfile, order: int):
+def _extract_candidates(index, re, threshold: int, profile: StandardProfile, order: int):
     """Peaks of contiguous above-threshold runs of ``re``.
 
-    A run breaks when the output index jumps (gate gap) or ``re`` drops
-    below the threshold."""
+    ``index`` holds the output positions in increasing order and ``re`` the
+    value at each.  A run breaks when the index jumps (gate gap) or ``re``
+    drops below the threshold; its peak is its first maximum."""
+    above = re >= threshold
+    index, re = index[above], re[above]
+    if not len(index):
+        return []
+    breaks = np.flatnonzero(np.diff(index) != 1) + 1
     candidates = []
-    run_peak = None
-    run_peak_index = -1
-    prev_index = None
-    for index, out in outputs:
-        value = out.re
-        contiguous = prev_index is not None and index == prev_index + 1
-        prev_index = index
-        if value >= threshold:
-            if run_peak is not None and contiguous:
-                if value > run_peak:
-                    run_peak, run_peak_index = value, index
-            else:
-                if run_peak is not None:
-                    candidates.append(Candidate(profile, run_peak, run_peak_index, order))
-                run_peak, run_peak_index = value, index
-        else:
-            if run_peak is not None:
-                candidates.append(Candidate(profile, run_peak, run_peak_index, order))
-                run_peak = None
-    if run_peak is not None:
-        candidates.append(Candidate(profile, run_peak, run_peak_index, order))
+    for run_index, run_re in zip(np.split(index, breaks), np.split(re, breaks)):
+        peak = int(np.argmax(run_re))
+        candidates.append(Candidate(profile, int(run_re[peak]), int(run_index[peak]), order))
     return candidates
 
 
@@ -344,16 +325,18 @@ def run_detector_bank(
     """Run the full pipeline over one stream and return arbitrated events.
 
     The energy gate is computed once and shared by every correlator; each
-    enabled profile's correlator only works at gated positions (plus the
-    hold-off extension).  ``rssi`` is the optional external carrier-sense
-    flag ANDed into the energy decisions when provided.
+    enabled profile's correlator reports, and counts as work, only gated
+    positions (plus the hold-off extension).  ``rssi`` is the optional external carrier-sense
+    flag ANDed into the energy decisions when provided; it has no effect
+    while the energy stage is off.
     """
     profiles = list(profiles)
-    view = _decode_registers(profiles, regs, stream.format, rssi)
+    view = _decode_registers(profiles, regs, stream.format)
     n = len(stream)
 
     if view.energy_cfg is not None:
-        if n < view.energy_cfg.window_len:
+        # a false carrier-sense flag closes the gate at every position
+        if n < view.energy_cfg.window_len or (rssi is not None and not rssi):
             return []
         raw_energy = enable_array(stream, view.energy_cfg)
     else:
@@ -381,10 +364,9 @@ def run_detector_bank(
     for order, profile in enumerate(profiles):
         if not view.enabled[order]:
             continue
-        outputs = SignCorrelator(view.banks[order]).process(stream, enable)
-        candidates.extend(
-            _extract_candidates(outputs, view.thresholds[order], profile, order)
-        )
+        index, partials = SignCorrelator(view.banks[order]).process(stream, enable)
+        re = partials[0] + partials[1]
+        candidates.extend(_extract_candidates(index, re, view.thresholds[order], profile, order))
     arb_window = max(p.correlator_len for p in profiles)
     return events_from_candidates(candidates, arb_window, gate_run_starts, coarse_index)
 

@@ -60,6 +60,36 @@ def sign_partials(window_pairs, ref_pairs) -> tuple[int, int, int, int]:
     return p_ii, p_qq, p_qi, p_iq
 
 
+def run_peaks(outputs, threshold: int) -> list[tuple[int, int]]:
+    """(peak value, peak index) of every run of ``(index, re)`` outputs at or
+    above ``threshold``, by one pass over the positions.
+
+    A run breaks when the index jumps or ``re`` drops below the threshold;
+    within a run the first maximum wins."""
+    peaks = []
+    run_peak = None
+    run_peak_index = -1
+    prev_index = None
+    for index, value in outputs:
+        contiguous = prev_index is not None and index == prev_index + 1
+        prev_index = index
+        if value >= threshold:
+            if run_peak is not None and contiguous:
+                if value > run_peak:
+                    run_peak, run_peak_index = value, index
+            else:
+                if run_peak is not None:
+                    peaks.append((run_peak, run_peak_index))
+                run_peak, run_peak_index = value, index
+        else:
+            if run_peak is not None:
+                peaks.append((run_peak, run_peak_index))
+                run_peak = None
+    if run_peak is not None:
+        peaks.append((run_peak, run_peak_index))
+    return peaks
+
+
 def schmidl_point(i_codes, q_codes, lag: int, d: int) -> tuple[int, int, int]:
     """Direct recomputation of (P_re, P_im, R) at one position."""
     p_re = p_im = r = 0

@@ -38,6 +38,7 @@ from oracles import (
     sign_detection_probability,
     sign_partials,
 )
+from streaming import push_run, same_outputs
 
 
 def report(name: str, ok: bool, elapsed: float, detail: str = "") -> bool:
@@ -54,7 +55,6 @@ def bank_from_sign_words(n: int, i_bits: int, q_bits: int) -> CoefficientBank:
         length=n,
         i_words=tuple((i_bits >> (32 * w)) & 0xFFFFFFFF for w in range(words)),
         q_words=tuple((q_bits >> (32 * w)) & 0xFFFFFFFF for w in range(words)),
-        valid_bits_in_last_word=n - 32 * (words - 1),
     )
 
 
@@ -65,21 +65,16 @@ def pairs_from_bits(n: int, i_bits: int, q_bits: int):
 
 
 def correlate_both_ways(pairs, bank: CoefficientBank, every: int = 1) -> dict:
-    """Outputs at every ``every``-th position (the last of each group) of the
-    streaming (``push``) and batch (``process``) paths of fresh correlators
-    over the same Q1.15 (i, q) codes; the two must agree."""
+    """Partials ``(p_ii, p_qq, p_qi, p_iq)`` by position, at every
+    ``every``-th position (the last of each group), of the streaming
+    (``push``) and batch (``process``) paths of fresh correlators over the
+    same Q1.15 (i, q) codes; the two must agree."""
     enable = [t % every == every - 1 for t in range(len(pairs))]
-    corr = SignCorrelator(bank)
-    streamed = []
-    for t, (i, q) in enumerate(pairs):
-        out = corr.push(i, q, enable[t])
-        if out is not None:
-            streamed.append((t, out))
     codes = np.array(pairs, dtype=np.int32).reshape(-1, 2)
     stream = SampleStream(format=Q1_15, i=codes[:, 0], q=codes[:, 1])
-    batch = SignCorrelator(bank).process(stream, enable)
-    assert streamed == batch
-    return dict(batch)
+    index, partials = SignCorrelator(bank).process(stream, enable)
+    assert same_outputs(push_run(SignCorrelator(bank), stream, enable), (index, partials))
+    return dict(zip(index.tolist(), map(tuple, partials.T.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +95,7 @@ def test_criterion_1_oracle_equivalence():
         for b in range(1 << n):
             outputs = correlate_both_ways(codes, bank_from_sign_words(n, b, 0), every=n)
             for a, pattern in enumerate(patterns):
-                out = outputs[a * n + n - 1]
-                expected = sign_partials(pattern, patterns[b])
-                assert (out.p_ii, out.p_qq, out.p_qi, out.p_iq) == expected
+                assert outputs[a * n + n - 1] == sign_partials(pattern, patterns[b])
                 checked += 1
 
     # randomized full four-partial pairs across the length menu
@@ -122,7 +115,7 @@ def test_criterion_1_oracle_equivalence():
             expected = sign_partials(
                 pairs_from_bits(n, a_i, a_q), pairs_from_bits(n, b_i, b_q)
             )
-            assert (out.p_ii, out.p_qq, out.p_qi, out.p_iq) == expected
+            assert out == expected
             randomized += 1
 
     elapsed = time.perf_counter() - t0
@@ -145,16 +138,17 @@ def test_criterion_2_ideal_maxima():
     for n, ideal in ((32, 64), (64, 128)):
         preamble = pn_preamble("p", n, seed=(2, n))
         bank = load_coefficients(preamble)
-        out = correlate_both_ways(bank.signs(), bank)[n - 1]
-        assert out.re == ideal
-        assert out.im == 0
+        p_ii, p_qq, p_qi, p_iq = correlate_both_ways(bank.signs(), bank)[n - 1]
+        assert p_ii + p_qq == ideal
+        assert p_qi - p_iq == 0
 
     # zero components categorize as +1 on both sides, so the maximum survives
     samples = np.array([0 + 0j, 1j, -0.5 + 0j, 0.25 - 0.25j] * 8)
     zero_bank = load_coefficients(Preamble(id="z", samples=samples))
     stream = quantize(samples, Q1_15)
     codes = list(zip(stream.i.tolist(), stream.q.tolist()))
-    assert correlate_both_ways(codes, zero_bank)[31].re == 64
+    p_ii, p_qq, _, _ = correlate_both_ways(codes, zero_bank)[31]
+    assert p_ii + p_qq == 64
 
     elapsed = time.perf_counter() - t0
     assert report("criterion 2: ideal maxima 64/128 at alignment", elapsed < 1.0, elapsed)
@@ -343,9 +337,7 @@ def test_criterion_7_determinism(sweep_results):
 def test_criterion_5_energy_gating_contract():
     t0 = time.perf_counter()
     preamble = pn_preamble("pkt", 64, seed=5)
-    profile = StandardProfile(
-        id="pkt", preamble=preamble, correlator_len=64, fine_threshold=100
-    )
+    profile = StandardProfile(id="pkt", preamble=preamble, fine_threshold=100)
     clean, start = embed_preamble(preamble, pad_before=200, pad_after=200)
     stream = quantize(clean, Q1_15)  # silent except for the one packet
 
@@ -359,12 +351,15 @@ def test_criterion_5_energy_gating_contract():
     assert idle.work_count == 0
 
     gated = SignCorrelator(load_coefficients(preamble))
-    gated_outputs = gated.process(stream, enable)
+    gated.process(stream, enable)
     enabled_ready = int(np.count_nonzero(enable[63:]))
     assert gated.work_count == enabled_ready  # zero work outside the gate
+    pushed = SignCorrelator(load_coefficients(preamble))
+    push_run(pushed, stream, enable)
+    assert pushed.work_count == gated.work_count  # batch counts what push skips
 
     free = SignCorrelator(load_coefficients(preamble))
-    free_outputs = free.process(stream)
+    free.process(stream)
     assert free.work_count == len(stream) - 63
     assert gated.work_count < free.work_count  # the gate actually saved work
 
@@ -430,7 +425,6 @@ def test_criterion_8_arbitration_priority():
         n: StandardProfile(
             id=f"p{n}",
             preamble=pn_preamble(f"p{n}", n, seed=n),
-            correlator_len=n,
             fine_threshold=10,
         )
         for n in (32, 64)

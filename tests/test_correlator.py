@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pktdet.correlator import (
     CoefficientBank,
@@ -13,6 +13,7 @@ from pktdet.correlator import (
 from pktdet.signal import (
     Preamble,
     Q1_15,
+    SampleStream,
     add_awgn,
     embed_preamble,
     pn_preamble,
@@ -20,6 +21,7 @@ from pktdet.signal import (
 )
 
 from oracles import float_xcorr_argmax, sign_partials
+from streaming import push_run, same_outputs
 
 sign = st.sampled_from((-1, 1))
 sign_pair_lists = st.lists(st.tuples(sign, sign), min_size=1, max_size=128)
@@ -88,14 +90,19 @@ class TestCoefficientBank:
 
     def test_word_count_validation(self):
         with pytest.raises(ValueError):
-            CoefficientBank(length=33, i_words=(0,), q_words=(0,), valid_bits_in_last_word=1)
+            CoefficientBank(length=33, i_words=(0,), q_words=(0,))
         with pytest.raises(ValueError):
-            CoefficientBank(length=8, i_words=(0x100,), q_words=(0,), valid_bits_in_last_word=8)
+            CoefficientBank(length=8, i_words=(0x100,), q_words=(0,))
 
     @given(sign_pair_lists)
     def test_dump_parse_round_trip(self, pairs):
         bank = bank_from_signs(pairs)
         assert parse_bank(dump_bank(bank)) == bank
+
+    @given(sign_pair_lists)
+    def test_sign_arrays_unpack_the_words(self, pairs):
+        si, sq = bank_from_signs(pairs).sign_arrays
+        assert list(zip(si.tolist(), sq.tolist())) == pairs
 
     def test_parse_rejects_wrong_word_count(self):
         with pytest.raises(ValueError):
@@ -180,7 +187,7 @@ class TestScalingInvariance:
         scaled = SignCorrelator(bank).process(
             quantize(np.asarray(signal) * 0.2 * gain, Q1_15)
         )
-        assert [(i, o.re, o.im) for i, o in base] == [(i, o.re, o.im) for i, o in scaled]
+        assert same_outputs(base, scaled)
 
 
 class TestCorrelateStream:
@@ -188,19 +195,19 @@ class TestCorrelateStream:
         preamble = pn_preamble("p", 32, seed=2)
         stream = quantize(embed_preamble(preamble, 10, 10)[0], Q1_15)
         corr = SignCorrelator(load_coefficients(preamble))
-        outputs = corr.process(stream, enable=np.zeros(len(stream), dtype=bool))
-        assert outputs == []
+        index, partials = corr.process(stream, enable=np.zeros(len(stream), dtype=bool))
+        assert index.shape == (0,) and partials.shape == (4, 0)
         assert corr.work_count == 0
 
     def test_noiseless_peak_at_ground_truth(self):
         preamble = pn_preamble("p", 64, seed=4)
         signal, start = embed_preamble(preamble, 37, 50)
         stream = quantize(signal, Q1_15)
-        outputs = SignCorrelator(load_coefficients(preamble)).process(stream)
-        re_values = {i: o.re for i, o in outputs}
-        peak_index = max(re_values, key=re_values.get)
-        assert peak_index == start + preamble.length - 1
-        assert re_values[peak_index] == 128
+        index, partials = SignCorrelator(load_coefficients(preamble)).process(stream)
+        re = partials[0] + partials[1]
+        peak = int(np.argmax(re))
+        assert index[peak] == start + preamble.length - 1
+        assert re[peak] == 128
         # the full-precision correlation oracle agrees on the alignment
         assert float_xcorr_argmax(signal, preamble.samples) == start
 
@@ -209,14 +216,16 @@ class TestCorrelateStream:
         signal, start = embed_preamble(preamble, 40, 40)
         stream = quantize(signal, Q1_15)
         bank = load_coefficients(preamble)
-        full = SignCorrelator(bank).process(stream)
-        peak_index, peak = max(((i, o.re) for i, o in full), key=lambda t: t[1])
+
+        def peak(outputs):
+            index, partials = outputs
+            re = partials[0] + partials[1]
+            return index[np.argmax(re)], re.max()
 
         enable = np.zeros(len(stream), dtype=bool)
         enable[start : start + 2 * preamble.length] = True
         gated = SignCorrelator(bank).process(stream, enable)
-        gated_peak_index, gated_peak = max(((i, o.re) for i, o in gated), key=lambda t: t[1])
-        assert (gated_peak_index, gated_peak) == (peak_index, peak)
+        assert peak(gated) == peak(SignCorrelator(bank).process(stream))
 
     def test_work_counter_counts_enabled_ready_positions(self):
         preamble = pn_preamble("p", 16, seed=8)
@@ -224,10 +233,10 @@ class TestCorrelateStream:
         enable = np.zeros(len(stream), dtype=bool)
         enable[10:50] = True
         corr = SignCorrelator(load_coefficients(preamble))
-        outputs = corr.process(stream, enable)
+        index, partials = corr.process(stream, enable)
         ready_enabled = sum(1 for n in range(len(stream)) if enable[n] and n >= 15)
         assert corr.work_count == ready_enabled
-        assert len(outputs) == ready_enabled
+        assert len(index) == partials.shape[1] == ready_enabled
 
     def test_process_equals_repeated_push(self):
         rng = np.random.default_rng(11)
@@ -237,13 +246,45 @@ class TestCorrelateStream:
         enable = rng.integers(0, 2, size=40).astype(bool)
 
         batch = SignCorrelator(bank).process(stream, enable)
-        single = SignCorrelator(bank)
-        stepped = []
-        for n in range(len(stream)):
-            out = single.push(int(stream.i[n]), int(stream.q[n]), bool(enable[n]))
-            if out is not None:
-                stepped.append((n, out))
-        assert stepped == batch
+        assert same_outputs(push_run(SignCorrelator(bank), stream, enable), batch)
+
+    @example(n=64, length=0, seed=0, masked=True, rebind=False)
+    @example(n=64, length=63, seed=1, masked=False, rebind=True)
+    @given(
+        st.integers(1, 64),
+        st.integers(0, 192),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_process_equals_fresh_push_run(self, n, length, seed, masked, rebind):
+        # stream lengths from empty to three banks, codes on both sides of 0
+        length = length % (3 * n + 1)
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(-3, 3, size=(2, length)).astype(np.int32)
+        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
+        enable = rng.integers(0, 2, size=length).astype(bool) if masked else None
+        first = bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(n, 2))])
+        second = bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(n, 2))])
+
+        corr = SignCorrelator(first)
+        if rebind:
+            corr.rebind_bank(second)
+        batch = corr.process(stream, enable)
+        pushed = SignCorrelator(second if rebind else first)
+        assert same_outputs(batch, push_run(pushed, stream, enable))
+        assert corr.work_count == pushed.work_count == len(batch[0])
+        assert batch[1].shape == (4, len(batch[0]))
+
+    def test_process_ignores_the_push_window(self):
+        # process starts from an empty window whatever push shifted in before
+        rng = np.random.default_rng(4)
+        bank = bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(16, 2))])
+        stream = quantize(rng.normal(size=40) + 1j * rng.normal(size=40), Q1_15)
+        corr = SignCorrelator(bank)
+        for k in range(20):
+            corr.push(int(stream.i[k]), int(stream.q[k]))
+        assert same_outputs(corr.process(stream), SignCorrelator(bank).process(stream))
 
     def test_enable_length_mismatch_rejected(self):
         preamble = pn_preamble("p", 8, seed=1)
@@ -274,8 +315,9 @@ class TestSignFlipModel:
             flips = int(np.count_nonzero((stream.i[aligned] >= 0) != ref_i)) + int(
                 np.count_nonzero((stream.q[aligned] >= 0) != ref_q)
             )
-            outputs = dict(SignCorrelator(bank).process(stream))
-            assert outputs[start + n - 1].re == 2 * n - 2 * flips
+            index, partials = SignCorrelator(bank).process(stream)
+            (col,) = np.flatnonzero(index == start + n - 1)
+            assert partials[0, col] + partials[1, col] == 2 * n - 2 * flips
 
 
 class TestLatchEnable:

@@ -122,15 +122,6 @@ class TestEnergyGate:
             cfg = EnergyConfig(8, sample_energy_threshold=0.05, count_threshold=count_threshold)
             assert not (enable_array(base, cfg) & ~enable_array(scaled, cfg)).any()
 
-    def test_rssi_gate_is_anded_in(self):
-        stream = make_stream(0.9 * np.ones(32) + 0j)
-        on = EnergyConfig(8, 0.1, 2, rssi_gate=True)
-        off = EnergyConfig(8, 0.1, 2, rssi_gate=False)
-        absent = EnergyConfig(8, 0.1, 2)
-        for cfg, expected in ((on, True), (off, False), (absent, True)):
-            assert enable_array(stream, cfg)[7:].tolist() == [expected] * 25
-            assert streamed_enable(stream, cfg)[7:] == [expected] * 25
-
     def test_enable_array_marks_window_ends(self):
         stream = make_stream(0.9 * np.ones(12) + 0j)
         cfg = EnergyConfig(8, 0.1, 2)

@@ -1,8 +1,11 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pktdet import harness
 from pktdet.harness import (
     ScopeResult,
     SweepConfig,
@@ -13,7 +16,7 @@ from pktdet.harness import (
     run_trial,
     scenario_profiles,
 )
-from pktdet.standards import StandardProfile
+from pktdet.standards import StandardProfile, build_register_map
 
 from oracles import float_xcorr_argmax
 
@@ -42,7 +45,6 @@ class TestRunTrial:
             StandardProfile(
                 id=p.id,
                 preamble=p.preamble,
-                correlator_len=p.correlator_len,
                 fine_threshold=2 * p.correlator_len + 1,  # above the ideal maximum
                 packet_len=p.packet_len,
                 symbol_size=p.symbol_size,
@@ -52,6 +54,24 @@ class TestRunTrial:
         )
         cfg = tiny_config(profiles=profiles)
         assert run_trial(cfg, math.inf, (7, 0, 0)) is TrialOutcome.MISSED
+
+    def test_register_map_built_once_per_config(self, monkeypatch):
+        built = []
+
+        def counting_build(*args, **kwargs):
+            built.append(args)
+            return build_register_map(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_register_map", counting_build)
+        cfg = tiny_config(snr_points_db=(4.0, 8.0), trials_per_point=3)
+        run_sweep(cfg)
+        assert len(built) == 1
+        # a replaced config builds its own map; a pickled one keeps its map
+        other = replace(cfg, energy=None)
+        assert other.registers.read("energy/enabled") == 0
+        assert cfg.registers.read("energy/enabled") == 1
+        assert pickle.loads(pickle.dumps(cfg)).registers == cfg.registers
+        assert len(built) == 2
 
     def test_fixed_seed_reproduces_outcome(self):
         cfg = tiny_config()

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pktdet.coarse import CoarseConfig
 from pktdet.correlator import SignCorrelator, latch_enable, load_coefficients
 from pktdet.energy import EnergyConfig, enable_array
 from pktdet.harness import scenario_profiles
 from pktdet.signal import (
+    Preamble,
     Q1_15,
     SampleStream,
     add_awgn,
@@ -22,16 +24,19 @@ from pktdet.standards import (
     RegisterMap,
     StandardProfile,
     arbitrate,
+    _extract_candidates,
     build_register_map,
     run_detector_bank,
 )
+
+from oracles import run_peaks
+from streaming import as_outputs, same_outputs
 
 
 def profile(pid, length, threshold, seed=0):
     return StandardProfile(
         id=pid,
         preamble=pn_preamble(pid, length, (seed, length)),
-        correlator_len=length,
         fine_threshold=threshold,
     )
 
@@ -43,15 +48,6 @@ def make_capture(tx, pad_before=80, pad_after=96, snr_db=math.inf, seed=0):
 
 
 class TestProfileValidation:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            StandardProfile(
-                id="bad",
-                preamble=pn_preamble("bad", 32, 0),
-                correlator_len=64,
-                fine_threshold=10,
-            )
-
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
             profile("bad", 32, 0)
@@ -221,29 +217,22 @@ class TestRunDetectorBank:
         assert len(run_detector_bank(stream, [p], regs, rssi=True)) == 1
 
     def test_coarse_stage_gates_fine(self):
-        # packet whose preamble is a repeated block, so the coarse stage fires
-        half = pn_preamble("half", 16, seed=3)
-        rep = np.concatenate([half.samples, half.samples])
-        from pktdet.signal import Preamble
-
-        p = StandardProfile(
-            id="rep",
-            preamble=Preamble(id="rep", samples=rep),
-            correlator_len=32,
-            fine_threshold=64,
-        )
-        stream, start = make_capture(p)
-        from pktdet.coarse import CoarseConfig
-
-        regs = build_register_map(
-            [p],
-            energy=EnergyConfig(16, 0.25, 8),
-            coarse=CoarseConfig(half_period=16, metric_threshold=0.9, plateau_min=2),
-        )
+        p, stream, regs = repeated_block_capture()
         events = run_detector_bank(stream, [p], regs)
         assert len(events) == 1
         assert events[0].standard_id == "rep"
         assert events[0].stage_trace[1] is not None  # coarse index recorded
+
+    def test_event_and_candidate_fields_are_builtin_ints(self):
+        # == cannot tell np.int64 from int, but an event's repr can
+        p, stream, regs = repeated_block_capture()
+        (event,) = run_detector_bank(stream, [p], regs)
+        for value in (event.peak_value, event.peak_index, *event.stage_trace):
+            assert type(value) is int
+        index, partials = SignCorrelator(load_coefficients(p.preamble)).process(stream)
+        (candidate,) = _extract_candidates(index, partials[0] + partials[1], 64, p, 0)
+        for value in (candidate.peak_value, candidate.peak_index, candidate.order):
+            assert type(value) is int
 
     def test_bank_isolation(self):
         a = profile("a", 32, 50, seed=4)
@@ -255,13 +244,46 @@ class TestRunDetectorBank:
         outputs_next_to_b = SignCorrelator(load_coefficients(a.preamble)).process(
             stream, enable
         )
-        assert outputs_alone == outputs_next_to_b
+        assert same_outputs(outputs_alone, outputs_next_to_b)
         regs_both = build_register_map([a, b], energy=EnergyConfig(16, 0.5, 8))
         regs_a = build_register_map([a], energy=EnergyConfig(16, 0.5, 8))
         events_both = run_detector_bank(stream, [a, b], regs_both)
         events_a = run_detector_bank(stream, [a], regs_a)
         # b wins its own packet; a alone still reports nothing (different preamble)
         assert [e for e in events_both if e.standard_id == "a"] == events_a
+
+
+def repeated_block_capture():
+    """A noiseless packet whose preamble is a repeated block, so the coarse
+    stage fires, and a register map with energy and coarse stages on."""
+    half = pn_preamble("half", 16, seed=3)
+    rep = Preamble(id="rep", samples=np.concatenate([half.samples, half.samples]))
+    p = StandardProfile(id="rep", preamble=rep, fine_threshold=64)
+    stream, _ = make_capture(p)
+    regs = build_register_map(
+        [p],
+        energy=EnergyConfig(16, 0.25, 8),
+        coarse=CoarseConfig(half_period=16, metric_threshold=0.9, plateau_min=2),
+    )
+    return p, stream, regs
+
+
+class TestExtractCandidates:
+    @example(outputs=[(1, 5), (1, 5), (2, 5)], threshold=5)  # runs at both ends, tied
+    @example(outputs=[], threshold=0)
+    @given(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(-4, 4)), max_size=40),
+        st.integers(-3, 4),
+    )
+    def test_matches_naive_run_scan(self, outputs, threshold):
+        # (gap, re) steps: gaps of 2 or 3 are gate gaps, small re values tie
+        index = np.cumsum([gap for gap, _ in outputs], dtype=np.int64) + 5
+        re = np.array([value for _, value in outputs], dtype=np.int64)
+        p = profile("a", 32, 1)
+        got = _extract_candidates(index, re, threshold, p, 2)
+        expected = run_peaks(zip(index.tolist(), re.tolist()), threshold)
+        assert [(c.peak_value, c.peak_index) for c in got] == expected
+        assert all(c.profile is p and c.order == 2 for c in got)
 
 
 class TestRegisterValidation:
@@ -333,11 +355,9 @@ class TestStreamingDetectorBank:
         raw = enable_array(stream, cfg) if cfg else np.ones(len(stream), dtype=bool)
         enable = latch_enable(raw, regs.read("fine/holdoff"))
         for p, (_, _, on) in zip(profiles, specs):
-            batch = SignCorrelator(load_coefficients(p.preamble)).process(stream, enable)
-            if not on:
-                batch = []
+            batch = SignCorrelator(load_coefficients(p.preamble)).process(stream, enable & on)
             streamed = [(n, out[p.id]) for n, out in enumerate(pushed) if out[p.id] is not None]
-            assert streamed == batch
+            assert same_outputs(as_outputs(streamed), batch)
 
     def test_energy_thresholds_adopted_mid_stream(self):
         p = profile("a", 16, 20)
@@ -383,7 +403,7 @@ class TestStreamingDetectorBank:
             lambda k: thr_new if new_at[k] else thr_old, lambda n: 5 if new_at[n] else 3
         )
         batch = SignCorrelator(load_coefficients(p.preamble)).process(stream, expected)
-        assert streamed == batch
+        assert same_outputs(as_outputs(streamed), batch)
         # the capture tells the model apart from the plausible wrong ones
         wrong = (
             model(lambda k: thr_old, lambda n: 3),
@@ -450,17 +470,10 @@ def burst_codes(seed, length):
 
 
 def pn_from_signs(name, signs):
-    from pktdet.signal import Preamble
-
     samples = np.array([s * (1 + 1j) for s in signs], dtype=complex) / math.sqrt(2)
     return Preamble(id=name, samples=samples)
 
 
 def profile_from_signs(name, signs, threshold=50):
     preamble = pn_from_signs(name, signs)
-    return StandardProfile(
-        id=name,
-        preamble=preamble,
-        correlator_len=preamble.length,
-        fine_threshold=threshold,
-    )
+    return StandardProfile(id=name, preamble=preamble, fine_threshold=threshold)
