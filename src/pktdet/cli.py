@@ -4,7 +4,7 @@ Subcommands:
   gen-coeff   pack a preamble's signs into a coefficient register dump
   gen-iq      synthesize a quantized capture (embed + AWGN) into an IQPD file
   detect      run the detector bank over an IQPD capture, emit events as CSV
-  sweep       run a Monte-Carlo SNR sweep from a config file, emit CSV
+  sweep       run a Monte-Carlo SNR sweep, emit CSV
   scope       single capture; emit every correlator's output trace as CSV
 """
 
@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,7 @@ def _cmd_detect(args) -> int:
     profiles = cfgfile.load_profiles(args.profiles)
     stream = read_iq(args.input)
     coarse = None
-    if args.coarse_lag is not None and not args.no_coarse:
+    if args.coarse_lag is not None:
         coarse = CoarseConfig(
             half_period=args.coarse_lag,
             metric_threshold=args.coarse_thresh,
@@ -88,7 +89,15 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = cfgfile.load_sweep_config(args.config)
+    if args.config is not None:
+        cfg = cfgfile.load_sweep_config(args.config)
+    else:
+        cfg = default_sweep_config()
+    if args.transmit is not None:
+        if args.transmit not in {p.id for p in cfg.profiles}:
+            print(f"error: unknown profile {args.transmit!r}", file=sys.stderr)
+            return 2
+        cfg = replace(cfg, transmitted_profile_id=args.transmit)
     result = run_sweep(cfg, workers=args.workers)
     _write_text(args.out, result.to_csv())
     return 0
@@ -134,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coarse-lag", type=int, default=None, help="enable coarse stage at lag L")
     p.add_argument("--coarse-thresh", type=float, default=0.5)
     p.add_argument("--coarse-plateau", type=int, default=8)
-    p.add_argument("--no-coarse", action="store_true", help="force the coarse stage off")
     p.add_argument(
         "--rssi",
         type=int,
@@ -144,8 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("sweep", help="Monte-Carlo SNR sweep from a config file")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("sweep", help="Monte-Carlo SNR sweep")
+    p.add_argument("--config", default=None, help="sweep config (default demo scenario)")
+    p.add_argument("--transmit", default=None, help="profile id to transmit instead")
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)

@@ -6,16 +6,14 @@ one block each:
     [profile pn64a]
     preamble = pn:seed=202,len=64     ; or  file:ref_preamble.txt
     threshold = 100
-    packet_len = 512
-    symbol_size = 64
-    training_period = 64
 
 A ``file:`` preamble source points at a text file of complex values, one
 sample per line as two floats (real imag), whitespace or comma separated.
 A ``coeff:`` source points at a packed coefficient dump (the ``gen-coeff``
 output) and reconstructs a sign-faithful reference from it.
 
-The optional [sweep] section drives `pktdet sweep`:
+The [sweep] section drives `pktdet sweep --config` and `pktdet scope
+--config`; the `coarse_*` keys are read only when `coarse_enabled` is true:
 
     [sweep]
     snr_db = -10:14:2                 ; range lo:hi:step, or a comma list
@@ -29,6 +27,9 @@ The optional [sweep] section drives `pktdet sweep`:
     energy_sample_thresh = 0.5
     energy_count_thresh = 8
     coarse_enabled = false
+    coarse_lag = 16
+    coarse_thresh = 0.5
+    coarse_plateau = 8
     format = q1.15
 """
 
@@ -155,9 +156,6 @@ def _profiles_from_parser(parser, base_dir: Path) -> tuple[StandardProfile, ...]
                 id=name,
                 preamble=preamble,
                 fine_threshold=block.getint("threshold"),
-                packet_len=block.getint("packet_len", fallback=0),
-                symbol_size=block.getint("symbol_size", fallback=0),
-                training_period=block.getint("training_period", fallback=0),
             )
         )
     if not profiles:

@@ -20,12 +20,11 @@ Alignment convention: the newest window sample lines up with the *last*
 reference coefficient (matched-filter orientation), so the peak for a
 preamble starting at stream index s lands at output index s + n - 1.
 
-The batch path computes the same partials with one ``np.correlate`` of the
-+-1 sign arrays per partial, which is the popcount identity above written
-as a dot product.
-
 The detection decision elsewhere in the pipeline compares ``re`` against a
-threshold; the magnitude is available from the partials when needed.
+threshold, so the batch path computes only ``re``: the popcount identity
+above written as two dot products of +-1 sign arrays, p_ii + p_qq, one
+``np.correlate`` each.  :meth:`SignCorrelator.push` keeps all four partials,
+since it models the hardware's XNOR/popcount datapath.
 """
 
 from __future__ import annotations
@@ -234,33 +233,27 @@ class SignCorrelator:
     def process(self, stream: SampleStream, enable=None) -> tuple[np.ndarray, np.ndarray]:
         """Correlate a whole stream, starting from an empty window.
 
-        Returns ``(index, partials)``: the enabled positions where the window
-        is full, and a (4, len(index)) int64 array whose rows are p_ii,
-        p_qq, p_qi and p_iq at those positions.  ``enable`` must match the
-        stream length when given.
+        Returns ``(index, re)``: the enabled positions where the window is
+        full, and the int64 ``re = p_ii + p_qq`` at those positions.
+        ``enable`` must match the stream length when given.
         """
         length = len(stream)
         if enable is not None and len(enable) != length:
             raise ValueError("enable must have one entry per stream sample")
         first = self._n - 1  # the first position with a full window
         if length <= first:
-            return np.zeros(0, dtype=np.int64), np.zeros((4, 0), dtype=np.int64)
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         index = np.arange(first, length)
         if enable is not None:
             index = index[np.asarray(enable, dtype=bool)[first:]]
-        s_i = np.where(stream.i >= 0, 1, -1)
-        s_q = np.where(stream.q >= 0, 1, -1)
+        # float64 takes numpy's fast dot path; every term is +-1, so each
+        # sum is an integer of magnitude <= 2n, far below 2**53, and exact
+        s_i = np.where(stream.i >= 0, 1.0, -1.0)
+        s_q = np.where(stream.q >= 0, 1.0, -1.0)
         ref_i, ref_q = self.bank.sign_arrays
-        partials = np.stack(
-            [
-                np.correlate(s_i, ref_i),
-                np.correlate(s_q, ref_q),
-                np.correlate(s_q, ref_i),
-                np.correlate(s_i, ref_q),
-            ]
-        )[:, index - first]
+        re = np.correlate(s_i, ref_i) + np.correlate(s_q, ref_q)
         self.work_count += len(index)
-        return index, partials
+        return index, re[index - first].astype(np.int64)
 
 
 def latch_enable(enable, holdoff: int) -> np.ndarray:

@@ -167,19 +167,19 @@ def embed_preamble(
     preamble: Preamble,
     pad_before: int,
     pad_after: int,
-    payload=None,
 ) -> tuple[np.ndarray, int]:
-    """Build ``zeros(pad_before) ++ preamble ++ payload ++ zeros(pad_after)``.
+    """Build ``zeros(pad_before) ++ preamble ++ zeros(pad_after)``.
 
     Returns the signal and the ground-truth preamble start index
     (== ``pad_before``).
     """
     if pad_before < 0 or pad_after < 0:
         raise ValueError("pads must be non-negative")
-    parts = [np.zeros(pad_before, dtype=np.complex128), preamble.samples]
-    if payload is not None:
-        parts.append(np.asarray(payload, dtype=np.complex128))
-    parts.append(np.zeros(pad_after, dtype=np.complex128))
+    parts = [
+        np.zeros(pad_before, dtype=np.complex128),
+        preamble.samples,
+        np.zeros(pad_after, dtype=np.complex128),
+    ]
     return np.concatenate(parts), pad_before
 
 

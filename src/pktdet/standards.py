@@ -36,9 +36,6 @@ from .correlator import (
 from .energy import EnergyConfig, EnergyDetector, enable_array
 from .signal import FixedPointFormat, Preamble, SampleStream
 
-ARB_PRIORITY_LONGEST = 0  # the only supported arbitration policy
-
-
 class ConfigurationError(ValueError):
     """Raised for unknown register keys or a register map inconsistent with
     the profile set, before any sample is processed."""
@@ -46,19 +43,11 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class StandardProfile:
-    """Detector parameters plus inert payload metadata for one standard.
-
-    ``packet_len``, ``symbol_size`` and ``training_period`` are not used by
-    detection; they ride along so a detection event can hand the payload
-    parameters of the winning standard to whatever consumes it.
-    """
+    """Detector parameters for one standard."""
 
     id: str
     preamble: Preamble
     fine_threshold: int
-    packet_len: int = 0
-    symbol_size: int = 0
-    training_period: int = 0
 
     def __post_init__(self) -> None:
         # No upper bound on the threshold: configuring a value above the
@@ -157,7 +146,6 @@ def build_register_map(
         "coarse/thresh_q15": round((coarse.metric_threshold if coarse else 0.0) * (1 << 15)),
         "coarse/plateau": coarse.plateau_min if coarse else 8,
         "fine/holdoff": holdoff,
-        "arb/priority": ARB_PRIORITY_LONGEST,
     }
     for p, profile in enumerate(profiles):
         bank = load_coefficients(profile.preamble)
@@ -187,8 +175,6 @@ def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _Pi
     profiles = list(profiles)
     if not profiles:
         raise ConfigurationError("at least one profile is required")
-    if regs.read("arb/priority") != ARB_PRIORITY_LONGEST:
-        raise ConfigurationError("unsupported arbitration priority policy")
 
     energy_cfg = None
     if regs.read("energy/enabled"):
@@ -364,8 +350,7 @@ def run_detector_bank(
     for order, profile in enumerate(profiles):
         if not view.enabled[order]:
             continue
-        index, partials = SignCorrelator(view.banks[order]).process(stream, enable)
-        re = partials[0] + partials[1]
+        index, re = SignCorrelator(view.banks[order]).process(stream, enable)
         candidates.extend(_extract_candidates(index, re, view.thresholds[order], profile, order))
     arb_window = max(p.correlator_len for p in profiles)
     return events_from_candidates(candidates, arb_window, gate_run_starts, coarse_index)

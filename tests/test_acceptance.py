@@ -38,7 +38,7 @@ from oracles import (
     sign_detection_probability,
     sign_partials,
 )
-from streaming import push_run, same_outputs
+from streaming import as_outputs, push_run, same_outputs
 
 
 def report(name: str, ok: bool, elapsed: float, detail: str = "") -> bool:
@@ -65,16 +65,25 @@ def pairs_from_bits(n: int, i_bits: int, q_bits: int):
 
 
 def correlate_both_ways(pairs, bank: CoefficientBank, every: int = 1) -> dict:
-    """Partials ``(p_ii, p_qq, p_qi, p_iq)`` by position, at every
-    ``every``-th position (the last of each group), of the streaming
-    (``push``) and batch (``process``) paths of fresh correlators over the
-    same Q1.15 (i, q) codes; the two must agree."""
+    """``((p_ii, p_qq, p_qi, p_iq), re)`` by position, at every ``every``-th
+    position (the last of each group): the streaming (``push``) partials and
+    the batch (``process``) ``re`` of fresh correlators over the same Q1.15
+    (i, q) codes."""
     enable = [t % every == every - 1 for t in range(len(pairs))]
     codes = np.array(pairs, dtype=np.int32).reshape(-1, 2)
     stream = SampleStream(format=Q1_15, i=codes[:, 0], q=codes[:, 1])
-    index, partials = SignCorrelator(bank).process(stream, enable)
-    assert same_outputs(push_run(SignCorrelator(bank), stream, enable), (index, partials))
-    return dict(zip(index.tolist(), map(tuple, partials.T.tolist())))
+    index, re = SignCorrelator(bank).process(stream, enable)
+    pushed = push_run(SignCorrelator(bank), stream, enable)
+    assert np.array_equal(as_outputs(pushed)[0], index)
+    return {
+        t: ((out.p_ii, out.p_qq, out.p_qi, out.p_iq), value)
+        for (t, out), value in zip(pushed, re.tolist())
+    }
+
+
+def with_re(partials: tuple[int, int, int, int]):
+    """Oracle partials in the shape :func:`correlate_both_ways` returns."""
+    return partials, partials[0] + partials[1]
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +104,7 @@ def test_criterion_1_oracle_equivalence():
         for b in range(1 << n):
             outputs = correlate_both_ways(codes, bank_from_sign_words(n, b, 0), every=n)
             for a, pattern in enumerate(patterns):
-                assert outputs[a * n + n - 1] == sign_partials(pattern, patterns[b])
+                assert outputs[a * n + n - 1] == with_re(sign_partials(pattern, patterns[b]))
                 checked += 1
 
     # randomized full four-partial pairs across the length menu
@@ -115,7 +124,7 @@ def test_criterion_1_oracle_equivalence():
             expected = sign_partials(
                 pairs_from_bits(n, a_i, a_q), pairs_from_bits(n, b_i, b_q)
             )
-            assert out == expected
+            assert out == with_re(expected)
             randomized += 1
 
     elapsed = time.perf_counter() - t0
@@ -138,8 +147,8 @@ def test_criterion_2_ideal_maxima():
     for n, ideal in ((32, 64), (64, 128)):
         preamble = pn_preamble("p", n, seed=(2, n))
         bank = load_coefficients(preamble)
-        p_ii, p_qq, p_qi, p_iq = correlate_both_ways(bank.signs(), bank)[n - 1]
-        assert p_ii + p_qq == ideal
+        (p_ii, p_qq, p_qi, p_iq), re = correlate_both_ways(bank.signs(), bank)[n - 1]
+        assert p_ii + p_qq == re == ideal
         assert p_qi - p_iq == 0
 
     # zero components categorize as +1 on both sides, so the maximum survives
@@ -147,8 +156,8 @@ def test_criterion_2_ideal_maxima():
     zero_bank = load_coefficients(Preamble(id="z", samples=samples))
     stream = quantize(samples, Q1_15)
     codes = list(zip(stream.i.tolist(), stream.q.tolist()))
-    p_ii, p_qq, _, _ = correlate_both_ways(codes, zero_bank)[31]
-    assert p_ii + p_qq == 64
+    (p_ii, p_qq, _, _), re = correlate_both_ways(codes, zero_bank)[31]
+    assert p_ii + p_qq == re == 64
 
     elapsed = time.perf_counter() - t0
     assert report("criterion 2: ideal maxima 64/128 at alignment", elapsed < 1.0, elapsed)

@@ -1,8 +1,14 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from pktdet import cli
 from pktdet.cli import main
+from pktdet.config import load_sweep_config
 from pktdet.correlator import load_coefficients, parse_bank
+from pktdet.harness import SweepConfig, default_sweep_config, run_sweep
+from pktdet.iqfile import read_iq
 from pktdet.signal import pn_preamble
 
 CONFIG = """
@@ -195,3 +201,118 @@ def test_scope_default_scenario(tmp_path):
     assert data[:, 0].tolist() == list(range(len(lines) - 1))
     # the transmitted 64-sample profile crosses its threshold somewhere
     assert data[:, 2].max() >= 100
+
+
+@pytest.fixture
+def repeated_block_capture(tmp_path):
+    """A 10 dB capture of a preamble made of one 16-sample block sent four
+    times, so the coarse stage can fire at lag 16, and its profiles."""
+    block = pn_preamble("block", 16, 21).samples
+    ref = np.tile(block, 4)
+    np.savetxt(tmp_path / "ref.txt", np.column_stack([ref.real, ref.imag]))
+    profiles = tmp_path / "rep.ini"
+    profiles.write_text(
+        "[profile rep]\npreamble = file:ref.txt\nthreshold = 110\n\n"
+        "[profile pn32]\npreamble = pn:seed=101,len=32\nthreshold = 50\n"
+    )
+    capture = tmp_path / "rep.iqpd"
+    gen = ["gen-iq", "--profiles", str(profiles), "--transmit", "rep", "--seed", "3"]
+    pads = ["--pad-before", "100", "--pad-after", "60"]
+    assert main(gen + pads + ["--out", str(capture)]) == 0
+    assert len(read_iq(capture)) == 100 + 64 + 60
+    return profiles, capture
+
+
+COARSE = ["--coarse-lag", "16", "--coarse-thresh", "0.8", "--coarse-plateau", "2"]
+
+
+@pytest.mark.parametrize(
+    "flags, events",
+    [
+        ([], ["rep,128,163"]),
+        (COARSE, ["rep,128,163"]),
+        (COARSE[:4] + ["--coarse-plateau", "100"], []),  # plateau never held that long
+        (["--coarse-lag", "24"] + COARSE[2:], []),  # the block does not repeat at 24
+        (["--energy-window", "8"], []),  # 8 of 8 samples can never exceed a count of 8
+        (["--energy-window", "8", "--energy-count-thresh", "4"], ["rep,128,163"]),
+        (["--energy-count-thresh", "16"], []),
+        (["--energy-sample-thresh", "1.5"], []),  # above the packet's sample energy
+    ],
+)
+def test_detect_stage_flags(capsys, repeated_block_capture, flags, events):
+    profiles, capture = repeated_block_capture
+    capsys.readouterr()
+    assert main(["detect", "--profiles", str(profiles), "--input", str(capture)] + flags) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["standard_id,peak_value,peak_index"] + events
+
+
+def test_detect_stage_flags_set_their_registers(monkeypatch, repeated_block_capture):
+    profiles, capture = repeated_block_capture
+    seen = []
+    detect = cli.run_detector_bank
+
+    def spy(stream, profiles, regs, rssi=None):
+        seen.append(regs)
+        return detect(stream, profiles, regs, rssi=rssi)
+
+    monkeypatch.setattr(cli, "run_detector_bank", spy)
+    flags = ["--energy-window", "12", "--energy-sample-thresh", "0.25"]
+    flags += ["--energy-count-thresh", "5", "--coarse-lag", "16"]
+    flags += ["--coarse-thresh", "0.75", "--coarse-plateau", "3"]
+    assert main(["detect", "--profiles", str(profiles), "--input", str(capture)] + flags) == 0
+    (regs,) = seen
+    assert {key: regs[key] for key in regs if key.split("/")[0] in ("energy", "coarse")} == {
+        "energy/enabled": 1,
+        "energy/window_len": 12,
+        "energy/sample_thresh_raw": round(0.25 * 2**30),
+        "energy/count_thresh": 5,
+        "coarse/enabled": 1,
+        "coarse/lag": 16,
+        "coarse/thresh_q15": round(0.75 * 2**15),
+        "coarse/plateau": 3,
+    }
+
+
+def test_scope_config_with_two_profiles(tmp_path):
+    config = tmp_path / "two.ini"
+    config.write_text(CONFIG.split("[profile pn64b]")[0])
+    out = tmp_path / "traces.csv"
+    assert main(["scope", "--config", str(config), "--seed", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "index,pn32,pn64a"
+    data = np.loadtxt(lines[1:], delimiter=",", dtype=np.int64)
+    assert data.shape == (len(lines) - 1, 3)
+    assert data[:, 2].max() >= 100  # pn64a is transmitted
+
+
+def test_sweep_transmit_overrides_the_config(tmp_path, config_file):
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(config_file), "--transmit", "pn32", "--out", str(out)]) == 0
+    cfg = replace(load_sweep_config(config_file), transmitted_profile_id="pn32")
+    assert out.read_text() == run_sweep(cfg).to_csv()
+    unknown = ["sweep", "--config", str(config_file), "--transmit", "nope", "--out", str(out)]
+    assert main(unknown) == 2
+
+
+@pytest.mark.parametrize("transmit", [None, "pn32"])
+def test_sweep_without_config_runs_the_default_scenario(tmp_path, monkeypatch, transmit):
+    # the full default sweep takes seconds; the run is cut to one point of
+    # two trials after the configuration has been captured
+    seen = []
+
+    def short_sweep(cfg, workers):
+        seen.append(cfg)
+        return run_sweep(replace(cfg, snr_points_db=(10.0,), trials_per_point=2), workers)
+
+    monkeypatch.setattr(cli, "run_sweep", short_sweep)
+    out = tmp_path / "r.csv"
+    flags = [] if transmit is None else ["--transmit", transmit]
+    assert main(["sweep", "--out", str(out)] + flags) == 0
+    (cfg,) = seen
+    expected = default_sweep_config(transmitted=transmit or "pn64a")
+    assert cfg.registers == expected.registers  # same profiles and stages
+    for field in fields(SweepConfig):
+        if field.name != "profiles":  # preambles hold arrays; compared above
+            assert getattr(cfg, field.name) == getattr(expected, field.name)
+    assert out.read_text().splitlines()[1].startswith("10,2,")

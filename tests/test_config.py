@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pktdet.coarse import CoarseConfig
 from pktdet.config import (
     load_profiles,
     load_sweep_config,
@@ -9,6 +10,8 @@ from pktdet.config import (
 )
 from pktdet.signal import pn_preamble
 
+# pn32 carries keys that no longer configure anything; files that still
+# hold them keep parsing
 PROFILES = """
 [profile pn32]
 preamble = pn:seed=101,len=32
@@ -46,9 +49,7 @@ def test_load_profiles(tmp_path):
     path.write_text(PROFILES)
     profiles = load_profiles(path)
     assert [p.id for p in profiles] == ["pn32", "pn64a", "pn64b"]
-    assert profiles[0].fine_threshold == 50
-    assert profiles[0].packet_len == 256
-    assert profiles[1].packet_len == 0  # optional metadata defaults
+    assert [p.fine_threshold for p in profiles] == [50, 100, 100]
     assert np.array_equal(profiles[0].preamble.samples, pn_preamble("pn32", 32, 101).samples)
 
 
@@ -117,6 +118,23 @@ def test_energy_can_be_disabled(tmp_path):
     path = tmp_path / "sweep.ini"
     path.write_text(SWEEP.replace("energy_enabled = true", "energy_enabled = false") + PROFILES)
     assert load_sweep_config(path).energy is None
+
+
+@pytest.mark.parametrize(
+    "keys, expected",
+    [
+        ("coarse_enabled = true\n", CoarseConfig(16, 0.5, 8)),
+        (
+            "coarse_enabled = true\ncoarse_lag = 12\ncoarse_thresh = 0.75\ncoarse_plateau = 3\n",
+            CoarseConfig(half_period=12, metric_threshold=0.75, plateau_min=3),
+        ),
+        ("coarse_enabled = false\ncoarse_lag = 12\ncoarse_thresh = 0.75\n", None),
+    ],
+)
+def test_coarse_keys(tmp_path, keys, expected):
+    path = tmp_path / "sweep.ini"
+    path.write_text(SWEEP + keys + PROFILES)
+    assert load_sweep_config(path).coarse == expected
 
 
 def test_missing_sweep_section(tmp_path):

@@ -21,7 +21,7 @@ from pktdet.signal import (
 )
 
 from oracles import float_xcorr_argmax, sign_partials
-from streaming import push_run, same_outputs
+from streaming import as_outputs, push_run, same_outputs
 
 sign = st.sampled_from((-1, 1))
 sign_pair_lists = st.lists(st.tuples(sign, sign), min_size=1, max_size=128)
@@ -195,16 +195,15 @@ class TestCorrelateStream:
         preamble = pn_preamble("p", 32, seed=2)
         stream = quantize(embed_preamble(preamble, 10, 10)[0], Q1_15)
         corr = SignCorrelator(load_coefficients(preamble))
-        index, partials = corr.process(stream, enable=np.zeros(len(stream), dtype=bool))
-        assert index.shape == (0,) and partials.shape == (4, 0)
+        index, re = corr.process(stream, enable=np.zeros(len(stream), dtype=bool))
+        assert index.shape == re.shape == (0,)
         assert corr.work_count == 0
 
     def test_noiseless_peak_at_ground_truth(self):
         preamble = pn_preamble("p", 64, seed=4)
         signal, start = embed_preamble(preamble, 37, 50)
         stream = quantize(signal, Q1_15)
-        index, partials = SignCorrelator(load_coefficients(preamble)).process(stream)
-        re = partials[0] + partials[1]
+        index, re = SignCorrelator(load_coefficients(preamble)).process(stream)
         peak = int(np.argmax(re))
         assert index[peak] == start + preamble.length - 1
         assert re[peak] == 128
@@ -218,8 +217,7 @@ class TestCorrelateStream:
         bank = load_coefficients(preamble)
 
         def peak(outputs):
-            index, partials = outputs
-            re = partials[0] + partials[1]
+            index, re = outputs
             return index[np.argmax(re)], re.max()
 
         enable = np.zeros(len(stream), dtype=bool)
@@ -233,10 +231,10 @@ class TestCorrelateStream:
         enable = np.zeros(len(stream), dtype=bool)
         enable[10:50] = True
         corr = SignCorrelator(load_coefficients(preamble))
-        index, partials = corr.process(stream, enable)
+        index, re = corr.process(stream, enable)
         ready_enabled = sum(1 for n in range(len(stream)) if enable[n] and n >= 15)
         assert corr.work_count == ready_enabled
-        assert len(index) == partials.shape[1] == ready_enabled
+        assert len(index) == len(re) == ready_enabled
 
     def test_process_equals_repeated_push(self):
         rng = np.random.default_rng(11)
@@ -246,7 +244,7 @@ class TestCorrelateStream:
         enable = rng.integers(0, 2, size=40).astype(bool)
 
         batch = SignCorrelator(bank).process(stream, enable)
-        assert same_outputs(push_run(SignCorrelator(bank), stream, enable), batch)
+        assert same_outputs(as_outputs(push_run(SignCorrelator(bank), stream, enable)), batch)
 
     @example(n=64, length=0, seed=0, masked=True, rebind=False)
     @example(n=64, length=63, seed=1, masked=False, rebind=True)
@@ -272,9 +270,8 @@ class TestCorrelateStream:
             corr.rebind_bank(second)
         batch = corr.process(stream, enable)
         pushed = SignCorrelator(second if rebind else first)
-        assert same_outputs(batch, push_run(pushed, stream, enable))
+        assert same_outputs(batch, as_outputs(push_run(pushed, stream, enable)))
         assert corr.work_count == pushed.work_count == len(batch[0])
-        assert batch[1].shape == (4, len(batch[0]))
 
     def test_process_ignores_the_push_window(self):
         # process starts from an empty window whatever push shifted in before
@@ -315,9 +312,9 @@ class TestSignFlipModel:
             flips = int(np.count_nonzero((stream.i[aligned] >= 0) != ref_i)) + int(
                 np.count_nonzero((stream.q[aligned] >= 0) != ref_q)
             )
-            index, partials = SignCorrelator(bank).process(stream)
+            index, re = SignCorrelator(bank).process(stream)
             (col,) = np.flatnonzero(index == start + n - 1)
-            assert partials[0, col] + partials[1, col] == 2 * n - 2 * flips
+            assert re[col] == 2 * n - 2 * flips
 
 
 class TestLatchEnable:

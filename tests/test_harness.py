@@ -46,9 +46,6 @@ class TestRunTrial:
                 id=p.id,
                 preamble=p.preamble,
                 fine_threshold=2 * p.correlator_len + 1,  # above the ideal maximum
-                packet_len=p.packet_len,
-                symbol_size=p.symbol_size,
-                training_period=p.training_period,
             )
             for p in scenario_profiles(seed=7)
         )
@@ -179,18 +176,6 @@ class TestScopeScenario:
         assert lines[0] == "index,pn32,pn64a,pn64b"
         # one row per sample plus header and trailing newline
         assert len(lines) == 2 + len(result.traces["pn32"])
-
-    def test_requires_three_profiles(self):
-        cfg = tiny_config()
-        two = SweepConfig(
-            profiles=cfg.profiles[:2],
-            transmitted_profile_id="pn64a",
-            snr_points_db=(10.0,),
-            trials_per_point=1,
-            seed=7,
-        )
-        with pytest.raises(ValueError):
-            run_scope_scenario(two, snr_db=10.0, seed=0)
 
 
 class TestDefaults:

@@ -98,7 +98,6 @@ class TestRegisterMap:
             "coarse/thresh_q15",
             "coarse/plateau",
             "fine/holdoff",
-            "arb/priority",
             "prof0/len",
             "prof0/threshold",
             "prof0/enabled",
@@ -229,8 +228,8 @@ class TestRunDetectorBank:
         (event,) = run_detector_bank(stream, [p], regs)
         for value in (event.peak_value, event.peak_index, *event.stage_trace):
             assert type(value) is int
-        index, partials = SignCorrelator(load_coefficients(p.preamble)).process(stream)
-        (candidate,) = _extract_candidates(index, partials[0] + partials[1], 64, p, 0)
+        index, re = SignCorrelator(load_coefficients(p.preamble)).process(stream)
+        (candidate,) = _extract_candidates(index, re, 64, p, 0)
         for value in (candidate.peak_value, candidate.peak_index, candidate.order):
             assert type(value) is int
 
@@ -302,13 +301,6 @@ class TestRegisterValidation:
         stream, _ = make_capture(p)
         with pytest.raises(ConfigurationError):
             run_detector_bank(stream, [p], bad)
-
-    def test_unsupported_priority_policy(self):
-        p = profile("a", 32, 50)
-        regs = build_register_map([p]).write("arb/priority", 3)
-        stream, _ = make_capture(p)
-        with pytest.raises(ConfigurationError):
-            run_detector_bank(stream, [p], regs)
 
     def test_zero_threshold_register(self):
         p = profile("a", 32, 50)
