@@ -107,7 +107,7 @@ def _cmd_scope(args) -> int:
     if args.config is not None:
         cfg = cfgfile.load_sweep_config(args.config)
     else:
-        cfg = default_sweep_config(seed=args.seed)
+        cfg = default_sweep_config()
     result = run_scope_scenario(cfg, snr_db=args.snr, seed=args.seed)
     _write_text(args.out, result.to_csv())
     return 0
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scope", help="single capture, all correlator traces as CSV")
     p.add_argument("--snr", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="capture seed")
     p.add_argument("--config", default=None, help="sweep config (default demo scenario)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_scope)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import SampleStream
+from .signal import SampleStream, window_sums
 
 
 @dataclass(frozen=True)
@@ -62,20 +62,11 @@ def schmidl_cox_correlations(
         raise ValueError("stream must hold at least two half-periods")
     i = stream.i.astype(np.int64)
     q = stream.q.astype(np.int64)
-    # conj(y[t]) * y[t+L]
+    # conj(y[t]) * y[t+L], and |y[t+L]|^2
     prod_re = i[:-lag] * i[lag:] + q[:-lag] * q[lag:]
     prod_im = i[:-lag] * q[lag:] - q[:-lag] * i[lag:]
-    energy = i * i + q * q
-
-    def windowed(values: np.ndarray, offset: int, count: int) -> np.ndarray:
-        csum = np.concatenate(([0], np.cumsum(values)))
-        return csum[offset + lag : offset + lag + count] - csum[offset : offset + count]
-
-    count = n - 2 * lag + 1
-    p_re = windowed(prod_re, 0, count)
-    p_im = windowed(prod_im, 0, count)
-    r = windowed(energy, lag, count)
-    return p_re, p_im, r
+    energy = i[lag:] * i[lag:] + q[lag:] * q[lag:]
+    return window_sums(prod_re, lag), window_sums(prod_im, lag), window_sums(energy, lag)
 
 
 def schmidl_cox_metric(stream: SampleStream, lag: int) -> np.ndarray:
@@ -92,15 +83,9 @@ def schmidl_cox_metric(stream: SampleStream, lag: int) -> np.ndarray:
 def coarse_trigger(metric, cfg: CoarseConfig) -> int | None:
     """First index where the metric holds >= threshold for ``plateau_min``
     consecutive positions, or None."""
-    run = 0
-    for d, value in enumerate(metric):
-        if value >= cfg.metric_threshold:
-            run += 1
-            if run >= cfg.plateau_min:
-                return d - cfg.plateau_min + 1
-        else:
-            run = 0
-    return None
+    above = np.asarray(metric) >= cfg.metric_threshold
+    starts = np.flatnonzero(window_sums(above, cfg.plateau_min) == cfg.plateau_min)
+    return int(starts[0]) if len(starts) else None
 
 
 def detect_coarse(stream: SampleStream, cfg: CoarseConfig) -> CoarseOutput:

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .signal import Preamble, SampleStream
+from .signal import Preamble, SampleStream, window_sums
 
 WORD_BITS = 32
 WORD_MASK = 0xFFFFFFFF
@@ -57,7 +57,7 @@ class CoefficientBank:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError("bank length must be >= 1")
-        expected_words = -(-self.length // WORD_BITS)
+        expected_words = words_for(self.length)
         if len(self.i_words) != expected_words or len(self.q_words) != expected_words:
             raise ValueError("word count must be ceil(length / 32) for I and Q")
         tail_mask = (1 << self.valid_bits_in_last_word) - 1
@@ -73,21 +73,16 @@ class CoefficientBank:
 
     @property
     def valid_bits_in_last_word(self) -> int:
-        return self.length - WORD_BITS * (-(-self.length // WORD_BITS) - 1)
+        return self.length - WORD_BITS * (words_for(self.length) - 1)
 
     @cached_property
     def sign_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The I and Q reference signs as +-1 int64 arrays in sample order;
         built on first use, so a bank that only streams never pays for it."""
-        shifts = np.arange(WORD_BITS, dtype=np.uint32)
-
-        def unpack(words: tuple[int, ...]) -> np.ndarray:
-            bits = (np.array(words, dtype=np.uint32)[:, None] >> shifts) & 1
-            signs = 2 * bits.ravel()[: self.length].astype(np.int64) - 1
-            signs.flags.writeable = False
-            return signs
-
-        return unpack(self.i_words), unpack(self.q_words)
+        bits = [_unpack_words(words, self.length) for words in (self.i_words, self.q_words)]
+        signs = 2 * np.array(bits, dtype=np.int64) - 1
+        signs.flags.writeable = False
+        return signs[0], signs[1]
 
     def packed_i(self) -> int:
         """All I-sign bits as one integer, bit k = reference sample k."""
@@ -102,32 +97,37 @@ class CoefficientBank:
         return list(zip(si.tolist(), sq.tolist()))
 
 
+def words_for(length: int) -> int:
+    """Number of 32-bit words that hold ``length`` sign bits."""
+    return -(-length // WORD_BITS)
+
+
+def _pack_words(bits) -> tuple[int, ...]:
+    """Bits in sample order -> 32-bit words, bit k of word w = sample
+    ``32*w + k``; the last word is zero-padded."""
+    padded = np.zeros(words_for(len(bits)) * WORD_BITS, dtype=bool)
+    padded[: len(bits)] = bits
+    return tuple(np.packbits(padded, bitorder="little").view("<u4").tolist())
+
+
+def _unpack_words(words, length: int) -> np.ndarray:
+    """The first ``length`` bits of :func:`_pack_words` words, as 0/1 uint8."""
+    raw = np.array(words, dtype="<u4").view(np.uint8)
+    return np.unpackbits(raw, count=length, bitorder="little")
+
+
 def _join_words(words: tuple[int, ...]) -> int:
-    value = 0
-    for w, word in enumerate(words):
-        value |= word << (WORD_BITS * w)
-    return value
-
-
-def _split_words(value: int, length: int) -> tuple[int, ...]:
-    count = -(-length // WORD_BITS)
-    return tuple((value >> (WORD_BITS * w)) & WORD_MASK for w in range(count))
+    # word w holds bits 32*w ... 32*w + 31 of the little-endian integer
+    return int.from_bytes(np.array(words, dtype="<u4").tobytes(), "little")
 
 
 def load_coefficients(preamble: Preamble) -> CoefficientBank:
     """Pack the reference's component signs into a coefficient bank."""
-    n = preamble.length
-    re_bits = 0
-    im_bits = 0
-    for k in range(n):
-        if preamble.samples[k].real >= 0:
-            re_bits |= 1 << k
-        if preamble.samples[k].imag >= 0:
-            im_bits |= 1 << k
+    samples = preamble.samples
     return CoefficientBank(
-        length=n,
-        i_words=_split_words(re_bits, n),
-        q_words=_split_words(im_bits, n),
+        length=preamble.length,
+        i_words=_pack_words(samples.real >= 0),
+        q_words=_pack_words(samples.imag >= 0),
     )
 
 
@@ -146,7 +146,7 @@ def parse_bank(text: str) -> CoefficientBank:
     if not lines or not lines[0].startswith("n="):
         raise ValueError("coefficient dump must start with 'n=<length>'")
     length = int(lines[0][2:])
-    expected_words = -(-length // WORD_BITS)
+    expected_words = words_for(length)
     words = [int(ln, 16) for ln in lines[1:]]
     if len(words) != 2 * expected_words:
         raise ValueError(
@@ -261,9 +261,4 @@ def latch_enable(enable, holdoff: int) -> np.ndarray:
     peak just past the gate's trailing edge is not lost."""
     if holdoff < 0:
         raise ValueError("holdoff must be >= 0")
-    raw = np.asarray(enable, dtype=bool)
-    if holdoff == 0 or not raw.any():
-        return raw.copy()
-    positions = np.arange(len(raw))
-    last_true = np.maximum.accumulate(np.where(raw, positions, -(holdoff + 1)))
-    return positions - last_true <= holdoff
+    return window_sums(np.asarray(enable, dtype=bool), holdoff + 1, partial=True) > 0

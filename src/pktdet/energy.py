@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import FixedPointFormat, SampleStream
+from .signal import FixedPointFormat, SampleStream, window_sums
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,8 @@ def enable_array(stream: SampleStream, cfg: EnergyConfig) -> np.ndarray:
     i = stream.i.astype(np.int64)
     q = stream.q.astype(np.int64)
     exceed = i * i + q * q > _raw_threshold(cfg, stream.format)
-    counts = np.concatenate(([0], np.cumsum(exceed)))
     enable = np.zeros(len(stream), dtype=bool)
-    enable[w - 1 :] = counts[w:] - counts[: len(counts) - w] > cfg.count_threshold
+    enable[w - 1 :] = window_sums(exceed, w) > cfg.count_threshold
     return enable
 
 

@@ -144,10 +144,6 @@ class SweepResult:
             )
         return buf.getvalue()
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
-
 
 def scenario_profiles(seed: int = 7) -> tuple[StandardProfile, ...]:
     """The three-standard demo setup: a 32-sample PN preamble and two
@@ -295,10 +291,6 @@ class ScopeResult:
         for n in range(length):
             writer.writerow([n] + [int(self.traces[pid][n]) for pid in self.profile_ids])
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
 
 
 def run_scope_scenario(cfg: SweepConfig, snr_db: float = 10.0, seed: int = 0) -> ScopeResult:

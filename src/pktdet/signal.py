@@ -146,6 +146,23 @@ class Preamble:
         return float(np.mean(np.abs(self.samples) ** 2))
 
 
+def window_sums(values, width: int, partial: bool = False) -> np.ndarray:
+    """Sum of every ``width``-long window of integer or boolean ``values``,
+    from one int64 prefix sum.
+
+    Entry k sums ``values[k : k + width]``: one entry per full window, none
+    when ``width`` exceeds the length.  With ``partial``, the values are
+    preceded by ``width - 1`` zeros, so entry k sums the window ending at k,
+    ``values[max(0, k - width + 1) : k + 1]``: one entry per value.
+    """
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    if partial:
+        values = np.concatenate((np.zeros(width - 1, dtype=np.int64), values))
+    csum = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    return csum[width:] - csum[: max(len(csum) - width, 0)]
+
+
 def _quantize_component(values: np.ndarray, fmt: FixedPointFormat) -> tuple[np.ndarray, int]:
     scaled = values * fmt.scale
     # round half away from zero; exact for |scaled| < 2**52

@@ -19,6 +19,7 @@ arbitration a total deterministic order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -26,12 +27,12 @@ import numpy as np
 
 from .coarse import CoarseConfig, detect_coarse
 from .correlator import (
-    WORD_BITS,
     CoefficientBank,
     CorrelatorOutput,
     SignCorrelator,
     latch_enable,
     load_coefficients,
+    words_for,
 )
 from .energy import EnergyConfig, EnergyDetector, enable_array
 from .signal import FixedPointFormat, Preamble, SampleStream
@@ -77,14 +78,22 @@ class Candidate:
 
 
 class RegisterMap(Mapping):
-    """Immutable keyed set of 32-bit unsigned registers."""
+    """Immutable keyed set of 32-bit unsigned registers.
+
+    Values must be integers (``int``, ``bool`` or a numpy integer); a float
+    or a string is rejected rather than truncated or parsed."""
 
     __slots__ = ("_values",)
 
     def __init__(self, values: Mapping[str, int]):
         checked = {}
         for key, value in values.items():
-            value = int(value)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ConfigurationError(
+                    f"register {key!r} value {value!r} is not an integer"
+                ) from None
             if not 0 <= value <= 0xFFFFFFFF:
                 raise ConfigurationError(f"register {key!r} value {value} not a 32-bit word")
             checked[str(key)] = value
@@ -149,7 +158,6 @@ def build_register_map(
     }
     for p, profile in enumerate(profiles):
         bank = load_coefficients(profile.preamble)
-        values[f"prof{p}/len"] = profile.correlator_len
         values[f"prof{p}/threshold"] = profile.fine_threshold
         values[f"prof{p}/enabled"] = 1
         for w, word in enumerate(bank.i_words):
@@ -202,18 +210,13 @@ def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _Pi
     thresholds = []
     enabled = []
     for p, profile in enumerate(profiles):
-        length = regs.read(f"prof{p}/len")
-        if length != profile.correlator_len:
-            raise ConfigurationError(
-                f"profile {profile.id!r}: length register {length} does not match "
-                f"correlator_len {profile.correlator_len}"
-            )
-        word_count = -(-length // WORD_BITS)
+        length = profile.correlator_len
+        word_count = words_for(length)
         try:
             i_words = tuple(regs.read(f"prof{p}/coeff_i/{w}") for w in range(word_count))
             q_words = tuple(regs.read(f"prof{p}/coeff_q/{w}") for w in range(word_count))
             bank = CoefficientBank(length=length, i_words=i_words, q_words=q_words)
-        except (ConfigurationError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigurationError(
                 f"profile {profile.id!r}: coefficient words do not form a valid "
                 f"{length}-point bank ({exc})"
@@ -342,7 +345,7 @@ def run_detector_bank(
     gate_run_starts = None
     if view.energy_cfg is not None:
         # the energy decision that opened the gate region holding each peak
-        gate = latch_enable(raw_energy, view.holdoff)
+        gate = enable if view.coarse_cfg is None else latch_enable(raw_energy, view.holdoff)
         starts = gate & ~np.concatenate(([False], gate[:-1]))
         gate_run_starts = np.flatnonzero(starts)
 

@@ -48,6 +48,33 @@ def exceed_count(i_codes, q_codes, start: int, window_len: int, thr_raw) -> int:
     return count
 
 
+def slice_sums(values, width: int, partial: bool) -> list[int]:
+    """Window sums by summing each slice: full windows ``values[k : k + width]``,
+    or with ``partial`` the windows ending at each k, clipped at the start."""
+    values = [int(v) for v in values]
+    if partial:
+        return [sum(values[max(0, k - width + 1) : k + 1]) for k in range(len(values))]
+    return [sum(values[k : k + width]) for k in range(len(values) - width + 1)]
+
+
+def sign_bits(samples) -> tuple[int, int]:
+    """The I and Q component signs of a reference as two integers, one bit
+    per loop step: bit k is 1 when sample k's component is >= 0."""
+    re_bits = im_bits = 0
+    for k, sample in enumerate(samples):
+        if sample.real >= 0:
+            re_bits |= 1 << k
+        if sample.imag >= 0:
+            im_bits |= 1 << k
+    return re_bits, im_bits
+
+
+def split_words(value: int, length: int) -> tuple[int, ...]:
+    """Cut a ``length``-bit integer into 32-bit words, least significant first."""
+    count = (length + 31) // 32
+    return tuple((value >> (32 * w)) & 0xFFFFFFFF for w in range(count))
+
+
 def sign_partials(window_pairs, ref_pairs) -> tuple[int, int, int, int]:
     """Plain +-1 dot products of received signs against reference signs."""
     assert len(window_pairs) == len(ref_pairs)

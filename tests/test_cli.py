@@ -7,7 +7,7 @@ from pktdet import cli
 from pktdet.cli import main
 from pktdet.config import load_sweep_config
 from pktdet.correlator import load_coefficients, parse_bank
-from pktdet.harness import SweepConfig, default_sweep_config, run_sweep
+from pktdet.harness import SweepConfig, default_sweep_config, run_scope_scenario, run_sweep
 from pktdet.iqfile import read_iq
 from pktdet.signal import pn_preamble
 
@@ -201,6 +201,14 @@ def test_scope_default_scenario(tmp_path):
     assert data[:, 0].tolist() == list(range(len(lines) - 1))
     # the transmitted 64-sample profile crosses its threshold somewhere
     assert data[:, 2].max() >= 100
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_scope_seed_picks_only_the_capture(tmp_path, seed):
+    # the default scenario keeps the seed-7 profiles of the criterion-4 sweeps
+    out = tmp_path / "traces.csv"
+    assert main(["scope", "--snr", "10", "--seed", str(seed), "--out", str(out)]) == 0
+    assert out.read_text() == run_scope_scenario(default_sweep_config(), 10.0, seed).to_csv()
 
 
 @pytest.fixture

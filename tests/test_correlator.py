@@ -20,11 +20,13 @@ from pktdet.signal import (
     quantize,
 )
 
-from oracles import float_xcorr_argmax, sign_partials
+from oracles import float_xcorr_argmax, sign_bits, sign_partials, split_words
 from streaming import as_outputs, push_run, same_outputs
 
 sign = st.sampled_from((-1, 1))
 sign_pair_lists = st.lists(st.tuples(sign, sign), min_size=1, max_size=128)
+# reference components, signed zeros included: both load as sign +1
+component = st.sampled_from((0.0, -0.0)) | st.floats(-2.0, 2.0)
 
 
 def bank_from_signs(pairs):
@@ -103,6 +105,24 @@ class TestCoefficientBank:
     def test_sign_arrays_unpack_the_words(self, pairs):
         si, sq = bank_from_signs(pairs).sign_arrays
         assert list(zip(si.tolist(), sq.tolist())) == pairs
+
+    @example(parts=[(0.0, -0.0), (-0.0, 0.0), (-1.0, 1.0)])
+    @given(st.lists(st.tuples(component, component), min_size=1, max_size=200))
+    def test_codec_matches_bit_loop(self, parts):
+        samples = np.array([complex(a, b) for a, b in parts])
+        bank = load_coefficients(Preamble(id="ref", samples=samples))
+        re_bits, im_bits = sign_bits(samples)
+        n = len(parts)
+        assert bank.i_words == split_words(re_bits, n)
+        assert bank.q_words == split_words(im_bits, n)
+        assert (bank.packed_i(), bank.packed_q()) == (re_bits, im_bits)
+        si, sq = bank.sign_arrays
+        assert si.tolist() == [1 if re_bits >> k & 1 else -1 for k in range(n)]
+        assert sq.tolist() == [1 if im_bits >> k & 1 else -1 for k in range(n)]
+        words = split_words(re_bits, n) + split_words(im_bits, n)
+        text = dump_bank(bank)
+        assert text == f"n={n}\n" + "".join(f"{w:08x}\n" for w in words)
+        assert parse_bank(text) == bank
 
     def test_parse_rejects_wrong_word_count(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pktdet.signal import (
     FixedPointFormat,
@@ -12,9 +12,10 @@ from pktdet.signal import (
     embed_preamble,
     pn_preamble,
     quantize,
+    window_sums,
 )
 
-from oracles import float_xcorr_argmax, quantize_oracle
+from oracles import float_xcorr_argmax, quantize_oracle, slice_sums
 
 
 class TestFixedPointFormat:
@@ -181,3 +182,30 @@ class TestPnPreamble:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             Preamble(id="empty", samples=np.array([], dtype=complex))
+
+
+class TestWindowSums:
+    @given(
+        st.lists(st.integers(-(1 << 40), 1 << 40), max_size=40),
+        st.booleans(),
+        st.data(),
+    )
+    def test_matches_slice_sums(self, values, partial, data):
+        # widths 1 to len + 1: the last has no full window
+        width = data.draw(st.integers(1, len(values) + 1))
+        got = window_sums(np.array(values, dtype=np.int64), width, partial)
+        assert got.dtype == np.int64
+        assert got.tolist() == slice_sums(values, width, partial)
+
+    @example(values=[], width=1, partial=False)
+    @example(values=[], width=3, partial=True)
+    @example(values=[True, False, True], width=5, partial=False)
+    @given(st.lists(st.booleans(), max_size=40), st.integers(1, 45), st.booleans())
+    def test_counts_booleans(self, values, width, partial):
+        # a width past the length gives no full window and clips every partial one
+        got = window_sums(values, width, partial)
+        assert got.tolist() == slice_sums(values, width, partial)
+
+    def test_width_must_be_positive(self):
+        with pytest.raises(ValueError):
+            window_sums([1, 2], 0)
