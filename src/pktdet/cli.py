@@ -78,7 +78,7 @@ def _cmd_detect(args) -> int:
         count_threshold=args.energy_count_thresh,
     )
     regs = build_register_map(profiles, energy=energy, coarse=coarse, fmt=stream.format)
-    events = run_detector_bank(stream, profiles, regs, rssi=args.rssi)
+    events = run_detector_bank(stream, profiles, regs)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("standard_id", "peak_value", "peak_index"))
@@ -143,13 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coarse-lag", type=int, default=None, help="enable coarse stage at lag L")
     p.add_argument("--coarse-thresh", type=float, default=0.5)
     p.add_argument("--coarse-plateau", type=int, default=8)
-    p.add_argument(
-        "--rssi",
-        type=int,
-        choices=(0, 1),
-        default=None,
-        help="external RSSI carrier-sense flag ANDed into the energy gate",
-    )
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("sweep", help="Monte-Carlo SNR sweep")

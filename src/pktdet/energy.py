@@ -7,13 +7,16 @@ when that count is strictly above a second configurable count threshold.
 The decision stream gates the downstream correlators.
 
 Energies are computed on raw integer codes (exact in int64 for the <= 16-bit
-formats) and compared against the threshold rescaled to raw units by an
-exact power of two, so the batch and streaming gates agree with a naive
+formats) and compared against the threshold in raw code-squared units,
+rounded down (:func:`raw_threshold`).  For an integer energy, exceeding the
+rounded-down threshold is the same as exceeding the exact one, so the batch
+gate, the streaming gate and the register-driven gate agree with a naive
 per-window recount bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -27,7 +30,8 @@ class EnergyConfig:
     """Energy-gate parameters.
 
     ``sample_energy_threshold`` is in natural squared-magnitude units (a
-    full-scale component is ~1.0).
+    full-scale component is ~1.0); the gate compares raw energies against
+    :func:`raw_threshold`.
     """
 
     window_len: int
@@ -39,13 +43,15 @@ class EnergyConfig:
             raise ValueError("window_len must be >= 1")
         if not 0 <= self.count_threshold <= self.window_len:
             raise ValueError("count_threshold must be in [0, window_len]")
-        if self.sample_energy_threshold < 0:
-            raise ValueError("sample_energy_threshold must be >= 0")
+        if not math.isfinite(self.sample_energy_threshold) or self.sample_energy_threshold < 0:
+            raise ValueError("sample_energy_threshold must be finite and >= 0")
 
 
-def _raw_threshold(cfg: EnergyConfig, fmt: FixedPointFormat) -> float:
-    # natural units -> raw code-squared units (exact power-of-two scaling)
-    return cfg.sample_energy_threshold * float(fmt.scale) ** 2
+def raw_threshold(cfg: EnergyConfig, fmt: FixedPointFormat) -> int:
+    """``floor(sample_energy_threshold * scale**2)``: the threshold in raw
+    code-squared units, computed exactly in integers (no float overflow)."""
+    num, den = cfg.sample_energy_threshold.as_integer_ratio()
+    return num * fmt.scale**2 // den
 
 
 def enable_array(stream: SampleStream, cfg: EnergyConfig) -> np.ndarray:
@@ -59,7 +65,7 @@ def enable_array(stream: SampleStream, cfg: EnergyConfig) -> np.ndarray:
         raise ValueError("stream shorter than the energy window")
     i = stream.i.astype(np.int64)
     q = stream.q.astype(np.int64)
-    exceed = i * i + q * q > _raw_threshold(cfg, stream.format)
+    exceed = i * i + q * q > raw_threshold(cfg, stream.format)
     enable = np.zeros(len(stream), dtype=bool)
     enable[w - 1 :] = window_sums(exceed, w) > cfg.count_threshold
     return enable
@@ -91,7 +97,7 @@ class EnergyDetector:
 
     def _adopt(self, cfg: EnergyConfig) -> None:
         self.cfg = cfg
-        self._thr_raw = _raw_threshold(cfg, self._format)
+        self._thr_raw = raw_threshold(cfg, self._format)
 
     def push(self, i_code: int, q_code: int) -> bool:
         i, q = int(i_code), int(q_code)

@@ -278,8 +278,6 @@ class ScopeResult:
     profile_ids: tuple[str, ...]
     thresholds: tuple[int, ...]
     traces: dict[str, np.ndarray]
-    transmitted_id: str
-    true_start_index: int
     expected_peak_index: int
     events: tuple[DetectionEvent, ...]
 
@@ -323,8 +321,6 @@ def run_scope_scenario(cfg: SweepConfig, snr_db: float = 10.0, seed: int = 0) ->
         profile_ids=tuple(p.id for p in cfg.profiles),
         thresholds=tuple(p.fine_threshold for p in cfg.profiles),
         traces=traces,
-        transmitted_id=tx.id,
-        true_start_index=start,
         expected_peak_index=start + tx.correlator_len - 1,
         events=tuple(events),
     )

@@ -8,11 +8,11 @@ stored as 16-bit signed integers (the raw fixed-point codes).
     4       1     container version (1)
     5       1     total bits of the fixed-point format
     6       1     fractional bits
-    7       1     flags (bit 0: signed format)
+    7       1     flags (1: two's-complement codes, the only value)
     8       8     sample count, unsigned little-endian
 
-Only formats whose codes fit in int16 can be stored (signed up to 16 bits,
-unsigned up to 15).
+Every format's codes fit int16, since formats are signed and at most 16
+bits wide.
 """
 
 from __future__ import annotations
@@ -32,15 +32,8 @@ _FLAG_SIGNED = 0x01
 
 def write_iq(path, stream: SampleStream) -> None:
     fmt = stream.format
-    if fmt.max_code > 32767 or fmt.min_code < -32768:
-        raise ValueError(f"format {fmt.name()} does not fit 16-bit storage")
     header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        fmt.total_bits,
-        fmt.fractional_bits,
-        _FLAG_SIGNED if fmt.signed else 0,
-        len(stream),
+        MAGIC, VERSION, fmt.total_bits, fmt.fractional_bits, _FLAG_SIGNED, len(stream)
     )
     interleaved = np.empty(2 * len(stream), dtype="<i2")
     interleaved[0::2] = stream.i.astype(np.int16)
@@ -59,7 +52,9 @@ def read_iq(path) -> SampleStream:
         raise ValueError("not an IQPD file (bad magic)")
     if version != VERSION:
         raise ValueError(f"unsupported IQPD version {version}")
-    fmt = FixedPointFormat(total_bits, frac_bits, bool(flags & _FLAG_SIGNED))
+    if flags != _FLAG_SIGNED:
+        raise ValueError(f"unsupported IQPD flags {flags:#04x} (only signed codes)")
+    fmt = FixedPointFormat(total_bits, frac_bits)
     payload = raw[_HEADER.size :]
     if len(payload) != 4 * count:
         raise ValueError(

@@ -28,16 +28,16 @@ MAX_PREAMBLE_LEN = 1 << 14
 
 @dataclass(frozen=True)
 class FixedPointFormat:
-    """Two's-complement (or unsigned) fixed-point format for one I/Q component.
+    """Two's-complement fixed-point format for one I/Q component.
 
-    At most 16 bits: every stage squares and sums codes in int64, the energy
-    threshold register holds a squared code in 32 bits, and IQPD captures
-    store int16.
+    Signed only: the fine stage correlates component signs, which an
+    unsigned code would fix at +1.  At most 16 bits: every stage squares
+    and sums codes in int64, the energy threshold register holds a squared
+    code in 32 bits, and IQPD captures store int16.
     """
 
     total_bits: int = 16
     fractional_bits: int = 15
-    signed: bool = True
 
     def __post_init__(self) -> None:
         if not 2 <= self.total_bits <= 16:
@@ -53,11 +53,11 @@ class FixedPointFormat:
 
     @property
     def min_code(self) -> int:
-        return -(1 << (self.total_bits - 1)) if self.signed else 0
+        return -(1 << (self.total_bits - 1))
 
     @property
     def max_code(self) -> int:
-        return (1 << (self.total_bits - 1)) - 1 if self.signed else (1 << self.total_bits) - 1
+        return (1 << (self.total_bits - 1)) - 1
 
     @property
     def step(self) -> float:
@@ -65,31 +65,24 @@ class FixedPointFormat:
         return 2.0 ** -self.fractional_bits
 
     def name(self) -> str:
-        prefix = "q" if self.signed else "uq"
-        return f"{prefix}{self.total_bits - self.fractional_bits}.{self.fractional_bits}"
+        return f"q{self.total_bits - self.fractional_bits}.{self.fractional_bits}"
 
     @classmethod
     def parse(cls, text: str) -> "FixedPointFormat":
-        """Parse a format name like ``q1.15`` (signed) or ``uq2.14`` (unsigned)."""
+        """Parse a signed format name like ``q1.15``."""
         s = text.strip().lower()
-        signed = True
-        if s.startswith("uq"):
-            signed = False
-            s = s[2:]
-        elif s.startswith("q"):
-            s = s[1:]
-        else:
+        if not s.startswith("q"):
             raise ValueError(f"unrecognized fixed-point format {text!r}")
         try:
-            int_part, frac_part = s.split(".")
+            int_part, frac_part = s[1:].split(".")
             integer_bits = int(int_part)
             fractional_bits = int(frac_part)
         except ValueError:
             raise ValueError(f"unrecognized fixed-point format {text!r}") from None
-        return cls(integer_bits + fractional_bits, fractional_bits, signed)
+        return cls(integer_bits + fractional_bits, fractional_bits)
 
 
-Q1_15 = FixedPointFormat(16, 15, True)
+Q1_15 = FixedPointFormat(16, 15)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .correlator import (
     load_coefficients,
     words_for,
 )
-from .energy import EnergyConfig, EnergyDetector, enable_array
+from .energy import EnergyConfig, EnergyDetector, enable_array, raw_threshold
 from .signal import FixedPointFormat, Preamble, SampleStream
 
 class ConfigurationError(ValueError):
@@ -146,9 +146,7 @@ def build_register_map(
     values: dict[str, int] = {
         "energy/enabled": int(energy is not None),
         "energy/window_len": energy.window_len if energy else 16,
-        "energy/sample_thresh_raw": round(
-            (energy.sample_energy_threshold if energy else 0.0) * fmt.scale**2
-        ),
+        "energy/sample_thresh_raw": raw_threshold(energy, fmt) if energy else 0,
         "energy/count_thresh": energy.count_threshold if energy else 0,
         "coarse/enabled": int(coarse is not None),
         "coarse/lag": coarse.half_period if coarse else 16,
@@ -308,24 +306,19 @@ def events_from_candidates(
     return events
 
 
-def run_detector_bank(
-    stream: SampleStream, profiles, regs: RegisterMap, rssi: bool | None = None
-) -> list[DetectionEvent]:
+def run_detector_bank(stream: SampleStream, profiles, regs: RegisterMap) -> list[DetectionEvent]:
     """Run the full pipeline over one stream and return arbitrated events.
 
     The energy gate is computed once and shared by every correlator; each
     enabled profile's correlator reports, and counts as work, only gated
-    positions (plus the hold-off extension).  ``rssi`` is the optional external carrier-sense
-    flag ANDed into the energy decisions when provided; it has no effect
-    while the energy stage is off.
+    positions (plus the hold-off extension).
     """
     profiles = list(profiles)
     view = _decode_registers(profiles, regs, stream.format)
     n = len(stream)
 
     if view.energy_cfg is not None:
-        # a false carrier-sense flag closes the gate at every position
-        if n < view.energy_cfg.window_len or (rssi is not None and not rssi):
+        if n < view.energy_cfg.window_len:
             return []
         raw_energy = enable_array(stream, view.energy_cfg)
     else:

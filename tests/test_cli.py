@@ -106,19 +106,6 @@ def test_gen_iq_then_detect_round_trip(tmp_path, config_file):
     assert int(peak_index) == 100 + 63
 
 
-@pytest.mark.parametrize("rssi, events", [("0", 0), ("1", 1)])
-def test_detect_rssi_flag_gates_events(tmp_path, capsys, config_file, rssi, events):
-    capture = tmp_path / "capture.iqpd"
-    gen = ["gen-iq", "--profiles", str(config_file), "--transmit", "pn64a"]
-    assert main(gen + ["--seed", "3", "--pad-before", "100", "--out", str(capture)]) == 0
-    capsys.readouterr()
-    detect = ["detect", "--profiles", str(config_file), "--input", str(capture)]
-    assert main(detect + ["--rssi", rssi]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "standard_id,peak_value,peak_index"
-    assert [line.split(",")[0] for line in lines[1:]] == ["pn64a"] * events
-
-
 def test_detect_consumes_gen_coeff_output(tmp_path):
     # a profile defined purely by a packed coefficient dump detects the
     # packet generated from the original full-precision reference
@@ -260,9 +247,9 @@ def test_detect_stage_flags_set_their_registers(monkeypatch, repeated_block_capt
     seen = []
     detect = cli.run_detector_bank
 
-    def spy(stream, profiles, regs, rssi=None):
+    def spy(stream, profiles, regs):
         seen.append(regs)
-        return detect(stream, profiles, regs, rssi=rssi)
+        return detect(stream, profiles, regs)
 
     monkeypatch.setattr(cli, "run_detector_bank", spy)
     flags = ["--energy-window", "12", "--energy-sample-thresh", "0.25"]

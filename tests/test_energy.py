@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pktdet.energy import EnergyConfig, EnergyDetector, enable_array
+from pktdet.energy import EnergyConfig, EnergyDetector, enable_array, raw_threshold
 from pktdet.signal import (
     FixedPointFormat,
     Q1_15,
@@ -137,13 +139,14 @@ class TestEnergyGate:
     def test_wide_format_stays_exact(self):
         # formats wider than 16 bits are refused, so int64 energies never wrap
         with pytest.raises(ValueError, match="total_bits"):
-            FixedPointFormat(20, 15, True)
-        # the widest accepted codes: uq16.0 at full scale, energy 2 * 65535**2
-        fmt = FixedPointFormat(16, 0, False)
+            FixedPointFormat(20, 15)
+        # the widest accepted codes: q16.0 at -32768, energy 2 * 32768**2 = 2**31
+        fmt = FixedPointFormat(16, 0)
         rng = np.random.default_rng(2)
-        codes = [(65535, 65535)] * 8 + [tuple(c) for c in rng.integers(0, 65536, size=(32, 2))]
+        codes = [(-32768, -32768)] * 8
+        codes += [tuple(c) for c in rng.integers(-32768, 32768, size=(32, 2))]
         stream = stream_from_codes(codes, fmt)
-        for threshold in (0.0, 2.0**31, 2 * 65535.0**2 - 1, 2 * 65535.0**2):
+        for threshold in (0.0, 2.0**30, 2.0**31 - 1, 2.0**31):
             cfg = EnergyConfig(8, sample_energy_threshold=threshold, count_threshold=4)
             expected = oracle_enable(stream, cfg)
             assert enable_array(stream, cfg).tolist() == expected
@@ -158,3 +161,23 @@ class TestConfigValidation:
     def test_invalid(self, window, thr, count):
         with pytest.raises(ValueError):
             EnergyConfig(window, thr, count)
+
+    @pytest.mark.parametrize("thr", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, thr):
+        with pytest.raises(ValueError, match="finite"):
+            EnergyConfig(4, thr, 2)
+
+
+@pytest.mark.parametrize(
+    "threshold, fmt, raw",
+    [
+        (12.6 / 2**30, Q1_15, 12),  # rounds down, not to nearest
+        (13 / 2**30, Q1_15, 13),
+        (0.5, Q1_15, 2**29),
+        (0.3, FixedPointFormat(8, 7), 4915),  # 0.3 * 2**14 = 4915.2
+        (1e300, Q1_15, int(1e300) * 2**30),  # exact: no float overflow
+    ],
+    ids=["off-grid", "on-grid", "half", "q1.7", "huge"],
+)
+def test_raw_threshold_is_exact_floor(threshold, fmt, raw):
+    assert raw_threshold(EnergyConfig(4, threshold, 2), fmt) == raw

@@ -45,15 +45,20 @@ def test_truncated_payload_rejected(tmp_path):
         read_iq(path)
 
 
-def test_wide_format_rejected(tmp_path):
-    fmt = FixedPointFormat.parse("uq1.15")  # codes up to 65535 do not fit int16
-    stream = quantize([0.0 + 0.0j], fmt)
-    with pytest.raises(ValueError, match="16-bit"):
-        write_iq(tmp_path / "wide.iqpd", stream)
+def test_unsigned_flags_rejected(tmp_path):
+    stream = quantize([0.1 + 0.1j], Q1_15)
+    path = tmp_path / "unsigned.iqpd"
+    write_iq(path, stream)
+    raw = bytearray(path.read_bytes())
+    assert raw[7] == 1  # the writer always marks two's-complement codes
+    raw[7] = 0
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="flags"):
+        read_iq(path)
 
 
 def test_alternate_format_survives(tmp_path):
-    fmt = FixedPointFormat(12, 10, True)
+    fmt = FixedPointFormat(12, 10)
     stream = quantize([0.3 - 0.3j], fmt)
     path = tmp_path / "alt.iqpd"
     write_iq(path, stream)

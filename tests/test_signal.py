@@ -27,10 +27,11 @@ class TestFixedPointFormat:
 
     def test_parse_round_trips(self):
         assert FixedPointFormat.parse("q1.15") == Q1_15
-        fmt = FixedPointFormat.parse("uq2.14")
-        assert (fmt.total_bits, fmt.fractional_bits, fmt.signed) == (16, 14, False)
+        fmt = FixedPointFormat.parse("q2.14")
+        assert (fmt.total_bits, fmt.fractional_bits) == (16, 14)
+        assert fmt.name() == "q2.14"
 
-    @pytest.mark.parametrize("text", ["", "15", "q", "qa.b", "x1.15"])
+    @pytest.mark.parametrize("text", ["", "15", "q", "qa.b", "x1.15", "uq2.14"])
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             FixedPointFormat.parse(text)

@@ -28,6 +28,7 @@ from pktdet.standards import (
     _decode_registers,
     _extract_candidates,
     build_register_map,
+    events_from_candidates,
     run_detector_bank,
 )
 
@@ -133,7 +134,7 @@ class TestRegisterRoundTrip:
     units for the energy sample threshold, Q15 for the coarse metric), so
     the round trip is exact."""
 
-    FORMATS = (Q1_15, FixedPointFormat(12, 10, True), FixedPointFormat(8, 7, False))
+    FORMATS = (Q1_15, FixedPointFormat(12, 10), FixedPointFormat(8, 7))
 
     @given(st.data())
     def test_build_then_decode(self, data):
@@ -167,6 +168,36 @@ class TestRegisterRoundTrip:
         assert view.banks == tuple(load_coefficients(p.preamble) for p in profiles)
         assert view.thresholds == tuple(p.fine_threshold for p in profiles)
         assert view.enabled == (True,) * len(profiles)
+
+    @given(
+        fmt=st.sampled_from(FORMATS),
+        codes=st.lists(
+            st.tuples(st.integers(-32768, 32767), st.integers(-32768, 32767)),
+            min_size=1,
+            max_size=40,
+        ),
+        window=st.integers(1, 8),
+        count=st.integers(0, 8),
+        pick=st.integers(0, 39),
+        offset=st.floats(-1.0, 1.0),
+    )
+    @example(fmt=Q1_15, codes=[(2, 3)], window=1, count=0, pick=0, offset=-0.4)
+    def test_register_gate_equals_configured_gate(self, fmt, codes, window, count, pick, offset):
+        # thresholds off the raw grid, near a sample's energy: the register
+        # holds the floor of the raw threshold, which opens the gate on the
+        # same integer energies
+        shift = 16 - fmt.total_bits
+        i = np.array([c[0] for c in codes], dtype=np.int32) >> shift
+        q = np.array([c[1] for c in codes], dtype=np.int32) >> shift
+        stream = SampleStream(format=fmt, i=i, q=q)
+        window = min(window, len(stream))
+        energies = i.astype(np.int64) ** 2 + q.astype(np.int64) ** 2
+        raw = max(0.0, int(energies[pick % len(energies)]) + offset)
+        energy = EnergyConfig(window, raw / fmt.scale**2, min(count, window))
+        profiles = [profile("a", 8, 10)]
+        regs = build_register_map(profiles, energy, fmt=fmt)
+        decoded = _decode_registers(profiles, regs, fmt).energy_cfg
+        assert enable_array(stream, decoded).tolist() == enable_array(stream, energy).tolist()
 
 
 class TestArbitrate:
@@ -215,6 +246,34 @@ class TestArbitrate:
         assert arbitrate(shuffled) is winner
         longest = max(c.profile.correlator_len for c in candidates)
         assert winner.profile.correlator_len == longest
+
+    @given(st.data())
+    def test_permutation_invariant(self, data):
+        # few distinct lengths, peaks and indices, so full ties that only
+        # registration order can break are common
+        lengths = data.draw(st.lists(st.sampled_from((32, 64)), min_size=1, max_size=4))
+        profiles = [profile(f"p{k}", n, 10, seed=k) for k, n in enumerate(lengths)]
+        stride = data.draw(st.integers(1, 12))
+        # one candidate per (profile, peak index), as extraction yields
+        keys = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(profiles) - 1), st.integers(0, 3)),
+                min_size=1,
+                max_size=12,
+                unique=True,
+            )
+        )
+        candidates = [
+            Candidate(profiles[order], data.draw(st.integers(1, 2)), stride * index, order)
+            for order, index in keys
+        ]
+        winner = arbitrate(candidates)
+        arb_window = data.draw(st.integers(0, 16))
+        events = events_from_candidates(candidates, arb_window)
+        # reversal swaps every pair, so every tie must be broken by the key
+        for permuted in (candidates[::-1], data.draw(st.permutations(candidates))):
+            assert arbitrate(permuted) is winner
+            assert events_from_candidates(permuted, arb_window) == events
 
 
 class TestRunDetectorBank:
@@ -267,13 +326,6 @@ class TestRunDetectorBank:
         regs = build_register_map([p], energy=EnergyConfig(16, 0.25, 8))
         regs = regs.write("prof0/threshold", 65)  # just above the ideal max
         assert run_detector_bank(stream, [p], regs) == []
-
-    def test_rssi_false_blocks_everything(self):
-        p = profile("a", 32, 64)
-        stream, _ = make_capture(p)
-        regs = build_register_map([p], energy=EnergyConfig(16, 0.25, 8))
-        assert run_detector_bank(stream, [p], regs, rssi=False) == []
-        assert len(run_detector_bank(stream, [p], regs, rssi=True)) == 1
 
     def test_coarse_stage_gates_fine(self):
         p, stream, regs = repeated_block_capture()
@@ -372,6 +424,12 @@ class TestRegisterValidation:
         stream, _ = make_capture(p)
         with pytest.raises(ConfigurationError):
             run_detector_bank(stream, [p], bad)
+
+    @pytest.mark.parametrize("threshold", [4.0, 1e300, 1.7976931348623157e308])
+    def test_energy_threshold_beyond_the_register(self, threshold):
+        # 4.0 on Q1.15 is 2**32 raw; larger values overflowed float scaling
+        with pytest.raises(ConfigurationError, match="32-bit"):
+            build_register_map([profile("a", 32, 50)], energy=EnergyConfig(16, threshold, 8))
 
     def test_zero_threshold_register(self):
         p = profile("a", 32, 50)
