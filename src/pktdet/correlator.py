@@ -84,12 +84,16 @@ class CoefficientBank:
         signs.flags.writeable = False
         return signs[0], signs[1]
 
+    @cached_property
+    def _packed(self) -> tuple[int, int]:
+        return _join_words(self.i_words), _join_words(self.q_words)
+
     def packed_i(self) -> int:
         """All I-sign bits as one integer, bit k = reference sample k."""
-        return _join_words(self.i_words)
+        return self._packed[0]
 
     def packed_q(self) -> int:
-        return _join_words(self.q_words)
+        return self._packed[1]
 
     def signs(self) -> list[tuple[int, int]]:
         """Unpack back to per-sample ``(si, sq)`` signs of +-1 (index order)."""
@@ -248,8 +252,7 @@ class SignCorrelator:
             index = index[np.asarray(enable, dtype=bool)[first:]]
         # float64 takes numpy's fast dot path; every term is +-1, so each
         # sum is an integer of magnitude <= 2n, far below 2**53, and exact
-        s_i = np.where(stream.i >= 0, 1.0, -1.0)
-        s_q = np.where(stream.q >= 0, 1.0, -1.0)
+        s_i, s_q = stream.sign_arrays
         ref_i, ref_q = self.bank.sign_arrays
         re = np.correlate(s_i, ref_i) + np.correlate(s_q, ref_q)
         self.work_count += len(index)
@@ -261,4 +264,7 @@ def latch_enable(enable, holdoff: int) -> np.ndarray:
     peak just past the gate's trailing edge is not lost."""
     if holdoff < 0:
         raise ValueError("holdoff must be >= 0")
-    return window_sums(np.asarray(enable, dtype=bool), holdoff + 1, partial=True) > 0
+    enable = np.asarray(enable, dtype=bool)
+    # every hold-off of at least len - 1 latches alike; the clamp bounds the
+    # window's zero padding for any 32-bit register value
+    return window_sums(enable, min(holdoff, len(enable)) + 1, partial=True) > 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +112,14 @@ class SampleStream:
     def __len__(self) -> int:
         return len(self.i)
 
+    @cached_property
+    def sign_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The I and Q component signs as read-only +-1 float64 arrays (a
+        code of 0 counts as +1), built once and shared by every correlator."""
+        signs = np.where(np.stack((self.i, self.q)) >= 0, 1.0, -1.0)
+        signs.flags.writeable = False
+        return signs[0], signs[1]
+
     def to_complex(self) -> np.ndarray:
         """Exact float values of the stored codes (power-of-two scaling)."""
         step = self.format.step
@@ -136,6 +145,10 @@ class Preamble:
         return len(self.samples)
 
     def mean_power(self) -> float:
+        return self._mean_power
+
+    @cached_property
+    def _mean_power(self) -> float:
         return float(np.mean(np.abs(self.samples) ** 2))
 
 

@@ -81,9 +81,12 @@ class RegisterMap(Mapping):
     """Immutable keyed set of 32-bit unsigned registers.
 
     Values must be integers (``int``, ``bool`` or a numpy integer); a float
-    or a string is rejected rather than truncated or parsed."""
+    or a string is rejected rather than truncated or parsed.  Because a map
+    never changes, it also carries the memo of its decoded views (see
+    :func:`_decode_registers`); the memo takes no part in equality,
+    iteration or pickling."""
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_views")
 
     def __init__(self, values: Mapping[str, int]):
         checked = {}
@@ -98,6 +101,11 @@ class RegisterMap(Mapping):
                 raise ConfigurationError(f"register {key!r} value {value} not a 32-bit word")
             checked[str(key)] = value
         self._values = checked
+        self._views: dict[tuple, _PipelineView] = {}
+
+    def __reduce__(self):
+        # the receiving process decodes again on first use
+        return RegisterMap, (self._values,)
 
     def read(self, key: str) -> int:
         try:
@@ -178,9 +186,20 @@ class _PipelineView:
 
 
 def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _PipelineView:
+    """Decode and validate ``regs`` for a profile set, once per map.
+
+    The decode reads only the profiles' correlator lengths and ``fmt``, so
+    the view is memoized on the immutable map under that key: every run
+    under one map shares its banks, their sign arrays and packed words.  A
+    map that fails to decode raises each time and caches nothing, so its
+    error names the profile ids of the call."""
     profiles = list(profiles)
     if not profiles:
         raise ConfigurationError("at least one profile is required")
+    key = (tuple(p.correlator_len for p in profiles), fmt)
+    view = regs._views.get(key)
+    if view is not None:
+        return view
 
     energy_cfg = None
     if regs.read("energy/enabled"):
@@ -225,7 +244,7 @@ def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _Pi
         banks.append(bank)
         thresholds.append(threshold)
         enabled.append(bool(regs.read(f"prof{p}/enabled")))
-    return _PipelineView(
+    regs._views[key] = view = _PipelineView(
         energy_cfg=energy_cfg,
         coarse_cfg=coarse_cfg,
         holdoff=regs.read("fine/holdoff"),
@@ -233,6 +252,7 @@ def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _Pi
         thresholds=tuple(thresholds),
         enabled=tuple(enabled),
     )
+    return view
 
 
 def arbitrate(candidates) -> Candidate:
@@ -365,32 +385,37 @@ class DetectorBank:
     def __init__(self, profiles, regs: RegisterMap, fmt: FixedPointFormat):
         self._profiles = list(profiles)
         self._fmt = fmt
-        view = _decode_registers(self._profiles, regs, fmt)
-        if view.coarse_cfg is not None:
-            raise ConfigurationError("the streaming bank supports energy + fine only")
-        self._view = view
+        self._view = view = self._decode(regs)
         self._correlators = [SignCorrelator(bank) for bank in view.banks]
         self._energy = (
             EnergyDetector(view.energy_cfg, fmt) if view.energy_cfg is not None else None
         )
         self._holdoff_left = 0
-        self._pending: RegisterMap | None = None
+        self._pending: _PipelineView | None = None
 
-    def update_registers(self, regs: RegisterMap) -> None:
-        """Publish a complete register map; adopted at the next boundary."""
-        self._pending = regs
-
-    def _adopt_pending(self) -> None:
-        if self._pending is None:
-            return
-        view = _decode_registers(self._profiles, self._pending, self._fmt)
+    def _decode(self, regs: RegisterMap) -> _PipelineView:
+        view = _decode_registers(self._profiles, regs, self._fmt)
         if view.coarse_cfg is not None:
             raise ConfigurationError("the streaming bank supports energy + fine only")
-        if (self._view.energy_cfg is None) != (view.energy_cfg is None) or (
-            view.energy_cfg is not None
-            and view.energy_cfg.window_len != self._view.energy_cfg.window_len
+        return view
+
+    def update_registers(self, regs: RegisterMap) -> None:
+        """Publish a complete register map; adopted at the next boundary.
+
+        A map the bank cannot adopt raises :class:`ConfigurationError` here,
+        and the bank runs on under the map it has."""
+        view = self._decode(regs)
+        current = self._view.energy_cfg
+        if (current is None) != (view.energy_cfg is None) or (
+            current is not None and view.energy_cfg.window_len != current.window_len
         ):
             raise ConfigurationError("energy stage topology cannot change mid-stream")
+        self._pending = view
+
+    def _adopt_pending(self) -> None:
+        view = self._pending
+        if view is None:
+            return
         for correlator, bank in zip(self._correlators, view.banks):
             correlator.rebind_bank(bank)
         if self._energy is not None:

@@ -13,6 +13,7 @@ the 64-sample curve to dominate within the CIs wherever that model says it
 must.  The test prints the measured and model curves and the crossover.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -310,6 +311,29 @@ def test_criterion_4_curve_shape(sweep_results):
     assert ok_a, mono_violations
     assert not model_violations, model_violations
     assert not order_violations, order_violations
+
+
+# sha256 of the seed-7 criterion-4 CSVs: a change that moves any trial's
+# outcome shows here and must be called out, with the new digests
+CRITERION_4_CSV_SHA256 = {
+    "pn32": "b8ffd4b447d968c59879abae1f03ba482fec65ab654ab0bef3c1f5e240b5f9b4",
+    "pn64a": "ec8fd76e7d0eb426eed385419fc2c7597faf47a61615b7c07db74ac630026f99",
+}
+
+
+def test_criterion_4_csv_bytes_pinned(sweep_results):
+    t0 = time.perf_counter()
+    digests = {
+        tx: hashlib.sha256(sweep.to_csv().encode()).hexdigest()
+        for tx, (_, sweep, _) in sweep_results.items()
+    }
+    ok = digests == CRITERION_4_CSV_SHA256
+    assert report(
+        "criterion 4: sweep CSVs byte-identical to the pinned digests",
+        ok,
+        time.perf_counter() - t0,
+        "; ".join(f"{tx} {d[:12]}" for tx, d in digests.items()),
+    ), digests
 
 
 def test_criterion_7_determinism(sweep_results):

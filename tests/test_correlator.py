@@ -347,6 +347,14 @@ class TestLatchEnable:
         raw = np.array([1, 0, 1, 0], dtype=bool)
         assert latch_enable(raw, 0).tolist() == raw.tolist()
 
+    @given(st.lists(st.booleans(), max_size=64))
+    def test_largest_holdoff_register(self, raw):
+        # the register takes any 32-bit value; every hold-off of at least
+        # len - 1 latches to the prefix "any", at the cost of a short one
+        latched = latch_enable(raw, 2**32 - 1)
+        assert latched.tolist() == latch_enable(raw, len(raw)).tolist()
+        assert latched.tolist() == [any(raw[: n + 1]) for n in range(len(raw))]
+
     @given(st.lists(st.booleans(), min_size=1, max_size=64), st.integers(0, 8))
     def test_matches_window_any(self, raw, holdoff):
         latched = latch_enable(raw, holdoff)

@@ -8,6 +8,7 @@ from pktdet.signal import (
     FixedPointFormat,
     Preamble,
     Q1_15,
+    SampleStream,
     add_awgn,
     embed_preamble,
     pn_preamble,
@@ -115,6 +116,29 @@ class TestQuantize:
         stream = quantize([0.5 + 0.5j], Q1_15)
         with pytest.raises(ValueError):
             stream.i[0] = 3
+
+
+class TestSampleStreamSigns:
+    @given(
+        st.lists(st.tuples(st.integers(-32768, 32767), st.integers(-32768, 32767)), max_size=40)
+    )
+    @example([(0, 0), (-1, 0), (0, -1), (-32768, 32767)])
+    def test_matches_oracle_signs(self, codes):
+        i = np.array([c[0] for c in codes], dtype=np.int32)
+        q = np.array([c[1] for c in codes], dtype=np.int32)
+        stream = SampleStream(format=Q1_15, i=i, q=q)
+        s_i, s_q = stream.sign_arrays
+        assert s_i.dtype == s_q.dtype == np.float64
+        assert s_i.tolist() == [1.0 if c >= 0 else -1.0 for c, _ in codes]
+        assert s_q.tolist() == [1.0 if c >= 0 else -1.0 for _, c in codes]
+
+    def test_built_once_and_read_only(self):
+        stream = quantize([0.5 - 0.5j, 0.0], Q1_15)
+        s_i, s_q = stream.sign_arrays
+        assert stream.sign_arrays[0] is s_i
+        for signs in (s_i, s_q):
+            with pytest.raises(ValueError):
+                signs[0] = 0.0
 
 
 class TestEmbed:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -162,6 +163,8 @@ class TestRegisterRoundTrip:
         holdoff = data.draw(st.none() | st.integers(0, 1000))
         regs = build_register_map(profiles, energy, coarse, holdoff, fmt)
         view = _decode_registers(profiles, regs, fmt)
+        assert _decode_registers(list(profiles), regs, fmt) is view
+        assert view == _decode_registers(profiles, RegisterMap(regs), fmt)  # a fresh decode
         assert view.energy_cfg == energy
         assert view.coarse_cfg == coarse
         assert view.holdoff == (2 * max(lengths) if holdoff is None else holdoff)
@@ -198,6 +201,55 @@ class TestRegisterRoundTrip:
         regs = build_register_map(profiles, energy, fmt=fmt)
         decoded = _decode_registers(profiles, regs, fmt).energy_cfg
         assert enable_array(stream, decoded).tolist() == enable_array(stream, energy).tolist()
+
+
+class TestDecodeMemo:
+    """The decoded view is memoized on the immutable map, keyed by the
+    profiles' correlator lengths and the sample format."""
+
+    def setup_method(self):
+        self.profiles = [profile("a", 32, 50), profile("b", 40, 60)]
+        self.regs = build_register_map(self.profiles, energy=EnergyConfig(16, 0.5, 8))
+
+    def test_same_map_and_format_share_one_view(self):
+        view = _decode_registers(self.profiles, self.regs, Q1_15)
+        assert _decode_registers(self.profiles, self.regs, Q1_15) is view
+        # the decode reads only lengths: other profiles of the same lengths share it
+        others = [profile("c", 32, 7, seed=1), profile("d", 40, 9, seed=1)]
+        assert _decode_registers(others, self.regs, Q1_15) is view
+        q2_10 = _decode_registers(self.profiles, self.regs, FixedPointFormat(12, 10))
+        assert q2_10 is not view
+        assert q2_10.energy_cfg.sample_energy_threshold == 0.5 * Q1_15.scale**2 / 2**20
+
+    def test_a_written_map_decodes_afresh(self):
+        view = _decode_registers(self.profiles, self.regs, Q1_15)
+        updated = self.regs.write("prof0/threshold", 61)
+        assert _decode_registers(self.profiles, updated, Q1_15).thresholds == (61, 60)
+        word = self.regs["prof1/coeff_q/1"] ^ 0x1
+        flipped = _decode_registers(
+            self.profiles, self.regs.write("prof1/coeff_q/1", word), Q1_15
+        )
+        assert flipped.banks[0] == view.banks[0]
+        assert flipped.banks[1].q_words == (view.banks[1].q_words[0], word)
+        assert flipped.banks[1].sign_arrays[1][32] == -view.banks[1].sign_arrays[1][32]
+
+    def test_failed_decode_is_not_cached(self):
+        bad = self.regs.write("prof1/threshold", 0)
+        for pid in ("b", "e"):
+            profiles = [self.profiles[0], profile(pid, 40, 60)]
+            with pytest.raises(ConfigurationError, match=f"profile '{pid}'"):
+                _decode_registers(profiles, bad, Q1_15)
+
+    def test_memo_is_invisible(self):
+        fresh = RegisterMap(self.regs)
+        _decode_registers(self.profiles, self.regs, Q1_15)
+        assert self.regs == fresh and list(self.regs) == list(fresh)
+        assert pickle.dumps(self.regs) == pickle.dumps(fresh)
+        clone = pickle.loads(pickle.dumps(self.regs))
+        assert clone == self.regs and list(clone) == list(self.regs)
+        assert _decode_registers(self.profiles, clone, Q1_15) == _decode_registers(
+            self.profiles, self.regs, Q1_15
+        )
 
 
 class TestArbitrate:
@@ -295,6 +347,15 @@ class TestRunDetectorBank:
         gate_index, coarse_index = events[0].stage_trace
         assert coarse_index is None
         assert gate_index is not None and start <= gate_index <= start + 16
+
+    def test_largest_holdoff_register(self):
+        p = profile("a", 64, 128)
+        stream, start = make_capture(p)
+        regs = build_register_map([p], energy=EnergyConfig(16, 0.25, 8))
+        widest = regs.write("fine/holdoff", 2**32 - 1)
+        events = run_detector_bank(stream, [p], widest)
+        assert [(e.peak_value, e.peak_index) for e in events] == [(128, start + 63)]
+        assert events == run_detector_bank(stream, [p], regs.write("fine/holdoff", len(stream)))
 
     def test_three_standard_scenario_at_10db(self):
         profiles = scenario_profiles(seed=7)
@@ -538,6 +599,33 @@ class TestStreamingDetectorBank:
             ),
         )
         assert all(alternative != expected for alternative in wrong)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("prof0/threshold", 0),
+            ("prof0/coeff_i/1", 0xFFFFFFFF),
+            ("coarse/enabled", 1),
+            ("energy/enabled", 0),
+            ("energy/window_len", 8),
+        ],
+    )
+    def test_rejected_publish_keeps_the_current_map(self, key, value):
+        p = profile("a", 40, 50)
+        regs = build_register_map([p], energy=EnergyConfig(16, 0.25, 8))
+        stream, start = make_capture(p)
+        codes = list(zip(stream.i.tolist(), stream.q.tolist()))
+        reference = DetectorBank([p], regs, Q1_15)
+        expected = [reference.push(i, q) for i, q in codes]
+
+        bank = DetectorBank([p], regs, Q1_15)
+        half = start + 20  # mid-preamble
+        got = [bank.push(i, q) for i, q in codes[:half]]
+        with pytest.raises(ConfigurationError):
+            bank.update_registers(regs.write(key, value))
+        got += [bank.push(i, q) for i, q in codes[half:]]
+        assert got == expected
+        assert got[start + 39]["a"].re == 80
 
     def test_register_adoption_is_atomic(self):
         # two sentinel banks: all-positive signs vs all-negative signs
