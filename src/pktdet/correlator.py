@@ -23,8 +23,10 @@ preamble starting at stream index s lands at output index s + n - 1.
 The detection decision elsewhere in the pipeline compares ``re`` against a
 threshold, so the batch path computes only ``re``: the popcount identity
 above written as two dot products of +-1 sign arrays, p_ii + p_qq, one
-``np.correlate`` each.  :meth:`SignCorrelator.push` keeps all four partials,
-since it models the hardware's XNOR/popcount datapath.
+``np.correlate`` each.  It computes only the windows from the first to the
+last enabled position, so idle air the gate keeps closed before and after a
+packet costs no correlation.  :meth:`SignCorrelator.push` keeps all four
+partials, since it models the hardware's XNOR/popcount datapath.
 """
 
 from __future__ import annotations
@@ -239,24 +241,27 @@ class SignCorrelator:
 
         Returns ``(index, re)``: the enabled positions where the window is
         full, and the int64 ``re = p_ii + p_qq`` at those positions.
-        ``enable`` must match the stream length when given.
+        ``enable`` must match the stream length when given.  Only the
+        windows from the first to the last of those positions are computed.
         """
         length = len(stream)
         if enable is not None and len(enable) != length:
             raise ValueError("enable must have one entry per stream sample")
         first = self._n - 1  # the first position with a full window
-        if length <= first:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        index = np.arange(first, length)
+        index = np.arange(first, length, dtype=np.int64)
         if enable is not None:
             index = index[np.asarray(enable, dtype=bool)[first:]]
+        self.work_count += len(index)
+        if not len(index):
+            return index, np.zeros(0, dtype=np.int64)
+        # the span reaches n - 1 samples back so its first window is full
+        lo, hi = index[0] - first, index[-1] + 1
         # float64 takes numpy's fast dot path; every term is +-1, so each
         # sum is an integer of magnitude <= 2n, far below 2**53, and exact
         s_i, s_q = stream.sign_arrays
         ref_i, ref_q = self.bank.sign_arrays
-        re = np.correlate(s_i, ref_i) + np.correlate(s_q, ref_q)
-        self.work_count += len(index)
-        return index, re[index - first].astype(np.int64)
+        re = np.correlate(s_i[lo:hi], ref_i) + np.correlate(s_q[lo:hi], ref_q)
+        return index, re[index - index[0]].astype(np.int64)
 
 
 def latch_enable(enable, holdoff: int) -> np.ndarray:

@@ -235,8 +235,11 @@ def _sweep_point(args) -> tuple[int, list[TrialOutcome]]:
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Run all SNR points x trials.  ``workers > 1`` fans the SNR points out
-    to a process pool; outcomes are identical either way."""
+    to a process pool of at most one worker per point; outcomes are
+    identical either way."""
     tasks = [(cfg, k, snr) for k, snr in enumerate(cfg.snr_points_db)]
+    # the pool starts every worker it may use at once, busy or not
+    workers = min(workers, len(tasks))
     if workers > 1:
         # imported here: multiprocessing adds about 2 MB of resident memory
         # that serial sweeps and the other subcommands never use

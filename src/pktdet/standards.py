@@ -19,6 +19,7 @@ arbitration a total deterministic order.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -36,6 +37,11 @@ from .correlator import (
 )
 from .energy import EnergyConfig, EnergyDetector, enable_array, raw_threshold
 from .signal import FixedPointFormat, Preamble, SampleStream
+
+# distinct coefficient banks kept across register maps; a bank with its sign
+# arrays and packed words is a few kB
+_BANKS_CACHED = 256
+
 
 class ConfigurationError(ValueError):
     """Raised for unknown register keys or a register map inconsistent with
@@ -185,14 +191,25 @@ class _PipelineView:
     enabled: tuple[bool, ...]
 
 
+@functools.lru_cache(maxsize=_BANKS_CACHED)
+def _coefficient_bank(
+    length: int, i_words: tuple[int, ...], q_words: tuple[int, ...]
+) -> CoefficientBank:
+    """The one shared bank for these coefficient words (a ``ValueError`` is
+    raised again on every call, never cached)."""
+    return CoefficientBank(length=length, i_words=i_words, q_words=q_words)
+
+
 def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _PipelineView:
     """Decode and validate ``regs`` for a profile set, once per map.
 
     The decode reads only the profiles' correlator lengths and ``fmt``, so
     the view is memoized on the immutable map under that key: every run
-    under one map shares its banks, their sign arrays and packed words.  A
-    map that fails to decode raises each time and caches nothing, so its
-    error names the profile ids of the call."""
+    under one map shares its banks, their sign arrays and packed words.
+    Equal coefficient words in different maps share one bank as well, so a
+    map rebuilt with the same words unpacks nothing again.  A map that
+    fails to decode raises each time and caches nothing, so its error names
+    the profile ids of the call."""
     profiles = list(profiles)
     if not profiles:
         raise ConfigurationError("at least one profile is required")
@@ -232,7 +249,7 @@ def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _Pi
         try:
             i_words = tuple(regs.read(f"prof{p}/coeff_i/{w}") for w in range(word_count))
             q_words = tuple(regs.read(f"prof{p}/coeff_q/{w}") for w in range(word_count))
-            bank = CoefficientBank(length=length, i_words=i_words, q_words=q_words)
+            bank = _coefficient_bank(length, i_words, q_words)
         except ValueError as exc:
             raise ConfigurationError(
                 f"profile {profile.id!r}: coefficient words do not form a valid "

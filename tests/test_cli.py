@@ -242,6 +242,29 @@ def test_detect_stage_flags(capsys, repeated_block_capture, flags, events):
     assert lines == ["standard_id,peak_value,peak_index"] + events
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--input", "BAD_MAGIC"], "not an IQPD file"),
+        (["--profiles", "MISSING"], "No such file"),
+        (["--coarse-lag", "16", "--coarse-thresh", "2"], "metric_threshold"),
+        (["--energy-window", "0"], "window_len"),
+    ],
+)
+def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, flags, message):
+    profiles, capture = repeated_block_capture
+    bad = tmp_path / "bad.iqpd"
+    bad.write_bytes(b"IQPX" + capture.read_bytes()[4:])
+    paths = {"BAD_MAGIC": str(bad), "MISSING": str(tmp_path / "missing.ini")}
+    argv = ["detect", "--profiles", str(profiles), "--input", str(capture)]
+    argv += [paths.get(flag, flag) for flag in flags]  # a repeated flag overrides
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_detect_stage_flags_set_their_registers(monkeypatch, repeated_block_capture):
     profiles, capture = repeated_block_capture
     seen = []

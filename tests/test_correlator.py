@@ -29,6 +29,29 @@ sign_pair_lists = st.lists(st.tuples(sign, sign), min_size=1, max_size=128)
 component = st.sampled_from((0.0, -0.0)) | st.floats(-2.0, 2.0)
 
 
+@st.composite
+def block_masks(draw):
+    """A bank length n and an enable mask made of blocks, shaped to put the
+    ends of the correlated span at the stream's edges or far inside it."""
+    n = draw(st.integers(1, 64))
+    enable = np.zeros(draw(st.integers(3 * n + 8, 3 * n + 64)), dtype=bool)
+    shape = draw(st.sampled_from(("off", "head", "last", "apart", "start")))
+    if shape == "head":  # within the first n - 1 positions: no full window
+        a = draw(st.integers(0, n - 1))
+        enable[a : draw(st.integers(a, n - 1))] = True
+    elif shape == "last":
+        enable[-1] = True
+    elif shape == "apart":  # two blocks more than a window apart
+        a = draw(st.integers(0, len(enable) // 3))
+        b = draw(st.integers(a + 1, a + n))
+        c = draw(st.integers(b + n, len(enable) - 1))
+        enable[a:b] = True
+        enable[c : draw(st.integers(c + 1, len(enable)))] = True
+    elif shape == "start":
+        enable[: draw(st.integers(1, len(enable)))] = True
+    return n, enable
+
+
 def bank_from_signs(pairs):
     """Build a CoefficientBank whose sign pattern is exactly `pairs`."""
     samples = np.array([si + 1j * sq for si, sq in pairs], dtype=complex)
@@ -290,6 +313,23 @@ class TestCorrelateStream:
             corr.rebind_bank(second)
         batch = corr.process(stream, enable)
         pushed = SignCorrelator(second if rebind else first)
+        assert same_outputs(batch, as_outputs(push_run(pushed, stream, enable)))
+        assert corr.work_count == pushed.work_count == len(batch[0])
+
+    @example(shaped=(64, np.arange(200) == 199), seed=0)
+    @example(shaped=(16, ((np.arange(120) - 20) % 60) < 5), seed=1)
+    @given(block_masks(), st.integers(0, 2**32 - 1))
+    def test_process_span_edges(self, shaped, seed):
+        # process correlates only the span from the first to the last
+        # enabled full window; every edge of that span must match push
+        n, enable = shaped
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(-3, 3, size=(2, len(enable))).astype(np.int32)
+        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
+        bank = bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(n, 2))])
+        corr = SignCorrelator(bank)
+        batch = corr.process(stream, enable)
+        pushed = SignCorrelator(bank)
         assert same_outputs(batch, as_outputs(push_run(pushed, stream, enable)))
         assert corr.work_count == pushed.work_count == len(batch[0])
 

@@ -111,6 +111,36 @@ class TestRunSweep:
         assert serial.to_csv() == parallel.to_csv()
         assert serial.outcomes == parallel.outcomes
 
+    def test_pool_is_sized_to_the_grid(self, monkeypatch):
+        # a process pool starts all its workers at once, so a pool larger
+        # than the grid only forks idle processes; a serial fake records
+        # the size that is asked for without starting any
+        import concurrent.futures
+
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = default_sweep_config(trials_per_point=2)
+        pooled = run_sweep(cfg, workers=64)
+        assert asked == [len(cfg.snr_points_db)] == [13]
+        serial = run_sweep(cfg)
+        assert pooled.to_csv() == serial.to_csv() and pooled.outcomes == serial.outcomes
+        run_sweep(tiny_config(snr_points_db=(6.0,), trials_per_point=2), workers=4)
+        assert asked == [13]  # one point runs serially
+
     def test_csv_shape(self):
         cfg = tiny_config(snr_points_db=(6.0,), trials_per_point=4)
         text = run_sweep(cfg).to_csv()

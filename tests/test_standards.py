@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pktdet import standards
 from pktdet.coarse import CoarseConfig, detect_coarse
 from pktdet.correlator import SignCorrelator, latch_enable, load_coefficients
 from pktdet.energy import EnergyConfig, enable_array
@@ -250,6 +251,41 @@ class TestDecodeMemo:
         assert _decode_registers(self.profiles, clone, Q1_15) == _decode_registers(
             self.profiles, self.regs, Q1_15
         )
+
+
+class TestBankCache:
+    """Equal coefficient words share one bank across register maps, so a
+    map rebuilt for every capture unpacks no coefficients again."""
+
+    def setup_method(self):
+        self.profiles = [profile("a", 32, 50), profile("b", 40, 60)]
+
+    def test_equal_maps_share_their_banks(self):
+        energy = EnergyConfig(16, 0.5, 8)
+        first, second = (
+            _decode_registers(
+                self.profiles, build_register_map(self.profiles, energy=energy), Q1_15
+            )
+            for _ in range(2)
+        )
+        assert first is not second
+        for mine, theirs in zip(first.banks, second.banks):
+            assert mine is theirs
+            assert all(x is y for x, y in zip(mine.sign_arrays, theirs.sign_arrays))
+
+    def test_invalid_words_raise_on_every_call(self):
+        # bit 8 of the second word is sample 40, past a 40-point bank's end
+        for pid in ("b", "e", "b"):
+            bad = build_register_map(self.profiles).write("prof1/coeff_i/1", 0x100)
+            profiles = [self.profiles[0], profile(pid, 40, 60)]
+            with pytest.raises(ConfigurationError, match=f"profile '{pid}'.*40-point"):
+                _decode_registers(profiles, bad, Q1_15)
+
+    def test_cache_is_bounded(self):
+        regs = build_register_map(self.profiles[:1])
+        for word in range(1000):
+            _decode_registers(self.profiles[:1], regs.write("prof0/coeff_i/0", word), Q1_15)
+        assert standards._coefficient_bank.cache_info().currsize <= standards._BANKS_CACHED
 
 
 class TestArbitrate:
