@@ -137,12 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--input", required=True, help="IQPD capture file")
     p.add_argument("--out", default=None, help="events CSV (default stdout)")
-    p.add_argument("--energy-window", type=int, default=16)
-    p.add_argument("--energy-sample-thresh", type=float, default=0.5)
-    p.add_argument("--energy-count-thresh", type=int, default=8)
+    p.add_argument("--energy-window", type=int, default=EnergyConfig.window_len)
+    p.add_argument(
+        "--energy-sample-thresh", type=float, default=EnergyConfig.sample_energy_threshold
+    )
+    p.add_argument("--energy-count-thresh", type=int, default=EnergyConfig.count_threshold)
     p.add_argument("--coarse-lag", type=int, default=None, help="enable coarse stage at lag L")
-    p.add_argument("--coarse-thresh", type=float, default=0.5)
-    p.add_argument("--coarse-plateau", type=int, default=8)
+    p.add_argument("--coarse-thresh", type=float, default=CoarseConfig.metric_threshold)
+    p.add_argument("--coarse-plateau", type=int, default=CoarseConfig.plateau_min)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("sweep", help="Monte-Carlo SNR sweep")

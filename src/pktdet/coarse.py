@@ -29,8 +29,11 @@ from .signal import SampleStream, window_sums
 
 @dataclass(frozen=True)
 class CoarseConfig:
-    half_period: int
-    metric_threshold: float
+    """Coarse-stage parameters; the field defaults are the stage defaults of
+    the CLI and the INI files."""
+
+    half_period: int = 16
+    metric_threshold: float = 0.5
     plateau_min: int = 8
 
     def __post_init__(self) -> None:
@@ -44,7 +47,6 @@ class CoarseConfig:
 
 @dataclass(frozen=True)
 class CoarseOutput:
-    metric: np.ndarray
     first_trigger: int | None
 
 
@@ -90,4 +92,4 @@ def coarse_trigger(metric, cfg: CoarseConfig) -> int | None:
 
 def detect_coarse(stream: SampleStream, cfg: CoarseConfig) -> CoarseOutput:
     metric = schmidl_cox_metric(stream, cfg.half_period)
-    return CoarseOutput(metric=metric, first_trigger=coarse_trigger(metric, cfg))
+    return CoarseOutput(first_trigger=coarse_trigger(metric, cfg))

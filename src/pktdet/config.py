@@ -100,10 +100,8 @@ def parse_preamble_source(source: str, name: str, base_dir: Path | None = None) 
     if source.startswith("coeff:"):
         from .correlator import parse_bank
 
-        bank = parse_bank(resolve(source[6:]).read_text())
-        amp = 1.0 / math.sqrt(2.0)
-        samples = np.array([amp * (si + 1j * sq) for si, sq in bank.signs()])
-        return Preamble(id=name, samples=samples)
+        si, sq = parse_bank(resolve(source[6:]).read_text()).sign_arrays
+        return Preamble(id=name, samples=1.0 / math.sqrt(2.0) * (si + 1j * sq))
     raise ValueError(
         f"preamble source must start with 'pn:', 'file:' or 'coeff:', got {source!r}"
     )
@@ -165,7 +163,10 @@ def _profiles_from_parser(parser, base_dir: Path) -> tuple[StandardProfile, ...]
 
 def load_sweep_config(path) -> SweepConfig:
     """Parse a full sweep description ([sweep] section plus profiles)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"),
+        converters={"intrange": _parse_int_range, "format": FixedPointFormat.parse},
+    )
     with open(path) as fh:
         parser.read_file(fh)
     profiles = _profiles_from_parser(parser, Path(path).parent)
@@ -176,16 +177,22 @@ def load_sweep_config(path) -> SweepConfig:
     energy = None
     if sweep.getboolean("energy_enabled", fallback=True):
         energy = EnergyConfig(
-            window_len=sweep.getint("energy_window", fallback=16),
-            sample_energy_threshold=sweep.getfloat("energy_sample_thresh", fallback=0.5),
-            count_threshold=sweep.getint("energy_count_thresh", fallback=8),
+            window_len=sweep.getint("energy_window", fallback=EnergyConfig.window_len),
+            sample_energy_threshold=sweep.getfloat(
+                "energy_sample_thresh", fallback=EnergyConfig.sample_energy_threshold
+            ),
+            count_threshold=sweep.getint(
+                "energy_count_thresh", fallback=EnergyConfig.count_threshold
+            ),
         )
     coarse = None
     if sweep.getboolean("coarse_enabled", fallback=False):
         coarse = CoarseConfig(
-            half_period=sweep.getint("coarse_lag", fallback=16),
-            metric_threshold=sweep.getfloat("coarse_thresh", fallback=0.5),
-            plateau_min=sweep.getint("coarse_plateau", fallback=8),
+            half_period=sweep.getint("coarse_lag", fallback=CoarseConfig.half_period),
+            metric_threshold=sweep.getfloat(
+                "coarse_thresh", fallback=CoarseConfig.metric_threshold
+            ),
+            plateau_min=sweep.getint("coarse_plateau", fallback=CoarseConfig.plateau_min),
         )
     return SweepConfig(
         profiles=profiles,
@@ -193,9 +200,9 @@ def load_sweep_config(path) -> SweepConfig:
         snr_points_db=_parse_snr_points(sweep["snr_db"]),
         trials_per_point=sweep.getint("trials", fallback=300),
         seed=sweep.getint("seed", fallback=0),
-        pad_before_range=_parse_int_range(sweep.get("pad_before", fallback="64:192")),
-        pad_after=sweep.getint("pad_after", fallback=128),
+        pad_before_range=sweep.getintrange("pad_before", fallback=SweepConfig.pad_before_range),
+        pad_after=sweep.getint("pad_after", fallback=SweepConfig.pad_after),
         energy=energy,
         coarse=coarse,
-        sample_format=FixedPointFormat.parse(sweep.get("format", fallback="q1.15")),
+        sample_format=sweep.getformat("format", fallback=SweepConfig.sample_format),
     )

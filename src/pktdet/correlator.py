@@ -70,10 +70,6 @@ class CoefficientBank:
                 raise ValueError("bits beyond valid_bits_in_last_word must be zero")
 
     @property
-    def word_count(self) -> int:
-        return len(self.i_words)
-
-    @property
     def valid_bits_in_last_word(self) -> int:
         return self.length - WORD_BITS * (words_for(self.length) - 1)
 
@@ -88,19 +84,9 @@ class CoefficientBank:
 
     @cached_property
     def _packed(self) -> tuple[int, int]:
+        """All I-sign bits and all Q-sign bits as two integers, bit k =
+        reference sample k."""
         return _join_words(self.i_words), _join_words(self.q_words)
-
-    def packed_i(self) -> int:
-        """All I-sign bits as one integer, bit k = reference sample k."""
-        return self._packed[0]
-
-    def packed_q(self) -> int:
-        return self._packed[1]
-
-    def signs(self) -> list[tuple[int, int]]:
-        """Unpack back to per-sample ``(si, sq)`` signs of +-1 (index order)."""
-        si, sq = self.sign_arrays
-        return list(zip(si.tolist(), sq.tolist()))
 
 
 def words_for(length: int) -> int:
@@ -167,7 +153,7 @@ def parse_bank(text: str) -> CoefficientBank:
 
 @dataclass(frozen=True, slots=True)
 class CorrelatorOutput:
-    """The four sign partial sums; re/im follow the I/Q decomposition."""
+    """The four sign partial sums; ``re`` is the detection statistic."""
 
     p_ii: int
     p_qq: int
@@ -177,10 +163,6 @@ class CorrelatorOutput:
     @property
     def re(self) -> int:
         return self.p_ii + self.p_qq
-
-    @property
-    def im(self) -> int:
-        return self.p_qi - self.p_iq
 
 
 class SignCorrelator:
@@ -204,12 +186,7 @@ class SignCorrelator:
         self.bank = bank
         self._n = bank.length
         self._mask = (1 << bank.length) - 1
-        self._b_i = bank.packed_i()
-        self._b_q = bank.packed_q()
-
-    @property
-    def ready(self) -> bool:
-        return self._seen >= self._n
+        self._b_i, self._b_q = bank._packed
 
     def rebind_bank(self, bank: CoefficientBank) -> None:
         """Swap coefficients without disturbing the sample window."""

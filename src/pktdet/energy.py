@@ -31,12 +31,13 @@ class EnergyConfig:
 
     ``sample_energy_threshold`` is in natural squared-magnitude units (a
     full-scale component is ~1.0); the gate compares raw energies against
-    :func:`raw_threshold`.
+    :func:`raw_threshold`.  The field defaults are the stage defaults of the
+    CLI, the INI files and ``SweepConfig``.
     """
 
-    window_len: int
-    sample_energy_threshold: float
-    count_threshold: int
+    window_len: int = 16
+    sample_energy_threshold: float = 0.5
+    count_threshold: int = 8
 
     def __post_init__(self) -> None:
         if self.window_len < 1:

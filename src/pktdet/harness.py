@@ -66,7 +66,7 @@ class SweepConfig:
     seed: int
     pad_before_range: tuple[int, int] = (64, 192)
     pad_after: int = 128
-    energy: EnergyConfig | None = EnergyConfig(16, 0.5, 8)
+    energy: EnergyConfig | None = EnergyConfig()
     coarse: CoarseConfig | None = None
     sample_format: FixedPointFormat = Q1_15
 

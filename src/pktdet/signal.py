@@ -60,11 +60,6 @@ class FixedPointFormat:
     def max_code(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
-    @property
-    def step(self) -> float:
-        """Value of one LSB."""
-        return 2.0 ** -self.fractional_bits
-
     def name(self) -> str:
         return f"q{self.total_bits - self.fractional_bits}.{self.fractional_bits}"
 
@@ -119,11 +114,6 @@ class SampleStream:
         signs = np.where(np.stack((self.i, self.q)) >= 0, 1.0, -1.0)
         signs.flags.writeable = False
         return signs[0], signs[1]
-
-    def to_complex(self) -> np.ndarray:
-        """Exact float values of the stored codes (power-of-two scaling)."""
-        step = self.format.step
-        return self.i.astype(np.float64) * step + 1j * self.q.astype(np.float64) * step
 
 
 @dataclass(frozen=True)

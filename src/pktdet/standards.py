@@ -128,7 +128,7 @@ class RegisterMap(Mapping):
         return RegisterMap(updated)
 
     def __getitem__(self, key: str) -> int:
-        return self.read(key)
+        return self._values[key]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._values)
@@ -147,7 +147,8 @@ def build_register_map(
     """Populate a register map for a profile set.
 
     ``energy``/``coarse`` of None leaves that stage disabled (the correlators
-    then run unconditionally).  ``holdoff`` defaults to twice the longest
+    then run unconditionally); its registers then hold the stage's defaults,
+    which no decode reads.  ``holdoff`` defaults to twice the longest
     correlator so a peak near the gate's trailing edge survives.
     """
     profiles = list(profiles)
@@ -157,15 +158,17 @@ def build_register_map(
     if holdoff is None:
         holdoff = 2 * max_len
 
+    gate = energy or EnergyConfig()
+    trigger = coarse or CoarseConfig()
     values: dict[str, int] = {
         "energy/enabled": int(energy is not None),
-        "energy/window_len": energy.window_len if energy else 16,
-        "energy/sample_thresh_raw": raw_threshold(energy, fmt) if energy else 0,
-        "energy/count_thresh": energy.count_threshold if energy else 0,
+        "energy/window_len": gate.window_len,
+        "energy/sample_thresh_raw": raw_threshold(gate, fmt),
+        "energy/count_thresh": gate.count_threshold,
         "coarse/enabled": int(coarse is not None),
-        "coarse/lag": coarse.half_period if coarse else 16,
-        "coarse/thresh_q15": round((coarse.metric_threshold if coarse else 0.0) * (1 << 15)),
-        "coarse/plateau": coarse.plateau_min if coarse else 8,
+        "coarse/lag": trigger.half_period,
+        "coarse/thresh_q15": round(trigger.metric_threshold * (1 << 15)),
+        "coarse/plateau": trigger.plateau_min,
         "fine/holdoff": holdoff,
     }
     for p, profile in enumerate(profiles):
@@ -394,9 +397,10 @@ class DetectorBank:
 
     Single-owner: feed samples one at a time; each call returns the raw
     correlator output per profile id (None where gated off or not ready).
-    A register map published with :meth:`update_registers` is adopted in
-    full at the next sample boundary, so every output is explainable by
-    exactly one complete configuration.  The coarse stage is batch-only.
+    A register map passed to :meth:`update_registers` is in force, in full,
+    from the next push: the owner calls it between pushes, so it always
+    lands on a sample boundary and every output is explainable by exactly
+    one complete configuration.  The coarse stage is batch-only.
     """
 
     def __init__(self, profiles, regs: RegisterMap, fmt: FixedPointFormat):
@@ -408,7 +412,6 @@ class DetectorBank:
             EnergyDetector(view.energy_cfg, fmt) if view.energy_cfg is not None else None
         )
         self._holdoff_left = 0
-        self._pending: _PipelineView | None = None
 
     def _decode(self, regs: RegisterMap) -> _PipelineView:
         view = _decode_registers(self._profiles, regs, self._fmt)
@@ -417,7 +420,7 @@ class DetectorBank:
         return view
 
     def update_registers(self, regs: RegisterMap) -> None:
-        """Publish a complete register map; adopted at the next boundary.
+        """Publish a complete register map, in force from the next push.
 
         A map the bank cannot adopt raises :class:`ConfigurationError` here,
         and the bank runs on under the map it has."""
@@ -427,21 +430,13 @@ class DetectorBank:
             current is not None and view.energy_cfg.window_len != current.window_len
         ):
             raise ConfigurationError("energy stage topology cannot change mid-stream")
-        self._pending = view
-
-    def _adopt_pending(self) -> None:
-        view = self._pending
-        if view is None:
-            return
         for correlator, bank in zip(self._correlators, view.banks):
             correlator.rebind_bank(bank)
         if self._energy is not None:
             self._energy.reconfigure(view.energy_cfg)
         self._view = view
-        self._pending = None
 
     def push(self, i_code: int, q_code: int) -> dict[str, CorrelatorOutput | None]:
-        self._adopt_pending()
         raw_active = self._energy.push(i_code, q_code) if self._energy is not None else True
         if raw_active:
             self._holdoff_left = self._view.holdoff

@@ -4,6 +4,13 @@ with the batch path."""
 import numpy as np
 
 
+def sign_pairs(bank):
+    """The reference signs of ``bank`` as ``(si, sq)`` pairs of +-1 in
+    sample order, ready to push as codes."""
+    si, sq = bank.sign_arrays
+    return list(zip(si.tolist(), sq.tolist()))
+
+
 def push_run(corr, stream, enable=None):
     """Push every sample of ``stream`` through ``corr``; the ``(n,
     CorrelatorOutput)`` pairs of the positions where it reported."""

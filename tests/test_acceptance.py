@@ -39,7 +39,7 @@ from oracles import (
     sign_detection_probability,
     sign_partials,
 )
-from streaming import as_outputs, push_run, same_outputs
+from streaming import as_outputs, push_run, same_outputs, sign_pairs
 
 
 def report(name: str, ok: bool, elapsed: float, detail: str = "") -> bool:
@@ -148,7 +148,7 @@ def test_criterion_2_ideal_maxima():
     for n, ideal in ((32, 64), (64, 128)):
         preamble = pn_preamble("p", n, seed=(2, n))
         bank = load_coefficients(preamble)
-        (p_ii, p_qq, p_qi, p_iq), re = correlate_both_ways(bank.signs(), bank)[n - 1]
+        (p_ii, p_qq, p_qi, p_iq), re = correlate_both_ways(sign_pairs(bank), bank)[n - 1]
         assert p_ii + p_qq == re == ideal
         assert p_qi - p_iq == 0
 

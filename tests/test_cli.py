@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,11 +6,16 @@ import pytest
 
 from pktdet import cli
 from pktdet.cli import main
-from pktdet.config import load_sweep_config
+from pktdet.coarse import CoarseConfig
+from pktdet.config import load_profiles, load_sweep_config
 from pktdet.correlator import load_coefficients, parse_bank
+from pktdet.energy import EnergyConfig
 from pktdet.harness import SweepConfig, default_sweep_config, run_scope_scenario, run_sweep
 from pktdet.iqfile import read_iq
-from pktdet.signal import pn_preamble
+from pktdet.signal import Q1_15, pn_preamble
+from pktdet.standards import build_register_map
+
+from streaming import sign_pairs
 
 CONFIG = """
 [sweep]
@@ -54,7 +60,7 @@ def test_gen_coeff_from_file(tmp_path):
     assert main(["gen-coeff", "--preamble", f"file:{ref}", "--out", str(out)]) == 0
     bank = parse_bank(out.read_text())
     assert bank.length == 2
-    assert bank.signs() == [(1, -1), (-1, 1)]
+    assert sign_pairs(bank) == [(1, -1), (-1, 1)]
 
 
 def test_gen_iq_then_detect_round_trip(tmp_path, config_file):
@@ -265,8 +271,9 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
-def test_detect_stage_flags_set_their_registers(monkeypatch, repeated_block_capture):
-    profiles, capture = repeated_block_capture
+@pytest.fixture
+def detect_registers(monkeypatch):
+    """The register maps that `detect` runs its captures under."""
     seen = []
     detect = cli.run_detector_bank
 
@@ -275,11 +282,16 @@ def test_detect_stage_flags_set_their_registers(monkeypatch, repeated_block_capt
         return detect(stream, profiles, regs)
 
     monkeypatch.setattr(cli, "run_detector_bank", spy)
+    return seen
+
+
+def test_detect_stage_flags_set_their_registers(detect_registers, repeated_block_capture):
+    profiles, capture = repeated_block_capture
     flags = ["--energy-window", "12", "--energy-sample-thresh", "0.25"]
     flags += ["--energy-count-thresh", "5", "--coarse-lag", "16"]
     flags += ["--coarse-thresh", "0.75", "--coarse-plateau", "3"]
     assert main(["detect", "--profiles", str(profiles), "--input", str(capture)] + flags) == 0
-    (regs,) = seen
+    (regs,) = detect_registers
     assert {key: regs[key] for key in regs if key.split("/")[0] in ("energy", "coarse")} == {
         "energy/enabled": 1,
         "energy/window_len": 12,
@@ -290,6 +302,31 @@ def test_detect_stage_flags_set_their_registers(monkeypatch, repeated_block_capt
         "coarse/thresh_q15": round(0.75 * 2**15),
         "coarse/plateau": 3,
     }
+
+
+def test_stage_defaults_have_one_home(tmp_path, detect_registers, repeated_block_capture):
+    # the detect flags, the [sweep] fallbacks and SweepConfig all start from
+    # the EnergyConfig and CoarseConfig field defaults
+    energy, coarse = EnergyConfig(), CoarseConfig()
+    profiles, capture = repeated_block_capture
+    argv = ["detect", "--profiles", str(profiles), "--input", str(capture)]
+    assert main(argv + ["--coarse-lag", str(coarse.half_period)]) == 0
+    (regs,) = detect_registers
+    expected = build_register_map(load_profiles(profiles), energy, coarse, fmt=Q1_15)
+    assert regs == expected
+
+    config = tmp_path / "bare.ini"
+    pads = "pad_before = 32:48\npad_after = 48\n"
+    config.write_text(CONFIG.replace(pads, "coarse_enabled = true\n"))
+    cfg = load_sweep_config(config)
+    assert (cfg.energy, cfg.coarse) == (energy, coarse)
+    defaults = default_sweep_config()
+    assert (cfg.pad_before_range, cfg.pad_after, cfg.sample_format) == (
+        defaults.pad_before_range,
+        defaults.pad_after,
+        defaults.sample_format,
+    )
+    assert defaults.energy == energy
 
 
 def test_scope_config_with_two_profiles(tmp_path):
@@ -334,3 +371,48 @@ def test_sweep_without_config_runs_the_default_scenario(tmp_path, monkeypatch, t
         if field.name != "profiles":  # preambles hold arrays; compared above
             assert getattr(cfg, field.name) == getattr(expected, field.name)
     assert out.read_text().splitlines()[1].startswith("10,2,")
+
+
+# sha256 of each subcommand's output on fixed inputs: a change that moves
+# any output byte shows here and must be called out, with the new digests
+CLI_OUTPUT_SHA256 = {
+    "gen-coeff": "84d0ef3ff94b2f0e11877bd6309f7b35d712958c06dd2f93a32107b59fb716bd",
+    "gen-iq-q1.15": "004355568b9080fceb95b726e345a8c2beb7fda135d7310a2ae7c1db4d730b9e",
+    "gen-iq-q2.10": "cf6aa6c2460ff4f7474da3f4d2aa284b87dc9bc3f4fc0ad4ec3d3c8b303101d2",
+    "scope-seed-7": "4a761b9180c194d779d66c17307485181304dfda681b588c47a8f839eacf26e2",
+    "detect": "1e53bcae030f67a590037e6ce14cffad0421e7858a106013c6736c5bedb97ff0",
+    "detect-coarse": "113b6210f8c1252cfd734b96b9ed56aefdde46376df16c1c918e3c8cf00e8f76",
+    "detect-block": "04c4684af78956077021d9e72094fc053b555487cd84b4762eab15ecf2ead875",
+    "detect-block-coarse": "04c4684af78956077021d9e72094fc053b555487cd84b4762eab15ecf2ead875",
+    "detect-coeff": "1e53bcae030f67a590037e6ce14cffad0421e7858a106013c6736c5bedb97ff0",
+}
+
+
+def test_cli_output_bytes_pinned(tmp_path, config_file, repeated_block_capture):
+    outputs = {}
+
+    def run(name, argv):
+        path = tmp_path / f"{name}.out"
+        assert main(argv + ["--out", str(path)]) == 0
+        outputs[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        return path
+
+    run("gen-coeff", ["gen-coeff", "--preamble", "pn:seed=11,len=64"])
+    gen = ["gen-iq", "--profiles", str(config_file), "--transmit", "pn64a", "--seed", "3"]
+    capture = run("gen-iq-q1.15", gen + ["--format", "q1.15"])
+    run("gen-iq-q2.10", gen + ["--format", "q2.10", "--pad-after", "40"])
+    run("scope-seed-7", ["scope", "--seed", "7"])
+    detect = ["detect", "--profiles", str(config_file), "--input", str(capture)]
+    run("detect", detect)
+    run("detect-coarse", detect + ["--coarse-lag", "16"])
+    block_profiles, block_capture = repeated_block_capture
+    detect = ["detect", "--profiles", str(block_profiles), "--input", str(block_capture)]
+    run("detect-block", detect)
+    run("detect-block-coarse", detect + ["--coarse-lag", "16"])
+    # pn64a rebuilt from its packed coefficient dump
+    bank = tmp_path / "pn64a.txt"
+    assert main(["gen-coeff", "--preamble", "pn:seed=202,len=64", "--out", str(bank)]) == 0
+    coeff_profiles = tmp_path / "coeff.ini"
+    coeff_profiles.write_text(f"[profile pn64a]\npreamble = coeff:{bank}\nthreshold = 100\n")
+    run("detect-coeff", ["detect", "--profiles", str(coeff_profiles), "--input", str(capture)])
+    assert outputs == CLI_OUTPUT_SHA256

@@ -21,7 +21,7 @@ from pktdet.signal import (
 )
 
 from oracles import float_xcorr_argmax, sign_bits, sign_partials, split_words
-from streaming import as_outputs, push_run, same_outputs
+from streaming import as_outputs, push_run, same_outputs, sign_pairs
 
 sign = st.sampled_from((-1, 1))
 sign_pair_lists = st.lists(st.tuples(sign, sign), min_size=1, max_size=128)
@@ -89,29 +89,29 @@ class TestCategorize:
 class TestCoefficientBank:
     def test_sixteen_point_fills_half_a_word(self):
         bank = load_coefficients(pn_preamble("p", 16, seed=1))
-        assert bank.word_count == 1
+        assert len(bank.i_words) == 1
         assert bank.valid_bits_in_last_word == 16
         assert bank.i_words[0] <= 0xFFFF
 
     def test_thirty_two_point_fills_one_word(self):
         bank = load_coefficients(pn_preamble("p", 32, seed=1))
-        assert bank.word_count == 1
+        assert len(bank.i_words) == 1
         assert bank.valid_bits_in_last_word == 32
 
     def test_sixty_four_point_uses_two_words(self):
         preamble = pn_preamble("p", 64, seed=1)
         bank = load_coefficients(preamble)
-        assert bank.word_count == 2
+        assert len(bank.i_words) == 2
         assert bank.valid_bits_in_last_word == 32
         # unpack reproduces the componentwise signs
         expected = [
             (1 if s.real >= 0 else -1, 1 if s.imag >= 0 else -1) for s in preamble.samples
         ]
-        assert bank.signs() == expected
+        assert sign_pairs(bank) == expected
 
     def test_zero_component_loads_as_one(self):
         bank = load_coefficients(Preamble(id="z", samples=np.array([0 + 0j, -1 - 1j])))
-        assert bank.signs() == [(1, 1), (-1, -1)]
+        assert sign_pairs(bank) == [(1, 1), (-1, -1)]
 
     def test_word_count_validation(self):
         with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ class TestCoefficientBank:
         n = len(parts)
         assert bank.i_words == split_words(re_bits, n)
         assert bank.q_words == split_words(im_bits, n)
-        assert (bank.packed_i(), bank.packed_q()) == (re_bits, im_bits)
+        assert bank._packed == (re_bits, im_bits)
         si, sq = bank.sign_arrays
         assert si.tolist() == [1 if re_bits >> k & 1 else -1 for k in range(n)]
         assert sq.tolist() == [1 if im_bits >> k & 1 else -1 for k in range(n)]
@@ -157,21 +157,20 @@ class TestCorrelateAt:
         for n, ideal in ((32, 64), (64, 128)):
             preamble = pn_preamble("p", n, seed=9)
             bank = load_coefficients(preamble)
-            out = correlate_codes(bank.signs(), bank)
+            out = correlate_codes(sign_pairs(bank), bank)
             assert out.re == ideal
-            assert out.im == 0
+            assert out.p_qi - out.p_iq == 0
 
     def test_negated_window_hits_ideal_minimum(self):
         bank = load_coefficients(pn_preamble("p", 32, seed=9))
-        out = correlate_codes([(-si, -sq) for si, sq in bank.signs()], bank)
+        out = correlate_codes([(-si, -sq) for si, sq in sign_pairs(bank)], bank)
         assert out.re == -64
 
     def test_underfilled_window_not_ready(self):
         bank = load_coefficients(pn_preamble("p", 8, seed=1))
         corr = SignCorrelator(bank)
-        assert corr.push(1, 1) is None
-        assert not corr.ready
-        assert corr.work_count == 0
+        assert [corr.push(1, 1) is None for _ in range(8)] == [True] * 7 + [False]
+        assert corr.work_count == 1
 
     @given(sign_pair_lists, st.randoms(use_true_random=False))
     def test_matches_naive_dot_product(self, ref_pairs, rnd):
@@ -198,7 +197,7 @@ class TestCorrelateAt:
     def test_window_keeps_most_recent_samples(self):
         bank = load_coefficients(pn_preamble("p", 4, seed=3))
         decoys = [(-1, -1)] * 3
-        assert correlate_codes(decoys + bank.signs(), bank).re == 8  # decoys evicted
+        assert correlate_codes(decoys + sign_pairs(bank), bank).re == 8  # decoys evicted
 
     def test_stacking_two_halves(self):
         preamble = pn_preamble("p", 64, seed=21)
@@ -217,7 +216,7 @@ class TestCorrelateAt:
         lo = correlate_codes(window_pairs[:32], bank_lo)
         hi = correlate_codes(window_pairs[32:], bank_hi)
         assert full.re == lo.re + hi.re
-        assert full.im == lo.im + hi.im
+        assert full.p_qi - full.p_iq == (lo.p_qi - lo.p_iq) + (hi.p_qi - hi.p_iq)
 
 
 class TestScalingInvariance:

@@ -82,6 +82,18 @@ class TestRegisterMap:
         with pytest.raises(ConfigurationError):
             regs.write("bogus/key", 1)
 
+    def test_missing_key_follows_the_mapping_protocol(self):
+        # `in` and `.get` rest on KeyError; read() raises the configuration
+        # error that the decoder reports
+        regs = build_register_map([profile("a", 32, 50)])
+        assert "nope" not in regs
+        assert regs.get("nope", 5) == 5
+        assert "prof0/threshold" in regs and regs["prof0/threshold"] == 50
+        with pytest.raises(KeyError):
+            regs["nope"]
+        with pytest.raises(ConfigurationError):
+            regs.read("nope")
+
     def test_non_word_value_rejected(self):
         regs = build_register_map([profile("a", 32, 50)])
         with pytest.raises(ConfigurationError):
@@ -662,6 +674,21 @@ class TestStreamingDetectorBank:
         got += [bank.push(i, q) for i, q in codes[half:]]
         assert got == expected
         assert got[start + 39]["a"].re == 80
+
+    def test_profile_enables_adopted_at_the_next_push(self):
+        a, b = profile("a", 16, 20), profile("b", 32, 40)
+        regs_on = build_register_map([a, b])
+        regs_off = regs_on.write("prof1/enabled", 0)
+        stream, _ = make_capture(b, pad_before=40, pad_after=40)
+        bank = DetectorBank([a, b], regs_on, Q1_15)
+        reported = []
+        for n in range(len(stream)):
+            if n in (50, 100):
+                bank.update_registers(regs_off if n == 50 else regs_on)
+            out = bank.push(int(stream.i[n]), int(stream.q[n]))
+            reported.append((out["a"] is not None, out["b"] is not None))
+        expected = [(n >= 15, n >= 31 and not 50 <= n < 100) for n in range(len(stream))]
+        assert reported == expected
 
     def test_register_adoption_is_atomic(self):
         # two sentinel banks: all-positive signs vs all-negative signs
