@@ -7,6 +7,12 @@ component >= 0).  An n-point correlation then needs no multipliers: a sign
 product is +1 exactly when the two sign bits agree, so each partial sum is
 
     partial = 2 * popcount(XNOR(window_bits, coeff_bits)) - n
+            = n - 2 * popcount(XOR(window_bits, coeff_bits))
+
+The two forms are equal because both operands fit in n bits (the window
+keeps only the newest n sample bits and a bank has no bits past its
+length), so the XNOR's n-bit popcount is n minus the XOR's; the XOR form
+needs neither the complement nor a mask.
 
 The four partials combine into the complex correlation:
 
@@ -151,9 +157,13 @@ def parse_bank(text: str) -> CoefficientBank:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CorrelatorOutput:
-    """The four sign partial sums; ``re`` is the detection statistic."""
+    """The four sign partial sums; ``re`` is the detection statistic.
+
+    A plain mutable record (not frozen), since :meth:`SignCorrelator.push`
+    builds one per profile per enabled sample and a frozen dataclass pays a
+    guarded ``object.__setattr__`` for every field."""
 
     p_ii: int
     p_qq: int
@@ -185,7 +195,7 @@ class SignCorrelator:
     def _bind(self, bank: CoefficientBank) -> None:
         self.bank = bank
         self._n = bank.length
-        self._mask = (1 << bank.length) - 1
+        self._top = 1 << (bank.length - 1)
         self._b_i, self._b_q = bank._packed
 
     def rebind_bank(self, bank: CoefficientBank) -> None:
@@ -197,20 +207,28 @@ class SignCorrelator:
     def push(
         self, i_code: int, q_code: int, enabled: bool = True
     ) -> CorrelatorOutput | None:
-        """Shift one sample's raw codes in; correlate if enabled and ready."""
-        top_bit = 1 << (self._n - 1)
-        win_i = self._win_i = (self._win_i >> 1) | (top_bit if i_code >= 0 else 0)
-        win_q = self._win_q = (self._win_q >> 1) | (top_bit if q_code >= 0 else 0)
+        """Shift one sample's raw codes in; correlate if enabled and ready.
+
+        Each partial is ``n - 2 * popcount(window ^ coeff)``, the XNOR form
+        counted from the disagreeing bits: the window only ever holds bits
+        0 .. n - 1 and the bank has no bits past its length, so the XOR
+        needs no mask and ``popcount(XNOR) = n - popcount(XOR)``.
+        """
+        top = self._top
+        win_i = self._win_i = (self._win_i >> 1) | (top if i_code >= 0 else 0)
+        win_q = self._win_q = (self._win_q >> 1) | (top if q_code >= 0 else 0)
         self._seen += 1
         if not enabled or self._seen < self._n:
             return None
         self.work_count += 1
-        n, mask, b_i, b_q = self._n, self._mask, self._b_i, self._b_q
+        n, b_i, b_q = self._n, self._b_i, self._b_q
+        # positional, in field order p_ii, p_qq, p_qi, p_iq: keyword
+        # arguments cost about 0.4 us more per record
         return CorrelatorOutput(
-            p_ii=2 * ((~(win_i ^ b_i)) & mask).bit_count() - n,
-            p_qq=2 * ((~(win_q ^ b_q)) & mask).bit_count() - n,
-            p_qi=2 * ((~(win_q ^ b_i)) & mask).bit_count() - n,
-            p_iq=2 * ((~(win_i ^ b_q)) & mask).bit_count() - n,
+            n - 2 * (win_i ^ b_i).bit_count(),
+            n - 2 * (win_q ^ b_q).bit_count(),
+            n - 2 * (win_q ^ b_i).bit_count(),
+            n - 2 * (win_i ^ b_q).bit_count(),
         )
 
     def process(self, stream: SampleStream, enable=None) -> tuple[np.ndarray, np.ndarray]:

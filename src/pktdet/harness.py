@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .coarse import CoarseConfig
-from .correlator import SignCorrelator, load_coefficients
+from .correlator import SignCorrelator
 from .energy import EnergyConfig
 from .signal import (
     FixedPointFormat,
@@ -314,7 +314,7 @@ def run_scope_scenario(cfg: SweepConfig, snr_db: float = 10.0, seed: int = 0) ->
 
     traces: dict[str, np.ndarray] = {}
     for profile in cfg.profiles:
-        index, re = SignCorrelator(load_coefficients(profile.preamble)).process(stream)
+        index, re = SignCorrelator(profile.bank).process(stream)
         trace = np.zeros(len(stream), dtype=np.int32)
         trace[index] = re
         traces[profile.id] = trace

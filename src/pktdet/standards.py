@@ -66,6 +66,12 @@ class StandardProfile:
     def correlator_len(self) -> int:
         return self.preamble.length
 
+    @functools.cached_property
+    def bank(self) -> CoefficientBank:
+        """The preamble's signs packed into coefficient words, once per
+        profile: every register map built for the profile reads them."""
+        return load_coefficients(self.preamble)
+
 
 @dataclass(frozen=True, slots=True)
 class DetectionEvent:
@@ -172,7 +178,7 @@ def build_register_map(
         "fine/holdoff": holdoff,
     }
     for p, profile in enumerate(profiles):
-        bank = load_coefficients(profile.preamble)
+        bank = profile.bank
         values[f"prof{p}/threshold"] = profile.fine_threshold
         values[f"prof{p}/enabled"] = 1
         for w, word in enumerate(bank.i_words):
@@ -408,6 +414,11 @@ class DetectorBank:
         self._fmt = fmt
         self._view = view = self._decode(regs)
         self._correlators = [SignCorrelator(bank) for bank in view.banks]
+        # rebind_bank keeps each correlator, so its bound push stays valid
+        self._pushes = [
+            (profile.id, correlator.push)
+            for profile, correlator in zip(self._profiles, self._correlators)
+        ]
         self._energy = (
             EnergyDetector(view.energy_cfg, fmt) if view.energy_cfg is not None else None
         )
@@ -445,8 +456,6 @@ class DetectorBank:
             enabled = self._holdoff_left > 0
             self._holdoff_left = max(0, self._holdoff_left - 1)
         return {
-            profile.id: self._correlators[p].push(
-                i_code, q_code, enabled and self._view.enabled[p]
-            )
-            for p, profile in enumerate(self._profiles)
+            pid: push(i_code, q_code, enabled and on)
+            for (pid, push), on in zip(self._pushes, self._view.enabled)
         }

@@ -39,7 +39,7 @@ from oracles import (
     sign_detection_probability,
     sign_partials,
 )
-from streaming import as_outputs, push_run, same_outputs, sign_pairs
+from streaming import as_outputs, push_run, sign_pairs
 
 
 def report(name: str, ok: bool, elapsed: float, detail: str = "") -> bool:

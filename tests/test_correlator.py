@@ -332,6 +332,43 @@ class TestCorrelateStream:
         assert same_outputs(batch, as_outputs(push_run(pushed, stream, enable)))
         assert corr.work_count == pushed.work_count == len(batch[0])
 
+    @example(n=32, seed=0, rebind_at=0)
+    @example(n=64, seed=1, rebind_at=192)
+    @given(st.integers(1, 70), st.integers(0, 2**32 - 1), st.integers(0, 210))
+    def test_push_partials_over_a_long_gated_run(self, n, seed, rebind_at):
+        # 3n samples through one correlator, rebound to a second bank of the
+        # same length at sample `rebind_at`; n crosses the 32- and 64-bit
+        # word edges, and codes 0 and -1 sit on either side of the sign cut
+        rng = np.random.default_rng(seed)
+        length = 3 * n
+        rebind_at %= length + 1
+        codes = rng.integers(-2, 2, size=(2, length))
+        spots = rng.choice(length, size=2, replace=False)
+        codes[:, spots[0]] = (0, -1)
+        codes[:, spots[1]] = (-1, 0)
+        enable = rng.integers(0, 2, size=length).astype(bool)
+        banks = [
+            bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(n, 2))])
+            for _ in range(2)
+        ]
+        signs = [(1 if i >= 0 else -1, 1 if q >= 0 else -1) for i, q in codes.T.tolist()]
+
+        corr = SignCorrelator(banks[0])
+        reported = 0
+        for t, (i, q) in enumerate(codes.T.tolist()):
+            if t == rebind_at:
+                corr.rebind_bank(banks[1])
+            out = corr.push(i, q, bool(enable[t]))
+            assert (out is not None) == (enable[t] and t >= n - 1)
+            if out is None:
+                continue
+            reported += 1
+            ref = sign_pairs(banks[t >= rebind_at])
+            assert (out.p_ii, out.p_qq, out.p_qi, out.p_iq) == sign_partials(
+                signs[t - n + 1 : t + 1], ref
+            )
+        assert corr.work_count == reported
+
     def test_process_ignores_the_push_window(self):
         # process starts from an empty window whatever push shifted in before
         rng = np.random.default_rng(4)

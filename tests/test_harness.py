@@ -7,7 +7,6 @@ import pytest
 
 from pktdet import harness
 from pktdet.harness import (
-    ScopeResult,
     SweepConfig,
     TrialOutcome,
     default_sweep_config,

@@ -300,6 +300,32 @@ class TestBankCache:
         assert standards._coefficient_bank.cache_info().currsize <= standards._BANKS_CACHED
 
 
+class TestProfileWords:
+    """A profile packs its preamble's coefficient words once, however many
+    register maps are built for it."""
+
+    def test_builds_pack_each_profile_once(self, monkeypatch):
+        packed = []
+
+        def counting(preamble):
+            packed.append(preamble.id)
+            return load_coefficients(preamble)
+
+        monkeypatch.setattr(standards, "load_coefficients", counting)
+        profiles = [profile("a", 32, 50), profile("b", 64, 100), profile("c", 16, 20)]
+        first, second = (build_register_map(profiles) for _ in range(2))
+        assert sorted(packed) == ["a", "b", "c"]
+        expected = {}
+        for p, prof in enumerate(profiles):
+            bank = load_coefficients(prof.preamble)
+            for part, words in (("i", bank.i_words), ("q", bank.q_words)):
+                for w, word in enumerate(words):
+                    expected[f"prof{p}/coeff_{part}/{w}"] = word
+        for regs in (first, second):
+            assert {k: v for k, v in regs.items() if "/coeff_" in k} == expected
+        assert first == second
+
+
 class TestArbitrate:
     def test_longer_preamble_wins(self):
         c32 = Candidate(profile("a", 32, 50), peak_value=60, peak_index=100, order=0)
