@@ -14,13 +14,14 @@ point quantity, formed once per position from the exact integers.
 M(d) is bounded by the energy ratio of the two window halves; it sits in
 [0, 1] for stationary inputs but can exceed 1 on a sharp level transition
 (loud half followed by quiet half).  The trigger compares against a
-threshold in [0, 1] and requires the metric to hold for ``plateau_min``
-consecutive positions so single-sample spikes cannot fire it.
+threshold in [0, 1], rounded to the Q15 grid of its register, and requires
+the metric to hold for ``plateau_min`` consecutive positions so
+single-sample spikes cannot fire it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,6 +83,13 @@ def schmidl_cox_metric(stream: SampleStream, lag: int) -> np.ndarray:
     return np.divide(p2, r2, out=np.zeros_like(p2), where=r2 > 0)
 
 
+def threshold_q15(cfg: CoarseConfig) -> int:
+    """The metric threshold on the ``coarse/thresh_q15`` register's grid,
+    ``round(metric_threshold * 2**15)``: the configured and the
+    register-decoded stage both compare against it."""
+    return round(cfg.metric_threshold * (1 << 15))
+
+
 def coarse_trigger(metric, cfg: CoarseConfig) -> int | None:
     """First index where the metric holds >= threshold for ``plateau_min``
     consecutive positions, or None."""
@@ -91,5 +99,8 @@ def coarse_trigger(metric, cfg: CoarseConfig) -> int | None:
 
 
 def detect_coarse(stream: SampleStream, cfg: CoarseConfig) -> CoarseOutput:
+    """The coarse stage: the first trigger of the stream's metric against
+    the Q15 threshold (:func:`threshold_q15`), as the register holds it."""
     metric = schmidl_cox_metric(stream, cfg.half_period)
-    return CoarseOutput(first_trigger=coarse_trigger(metric, cfg))
+    on_grid = replace(cfg, metric_threshold=threshold_q15(cfg) / (1 << 15))
+    return CoarseOutput(first_trigger=coarse_trigger(metric, on_grid))

@@ -26,6 +26,10 @@ import numpy as np
 # caps the reference length so |re| <= 2n can never overflow them.
 MAX_PREAMBLE_LEN = 1 << 14
 
+# a value of this magnitude or more quantizes to a saturated code in every
+# format (at most 16 bits, so |code| <= 2**15)
+_SATURATING = float(1 << 16)
+
 
 @dataclass(frozen=True)
 class FixedPointFormat:
@@ -104,6 +108,20 @@ class SampleStream:
                 raise ValueError("sample codes out of range for the declared format")
             arr.flags.writeable = False  # immutable after construction
 
+    @classmethod
+    def _from_clipped(
+        cls, fmt: FixedPointFormat, codes: np.ndarray, saturation_count: int
+    ) -> "SampleStream":
+        """A stream over the two rows of a fresh (2, n) int32 array whose
+        codes are already inside ``fmt``'s range, built without the range
+        scan: only :func:`quantize`, which clips every code, may call it."""
+        codes.flags.writeable = False
+        stream = object.__new__(cls)
+        stream.__dict__.update(
+            format=fmt, i=codes[0], q=codes[1], saturation_count=saturation_count
+        )
+        return stream
+
     def __len__(self) -> int:
         return len(self.i)
 
@@ -153,27 +171,39 @@ def window_sums(values, width: int, partial: bool = False) -> np.ndarray:
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    if partial:
-        values = np.concatenate((np.zeros(width - 1, dtype=np.int64), values))
-    csum = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    # the prefix sum lands after one zero, plus the partial windows' padding
+    lead = width if partial else 1
+    csum = np.zeros(lead + len(values), dtype=np.int64)
+    np.cumsum(values, dtype=np.int64, out=csum[lead:])
     return csum[width:] - csum[: max(len(csum) - width, 0)]
 
 
-def _quantize_component(values: np.ndarray, fmt: FixedPointFormat) -> tuple[np.ndarray, int]:
-    scaled = values * fmt.scale
-    # round half away from zero; exact for |scaled| < 2**52
-    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    clipped = np.clip(rounded, fmt.min_code, fmt.max_code)
-    saturated = int(np.count_nonzero(rounded != clipped))
-    return clipped.astype(np.int32), saturated
-
-
 def quantize(values, fmt: FixedPointFormat = Q1_15) -> SampleStream:
-    """Quantize complex values to a SampleStream (round to nearest, saturate)."""
+    """Quantize a 1-D sequence of complex values to a SampleStream (round
+    half away from zero, saturate at the format bounds).
+
+    Both components are rounded in one pass over the interleaved float64
+    view.  NaN has no code and is rejected; +-inf saturates."""
     v = np.asarray(values, dtype=np.complex128)
-    i_codes, sat_i = _quantize_component(v.real, fmt)
-    q_codes, sat_q = _quantize_component(v.imag, fmt)
-    return SampleStream(format=fmt, i=i_codes, q=q_codes, saturation_count=sat_i + sat_q)
+    if v.ndim != 1:
+        raise ValueError("i and q must be 1-D arrays of equal length")
+    pairs = np.ascontiguousarray(v).view(np.float64).reshape(-1, 2)
+    # round half away from zero, sign(x) * floor(|x| * scale + 0.5), in
+    # place.  A magnitude of 2**16 or more saturates every format, so capping
+    # it there first keeps the scaling finite; below 2**16 every step is exact
+    rounded = np.minimum(np.abs(pairs), _SATURATING)
+    rounded *= fmt.scale
+    rounded += 0.5
+    np.floor(rounded, out=rounded)
+    np.copysign(rounded, pairs, out=rounded)
+    clipped = np.maximum(rounded, fmt.min_code)
+    np.minimum(clipped, fmt.max_code, out=clipped)
+    # a NaN never equals its clip, so it counts here and the NaN scan runs
+    saturated = int(np.count_nonzero(rounded != clipped))
+    if saturated and np.isnan(rounded).any():
+        raise ValueError("cannot quantize NaN")
+    codes = clipped.T.astype(np.int32, order="C")  # contiguous i and q rows
+    return SampleStream._from_clipped(fmt, codes, saturated)
 
 
 def embed_preamble(
@@ -205,16 +235,31 @@ def add_awgn(signal, snr_db: float, seed, signal_power: float = 1.0) -> np.ndarr
     ``signal_power / (2 * 10**(snr_db/10))``.  ``snr_db = +inf`` disables
     noise.  ``seed`` may be anything ``numpy.random.default_rng`` accepts,
     including an existing Generator; a fixed seed is bit-reproducible.
+
+    A ``ValueError`` rejects a ``signal_power`` that is negative or not
+    finite, and an SNR (NaN, -inf or of too large a magnitude) that leaves
+    no finite noise level.
     """
+    # Python floats: an overflow raises here instead of a numpy scalar warning
+    snr_db, signal_power = float(snr_db), float(signal_power)
+    if not (math.isfinite(signal_power) and signal_power >= 0):
+        raise ValueError(f"signal_power must be finite and >= 0, got {signal_power}")
     x = np.asarray(signal, dtype=np.complex128)
     if len(x) == 0:
         raise ValueError("signal must be non-empty")
     if math.isinf(snr_db) and snr_db > 0:
         return x.copy()
-    sigma = math.sqrt(signal_power / (2.0 * 10.0 ** (snr_db / 10.0)))
+    try:
+        sigma = math.sqrt(signal_power / (2.0 * 10.0 ** (snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):  # 10**(snr/10) overflowed or reached 0
+        sigma = math.inf
+    if not math.isfinite(sigma):  # also a NaN SNR
+        raise ValueError(f"snr_db {snr_db} gives no finite noise level")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=(len(x), 2))
-    return x + noise[:, 0] + 1j * noise[:, 1]
+    # complex addition is componentwise: add the signal into the noise pairs
+    noise += np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
+    return noise.view(np.complex128).ravel()
 
 
 def pn_preamble(name: str, length: int, seed) -> Preamble:

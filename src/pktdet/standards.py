@@ -26,7 +26,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .coarse import CoarseConfig, detect_coarse
+from .coarse import CoarseConfig, detect_coarse, threshold_q15
 from .correlator import (
     CoefficientBank,
     CorrelatorOutput,
@@ -173,7 +173,7 @@ def build_register_map(
         "energy/count_thresh": gate.count_threshold,
         "coarse/enabled": int(coarse is not None),
         "coarse/lag": trigger.half_period,
-        "coarse/thresh_q15": round(trigger.metric_threshold * (1 << 15)),
+        "coarse/thresh_q15": threshold_q15(trigger),
         "coarse/plateau": trigger.plateau_min,
         "fine/holdoff": holdoff,
     }
@@ -302,14 +302,20 @@ def _extract_candidates(index, re, threshold: int, profile: StandardProfile, ord
     value at each.  A run breaks when the index jumps (gate gap) or ``re``
     drops below the threshold; its peak is its first maximum."""
     above = re >= threshold
-    index, re = index[above], re[above]
-    if not len(index):
-        return []
-    breaks = np.flatnonzero(np.diff(index) != 1) + 1
     candidates = []
-    for run_index, run_re in zip(np.split(index, breaks), np.split(re, breaks)):
-        peak = int(np.argmax(run_re))
-        candidates.append(Candidate(profile, int(run_re[peak]), int(run_index[peak]), order))
+    peak = peak_index = None
+    prev = -2  # below every index, so the first position opens a run
+    # a drop below the threshold leaves an index gap among the kept positions
+    for k, value in zip(index[above].tolist(), re[above].tolist()):
+        if k != prev + 1:
+            if peak is not None:
+                candidates.append(Candidate(profile, peak, peak_index, order))
+            peak, peak_index = value, k
+        elif value > peak:
+            peak, peak_index = value, k
+        prev = k
+    if peak is not None:
+        candidates.append(Candidate(profile, peak, peak_index, order))
     return candidates
 
 

@@ -26,13 +26,17 @@ def round_half_away(value: float, fractional_bits: int, min_code: int, max_code:
 
 
 def quantize_oracle(values, fmt) -> tuple[list[tuple[int, int]], int]:
-    """Componentwise rational quantization; returns codes and saturation count."""
+    """Componentwise rational quantization; returns codes and saturation
+    count.  An infinite component saturates."""
     pairs = []
     saturations = 0
     for v in values:
         codes = []
         for x in (v.real, v.imag):
-            unclipped = round_half_away(x, fmt.fractional_bits, -(1 << 40), 1 << 40)
+            if math.isinf(x):
+                unclipped = int(math.copysign(1 << 40, x))
+            else:
+                unclipped = round_half_away(x, fmt.fractional_bits, -(1 << 40), 1 << 40)
             clipped = min(max(unclipped, fmt.min_code), fmt.max_code)
             saturations += clipped != unclipped
             codes.append(clipped)

@@ -271,6 +271,19 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("snr", ["-inf", "1e308", "nan"])
+@pytest.mark.parametrize("command", ["scope", "gen-iq"])
+def test_bad_snr_exits_2(capsys, tmp_path, config_file, command, snr):
+    argv = [command, f"--snr={snr}", "--out", str(tmp_path / "out")]
+    if command == "gen-iq":
+        argv += ["--profiles", str(config_file), "--transmit", "pn32"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "out").exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "snr_db" in err
+
+
 @pytest.fixture
 def detect_registers(monkeypatch):
     """The register maps that `detect` runs its captures under."""

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from pktdet.iqfile import MAGIC, read_iq, write_iq
+from pktdet.iqfile import _HEADER, MAGIC, read_iq, write_iq
 from pktdet.signal import FixedPointFormat, Q1_15, quantize
 
 
@@ -63,3 +64,44 @@ def test_alternate_format_survives(tmp_path):
     path = tmp_path / "alt.iqpd"
     write_iq(path, stream)
     assert read_iq(path).format == fmt
+
+
+headers = st.builds(
+    _HEADER.pack,
+    st.sampled_from([MAGIC, b"IQPX"]),
+    st.sampled_from([1, 1, 1, 2]),
+    st.integers(0, 20) | st.integers(0, 255),
+    st.integers(0, 20) | st.integers(0, 255),
+    st.sampled_from([1, 1, 1, 0, 3]),
+    st.integers(0, 12) | st.integers(0, 2**64 - 1),
+)
+payloads = st.binary(max_size=48) | st.lists(st.integers(-32768, 32767), max_size=24).map(
+    lambda codes: np.array(codes, dtype="<i2").tobytes()
+)
+
+
+@example(header=_HEADER.pack(MAGIC, 1, 8, 7, 1, 1), payload=b"\x80\x00\x00\x00")  # I = 128
+@example(header=_HEADER.pack(MAGIC, 1, 2, 1, 1, 1), payload=b"\x00\x00\xfe\xff")  # Q = -2
+@given(headers, payloads)
+def test_no_input_gets_past_unchecked(tmp_path_factory, header, payload):
+    # an IQPD file gives a ValueError or a stream whose codes lie inside its
+    # format; a stored int16 code can exceed a format narrower than 16 bits
+    path = tmp_path_factory.mktemp("fuzz") / "capture.iqpd"
+    path.write_bytes(header + payload)
+    try:
+        stream = read_iq(path)
+    except ValueError:
+        return
+    fmt = stream.format
+    assert len(stream) == _HEADER.unpack_from(header)[-1] == len(payload) // 4
+    for codes in (stream.i, stream.q):
+        assert all(fmt.min_code <= c <= fmt.max_code for c in codes.tolist())
+
+
+@pytest.mark.parametrize("total_bits, code", [(8, 128), (8, -129), (2, 2), (12, -2049)])
+def test_out_of_range_code_rejected(tmp_path, total_bits, code):
+    header = _HEADER.pack(MAGIC, 1, total_bits, total_bits - 1, 1, 1)
+    path = tmp_path / "wide.iqpd"
+    path.write_bytes(header + np.array([0, code], dtype="<i2").tobytes())
+    with pytest.raises(ValueError, match="out of range"):
+        read_iq(path)

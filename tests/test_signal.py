@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,20 @@ from oracles import float_xcorr_argmax, quantize_oracle, slice_sums
 def code_values(stream):
     """The exact value of each stored code, ``code * 2**-F``."""
     return (stream.i + 1j * stream.q) * 2.0 ** -stream.format.fractional_bits
+
+
+# quantizer inputs near the codes of the formats tested: small values, ties
+# at half a step of q1.15, q2.10 and q4.12, both saturation ends and the
+# signed zeros and infinities
+component_values = st.one_of(
+    st.floats(-9.0, 9.0),
+    st.builds(
+        lambda k, frac: (k + 0.5) * 2.0**-frac,
+        st.integers(-(1 << 16), 1 << 16),
+        st.sampled_from([10, 12, 15]),
+    ),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 2.0, -2.0, 8.0, -8.0]),
+)
 
 
 class TestFixedPointFormat:
@@ -72,20 +87,50 @@ class TestQuantize:
         assert abs(value.real - 0.1) < 2.0**-15
         assert abs(value.imag - 0.7) < 2.0**-15
 
+    @example(fmt=Q1_15, values=[complex(math.inf, -math.inf), -0.0, complex(1e308, -1e308)])
+    @example(fmt=FixedPointFormat(12, 10), values=[2 - 2j, 2 - 2.0005j, -0.0004882 + 0.0004883j])
     @given(
+        st.sampled_from([Q1_15, FixedPointFormat(12, 10), FixedPointFormat(16, 12)]),
         st.lists(
-            st.complex_numbers(
-                min_magnitude=0, max_magnitude=4.0, allow_nan=False, allow_infinity=False
+            st.builds(
+                complex,
+                st.one_of(component_values, st.floats(allow_nan=False)),
+                st.one_of(component_values, st.floats(allow_nan=False)),
             ),
             min_size=1,
             max_size=32,
-        )
+        ),
     )
-    def test_matches_rational_oracle(self, values):
-        stream = quantize(values, Q1_15)
-        expected_pairs, expected_sats = quantize_oracle(values, Q1_15)
+    def test_matches_rational_oracle(self, fmt, values):
+        # past both saturation ends, ties at half a step, +-0.0 and +-inf
+        stream = quantize(values, fmt)
+        expected_pairs, expected_sats = quantize_oracle(values, fmt)
         assert list(zip(stream.i.tolist(), stream.q.tolist())) == expected_pairs
         assert stream.saturation_count == expected_sats
+        for codes in (stream.i, stream.q):
+            assert codes.dtype == np.int32 and codes.flags.c_contiguous
+
+    def test_non_contiguous_input(self):
+        values = np.random.default_rng(5).normal(size=(40, 2)) @ np.array([1, 1j])
+        strided = values[::3]
+        assert not strided.flags.c_contiguous
+        stream = quantize(strided, Q1_15)
+        expected_pairs, _ = quantize_oracle(strided, Q1_15)
+        assert list(zip(stream.i.tolist(), stream.q.tolist())) == expected_pairs
+
+    @pytest.mark.parametrize("values", [0.5 + 0.5j, [[0.1, 0.2], [0.3, 0.4]], [[0.1]]])
+    def test_rejects_input_that_is_not_1d(self, values):
+        with pytest.raises(ValueError, match="1-D"):
+            quantize(values, Q1_15)
+
+    @pytest.mark.parametrize(
+        "values", [[complex(math.nan, 0.0)], [0.1, complex(0.5, math.nan), 3.0], [math.nan]]
+    )
+    def test_rejects_nan_without_a_warning(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN"):
+                quantize(values, Q1_15)
 
     @given(
         st.lists(
@@ -196,6 +241,52 @@ class TestAwgn:
         with pytest.raises(ValueError):
             add_awgn([], 10.0, seed=0)
 
+    @given(
+        st.lists(
+            st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+            | st.sampled_from([0j, complex(-0.0, -0.0), complex(0.0, -0.0)]),
+            min_size=1,
+            max_size=64,
+        ),
+        st.floats(-30.0, 60.0),
+        st.integers(0, 2**32),
+        st.floats(0.0, 4.0),
+    )
+    def test_matches_the_complex_expression(self, signal, snr_db, seed, signal_power):
+        # the noise added in place through the float pairs, bit for bit
+        x = np.array(signal, dtype=np.complex128)
+        sigma = math.sqrt(signal_power / (2.0 * 10.0 ** (snr_db / 10.0)))
+        n = np.random.default_rng(seed).normal(0.0, sigma, size=(len(x), 2))
+        expected = x + n[:, 0] + 1j * n[:, 1]
+        got = add_awgn(signal, snr_db, seed, signal_power)
+        assert got.dtype == np.complex128 and got.shape == x.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "snr_db,signal_power",
+        [
+            (math.nan, 1.0),
+            (-math.inf, 1.0),
+            (1e308, 1.0),  # 10**(snr/10) overflows
+            (-1e308, 1.0),  # 10**(snr/10) reaches 0
+            (-3200.0, 1.0),  # the noise level overflows
+            (10.0, -1.0),
+            (10.0, math.nan),
+            (10.0, math.inf),
+            (math.inf, -1.0),
+        ],
+    )
+    @pytest.mark.parametrize("number", [float, np.float64])
+    def test_rejects_a_bad_snr_or_signal_power(self, snr_db, signal_power, number):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="snr_db|signal_power"):
+                add_awgn(np.ones(4, dtype=complex), number(snr_db), 0, number(signal_power))
+
+    def test_silent_signal_power_adds_no_noise(self):
+        x = np.array([0.5 - 0.25j, 0j])
+        assert np.array_equal(add_awgn(x, -20.0, seed=3, signal_power=0.0), x)
+
 
 class TestPnPreamble:
     def test_unit_power_constant_modulus(self):
@@ -221,8 +312,8 @@ class TestWindowSums:
         st.data(),
     )
     def test_matches_slice_sums(self, values, partial, data):
-        # widths 1 to len + 1: the last has no full window
-        width = data.draw(st.integers(1, len(values) + 1))
+        # widths 1 to len + 3: the last three have no full window
+        width = data.draw(st.integers(1, len(values) + 3))
         got = window_sums(np.array(values, dtype=np.int64), width, partial)
         assert got.dtype == np.int64
         assert got.tolist() == slice_sums(values, width, partial)
@@ -230,10 +321,14 @@ class TestWindowSums:
     @example(values=[], width=1, partial=False)
     @example(values=[], width=3, partial=True)
     @example(values=[True, False, True], width=5, partial=False)
+    @example(values=[True, True], width=9, partial=True)
     @given(st.lists(st.booleans(), max_size=40), st.integers(1, 45), st.booleans())
     def test_counts_booleans(self, values, width, partial):
         # a width past the length gives no full window and clips every partial one
-        got = window_sums(values, width, partial)
+        assert window_sums(values, width, partial).tolist() == slice_sums(values, width, partial)
+        # the gate and the plateau pass boolean arrays
+        got = window_sums(np.array(values, dtype=bool), width, partial)
+        assert got.dtype == np.int64
         assert got.tolist() == slice_sums(values, width, partial)
 
     def test_width_must_be_positive(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pktdet import standards
-from pktdet.coarse import CoarseConfig, detect_coarse
+from pktdet.coarse import CoarseConfig, detect_coarse, schmidl_cox_metric
 from pktdet.correlator import SignCorrelator, latch_enable, load_coefficients
 from pktdet.energy import EnergyConfig, enable_array
 from pktdet.harness import scenario_profiles
@@ -549,6 +549,45 @@ class TestExtractCandidates:
         expected = run_peaks(zip(index.tolist(), re.tolist()), threshold)
         assert [(c.peak_value, c.peak_index) for c in got] == expected
         assert all(c.profile is p and c.order == 2 for c in got)
+
+    @pytest.mark.parametrize(
+        "index, re, peaks",
+        [
+            # a tie inside one run: the first maximum wins
+            ([3, 4, 5, 6], [5, 7, 7, 6], [(7, 4)]),
+            # a gate gap between 5 and 8 splits the run
+            ([4, 5, 8, 9], [6, 7, 7, 5], [(7, 5), (7, 8)]),
+            # a drop below the threshold at 6 splits the run
+            ([4, 5, 6, 7, 8], [5, 6, 4, 9, 5], [(6, 5), (9, 7)]),
+            # a run ending at the last position
+            ([0, 1, 2, 3], [1, 2, 5, 8], [(8, 3)]),
+        ],
+    )
+    def test_pinned_runs(self, index, re, peaks):
+        p = profile("a", 32, 1)
+        got = _extract_candidates(np.array(index), np.array(re), 5, p, 0)
+        assert [(c.peak_value, c.peak_index) for c in got] == peaks
+
+
+class TestCoarseThresholdGrid:
+    @example(seed=0, pick=30)
+    @given(st.integers(0, 2**32), st.integers(0, 200))
+    def test_configured_and_register_paths_agree(self, seed, pick):
+        # the threshold is one of the stream's own metric values, the hardest
+        # case for two paths that round it differently; thresholds off the
+        # metric are drawn by the picks past its end
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(-32768, 32768, size=(2, 48), dtype=np.int32)
+        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
+        metric = sorted(v for v in schmidl_cox_metric(stream, 8).tolist() if v <= 1.0)
+        threshold = metric[pick] if pick < len(metric) else (pick - len(metric)) / 200
+        cfg = CoarseConfig(half_period=8, metric_threshold=threshold, plateau_min=1)
+        p = profile("a", 32, 50)
+        regs = build_register_map([p], coarse=cfg)
+        decoded = _decode_registers([p], regs, Q1_15).coarse_cfg
+        assert regs["coarse/thresh_q15"] == round(threshold * 2**15)
+        configured = detect_coarse(stream, cfg).first_trigger
+        assert detect_coarse(stream, decoded).first_trigger == configured
 
 
 class TestRegisterValidation:

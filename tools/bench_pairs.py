@@ -1,0 +1,150 @@
+"""Compare a base revision with this checkout on one benchmark workload.
+
+Run from anywhere inside the repository:
+
+    python3 tools/bench_pairs.py --workload sweep_curves --base HEAD~1 \\
+        --pairs 10 --seconds 20 --seed 1511
+
+The base revision is exported with ``git archive`` into a temporary
+directory; the change side is this checkout's files as they stand,
+committed or not.  Pair k runs ``bench/run.py --seed <seed + k>`` untraced
+on both trees, the base first on even pairs and the change first on odd
+ones.  The script writes every run's metrics and op count, each side's
+median and quartiles per metric, and the pairs the change won (ties count
+for neither side) to ``BENCH_<workload>.json`` at the repository root, or
+to ``--out``.  Whether higher or lower is better comes from the
+``end_to_end`` list of ``BENCHMARK.json``.  It exits 1 if any run failed
+its checks, after writing the file.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import re
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def export(revision: str, into: Path) -> str:
+    """Unpack ``revision``'s tree into ``into``; return its commit id."""
+    commit = git("rev-parse", "--verify", f"{revision}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as tar:
+        tar.extractall(into, filter="data")
+    return commit
+
+
+def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced ``bench/run.py`` run on ``tree``: its provenance,
+    metrics, op count, check counts and exit code."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(
+        cmd, cwd=tree, capture_output=True, text=True, timeout=600 + 5 * seconds
+    )
+    lines = done.stdout.splitlines()
+    if done.returncode not in (0, 1) or len(lines) < 2:
+        raise RuntimeError(f"bench/run.py exited {done.returncode} in {tree}:\n{done.stderr}")
+    result = json.loads(lines[-1])
+    ops = re.search(r"(\d+) untraced ops", done.stdout)
+    return {
+        "seed": seed,
+        "exit": done.returncode,
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "ops": int(ops.group(1)) if ops else None,
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "notes": lines[1:-1],
+        "provenance": json.loads(lines[0])["provenance"],
+    }
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles; a single value is all three."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    summary = {}
+    for name in pairs[0]["base"]["metrics"]:
+        base = [p["base"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        sign = -1 if better.get(name) == "lower" else 1
+        summary[name] = {
+            "better": better.get(name, "higher"),
+            "base": spread(base),
+            "change": spread(change),
+            "median_change": statistics.median(change) / statistics.median(base) - 1,
+            "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            "pairs": len(pairs),
+        }
+    summary["ops"] = {
+        side: spread([p[side]["ops"] for p in pairs]) for side in ("base", "change")
+    }
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--out", default=None, help="default BENCH_<workload>.json at the root")
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
+        parser.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.workload}.json"
+
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base_commit = export(args.base, Path(tmp))
+        for k in range(args.pairs):
+            seed = args.seed + k
+            order = ("base", "change") if k % 2 == 0 else ("change", "base")
+            pair = {"pair": k, "seed": seed, "first": order[0]}
+            for side in order:
+                tree = Path(tmp) if side == "base" else ROOT
+                pair[side] = bench_run(tree, args.workload, seed, args.seconds)
+                print(f"pair {k} {side}: " + json.dumps(pair[side]["metrics"]), flush=True)
+            pairs.append(pair)
+
+    head = git("rev-parse", "HEAD").decode().strip()
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    report = {
+        "workload": args.workload,
+        "base": base_commit,
+        "change": head + ("+uncommitted" if dirty else ""),
+        "seconds": args.seconds,
+        "seeds": [args.seed, args.seed + args.pairs - 1],
+        "summary": summarize(pairs, better),
+        "pairs": pairs,
+    }
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {out}")
+    failed = [(p["pair"], side) for p in pairs for side in ("base", "change") if p[side]["exit"]]
+    if failed:
+        print(f"runs that failed their checks (pair, side): {failed}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
