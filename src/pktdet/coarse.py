@@ -21,11 +21,11 @@ single-sample spikes cannot fire it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import SampleStream, window_sums
+from .signal import SampleStream
 
 
 @dataclass(frozen=True)
@@ -51,36 +51,33 @@ class CoarseOutput:
     first_trigger: int | None
 
 
-def schmidl_cox_correlations(
-    stream: SampleStream, lag: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact integer (P_re, P_im, R) for every d in [0, len - 2*lag].
+def schmidl_cox_correlations(stream: SampleStream, lag: int) -> np.ndarray:
+    """Exact integer (P_re, P_im, R) for every d in [0, len - 2*lag], as the
+    rows of one (3, m) int64 array, from one prefix sum along the rows.
 
-    Computed with prefix sums over the lag products, i.e. each position is a
-    single add/subtract update of its neighbour.  int64 is exact here for
-    the <= 16-bit formats and streams shorter than 2**32 samples.
-    """
+    int64 is exact for the <= 16-bit formats and streams shorter than 2**32
+    samples."""
     n = len(stream)
     if lag < 1 or n < 2 * lag:
         raise ValueError("stream must hold at least two half-periods")
-    i = stream.i.astype(np.int64)
-    q = stream.q.astype(np.int64)
-    # conj(y[t]) * y[t+L], and |y[t+L]|^2
-    prod_re = i[:-lag] * i[lag:] + q[:-lag] * q[lag:]
-    prod_im = i[:-lag] * q[lag:] - q[:-lag] * i[lag:]
-    energy = i[lag:] * i[lag:] + q[lag:] * q[lag:]
-    return window_sums(prod_re, lag), window_sums(prod_im, lag), window_sums(energy, lag)
+    i, q = stream.codes.astype(np.int64)
+    # conj(y[t]) * y[t+L] and |y[t+L]|^2, after a zero column
+    sums = np.zeros((3, n - lag + 1), dtype=np.int64)
+    np.add(i[:-lag] * i[lag:], q[:-lag] * q[lag:], out=sums[0, 1:])
+    np.subtract(i[:-lag] * q[lag:], q[:-lag] * i[lag:], out=sums[1, 1:])
+    sums[2, 1:] = stream.energy[lag:]
+    np.cumsum(sums, axis=1, out=sums)
+    return sums[:, lag:] - sums[:, :-lag]
 
 
 def schmidl_cox_metric(stream: SampleStream, lag: int) -> np.ndarray:
     """Timing metric M(d) = |P(d)|^2 / R(d)^2, with M = 0 where R = 0."""
-    p_re, p_im, r = schmidl_cox_correlations(stream, lag)
-    p_re_f = p_re.astype(np.float64)
-    p_im_f = p_im.astype(np.float64)
-    r_f = r.astype(np.float64)
-    p2 = p_re_f * p_re_f + p_im_f * p_im_f
-    r2 = r_f * r_f
-    return np.divide(p2, r2, out=np.zeros_like(p2), where=r2 > 0)
+    p2, p_im2, r2 = schmidl_cox_correlations(stream, lag).astype(np.float64)
+    np.add(np.square(p2, out=p2), np.square(p_im2, out=p_im2), out=p2)  # |P|^2
+    # R = 0 only where the second half is silent, so P = 0 there too: R**2
+    # raised to 1 gives M = 0 and leaves every other (integer) R**2 as is
+    np.maximum(np.square(r2, out=r2), 1.0, out=r2)
+    return np.divide(p2, r2, out=p2)
 
 
 def threshold_q15(cfg: CoarseConfig) -> int:
@@ -90,17 +87,26 @@ def threshold_q15(cfg: CoarseConfig) -> int:
     return round(cfg.metric_threshold * (1 << 15))
 
 
-def coarse_trigger(metric, cfg: CoarseConfig) -> int | None:
-    """First index where the metric holds >= threshold for ``plateau_min``
-    consecutive positions, or None."""
-    above = np.asarray(metric) >= cfg.metric_threshold
-    starts = np.flatnonzero(window_sums(above, cfg.plateau_min) == cfg.plateau_min)
-    return int(starts[0]) if len(starts) else None
+def _first_run(above, width: int) -> int | None:
+    """Start of the first run of ``width`` True values in ``above``, or None.
+
+    While ``run[k]`` says ``above[k : k + covered]`` is all True, ``run[k] &
+    run[k + step]`` with ``step <= covered`` says it of ``covered + step``
+    values, so about log2(width) shifted ANDs reach any width."""
+    run = np.asarray(above, dtype=bool)
+    if len(run) < width:
+        return None  # the ANDs would empty ``run``; bounds any 32-bit width
+    covered = 1
+    while covered < width:
+        step = min(covered, width - covered)
+        run = run[:-step] & run[step:]
+        covered += step
+    first = int(run.argmax())
+    return first if run[first] else None
 
 
 def detect_coarse(stream: SampleStream, cfg: CoarseConfig) -> CoarseOutput:
-    """The coarse stage: the first trigger of the stream's metric against
-    the Q15 threshold (:func:`threshold_q15`), as the register holds it."""
-    metric = schmidl_cox_metric(stream, cfg.half_period)
-    on_grid = replace(cfg, metric_threshold=threshold_q15(cfg) / (1 << 15))
-    return CoarseOutput(first_trigger=coarse_trigger(metric, on_grid))
+    """The coarse stage: the first ``plateau_min``-long run of the stream's
+    metric at or above the Q15 threshold (:func:`threshold_q15`)."""
+    above = schmidl_cox_metric(stream, cfg.half_period) >= threshold_q15(cfg) / (1 << 15)
+    return CoarseOutput(first_trigger=_first_run(above, cfg.plateau_min))

@@ -240,12 +240,11 @@ class SignCorrelator:
         windows from the first to the last of those positions are computed.
         """
         length = len(stream)
-        if enable is not None and len(enable) != length:
+        enable = np.ones(length, dtype=bool) if enable is None else np.asarray(enable, dtype=bool)
+        if len(enable) != length:
             raise ValueError("enable must have one entry per stream sample")
         first = self._n - 1  # the first position with a full window
-        index = np.arange(first, length, dtype=np.int64)
-        if enable is not None:
-            index = index[np.asarray(enable, dtype=bool)[first:]]
+        index = np.flatnonzero(enable[first:]) + first
         self.work_count += len(index)
         if not len(index):
             return index, np.zeros(0, dtype=np.int64)

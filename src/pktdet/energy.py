@@ -64,9 +64,7 @@ def enable_array(stream: SampleStream, cfg: EnergyConfig) -> np.ndarray:
     w = cfg.window_len
     if len(stream) < w:
         raise ValueError("stream shorter than the energy window")
-    i = stream.i.astype(np.int64)
-    q = stream.q.astype(np.int64)
-    exceed = i * i + q * q > raw_threshold(cfg, stream.format)
+    exceed = stream.energy > raw_threshold(cfg, stream.format)
     enable = np.zeros(len(stream), dtype=bool)
     enable[w - 1 :] = window_sums(exceed, w) > cfg.count_threshold
     return enable

@@ -18,7 +18,6 @@ bits wide.
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -44,7 +43,8 @@ def write_iq(path, stream: SampleStream) -> None:
 
 
 def read_iq(path) -> SampleStream:
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < _HEADER.size:
         raise ValueError("file too short for an IQPD header")
     magic, version, total_bits, frac_bits, flags, count = _HEADER.unpack_from(raw)
@@ -55,14 +55,11 @@ def read_iq(path) -> SampleStream:
     if flags != _FLAG_SIGNED:
         raise ValueError(f"unsupported IQPD flags {flags:#04x} (only signed codes)")
     fmt = FixedPointFormat(total_bits, frac_bits)
-    payload = raw[_HEADER.size :]
-    if len(payload) != 4 * count:
-        raise ValueError(
-            f"payload holds {len(payload) // 4} samples but header declares {count}"
-        )
-    interleaved = np.frombuffer(payload, dtype="<i2")
-    return SampleStream(
-        format=fmt,
-        i=interleaved[0::2].astype(np.int32),
-        q=interleaved[1::2].astype(np.int32),
-    )
+    payload = len(raw) - _HEADER.size
+    if payload != 4 * count:
+        raise ValueError(f"payload holds {payload // 4} samples but header declares {count}")
+    interleaved = np.frombuffer(raw, dtype="<i2", offset=_HEADER.size)
+    codes = interleaved.reshape(-1, 2).T.astype(np.int32, order="C")  # one strided cast
+    if fmt.total_bits < 16:  # a stored int16 code can exceed the format: scan
+        return SampleStream(format=fmt, i=codes[0], q=codes[1])
+    return SampleStream._from_codes(fmt, codes)

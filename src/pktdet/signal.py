@@ -91,34 +91,36 @@ class SampleStream:
 
     ``i`` and ``q`` hold raw integer codes (int32); values are
     ``code * 2**-fractional_bits``.  ``saturation_count`` records how many
-    components were clipped during quantization.
-    """
+    components were clipped during quantization.  ``codes`` holds ``i`` and
+    ``q`` as the rows of one (2, n) block, which every stage reads."""
 
     format: FixedPointFormat
     i: np.ndarray
     q: np.ndarray
     saturation_count: int = 0
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.i.shape != self.q.shape or self.i.ndim != 1:
             raise ValueError("i and q must be 1-D arrays of equal length")
+        codes = np.stack((self.i, self.q))
         lo, hi = self.format.min_code, self.format.max_code
-        for arr in (self.i, self.q):
-            if len(arr) and (arr.min() < lo or arr.max() > hi):
-                raise ValueError("sample codes out of range for the declared format")
+        if codes.size and (codes.min() < lo or codes.max() > hi):
+            raise ValueError("sample codes out of range for the declared format")
+        for arr in (self.i, self.q, codes):
             arr.flags.writeable = False  # immutable after construction
+        object.__setattr__(self, "codes", codes)
 
     @classmethod
-    def _from_clipped(
-        cls, fmt: FixedPointFormat, codes: np.ndarray, saturation_count: int
+    def _from_codes(
+        cls, fmt: FixedPointFormat, codes: np.ndarray, saturation_count: int = 0
     ) -> "SampleStream":
-        """A stream over the two rows of a fresh (2, n) int32 array whose
-        codes are already inside ``fmt``'s range, built without the range
-        scan: only :func:`quantize`, which clips every code, may call it."""
+        """A stream over the rows of a fresh (2, n) int32 array, built without
+        the range scan: only a caller that bounded every code may call it."""
         codes.flags.writeable = False
         stream = object.__new__(cls)
         stream.__dict__.update(
-            format=fmt, i=codes[0], q=codes[1], saturation_count=saturation_count
+            format=fmt, i=codes[0], q=codes[1], saturation_count=saturation_count, codes=codes
         )
         return stream
 
@@ -126,10 +128,17 @@ class SampleStream:
         return len(self.i)
 
     @cached_property
+    def energy(self) -> np.ndarray:
+        """The per-sample energy ``i**2 + q**2``, exact in read-only int64."""
+        energy = np.add(*np.square(self.codes, dtype=np.int64))
+        energy.flags.writeable = False
+        return energy
+
+    @cached_property
     def sign_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The I and Q component signs as read-only +-1 float64 arrays (a
         code of 0 counts as +1), built once and shared by every correlator."""
-        signs = np.where(np.stack((self.i, self.q)) >= 0, 1.0, -1.0)
+        signs = np.copysign(1.0, self.codes)  # an integer 0 casts to +0.0
         signs.flags.writeable = False
         return signs[0], signs[1]
 
@@ -203,7 +212,7 @@ def quantize(values, fmt: FixedPointFormat = Q1_15) -> SampleStream:
     if saturated and np.isnan(rounded).any():
         raise ValueError("cannot quantize NaN")
     codes = clipped.T.astype(np.int32, order="C")  # contiguous i and q rows
-    return SampleStream._from_clipped(fmt, codes, saturated)
+    return SampleStream._from_codes(fmt, codes, saturated)
 
 
 def embed_preamble(

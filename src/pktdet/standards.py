@@ -38,9 +38,9 @@ from .correlator import (
 from .energy import EnergyConfig, EnergyDetector, enable_array, raw_threshold
 from .signal import FixedPointFormat, Preamble, SampleStream
 
-# distinct coefficient banks kept across register maps; a bank with its sign
-# arrays and packed words is a few kB
-_BANKS_CACHED = 256
+# decoded views, keyed on register contents; a view's banks take a few kB
+_VIEWS_CACHED = 256
+_VIEWS: dict[tuple, "_PipelineView"] = {}
 
 
 class ConfigurationError(ValueError):
@@ -93,12 +93,11 @@ class RegisterMap(Mapping):
     """Immutable keyed set of 32-bit unsigned registers.
 
     Values must be integers (``int``, ``bool`` or a numpy integer); a float
-    or a string is rejected rather than truncated or parsed.  Because a map
-    never changes, it also carries the memo of its decoded views (see
-    :func:`_decode_registers`); the memo takes no part in equality,
-    iteration or pickling."""
+    or a string is rejected rather than truncated or parsed.  A map never
+    changes, so its contents as a frozenset key the decode cache (see
+    :func:`_decode_registers`); the key is no part of equality or pickling."""
 
-    __slots__ = ("_values", "_views")
+    __slots__ = ("_values", "_key")
 
     def __init__(self, values: Mapping[str, int]):
         checked = {}
@@ -113,10 +112,10 @@ class RegisterMap(Mapping):
                 raise ConfigurationError(f"register {key!r} value {value} not a 32-bit word")
             checked[str(key)] = value
         self._values = checked
-        self._views: dict[tuple, _PipelineView] = {}
+        self._key = frozenset(checked.items())
 
     def __reduce__(self):
-        # the receiving process decodes again on first use
+        # string hashes differ between processes: the receiver builds its key
         return RegisterMap, (self._values,)
 
     def read(self, key: str) -> int:
@@ -200,30 +199,19 @@ class _PipelineView:
     enabled: tuple[bool, ...]
 
 
-@functools.lru_cache(maxsize=_BANKS_CACHED)
-def _coefficient_bank(
-    length: int, i_words: tuple[int, ...], q_words: tuple[int, ...]
-) -> CoefficientBank:
-    """The one shared bank for these coefficient words (a ``ValueError`` is
-    raised again on every call, never cached)."""
-    return CoefficientBank(length=length, i_words=i_words, q_words=q_words)
-
-
 def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _PipelineView:
-    """Decode and validate ``regs`` for a profile set, once per map.
+    """Decode and validate ``regs`` for a profile set.
 
-    The decode reads only the profiles' correlator lengths and ``fmt``, so
-    the view is memoized on the immutable map under that key: every run
-    under one map shares its banks, their sign arrays and packed words.
-    Equal coefficient words in different maps share one bank as well, so a
-    map rebuilt with the same words unpacks nothing again.  A map that
-    fails to decode raises each time and caches nothing, so its error names
-    the profile ids of the call."""
+    The view depends only on the register contents, the profiles' lengths
+    and ``fmt``, and is cached under them: equal maps, such as one rebuilt
+    for every capture, share one view and its banks.  A full cache starts
+    over, since a run swaps between only a few maps.  A map that fails to
+    decode caches nothing, so each error names the profile ids of its call."""
     profiles = list(profiles)
     if not profiles:
         raise ConfigurationError("at least one profile is required")
-    key = (tuple(p.correlator_len for p in profiles), fmt)
-    view = regs._views.get(key)
+    key = (regs._key, tuple(p.correlator_len for p in profiles), fmt)
+    view = _VIEWS.get(key)
     if view is not None:
         return view
 
@@ -249,16 +237,14 @@ def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _Pi
         except ValueError as exc:
             raise ConfigurationError(f"bad coarse registers: {exc}") from None
 
-    banks = []
-    thresholds = []
-    enabled = []
+    banks, thresholds, enabled = [], [], []
     for p, profile in enumerate(profiles):
         length = profile.correlator_len
         word_count = words_for(length)
         try:
             i_words = tuple(regs.read(f"prof{p}/coeff_i/{w}") for w in range(word_count))
             q_words = tuple(regs.read(f"prof{p}/coeff_q/{w}") for w in range(word_count))
-            bank = _coefficient_bank(length, i_words, q_words)
+            bank = CoefficientBank(length=length, i_words=i_words, q_words=q_words)
         except ValueError as exc:
             raise ConfigurationError(
                 f"profile {profile.id!r}: coefficient words do not form a valid "
@@ -270,7 +256,9 @@ def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _Pi
         banks.append(bank)
         thresholds.append(threshold)
         enabled.append(bool(regs.read(f"prof{p}/enabled")))
-    regs._views[key] = view = _PipelineView(
+    if len(_VIEWS) >= _VIEWS_CACHED:
+        _VIEWS.clear()
+    _VIEWS[key] = view = _PipelineView(
         energy_cfg=energy_cfg,
         coarse_cfg=coarse_cfg,
         holdoff=regs.read("fine/holdoff"),
@@ -384,15 +372,18 @@ def run_detector_bank(stream: SampleStream, profiles, regs: RegisterMap) -> list
         coarse_index = detect_coarse(stream, view.coarse_cfg).first_trigger
         if coarse_index is None:
             return []
-        raw_enable = raw_energy & (np.arange(n) >= coarse_index)
+        raw_enable = raw_energy.copy()
+        raw_enable[:coarse_index] = False
 
     enable = latch_enable(raw_enable, view.holdoff)
     gate_run_starts = None
     if view.energy_cfg is not None:
-        # the energy decision that opened the gate region holding each peak
-        gate = enable if view.coarse_cfg is None else latch_enable(raw_energy, view.holdoff)
-        starts = gate & ~np.concatenate(([False], gate[:-1]))
-        gate_run_starts = np.flatnonzero(starts)
+        # the energy decision that opened each latched gate run: a raw-enabled
+        # index whose previous one lies more than holdoff + 1 back
+        on = np.flatnonzero(raw_energy)
+        opens = np.ones(len(on), dtype=bool)
+        np.greater(on[1:] - on[:-1], view.holdoff + 1, out=opens[1:])
+        gate_run_starts = on[opens]
 
     candidates: list[Candidate] = []
     for order, profile in enumerate(profiles):

@@ -143,6 +143,14 @@ def plateau_scan(metric, threshold: float, plateau: int) -> int | None:
     return None
 
 
+def latched_run_starts(raw, holdoff: int) -> list[int]:
+    """Where each run of the latched gate starts: every raw decision is held
+    for ``holdoff`` more samples, then the positions where the held gate
+    turns on are kept."""
+    latched = [any(raw[max(0, k - holdoff) : k + 1]) for k in range(len(raw))]
+    return [k for k, on in enumerate(latched) if on and (k == 0 or not latched[k - 1])]
+
+
 def float_xcorr(signal, reference) -> np.ndarray:
     """|sum conj(y[k+m]) h[m]| for every start offset k, by direct loops."""
     signal = np.asarray(signal, dtype=np.complex128)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pktdet.coarse import (
     CoarseConfig,
-    coarse_trigger,
+    _first_run,
     detect_coarse,
     schmidl_cox_correlations,
     schmidl_cox_metric,
@@ -26,6 +26,10 @@ def stream_from_codes(codes):
     return SampleStream(format=Q1_15, i=i, q=q)
 
 
+# bool lists of long runs, where plateaus of most widths occur
+run_lists = st.lists(st.tuples(st.booleans(), st.integers(1, 16)), max_size=12).map(
+    lambda runs: [value for value, count in runs for _ in range(count)][:64]
+)
 code_lists = st.lists(
     st.tuples(st.integers(-32768, 32767), st.integers(-32768, 32767)),
     min_size=8,
@@ -84,21 +88,35 @@ class TestMetric:
 
 class TestTrigger:
     def test_constant_metric_triggers_at_zero(self):
-        cfg = CoarseConfig(half_period=4, metric_threshold=0.8, plateau_min=4)
-        assert coarse_trigger(np.ones(16), cfg) == 0
+        assert _first_run(np.ones(16, dtype=bool), 4) == 0
 
     def test_silent_metric_never_triggers(self):
-        cfg = CoarseConfig(half_period=4, metric_threshold=0.5, plateau_min=4)
-        assert coarse_trigger(np.zeros(16), cfg) is None
+        assert _first_run(np.zeros(16, dtype=bool), 4) is None
 
     @given(
-        st.lists(st.floats(0, 1.2), min_size=1, max_size=64),
-        st.floats(0, 1),
-        st.integers(1, 6),
+        st.lists(st.booleans(), max_size=64) | run_lists,
+        st.integers(1, 70) | st.just(0xFFFFFFFF),
     )
-    def test_matches_naive_scan(self, metric, threshold, plateau):
-        cfg = CoarseConfig(half_period=4, metric_threshold=threshold, plateau_min=plateau)
-        assert coarse_trigger(metric, cfg) == plateau_scan(metric, threshold, plateau)
+    @example([True, False, True], 3)
+    @example([True] * 7 + [False] + [True] * 8, 8)
+    def test_matches_naive_scan(self, above, width):
+        # widths past the length and the largest plateau register included
+        assert _first_run(above, width) == plateau_scan(above, True, width)
+
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=64),
+        st.integers(1, 8),
+        st.integers(0, 1 << 15),
+        st.integers(1, 12),
+    )
+    def test_detect_coarse_matches_the_metric_scan(self, codes, lag, thr_q15, plateau):
+        # small codes repeat often, so long plateaus occur
+        stream = stream_from_codes(codes)
+        lag = min(lag, len(stream) // 2)
+        threshold = thr_q15 / (1 << 15)
+        expected = plateau_scan(schmidl_cox_metric(stream, lag).tolist(), threshold, plateau)
+        cfg = CoarseConfig(half_period=lag, metric_threshold=threshold, plateau_min=plateau)
+        assert detect_coarse(stream, cfg).first_trigger == expected
 
     def test_detect_coarse_on_repeated_block(self):
         stream = repeated_block_stream(lag=16, seed=7, pad_after=16)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from pktdet.iqfile import read_iq, write_iq
 from pktdet.signal import (
     FixedPointFormat,
     Preamble,
@@ -189,6 +190,49 @@ class TestSampleStreamSigns:
         for signs in (s_i, s_q):
             with pytest.raises(ValueError):
                 signs[0] = 0.0
+
+
+class TestSampleStreamBlock:
+    """Every stream carries its codes as one (2, n) block, and its energy
+    and signs derive from it, however the stream was built."""
+
+    @staticmethod
+    def built_three_ways(codes, path):
+        i = np.array([c[0] for c in codes], dtype=np.int32)
+        q = np.array([c[1] for c in codes], dtype=np.int32)
+        direct = SampleStream(format=Q1_15, i=i, q=q)
+        quantized = quantize((i + 1j * q) * 2.0**-15, Q1_15)
+        write_iq(path, direct)
+        return direct, quantized, read_iq(path)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-32768, 32767), st.integers(-32768, 32767)), max_size=40
+        )
+    )
+    @example([(0, 0), (-1, 0), (-32768, -32768), (32767, -32768)])
+    def test_every_constructor_gives_the_same_block(self, tmp_path_factory, codes):
+        path = tmp_path_factory.mktemp("block") / "capture.iqpd"
+        direct, quantized, read = self.built_three_ways(codes, path)
+        energy = [a * a + b * b for a, b in codes]
+        for stream in (direct, quantized, read):
+            assert stream.codes.shape == (2, len(codes))
+            assert stream.codes.tolist() == [[a for a, _ in codes], [b for _, b in codes]]
+            assert stream.energy.dtype == np.int64
+            assert stream.energy.tolist() == energy
+            for mine, theirs in zip(stream.sign_arrays, direct.sign_arrays):
+                assert mine.tolist() == theirs.tolist()
+
+    def test_block_rows_are_read_only(self, tmp_path):
+        for stream in self.built_three_ways([(5, -7), (0, 3)], tmp_path / "capture.iqpd"):
+            for array in (stream.i, stream.q, *stream.codes, stream.energy):
+                with pytest.raises(ValueError):
+                    array[0] = 1
+            assert stream.codes is stream.codes  # built once
+        # quantize and a 16-bit read_iq build i and q as the block's rows
+        for stream in self.built_three_ways([(1, 2)], tmp_path / "capture.iqpd")[1:]:
+            assert np.shares_memory(stream.i, stream.codes)
+            assert np.shares_memory(stream.q, stream.codes)
 
 
 class TestEmbed:

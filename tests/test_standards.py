@@ -34,7 +34,7 @@ from pktdet.standards import (
     run_detector_bank,
 )
 
-from oracles import run_peaks
+from oracles import latched_run_starts, run_peaks
 from streaming import as_outputs, same_outputs
 
 
@@ -217,8 +217,8 @@ class TestRegisterRoundTrip:
 
 
 class TestDecodeMemo:
-    """The decoded view is memoized on the immutable map, keyed by the
-    profiles' correlator lengths and the sample format."""
+    """The decoded view is cached on the register contents, the profiles'
+    correlator lengths and the sample format."""
 
     def setup_method(self):
         self.profiles = [profile("a", 32, 50), profile("b", 40, 60)]
@@ -236,8 +236,9 @@ class TestDecodeMemo:
 
     def test_a_written_map_decodes_afresh(self):
         view = _decode_registers(self.profiles, self.regs, Q1_15)
-        updated = self.regs.write("prof0/threshold", 61)
-        assert _decode_registers(self.profiles, updated, Q1_15).thresholds == (61, 60)
+        updated = _decode_registers(self.profiles, self.regs.write("prof0/threshold", 61), Q1_15)
+        assert updated is not view
+        assert updated.thresholds == (61, 60)
         word = self.regs["prof1/coeff_q/1"] ^ 0x1
         flipped = _decode_registers(
             self.profiles, self.regs.write("prof1/coeff_q/1", word), Q1_15
@@ -248,10 +249,11 @@ class TestDecodeMemo:
 
     def test_failed_decode_is_not_cached(self):
         bad = self.regs.write("prof1/threshold", 0)
-        for pid in ("b", "e"):
+        for pid in ("b", "e", "b"):
             profiles = [self.profiles[0], profile(pid, 40, 60)]
             with pytest.raises(ConfigurationError, match=f"profile '{pid}'"):
                 _decode_registers(profiles, bad, Q1_15)
+        assert all(key[0] != bad._key for key in standards._VIEWS)
 
     def test_memo_is_invisible(self):
         fresh = RegisterMap(self.regs)
@@ -266,24 +268,21 @@ class TestDecodeMemo:
 
 
 class TestBankCache:
-    """Equal coefficient words share one bank across register maps, so a
-    map rebuilt for every capture unpacks no coefficients again."""
+    """Equal register maps share one decoded view and its banks, so a map
+    rebuilt for every capture decodes and unpacks nothing again."""
 
     def setup_method(self):
         self.profiles = [profile("a", 32, 50), profile("b", 40, 60)]
 
     def test_equal_maps_share_their_banks(self):
         energy = EnergyConfig(16, 0.5, 8)
-        first, second = (
-            _decode_registers(
-                self.profiles, build_register_map(self.profiles, energy=energy), Q1_15
-            )
-            for _ in range(2)
-        )
-        assert first is not second
-        for mine, theirs in zip(first.banks, second.banks):
-            assert mine is theirs
-            assert all(x is y for x, y in zip(mine.sign_arrays, theirs.sign_arrays))
+        maps = [build_register_map(self.profiles, energy=energy) for _ in range(2)]
+        assert maps[0] is not maps[1] and maps[0] == maps[1]
+        first, second = (_decode_registers(self.profiles, regs, Q1_15) for regs in maps)
+        assert first is second
+        # insertion order is not part of the contents
+        shuffled = RegisterMap(dict(reversed(list(maps[0].items()))))
+        assert _decode_registers(self.profiles, shuffled, Q1_15) is first
 
     def test_invalid_words_raise_on_every_call(self):
         # bit 8 of the second word is sample 40, past a 40-point bank's end
@@ -292,12 +291,13 @@ class TestBankCache:
             profiles = [self.profiles[0], profile(pid, 40, 60)]
             with pytest.raises(ConfigurationError, match=f"profile '{pid}'.*40-point"):
                 _decode_registers(profiles, bad, Q1_15)
+            assert all(key[0] != bad._key for key in standards._VIEWS)
 
     def test_cache_is_bounded(self):
         regs = build_register_map(self.profiles[:1])
         for word in range(1000):
             _decode_registers(self.profiles[:1], regs.write("prof0/coeff_i/0", word), Q1_15)
-        assert standards._coefficient_bank.cache_info().currsize <= standards._BANKS_CACHED
+        assert len(standards._VIEWS) <= standards._VIEWS_CACHED
 
 
 class TestProfileWords:
@@ -487,6 +487,38 @@ class TestRunDetectorBank:
         coarse_index = detect_coarse(stream, coarse).first_trigger if coarse_on else None
         assert event.stage_trace == (starts[-1], coarse_index)
         assert not coarse_on or starts[-1] < coarse_index
+
+    @given(
+        raw=st.lists(st.booleans(), min_size=2, max_size=200),
+        holdoff=st.integers(0, 300) | st.integers(200, 1000) | st.just(0xFFFFFFFF),
+        plateau=st.none() | st.integers(1, 4),
+    )
+    @example(raw=[True, False, False, True], holdoff=2, plateau=None)  # one latched run
+    @example(raw=[True, False, True, True, True], holdoff=3, plateau=2)  # trigger at 2
+    def test_gate_index_is_the_latched_run_start(self, raw, holdoff, plateau):
+        # A window-1 gate opens exactly on the loud samples, and a 1-point
+        # (+, +) profile fires where a run of loud samples starts, so every
+        # raw run yields an event.  With the coarse stage on (plateau not
+        # None), M(d) = |y[d]|^2 / |y[d+1]|^2 >= 1 fails only where a quiet
+        # sample precedes a loud one, so the trigger moves with the data.
+        codes = np.where(raw, 1000, -1).astype(np.int32)
+        stream = SampleStream(format=Q1_15, i=codes, q=codes.copy())
+        p = StandardProfile("one", Preamble("one", [1 + 1j]), 2)
+        energy = EnergyConfig(1, 1000 / Q1_15.scale**2, 0)  # raw threshold 1000
+        coarse = None if plateau is None else CoarseConfig(1, 1.0, plateau)
+        regs = build_register_map([p], energy, coarse, holdoff)
+        events = run_detector_bank(stream, [p], regs)
+        coarse_index = None if coarse is None else detect_coarse(stream, coarse).first_trigger
+        if coarse is not None and coarse_index is None:
+            assert events == []
+            return
+        first = coarse_index or 0
+        loud = [k for k in range(first, len(raw)) if raw[k] and (k == first or not raw[k - 1])]
+        assert [e.peak_index for e in events] == loud
+        starts = latched_run_starts(raw, holdoff)
+        for event in events:
+            gate_index = max(k for k in starts if k <= event.peak_index)
+            assert event.stage_trace == (gate_index, coarse_index)
 
     def test_event_and_candidate_fields_are_builtin_ints(self):
         # == cannot tell np.int64 from int, but an event's repr can
