@@ -4,17 +4,8 @@ Received samples are reduced to their component signs (+-1, with a code of
 0 counting as +1), and the reference preamble's component signs are packed
 into 32-bit coefficient words, one bit per sample component (bit = 1 for a
 component >= 0).  An n-point correlation then needs no multipliers: a sign
-product is +1 exactly when the two sign bits agree, so each partial sum is
-
-    partial = 2 * popcount(XNOR(window_bits, coeff_bits)) - n
-            = n - 2 * popcount(XOR(window_bits, coeff_bits))
-
-The two forms are equal because both operands fit in n bits (the window
-keeps only the newest n sample bits and a bank has no bits past its
-length), so the XNOR's n-bit popcount is n minus the XOR's; the XOR form
-needs neither the complement nor a mask.
-
-The four partials combine into the complex correlation:
+product is +1 exactly when the two sign bits agree.  The four partial sums
+combine into the complex correlation:
 
     re = p_ii + p_qq        im = p_qi - p_iq
 
@@ -27,12 +18,12 @@ reference coefficient (matched-filter orientation), so the peak for a
 preamble starting at stream index s lands at output index s + n - 1.
 
 The detection decision elsewhere in the pipeline compares ``re`` against a
-threshold, so the batch path computes only ``re``: the popcount identity
-above written as two dot products of +-1 sign arrays, p_ii + p_qq, one
-``np.correlate`` each.  It computes only the windows from the first to the
-last enabled position, so idle air the gate keeps closed before and after a
-packet costs no correlation.  :meth:`SignCorrelator.push` keeps all four
-partials, since it models the hardware's XNOR/popcount datapath.
+threshold, so the batch path computes only ``re``: p_ii + p_qq as two dot
+products of +-1 sign arrays, one ``np.correlate`` each.  It computes only
+the windows from the first to the last enabled position, so idle air the
+gate keeps closed before and after a packet costs no correlation.  The
+sample-at-a-time model of the hardware's XNOR/popcount datapath, with all
+four partials, is :class:`pktdet.standards.DetectorBank`.
 """
 
 from __future__ import annotations
@@ -161,8 +152,8 @@ def parse_bank(text: str) -> CoefficientBank:
 class CorrelatorOutput:
     """The four sign partial sums; ``re`` is the detection statistic.
 
-    A plain mutable record (not frozen), since :meth:`SignCorrelator.push`
-    builds one per profile per enabled sample and a frozen dataclass pays a
+    A plain mutable record (not frozen), since ``DetectorBank.push`` builds
+    one per profile per enabled sample and a frozen dataclass pays a
     guarded ``object.__setattr__`` for every field."""
 
     p_ii: int
@@ -176,60 +167,17 @@ class CorrelatorOutput:
 
 
 class SignCorrelator:
-    """Windowed sign correlator for one coefficient bank.
+    """Batch sign correlator for one coefficient bank.
 
-    :meth:`push` shifts one sample through the window and computes the
-    partial sums only at enabled positions once the window is full.
     :meth:`process` correlates a whole stream from an empty window and
-    reports the same positions.  ``work_count`` tallies the enabled, ready
-    positions of both (the energy gate's power-saving contract).
+    reports the enabled positions where the window is full; ``work_count``
+    tallies those positions over every call (the energy gate's
+    power-saving contract).
     """
 
     def __init__(self, bank: CoefficientBank) -> None:
-        self._bind(bank)
-        self._win_i = 0
-        self._win_q = 0
-        self._seen = 0
-        self.work_count = 0
-
-    def _bind(self, bank: CoefficientBank) -> None:
         self.bank = bank
-        self._n = bank.length
-        self._top = 1 << (bank.length - 1)
-        self._b_i, self._b_q = bank._packed
-
-    def rebind_bank(self, bank: CoefficientBank) -> None:
-        """Swap coefficients without disturbing the sample window."""
-        if bank.length != self._n:
-            raise ValueError("replacement bank must have the same length")
-        self._bind(bank)
-
-    def push(
-        self, i_code: int, q_code: int, enabled: bool = True
-    ) -> CorrelatorOutput | None:
-        """Shift one sample's raw codes in; correlate if enabled and ready.
-
-        Each partial is ``n - 2 * popcount(window ^ coeff)``, the XNOR form
-        counted from the disagreeing bits: the window only ever holds bits
-        0 .. n - 1 and the bank has no bits past its length, so the XOR
-        needs no mask and ``popcount(XNOR) = n - popcount(XOR)``.
-        """
-        top = self._top
-        win_i = self._win_i = (self._win_i >> 1) | (top if i_code >= 0 else 0)
-        win_q = self._win_q = (self._win_q >> 1) | (top if q_code >= 0 else 0)
-        self._seen += 1
-        if not enabled or self._seen < self._n:
-            return None
-        self.work_count += 1
-        n, b_i, b_q = self._n, self._b_i, self._b_q
-        # positional, in field order p_ii, p_qq, p_qi, p_iq: keyword
-        # arguments cost about 0.4 us more per record
-        return CorrelatorOutput(
-            n - 2 * (win_i ^ b_i).bit_count(),
-            n - 2 * (win_q ^ b_q).bit_count(),
-            n - 2 * (win_q ^ b_i).bit_count(),
-            n - 2 * (win_i ^ b_q).bit_count(),
-        )
+        self.work_count = 0
 
     def process(self, stream: SampleStream, enable=None) -> tuple[np.ndarray, np.ndarray]:
         """Correlate a whole stream, starting from an empty window.
@@ -243,7 +191,7 @@ class SignCorrelator:
         enable = np.ones(length, dtype=bool) if enable is None else np.asarray(enable, dtype=bool)
         if len(enable) != length:
             raise ValueError("enable must have one entry per stream sample")
-        first = self._n - 1  # the first position with a full window
+        first = self.bank.length - 1  # the first position with a full window
         index = np.flatnonzero(enable[first:]) + first
         self.work_count += len(index)
         if not len(index):

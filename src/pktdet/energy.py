@@ -9,15 +9,14 @@ The decision stream gates the downstream correlators.
 Energies are computed on raw integer codes (exact in int64 for the <= 16-bit
 formats) and compared against the threshold in raw code-squared units,
 rounded down (:func:`raw_threshold`).  For an integer energy, exceeding the
-rounded-down threshold is the same as exceeding the exact one, so the batch
-gate, the streaming gate and the register-driven gate agree with a naive
-per-window recount bit for bit.
+rounded-down threshold is the same as exceeding the exact one, so
+:func:`enable_array` and the register-driven gate of the streaming
+``DetectorBank`` agree with a naive per-window recount bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,43 +67,3 @@ def enable_array(stream: SampleStream, cfg: EnergyConfig) -> np.ndarray:
     enable = np.zeros(len(stream), dtype=bool)
     enable[w - 1 :] = window_sums(exceed, w) > cfg.count_threshold
     return enable
-
-
-class EnergyDetector:
-    """Streaming single-owner variant of :func:`enable_array`.
-
-    Feed samples one at a time; each push returns the decision for the
-    window ending at that sample, False until the window is full.
-    """
-
-    def __init__(self, cfg: EnergyConfig, stream_format: FixedPointFormat) -> None:
-        self._format = stream_format
-        self._exceed: deque[bool] = deque()
-        self._count = 0
-        self._adopt(cfg)
-
-    def reconfigure(self, cfg: EnergyConfig) -> None:
-        """Adopt new thresholds from the next sample on.
-
-        Samples already in the window keep the comparison made with the
-        sample threshold in force when they arrived; the next decision uses
-        the new count threshold.  The window length cannot change.
-        """
-        if cfg.window_len != self.cfg.window_len:
-            raise ValueError("window_len cannot change mid-stream")
-        self._adopt(cfg)
-
-    def _adopt(self, cfg: EnergyConfig) -> None:
-        self.cfg = cfg
-        self._thr_raw = raw_threshold(cfg, self._format)
-
-    def push(self, i_code: int, q_code: int) -> bool:
-        i, q = int(i_code), int(q_code)
-        above = i * i + q * q > self._thr_raw
-        self._exceed.append(above)
-        self._count += above
-        if len(self._exceed) > self.cfg.window_len:
-            self._count -= self._exceed.popleft()
-        elif len(self._exceed) < self.cfg.window_len:
-            return False
-        return self._count > self.cfg.count_threshold

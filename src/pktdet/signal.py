@@ -92,7 +92,10 @@ class SampleStream:
     ``i`` and ``q`` hold raw integer codes (int32); values are
     ``code * 2**-fractional_bits``.  ``saturation_count`` records how many
     components were clipped during quantization.  ``codes`` holds ``i`` and
-    ``q`` as the rows of one (2, n) block, which every stage reads."""
+    ``q`` as the rows of one read-only (2, n) block, which every stage
+    reads.  The constructor takes integer arrays of any width, checks every
+    code against the format and copies them into a fresh block, so the
+    caller's arrays stay theirs; a float or bool array is rejected."""
 
     format: FixedPointFormat
     i: np.ndarray
@@ -101,15 +104,20 @@ class SampleStream:
     codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.i.shape != self.q.shape or self.i.ndim != 1:
+        i, q = np.asarray(self.i), np.asarray(self.q)
+        if i.shape != q.shape or i.ndim != 1:
             raise ValueError("i and q must be 1-D arrays of equal length")
-        codes = np.stack((self.i, self.q))
+        if i.dtype.kind not in "iu" or q.dtype.kind not in "iu":
+            raise ValueError(f"i and q must hold integer codes, not {i.dtype} and {q.dtype}")
         lo, hi = self.format.min_code, self.format.max_code
-        if codes.size and (codes.min() < lo or codes.max() > hi):
+        # Python ints compare exactly whatever the arrays' integer type
+        bounds = [int(f(arr)) for arr in (i, q) for f in (np.min, np.max)] if i.size else [0]
+        if min(bounds) < lo or max(bounds) > hi:
             raise ValueError("sample codes out of range for the declared format")
-        for arr in (self.i, self.q, codes):
-            arr.flags.writeable = False  # immutable after construction
-        object.__setattr__(self, "codes", codes)
+        codes = np.empty((2, len(i)), dtype=np.int32)
+        codes[0], codes[1] = i, q
+        codes.flags.writeable = False  # immutable after construction
+        self.__dict__.update(i=codes[0], q=codes[1], codes=codes)  # frozen fields
 
     @classmethod
     def _from_codes(

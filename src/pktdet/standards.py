@@ -35,7 +35,7 @@ from .correlator import (
     load_coefficients,
     words_for,
 )
-from .energy import EnergyConfig, EnergyDetector, enable_array, raw_threshold
+from .energy import EnergyConfig, enable_array, raw_threshold
 from .signal import FixedPointFormat, Preamble, SampleStream
 
 # decoded views, keyed on register contents; a view's banks take a few kB
@@ -404,55 +404,87 @@ class DetectorBank:
     from the next push: the owner calls it between pushes, so it always
     lands on a sample boundary and every output is explainable by exactly
     one complete configuration.  The coarse stage is batch-only.
+
+    The bank models the hardware datapath in plain integers.  One pair of
+    sign shift registers, as wide as the longest profile, holds a bit per
+    received I and Q component (1 for a code >= 0), the newest sample at the
+    top; a profile of length n reads the newest n bits, W_i and W_q.  With
+    its packed coefficient bits B_i and B_q, each partial p_xy (received
+    component x against reference component y) is an XNOR popcount:
+
+        p_xy = 2 * popcount(XNOR(W_x, B_y)) - n = n - 2 * popcount(W_x ^ B_y)
+
+    Both operands fit in n bits, so the XOR form needs no complement or
+    mask.  The energy gate shifts each sample's exceedance into a
+    ``window_len``-bit register and counts it with ``bit_count``, so a
+    sample in the window keeps the comparison made when it arrived.
     """
 
     def __init__(self, profiles, regs: RegisterMap, fmt: FixedPointFormat):
         self._profiles = list(profiles)
         self._fmt = fmt
-        self._view = view = self._decode(regs)
-        self._correlators = [SignCorrelator(bank) for bank in view.banks]
-        # rebind_bank keeps each correlator, so its bound push stays valid
-        self._pushes = [
-            (profile.id, correlator.push)
-            for profile, correlator in zip(self._profiles, self._correlators)
-        ]
-        self._energy = (
-            EnergyDetector(view.energy_cfg, fmt) if view.energy_cfg is not None else None
-        )
+        self._adopt(regs)
+        self._win_i = self._win_q = 0
+        self._exceed = 0
+        self._seen = 0
         self._holdoff_left = 0
 
-    def _decode(self, regs: RegisterMap) -> _PipelineView:
+    def _adopt(self, regs: RegisterMap) -> None:
+        """Decode ``regs`` and put it in force, or raise and keep the map in
+        force unchanged."""
         view = _decode_registers(self._profiles, regs, self._fmt)
         if view.coarse_cfg is not None:
             raise ConfigurationError("the streaming bank supports energy + fine only")
-        return view
+        gate = view.energy_cfg
+        window_len = gate.window_len if gate is not None else 0
+        # the constructor's first map sets the topology every later map keeps
+        if getattr(self, "_window_len", window_len) != window_len:
+            raise ConfigurationError("energy stage topology cannot change mid-stream")
+        span = max(bank.length for bank in view.banks)
+        self._window_len = window_len
+        self._top = 1 << (span - 1)
+        # a disabled gate is a 0-bit window whose count 0 always beats -1
+        self._mask = (1 << window_len) - 1
+        self._thr_raw = raw_threshold(gate, self._fmt) if gate is not None else -1
+        self._count_thr = gate.count_threshold if gate is not None else -1
+        self._holdoff = view.holdoff
+        self._taps = tuple(
+            (profile.id, bank.length, span - bank.length, *bank._packed, on)
+            for profile, bank, on in zip(self._profiles, view.banks, view.enabled)
+        )
 
     def update_registers(self, regs: RegisterMap) -> None:
         """Publish a complete register map, in force from the next push.
 
         A map the bank cannot adopt raises :class:`ConfigurationError` here,
         and the bank runs on under the map it has."""
-        view = self._decode(regs)
-        current = self._view.energy_cfg
-        if (current is None) != (view.energy_cfg is None) or (
-            current is not None and view.energy_cfg.window_len != current.window_len
-        ):
-            raise ConfigurationError("energy stage topology cannot change mid-stream")
-        for correlator, bank in zip(self._correlators, view.banks):
-            correlator.rebind_bank(bank)
-        if self._energy is not None:
-            self._energy.reconfigure(view.energy_cfg)
-        self._view = view
+        self._adopt(regs)
 
     def push(self, i_code: int, q_code: int) -> dict[str, CorrelatorOutput | None]:
-        raw_active = self._energy.push(i_code, q_code) if self._energy is not None else True
-        if raw_active:
-            self._holdoff_left = self._view.holdoff
+        i, q = operator.index(i_code), operator.index(q_code)
+        top = self._top
+        win_i = self._win_i = (self._win_i >> 1) | (top if i >= 0 else 0)
+        win_q = self._win_q = (self._win_q >> 1) | (top if q >= 0 else 0)
+        seen = self._seen = self._seen + 1
+        above = i * i + q * q > self._thr_raw
+        exceed = self._exceed = ((self._exceed << 1) | above) & self._mask
+        if seen >= self._window_len and exceed.bit_count() > self._count_thr:
+            self._holdoff_left = self._holdoff
             enabled = True
         else:
             enabled = self._holdoff_left > 0
             self._holdoff_left = max(0, self._holdoff_left - 1)
-        return {
-            pid: push(i_code, q_code, enabled and on)
-            for (pid, push), on in zip(self._pushes, self._view.enabled)
-        }
+        outs = {}
+        for pid, n, shift, b_i, b_q, on in self._taps:
+            if enabled and on and seen >= n:
+                w_i, w_q = win_i >> shift, win_q >> shift
+                # positional, in field order p_ii, p_qq, p_qi, p_iq
+                outs[pid] = CorrelatorOutput(
+                    n - 2 * (w_i ^ b_i).bit_count(),
+                    n - 2 * (w_q ^ b_q).bit_count(),
+                    n - 2 * (w_q ^ b_i).bit_count(),
+                    n - 2 * (w_i ^ b_q).bit_count(),
+                )
+            else:
+                outs[pid] = None
+        return outs

@@ -1,7 +1,12 @@
-"""Drive the sample-at-a-time correlator so its outputs can be compared
-with the batch path."""
+"""Drive the sample-at-a-time ``DetectorBank`` so its outputs can be
+compared with the batch path and the oracles."""
+
+import functools
 
 import numpy as np
+
+from pktdet.signal import Preamble
+from pktdet.standards import DetectorBank, RegisterMap, StandardProfile, build_register_map
 
 
 def sign_pairs(bank):
@@ -11,16 +16,47 @@ def sign_pairs(bank):
     return list(zip(si.tolist(), sq.tolist()))
 
 
-def push_run(corr, stream, enable=None):
-    """Push every sample of ``stream`` through ``corr``; the ``(n,
-    CorrelatorOutput)`` pairs of the positions where it reported."""
-    pairs = []
-    for t in range(len(stream)):
-        enabled = True if enable is None else bool(enable[t])
-        out = corr.push(int(stream.i[t]), int(stream.q[t]), enabled)
-        if out is not None:
-            pairs.append((t, out))
-    return pairs
+def with_banks(regs, banks):
+    """``regs`` with profile k's coefficient words replaced by those of
+    ``banks[k]``, as the soft processor would load a reference."""
+    values = dict(regs)
+    for k, bank in enumerate(banks):
+        for part, words in (("i", bank.i_words), ("q", bank.q_words)):
+            for w, word in enumerate(words):
+                values[f"prof{k}/coeff_{part}/{w}"] = word
+    return RegisterMap(values)
+
+
+@functools.lru_cache(maxsize=64)
+def blank_map(lengths):
+    """Profiles ``c0``, ``c1``, ... of the given lengths and their register
+    map, whose coefficient words :func:`with_banks` overwrites."""
+    profiles = [
+        StandardProfile(f"c{k}", Preamble(f"c{k}", np.ones(n)), fine_threshold=1)
+        for k, n in enumerate(lengths)
+    ]
+    return profiles, build_register_map(profiles)
+
+
+def push_run(banks, stream, enable=None, publish=None):
+    """Push every sample of ``stream`` through an ungated ``DetectorBank``
+    whose profile k holds ``banks[k]``; per bank, the ``(n,
+    CorrelatorOutput)`` pairs where it reported at an enabled position.  A
+    gated push is an ungated one filtered to the enabled positions.
+    ``publish`` maps a sample index to the banks whose words are published
+    just before that sample."""
+    profiles, blank = blank_map(tuple(b.length for b in banks))
+    bank = DetectorBank(profiles, with_banks(blank, banks), stream.format)
+    pairs = {p.id: [] for p in profiles}
+    for t, (i, q) in enumerate(zip(stream.i.tolist(), stream.q.tolist())):
+        if publish and t in publish:
+            bank.update_registers(with_banks(blank, publish[t]))
+        outs = bank.push(i, q)
+        if enable is None or enable[t]:
+            for pid, out in outs.items():
+                if out is not None:
+                    pairs[pid].append((t, out))
+    return list(pairs.values())
 
 
 def as_outputs(pairs):

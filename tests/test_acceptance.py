@@ -31,7 +31,14 @@ from pktdet.signal import (
     pn_preamble,
     quantize,
 )
-from pktdet.standards import Candidate, StandardProfile, arbitrate, build_register_map, run_detector_bank
+from pktdet.standards import (
+    Candidate,
+    DetectorBank,
+    StandardProfile,
+    arbitrate,
+    build_register_map,
+    run_detector_bank,
+)
 
 from oracles import (
     binomial_acceptance_region,
@@ -65,21 +72,26 @@ def pairs_from_bits(n: int, i_bits: int, q_bits: int):
     ]
 
 
-def correlate_both_ways(pairs, bank: CoefficientBank, every: int = 1) -> dict:
-    """``((p_ii, p_qq, p_qi, p_iq), re)`` by position, at every ``every``-th
-    position (the last of each group): the streaming (``push``) partials and
-    the batch (``process``) ``re`` of fresh correlators over the same Q1.15
-    (i, q) codes."""
+def correlate_both_ways(pairs, banks, every: int = 1) -> list[dict]:
+    """Per bank, ``((p_ii, p_qq, p_qi, p_iq), re)`` by position, at every
+    ``every``-th position (the last of each group): the streaming (``push``)
+    partials and the batch (``process``) ``re`` over the same Q1.15 (i, q)
+    codes.  The streaming side is one ``DetectorBank`` loaded by writing
+    each bank's coefficient words into its profile's registers."""
     enable = [t % every == every - 1 for t in range(len(pairs))]
     codes = np.array(pairs, dtype=np.int32).reshape(-1, 2)
     stream = SampleStream(format=Q1_15, i=codes[:, 0], q=codes[:, 1])
-    index, re = SignCorrelator(bank).process(stream, enable)
-    pushed = push_run(SignCorrelator(bank), stream, enable)
-    assert np.array_equal(as_outputs(pushed)[0], index)
-    return {
-        t: ((out.p_ii, out.p_qq, out.p_qi, out.p_iq), value)
-        for (t, out), value in zip(pushed, re.tolist())
-    }
+    outputs = []
+    for bank, pushed in zip(banks, push_run(banks, stream, enable)):
+        index, re = SignCorrelator(bank).process(stream, enable)
+        assert np.array_equal(as_outputs(pushed)[0], index)
+        outputs.append(
+            {
+                t: ((out.p_ii, out.p_qq, out.p_qi, out.p_iq), value)
+                for (t, out), value in zip(pushed, re.tolist())
+            }
+        )
+    return outputs
 
 
 def with_re(partials: tuple[int, int, int, int]):
@@ -97,13 +109,14 @@ def test_criterion_1_oracle_equivalence():
     checked = 0
 
     # exhaustive over every single-channel sign pattern pair at lengths 1..8:
-    # per reference b, all 2**n window patterns a stream through one window
-    # back to back, and pattern a fills it exactly at position a*n + n - 1
+    # all 2**n window patterns a stream back to back through one bank that
+    # holds every reference b, and pattern a fills the window exactly at
+    # position a*n + n - 1
     for n in range(1, 9):
         patterns = [pairs_from_bits(n, a, 0) for a in range(1 << n)]
         codes = [pair for pattern in patterns for pair in pattern]
-        for b in range(1 << n):
-            outputs = correlate_both_ways(codes, bank_from_sign_words(n, b, 0), every=n)
+        banks = [bank_from_sign_words(n, b, 0) for b in range(1 << n)]
+        for b, outputs in enumerate(correlate_both_ways(codes, banks, every=n)):
             for a, pattern in enumerate(patterns):
                 assert outputs[a * n + n - 1] == with_re(sign_partials(pattern, patterns[b]))
                 checked += 1
@@ -121,7 +134,8 @@ def test_criterion_1_oracle_equivalence():
         for _ in range(per_length):
             a_i, a_q, b_i, b_q = (rand_bits(n) for _ in range(4))
             bank = bank_from_sign_words(n, b_i, b_q)
-            out = correlate_both_ways(pairs_from_bits(n, a_i, a_q), bank)[n - 1]
+            (outputs,) = correlate_both_ways(pairs_from_bits(n, a_i, a_q), [bank])
+            out = outputs[n - 1]
             expected = sign_partials(
                 pairs_from_bits(n, a_i, a_q), pairs_from_bits(n, b_i, b_q)
             )
@@ -148,7 +162,8 @@ def test_criterion_2_ideal_maxima():
     for n, ideal in ((32, 64), (64, 128)):
         preamble = pn_preamble("p", n, seed=(2, n))
         bank = load_coefficients(preamble)
-        (p_ii, p_qq, p_qi, p_iq), re = correlate_both_ways(sign_pairs(bank), bank)[n - 1]
+        (outputs,) = correlate_both_ways(sign_pairs(bank), [bank])
+        (p_ii, p_qq, p_qi, p_iq), re = outputs[n - 1]
         assert p_ii + p_qq == re == ideal
         assert p_qi - p_iq == 0
 
@@ -157,7 +172,8 @@ def test_criterion_2_ideal_maxima():
     zero_bank = load_coefficients(Preamble(id="z", samples=samples))
     stream = quantize(samples, Q1_15)
     codes = list(zip(stream.i.tolist(), stream.q.tolist()))
-    (p_ii, p_qq, _, _), re = correlate_both_ways(codes, zero_bank)[31]
+    (outputs,) = correlate_both_ways(codes, [zero_bank])
+    (p_ii, p_qq, _, _), re = outputs[31]
     assert p_ii + p_qq == re == 64
 
     elapsed = time.perf_counter() - t0
@@ -387,16 +403,17 @@ def test_criterion_5_energy_gating_contract():
     gated.process(stream, enable)
     enabled_ready = int(np.count_nonzero(enable[63:]))
     assert gated.work_count == enabled_ready  # zero work outside the gate
-    pushed = SignCorrelator(load_coefficients(preamble))
-    push_run(pushed, stream, enable)
-    assert pushed.work_count == gated.work_count  # batch counts what push skips
+    regs_gated = build_register_map([profile], energy=energy, holdoff=holdoff)
+    streaming = DetectorBank([profile], regs_gated, Q1_15)
+    codes = zip(stream.i.tolist(), stream.q.tolist())
+    pushed = sum(streaming.push(i, q)["pkt"] is not None for i, q in codes)
+    assert pushed == gated.work_count  # the streaming gate works where batch does
 
     free = SignCorrelator(load_coefficients(preamble))
     free.process(stream)
     assert free.work_count == len(stream) - 63
     assert gated.work_count < free.work_count  # the gate actually saved work
 
-    regs_gated = build_register_map([profile], energy=energy, holdoff=holdoff)
     regs_free = build_register_map([profile], energy=None)
     events_gated = run_detector_bank(stream, [profile], regs_gated)
     events_free = run_detector_bank(stream, [profile], regs_free)

@@ -1,0 +1,79 @@
+"""``tools/bench_pairs.py`` keeps the pairs it finished when a run crashes."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+# a stand-in for bench/run.py: three lines of output, or a crash on one seed
+FAKE_RUN = """
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == {crash_seed}:
+    sys.stderr.write("".join(f"trace line {{k}}\\n" for k in range(40)))
+    sys.exit(3)
+print(json.dumps({{"provenance": {{"seed": seed}}}}))
+print("12 untraced ops")
+metrics = {{"samples_per_s": {{"value": {speed} + seed, "unit": "samples/s"}}}}
+print(json.dumps({{"correct": True, "attempted": 12, "failed": 0, "metrics": metrics}}))
+"""
+
+
+def fake_tree(root: Path, crash_seed: int, speed: int) -> Path:
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(FAKE_RUN.format(crash_seed=crash_seed, speed=speed))
+    spec = {"end_to_end": [{"name": "samples_per_s", "better": "higher"}]}
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    return root
+
+
+def compare(tmp_path, monkeypatch, pairs: int, base_crash_seed: int = -1):
+    """Run the tool from seed 5 on two fake trees, the base one crashing on
+    ``base_crash_seed``; its exit code and the report it wrote."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def export(revision, into):
+        fake_tree(into, base_crash_seed, 900)
+        return "base0"
+
+    monkeypatch.setattr(tool, "export", export)
+    monkeypatch.setattr(tool, "git", lambda *args: b"head0" if args[0] == "rev-parse" else b"")
+    monkeypatch.setattr(tool, "ROOT", fake_tree(tmp_path / "change", -1, 1000))
+    out = tmp_path / "pairs.json"
+    argv = ["--workload", "w", "--base", "B", "--pairs", str(pairs), "--seed", "5"]
+    code = tool.main(argv + ["--seconds", "1", "--out", str(out)])
+    return code, json.loads(out.read_text()), tool
+
+
+def test_a_crash_keeps_the_finished_pairs(tmp_path, monkeypatch):
+    # pair 2 (seed 7) runs the base first, and the base crashes on it
+    code, report, tool = compare(tmp_path, monkeypatch, pairs=4, base_crash_seed=7)
+    assert code == 1
+    assert [(p["pair"], p["seed"]) for p in report["pairs"]] == [(0, 5), (1, 6)]
+    assert [p["change"]["metrics"]["samples_per_s"] for p in report["pairs"]] == [1005, 1006]
+    assert report["summary"]["samples_per_s"]["wins"] == 2
+    crashed = report["crashed"]
+    assert {k: crashed[k] for k in ("pair", "side", "seed", "exit")} == {
+        "pair": 2,
+        "side": "base",
+        "seed": 7,
+        "exit": 3,
+    }
+    tail = [f"trace line {k}" for k in range(40 - tool._STDERR_TAIL_LINES, 40)]
+    assert crashed["stderr_tail"] == tail
+
+
+def test_a_crash_in_the_first_run_writes_no_summary(tmp_path, monkeypatch):
+    code, report, _ = compare(tmp_path, monkeypatch, pairs=2, base_crash_seed=5)
+    assert code == 1
+    assert report["pairs"] == [] and report["summary"] == {}
+    assert (report["crashed"]["pair"], report["crashed"]["side"]) == (0, "base")
+
+
+def test_finished_runs_exit_0(tmp_path, monkeypatch):
+    code, report, _ = compare(tmp_path, monkeypatch, pairs=2)
+    assert code == 0
+    assert len(report["pairs"]) == 2 and report["crashed"] is None

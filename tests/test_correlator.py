@@ -59,11 +59,12 @@ def bank_from_signs(pairs):
 
 
 def correlate_codes(codes, bank):
-    """Push raw (i, q) codes through a fresh correlator; the last output."""
-    corr = SignCorrelator(bank)
-    out = None
-    for i, q in codes:
-        out = corr.push(i, q)
+    """Push raw (i, q) codes through a fresh bank holding ``bank``; the
+    output at the last code."""
+    codes = np.array(codes, dtype=np.int32).reshape(-1, 2)
+    (pairs,) = push_run([bank], SampleStream(format=Q1_15, i=codes[:, 0], q=codes[:, 1]))
+    t, out = pairs[-1]
+    assert t == len(codes) - 1
     return out
 
 
@@ -168,9 +169,9 @@ class TestCorrelateAt:
 
     def test_underfilled_window_not_ready(self):
         bank = load_coefficients(pn_preamble("p", 8, seed=1))
-        corr = SignCorrelator(bank)
-        assert [corr.push(1, 1) is None for _ in range(8)] == [True] * 7 + [False]
-        assert corr.work_count == 1
+        ones = np.ones(9, dtype=np.int32)
+        (pairs,) = push_run([bank], SampleStream(format=Q1_15, i=ones, q=ones))
+        assert [t for t, _ in pairs] == [7, 8]
 
     @given(sign_pair_lists, st.randoms(use_true_random=False))
     def test_matches_naive_dot_product(self, ref_pairs, rnd):
@@ -286,10 +287,10 @@ class TestCorrelateStream:
         enable = rng.integers(0, 2, size=40).astype(bool)
 
         batch = SignCorrelator(bank).process(stream, enable)
-        assert same_outputs(as_outputs(push_run(SignCorrelator(bank), stream, enable)), batch)
+        assert same_outputs(as_outputs(push_run([bank], stream, enable)[0]), batch)
 
-    @example(n=64, length=0, seed=0, masked=True, rebind=False)
-    @example(n=64, length=63, seed=1, masked=False, rebind=True)
+    @example(n=64, length=0, seed=0, masked=True, publish=False)
+    @example(n=64, length=63, seed=1, masked=False, publish=True)
     @given(
         st.integers(1, 64),
         st.integers(0, 192),
@@ -297,8 +298,9 @@ class TestCorrelateStream:
         st.booleans(),
         st.booleans(),
     )
-    def test_process_equals_fresh_push_run(self, n, length, seed, masked, rebind):
-        # stream lengths from empty to three banks, codes on both sides of 0
+    def test_process_equals_fresh_push_run(self, n, length, seed, masked, publish):
+        # stream lengths from empty to three banks, codes on both sides of 0;
+        # a second bank published before the first push is the one in force
         length = length % (3 * n + 1)
         rng = np.random.default_rng(seed)
         codes = rng.integers(-3, 3, size=(2, length)).astype(np.int32)
@@ -307,13 +309,11 @@ class TestCorrelateStream:
         first = bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(n, 2))])
         second = bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(n, 2))])
 
-        corr = SignCorrelator(first)
-        if rebind:
-            corr.rebind_bank(second)
+        corr = SignCorrelator(second if publish else first)
         batch = corr.process(stream, enable)
-        pushed = SignCorrelator(second if rebind else first)
-        assert same_outputs(batch, as_outputs(push_run(pushed, stream, enable)))
-        assert corr.work_count == pushed.work_count == len(batch[0])
+        (pushed,) = push_run([first], stream, enable, {0: [second]} if publish else None)
+        assert same_outputs(batch, as_outputs(pushed))
+        assert corr.work_count == len(pushed) == len(batch[0])
 
     @example(shaped=(64, np.arange(200) == 199), seed=0)
     @example(shaped=(16, ((np.arange(120) - 20) % 60) < 5), seed=1)
@@ -328,20 +328,20 @@ class TestCorrelateStream:
         bank = bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(n, 2))])
         corr = SignCorrelator(bank)
         batch = corr.process(stream, enable)
-        pushed = SignCorrelator(bank)
-        assert same_outputs(batch, as_outputs(push_run(pushed, stream, enable)))
-        assert corr.work_count == pushed.work_count == len(batch[0])
+        (pushed,) = push_run([bank], stream, enable)
+        assert same_outputs(batch, as_outputs(pushed))
+        assert corr.work_count == len(pushed) == len(batch[0])
 
-    @example(n=32, seed=0, rebind_at=0)
-    @example(n=64, seed=1, rebind_at=192)
+    @example(n=32, seed=0, publish_at=0)
+    @example(n=64, seed=1, publish_at=192)
     @given(st.integers(1, 70), st.integers(0, 2**32 - 1), st.integers(0, 210))
-    def test_push_partials_over_a_long_gated_run(self, n, seed, rebind_at):
-        # 3n samples through one correlator, rebound to a second bank of the
-        # same length at sample `rebind_at`; n crosses the 32- and 64-bit
+    def test_push_partials_over_a_long_gated_run(self, n, seed, publish_at):
+        # 3n samples through one bank, a second bank of the same length
+        # published at sample `publish_at`; n crosses the 32- and 64-bit
         # word edges, and codes 0 and -1 sit on either side of the sign cut
         rng = np.random.default_rng(seed)
         length = 3 * n
-        rebind_at %= length + 1
+        publish_at %= length + 1
         codes = rng.integers(-2, 2, size=(2, length))
         spots = rng.choice(length, size=2, replace=False)
         codes[:, spots[0]] = (0, -1)
@@ -352,32 +352,15 @@ class TestCorrelateStream:
             for _ in range(2)
         ]
         signs = [(1 if i >= 0 else -1, 1 if q >= 0 else -1) for i, q in codes.T.tolist()]
+        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
 
-        corr = SignCorrelator(banks[0])
-        reported = 0
-        for t, (i, q) in enumerate(codes.T.tolist()):
-            if t == rebind_at:
-                corr.rebind_bank(banks[1])
-            out = corr.push(i, q, bool(enable[t]))
-            assert (out is not None) == (enable[t] and t >= n - 1)
-            if out is None:
-                continue
-            reported += 1
-            ref = sign_pairs(banks[t >= rebind_at])
+        (pushed,) = push_run(banks[:1], stream, enable, {publish_at: banks[1:]})
+        assert [t for t, _ in pushed] == [t for t in range(n - 1, length) if enable[t]]
+        for t, out in pushed:
+            ref = sign_pairs(banks[t >= publish_at])
             assert (out.p_ii, out.p_qq, out.p_qi, out.p_iq) == sign_partials(
                 signs[t - n + 1 : t + 1], ref
             )
-        assert corr.work_count == reported
-
-    def test_process_ignores_the_push_window(self):
-        # process starts from an empty window whatever push shifted in before
-        rng = np.random.default_rng(4)
-        bank = bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(16, 2))])
-        stream = quantize(rng.normal(size=40) + 1j * rng.normal(size=40), Q1_15)
-        corr = SignCorrelator(bank)
-        for k in range(20):
-            corr.push(int(stream.i[k]), int(stream.q[k]))
-        assert same_outputs(corr.process(stream), SignCorrelator(bank).process(stream))
 
     def test_enable_length_mismatch_rejected(self):
         preamble = pn_preamble("p", 8, seed=1)

@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from pktdet.energy import EnergyConfig, EnergyDetector, enable_array, raw_threshold
+from pktdet.energy import EnergyConfig, enable_array, raw_threshold
 from pktdet.signal import (
     FixedPointFormat,
+    Preamble,
     Q1_15,
     SampleStream,
     embed_preamble,
     pn_preamble,
     quantize,
 )
+from pktdet.standards import DetectorBank, StandardProfile, build_register_map
 
 from oracles import exceed_count
 
@@ -35,8 +37,13 @@ def stream_from_codes(codes, fmt=Q1_15):
 
 
 def streamed_enable(stream, cfg):
-    det = EnergyDetector(cfg, stream.format)
-    return [det.push(int(i), int(q)) for i, q in zip(stream.i, stream.q)]
+    """The streaming bank's gate decision per sample: its 1-point profile,
+    with no hold-off, reports exactly where the gate is open."""
+    gate = StandardProfile(id="g", preamble=Preamble("g", np.ones(1)), fine_threshold=1)
+    regs = build_register_map([gate], energy=cfg, holdoff=0, fmt=stream.format)
+    bank = DetectorBank([gate], regs, stream.format)
+    codes = zip(stream.i.tolist(), stream.q.tolist())
+    return [bank.push(i, q)["g"] is not None for i, q in codes]
 
 
 def oracle_enable(stream, cfg):
@@ -92,6 +99,8 @@ class TestEnergyGate:
         cfg = EnergyConfig(window_len=8, sample_energy_threshold=0.1, count_threshold=8)
         assert not enable_array(stream, cfg).any()
 
+    @example(codes=[(30000, 0)] * 6, window_len=4, threshold=0.0, count_threshold=0)
+    @example(codes=[(30000, 0)] * 6, window_len=4, threshold=0.0, count_threshold=3)
     @given(code_lists, st.integers(1, 8), st.floats(0, 2.5), st.integers(0, 8))
     def test_matches_naive_recount(self, codes, window_len, threshold, count_threshold):
         stream = stream_from_codes(codes)
@@ -130,6 +139,7 @@ class TestEnergyGate:
         enable = enable_array(stream, cfg)
         assert not enable[:7].any()
         assert enable[7:].all()
+        assert streamed_enable(stream, cfg) == enable.tolist()
 
     def test_short_stream_rejected(self):
         stream = make_stream(np.zeros(4, dtype=complex))

@@ -229,10 +229,47 @@ class TestSampleStreamBlock:
                 with pytest.raises(ValueError):
                     array[0] = 1
             assert stream.codes is stream.codes  # built once
-        # quantize and a 16-bit read_iq build i and q as the block's rows
-        for stream in self.built_three_ways([(1, 2)], tmp_path / "capture.iqpd")[1:]:
+        # every constructor keeps i and q as the block's rows
+        for stream in self.built_three_ways([(1, 2)], tmp_path / "capture.iqpd"):
             assert np.shares_memory(stream.i, stream.codes)
             assert np.shares_memory(stream.q, stream.codes)
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint64]
+    )
+    def test_copies_integer_codes_into_its_own_block(self, dtype):
+        i = np.array([0, 7, 127], dtype=dtype)
+        q = np.array([3, 0, 1], dtype=dtype)
+        stream = SampleStream(format=Q1_15, i=i, q=q)
+        assert stream.codes.dtype == np.int32 and stream.codes.flags.c_contiguous
+        assert stream.codes.tolist() == [[0, 7, 127], [3, 0, 1]]
+        assert stream.i.base is stream.codes and stream.q.base is stream.codes
+        assert stream.energy.tolist() == [9, 49, 127**2 + 1]
+        i[0] = q[0] = 5  # the caller's arrays stay theirs, and writable
+        assert stream.codes[:, 0].tolist() == [0, 3]
+
+    @pytest.mark.parametrize(
+        "i, q",
+        [
+            (np.array([0.4]), np.array([0])),
+            (np.array([0]), np.array([1.0])),
+            (np.array([True, False]), np.array([1, 0])),
+            (np.array([1], dtype=object), np.array([1])),
+        ],
+        ids=["float-i", "float-q", "bool", "object"],
+    )
+    def test_rejects_codes_that_are_not_integers(self, i, q):
+        with pytest.raises(ValueError, match="integer codes"):
+            SampleStream(format=Q1_15, i=i, q=q)
+
+    @pytest.mark.parametrize(
+        "code", [np.uint64(2**63), np.uint64(32768), np.int64(-32769), np.int64(2**40)]
+    )
+    def test_rejects_codes_beyond_the_format_in_any_integer_type(self, code):
+        ok = np.zeros(1, dtype=code.dtype)
+        for i, q in ((np.array([code]), ok), (ok, np.array([code]))):
+            with pytest.raises(ValueError, match="out of range"):
+                SampleStream(format=Q1_15, i=i, q=q)
 
 
 class TestEmbed:

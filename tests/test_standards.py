@@ -11,6 +11,7 @@ from pktdet.correlator import SignCorrelator, latch_enable, load_coefficients
 from pktdet.energy import EnergyConfig, enable_array
 from pktdet.harness import scenario_profiles
 from pktdet.signal import (
+    MAX_PREAMBLE_LEN,
     FixedPointFormat,
     Preamble,
     Q1_15,
@@ -34,8 +35,8 @@ from pktdet.standards import (
     run_detector_bank,
 )
 
-from oracles import latched_run_starts, run_peaks
-from streaming import as_outputs, same_outputs
+from oracles import latched_run_starts, run_peaks, sign_partials
+from streaming import as_outputs, push_run, same_outputs, sign_pairs
 
 
 def profile(pid, length, threshold, seed=0):
@@ -687,9 +688,9 @@ class TestStreamingDetectorBank:
             assert same_outputs(as_outputs(streamed), batch)
 
     def test_energy_thresholds_adopted_mid_stream(self):
-        p = profile("a", 16, 20)
+        p, short = profile("a", 16, 20), profile("s", 3, 20)
         w = 8
-        regs_old = build_register_map([p], energy=EnergyConfig(w, 0.2, 3), holdoff=0)
+        regs_old = build_register_map([p, short], energy=EnergyConfig(w, 0.2, 3), holdoff=0)
         thr_old = regs_old.read("energy/sample_thresh_raw")
         thr_new = round(0.35 * Q1_15.scale**2)
         regs_new = regs_old.write("energy/count_thresh", 5).write(
@@ -703,14 +704,14 @@ class TestStreamingDetectorBank:
         )
         publish = {90: regs_new, 170: regs_old}
 
-        bank = DetectorBank([p], regs_old, Q1_15)
-        streamed = []
+        bank = DetectorBank([p, short], regs_old, Q1_15)
+        streamed = {"a": [], "s": []}
         for n in range(length):
             if n in publish:
                 bank.update_registers(publish[n])
-            out = bank.push(int(stream.i[n]), int(stream.q[n]))["a"]
-            if out is not None:
-                streamed.append((n, out))
+            for pid, out in bank.push(int(stream.i[n]), int(stream.q[n])).items():
+                if out is not None:
+                    streamed[pid].append((n, out))
 
         # naive model: the registers in force at each sample
         new_at = [90 <= n < 170 for n in range(length)]
@@ -729,8 +730,9 @@ class TestStreamingDetectorBank:
         expected = model(
             lambda k: thr_new if new_at[k] else thr_old, lambda n: 5 if new_at[n] else 3
         )
-        batch = SignCorrelator(load_coefficients(p.preamble)).process(stream, expected)
-        assert same_outputs(as_outputs(streamed), batch)
+        for q in (p, short):
+            batch = SignCorrelator(q.bank).process(stream, expected)
+            assert same_outputs(as_outputs(streamed[q.id]), batch)
         # the capture tells the model apart from the plausible wrong ones
         wrong = (
             model(lambda k: thr_old, lambda n: 3),
@@ -757,13 +759,14 @@ class TestStreamingDetectorBank:
     )
     def test_rejected_publish_keeps_the_current_map(self, key, value):
         p = profile("a", 40, 50)
-        regs = build_register_map([p], energy=EnergyConfig(16, 0.25, 8))
+        profiles = [p, profile("s", 7, 5)]
+        regs = build_register_map(profiles, energy=EnergyConfig(16, 0.25, 8))
         stream, start = make_capture(p)
         codes = list(zip(stream.i.tolist(), stream.q.tolist()))
-        reference = DetectorBank([p], regs, Q1_15)
+        reference = DetectorBank(profiles, regs, Q1_15)
         expected = [reference.push(i, q) for i, q in codes]
 
-        bank = DetectorBank([p], regs, Q1_15)
+        bank = DetectorBank(profiles, regs, Q1_15)
         half = start + 20  # mid-preamble
         got = [bank.push(i, q) for i, q in codes[:half]]
         with pytest.raises(ConfigurationError):
@@ -787,10 +790,100 @@ class TestStreamingDetectorBank:
         expected = [(n >= 15, n >= 31 and not 50 <= n < 100) for n in range(len(stream))]
         assert reported == expected
 
+    @example(lengths=[1, 31, 32, 33], seed=0, publish_at=40)
+    @example(lengths=[33, 1], seed=1, publish_at=0)
+    @given(
+        st.lists(st.sampled_from((1, 31, 32, 33)), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 100),
+    )
+    def test_mixed_lengths_match_the_oracle(self, lengths, seed, publish_at):
+        # profiles of 1, 31, 32 and 33 points read one shared shift register,
+        # each its newest n bits, before and after new banks are published
+        rng = np.random.default_rng(seed)
+        length = 100
+        codes = rng.integers(-2, 2, size=(2, length))
+        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
+        signs = [(1 if i >= 0 else -1, 1 if q >= 0 else -1) for i, q in codes.T.tolist()]
+        banks = [[random_bank(rng, n) for n in lengths] for _ in range(2)]
+        pushed = push_run(banks[0], stream, publish={publish_at: banks[1]})
+        for k, (n, outputs) in enumerate(zip(lengths, pushed)):
+            assert [t for t, _ in outputs] == list(range(n - 1, length))
+            for t, out in outputs:
+                ref = sign_pairs(banks[t >= publish_at][k])
+                assert partials(out) == sign_partials(signs[t - n + 1 : t + 1], ref)
+        # and the batch path agrees with a run under one map
+        for k, outputs in enumerate(push_run(banks[0], stream)):
+            assert same_outputs(as_outputs(outputs), SignCorrelator(banks[0][k]).process(stream))
+
+    def test_longest_bank_beside_a_short_one(self):
+        # a 16,384-point bank widens the shared register to its limit; the
+        # 32-point bank beside it still reads only its newest 32 bits
+        long_n = MAX_PREAMBLE_LEN
+        rng = np.random.default_rng(16384)
+        banks = [random_bank(rng, long_n), random_bank(rng, 32)]
+        length = long_n + 40
+        codes = rng.integers(-2, 2, size=(2, length))
+        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
+        signs = [(1 if i >= 0 else -1, 1 if q >= 0 else -1) for i, q in codes.T.tolist()]
+        refs = [sign_pairs(bank) for bank in banks]
+
+        short_stream = SampleStream(format=Q1_15, i=codes[0, :100], q=codes[1, :100])
+        long_out, short_out = push_run(banks, short_stream)
+        assert long_out == [] and [t for t, _ in short_out] == list(range(31, 100))
+        long_out, short_out = push_run(banks, stream)
+        assert [t for t, _ in short_out] == list(range(31, length))
+        assert [t for t, _ in long_out] == list(range(long_n - 1, length))
+        for t, out in short_out[:100] + short_out[-100:]:
+            assert partials(out) == sign_partials(signs[t - 31 : t + 1], refs[1])
+        for t, out in (long_out[0], long_out[17], long_out[-1]):
+            assert partials(out) == sign_partials(signs[t - long_n + 1 : t + 1], refs[0])
+        for bank, outputs in zip(banks, (long_out, short_out)):
+            assert same_outputs(as_outputs(outputs), SignCorrelator(bank).process(stream))
+
+    @example(seed=2, publish_at=[0, 1, 15, 16, 17, 60])
+    @example(seed=3, publish_at=list(range(200)))
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 199), max_size=12) | st.just(list(range(200))),
+    )
+    def test_publishing_the_map_in_force_changes_nothing(self, seed, publish_at):
+        # a publish swaps the configuration only: the sign and exceedance
+        # windows, the samples seen and the hold-off count carry on
+        profiles = [profile("a", 8, 1, 1), profile("b", 40, 1, 2)]
+        regs, same = (
+            build_register_map(profiles, energy=EnergyConfig(16, 0.05, 6), holdoff=5)
+            for _ in range(2)
+        )
+        codes = burst_codes(seed, 200).tolist()
+        reference = DetectorBank(profiles, regs, Q1_15)
+        expected = [reference.push(i, q) for i, q in codes]
+        bank = DetectorBank(profiles, regs, Q1_15)
+        got = []
+        for t, (i, q) in enumerate(codes):
+            if t in publish_at:
+                bank.update_registers(same)
+            got.append(bank.push(i, q))
+        assert got == expected
+
+    def test_push_takes_integer_codes_only(self):
+        p = profile("a", 1, 1)
+        regs = build_register_map([p], energy=EnergyConfig(1, 0.5, 0), holdoff=0)
+        bank = DetectorBank([p], regs, Q1_15)
+        # 0.9 and -0.9 would truncate to energy 0 and keep the gate shut
+        for i, q in ((0.9, -0.9), (1.0, 0), (0, "1"), (None, 0), (np.float32(1), 0)):
+            with pytest.raises(TypeError):
+                bank.push(i, q)
+        loud = Q1_15.max_code
+        assert bank.push(np.int16(loud), np.int64(-loud))["a"] is not None
+        assert bank.push(True, False)["a"] is None  # bools are the codes 1 and 0
+
     def test_register_adoption_is_atomic(self):
-        # two sentinel banks: all-positive signs vs all-negative signs
+        # two sentinel banks: all-positive signs vs all-negative signs, read
+        # beside a longer all-positive bank that no publish touches
         ones = profile_from_signs("ones", [+1] * 32)
-        regs_old = build_register_map([ones])
+        wide = profile_from_signs("wide", [+1] * 48)
+        regs_old = build_register_map([ones, wide])
         neg_bank = load_coefficients(
             pn_from_signs("neg", [-1] * 32)
         )
@@ -801,19 +894,32 @@ class TestStreamingDetectorBank:
             regs_new = regs_new.write(f"prof0/coeff_q/{w}", word)
 
         stream = quantize(0.5 * np.ones(96) + 0.5j * np.ones(96), Q1_15)
-        bank = DetectorBank([ones], regs_old, Q1_15)
-        outputs = []
+        bank = DetectorBank([ones, wide], regs_old, Q1_15)
+        outputs, wide_re = [], []
         for n in range(len(stream)):
             if n == 48:
                 bank.update_registers(regs_new)  # published mid-stream
-            out = bank.push(int(stream.i[n]), int(stream.q[n]))["ones"]
-            if out is not None:
-                outputs.append(out)
+            out = bank.push(int(stream.i[n]), int(stream.q[n]))
+            if out["ones"] is not None:
+                outputs.append(out["ones"])
+            if out["wide"] is not None:
+                wide_re.append(out["wide"].re)
+        assert wide_re == [96] * (len(stream) - 47)
         # all-positive input: old bank scores +64, new bank scores -64, a torn
         # bank would land strictly between
         assert set(o.re for o in outputs) == {64, -64}
         for o in outputs:
             assert abs(o.p_ii) == 32 and abs(o.p_qq) == 32
+
+
+def random_bank(rng, n):
+    """A coefficient bank of ``n`` random sign pairs."""
+    signs = rng.choice((-1.0, 1.0), size=(2, n))
+    return load_coefficients(Preamble("r", signs[0] + 1j * signs[1]))
+
+
+def partials(out):
+    return out.p_ii, out.p_qq, out.p_qi, out.p_iq
 
 
 def burst_codes(seed, length):

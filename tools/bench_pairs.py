@@ -13,8 +13,12 @@ ones.  The script writes every run's metrics and op count, each side's
 median and quartiles per metric, and the pairs the change won (ties count
 for neither side) to ``BENCH_<workload>.json`` at the repository root, or
 to ``--out``.  Whether higher or lower is better comes from the
-``end_to_end`` list of ``BENCHMARK.json``.  It exits 1 if any run failed
-its checks, after writing the file.  Standard library only.
+``end_to_end`` list of ``BENCHMARK.json``.  A run that crashes (no
+result line, or an exit code other than 0 or 1) ends the comparison
+without a retry: the file then holds the pairs finished before it and, under
+``crashed``, that run's pair, side, seed, exit code and the tail of its
+standard error.  The script exits 1 if any run crashed or failed its checks,
+after writing the file.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +35,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+_STDERR_TAIL_LINES = 20
+
+
+class _RunCrashed(RuntimeError):
+    """A ``bench/run.py`` run that gave no result: its exit code (None when
+    it timed out) and the last lines of its standard error."""
+
+    def __init__(self, exit_code: int | None, stderr: str) -> None:
+        self.exit_code = exit_code
+        self.stderr_tail = stderr.splitlines()[-_STDERR_TAIL_LINES:]
+        super().__init__(f"bench/run.py exited {exit_code}:\n" + "\n".join(self.stderr_tail))
 
 
 def git(*args: str) -> bytes:
@@ -50,12 +65,18 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     metrics, op count, check counts and exit code."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(
-        cmd, cwd=tree, capture_output=True, text=True, timeout=600 + 5 * seconds
-    )
+    try:
+        done = subprocess.run(
+            cmd, cwd=tree, capture_output=True, text=True, timeout=600 + 5 * seconds
+        )
+    except subprocess.TimeoutExpired as exc:
+        stderr = exc.stderr or ""  # bytes, even with text=True
+        if isinstance(stderr, bytes):
+            stderr = stderr.decode(errors="replace")
+        raise _RunCrashed(None, stderr) from None
     lines = done.stdout.splitlines()
     if done.returncode not in (0, 1) or len(lines) < 2:
-        raise RuntimeError(f"bench/run.py exited {done.returncode} in {tree}:\n{done.stderr}")
+        raise _RunCrashed(done.returncode, done.stderr)
     result = json.loads(lines[-1])
     ops = re.search(r"(\d+) untraced ops", done.stdout)
     return {
@@ -114,17 +135,28 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.workload}.json"
 
     pairs = []
+    crashed = None
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_commit = export(args.base, Path(tmp))
-        for k in range(args.pairs):
-            seed = args.seed + k
-            order = ("base", "change") if k % 2 == 0 else ("change", "base")
-            pair = {"pair": k, "seed": seed, "first": order[0]}
-            for side in order:
-                tree = Path(tmp) if side == "base" else ROOT
-                pair[side] = bench_run(tree, args.workload, seed, args.seconds)
-                print(f"pair {k} {side}: " + json.dumps(pair[side]["metrics"]), flush=True)
-            pairs.append(pair)
+        try:
+            for k in range(args.pairs):
+                seed = args.seed + k
+                order = ("base", "change") if k % 2 == 0 else ("change", "base")
+                pair = {"pair": k, "seed": seed, "first": order[0]}
+                for side in order:
+                    tree = Path(tmp) if side == "base" else ROOT
+                    pair[side] = bench_run(tree, args.workload, seed, args.seconds)
+                    print(f"pair {k} {side}: " + json.dumps(pair[side]["metrics"]), flush=True)
+                pairs.append(pair)
+        except _RunCrashed as exc:
+            print(f"pair {k} {side}: {exc}", file=sys.stderr, flush=True)
+            crashed = {
+                "pair": k,
+                "side": side,
+                "seed": seed,
+                "exit": exc.exit_code,
+                "stderr_tail": exc.stderr_tail,
+            }
 
     head = git("rev-parse", "HEAD").decode().strip()
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
@@ -134,16 +166,16 @@ def main(argv=None) -> int:
         "change": head + ("+uncommitted" if dirty else ""),
         "seconds": args.seconds,
         "seeds": [args.seed, args.seed + args.pairs - 1],
-        "summary": summarize(pairs, better),
+        "summary": summarize(pairs, better) if pairs else {},
         "pairs": pairs,
+        "crashed": crashed,
     }
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")
     failed = [(p["pair"], side) for p in pairs for side in ("base", "change") if p[side]["exit"]]
     if failed:
         print(f"runs that failed their checks (pair, side): {failed}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failed or crashed else 0
 
 
 if __name__ == "__main__":
