@@ -37,7 +37,7 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _cmd_gen_coeff(args) -> int:
-    preamble = cfgfile.parse_preamble_source(args.preamble, name="preamble")
+    preamble = cfgfile.parse_preamble_source(args.preamble)
     _write_text(args.out, dump_bank(load_coefficients(preamble)))
     return 0
 
@@ -88,11 +88,13 @@ def _cmd_detect(args) -> int:
     return 0
 
 
+def _scenario(config_path: str | None):
+    """The sweep scenario of ``--config``, or the demo scenario without one."""
+    return default_sweep_config() if config_path is None else cfgfile.load_sweep_config(config_path)
+
+
 def _cmd_sweep(args) -> int:
-    if args.config is not None:
-        cfg = cfgfile.load_sweep_config(args.config)
-    else:
-        cfg = default_sweep_config()
+    cfg = _scenario(args.config)
     if args.transmit is not None:
         if args.transmit not in {p.id for p in cfg.profiles}:
             print(f"error: unknown profile {args.transmit!r}", file=sys.stderr)
@@ -104,10 +106,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scope(args) -> int:
-    if args.config is not None:
-        cfg = cfgfile.load_sweep_config(args.config)
-    else:
-        cfg = default_sweep_config()
+    cfg = _scenario(args.config)
     result = run_scope_scenario(cfg, snr_db=args.snr, seed=args.seed)
     _write_text(args.out, result.to_csv())
     return 0

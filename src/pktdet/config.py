@@ -66,7 +66,7 @@ def read_complex_file(path) -> np.ndarray:
     return np.array(values, dtype=np.complex128)
 
 
-def parse_preamble_source(source: str, name: str, base_dir: Path | None = None) -> Preamble:
+def parse_preamble_source(source: str, base_dir: Path | None = None) -> Preamble:
     """Resolve a preamble source string into a Preamble.
 
     ``pn:seed=S,len=N`` draws a pseudo-noise reference, ``file:PATH`` loads
@@ -94,14 +94,14 @@ def parse_preamble_source(source: str, name: str, base_dir: Path | None = None) 
             length = int(fields["len"])
         except KeyError as exc:
             raise ValueError(f"pn preamble source needs seed= and len=: {source!r}") from exc
-        return pn_preamble(name, length, seed)
+        return pn_preamble(length, seed)
     if source.startswith("file:"):
-        return Preamble(id=name, samples=read_complex_file(resolve(source[5:])))
+        return Preamble(read_complex_file(resolve(source[5:])))
     if source.startswith("coeff:"):
         from .correlator import parse_bank
 
         si, sq = parse_bank(resolve(source[6:]).read_text()).sign_arrays
-        return Preamble(id=name, samples=1.0 / math.sqrt(2.0) * (si + 1j * sq))
+        return Preamble(1.0 / math.sqrt(2.0) * (si + 1j * sq))
     raise ValueError(
         f"preamble source must start with 'pn:', 'file:' or 'coeff:', got {source!r}"
     )
@@ -133,12 +133,31 @@ def _parse_snr_points(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+def _read_ini(path) -> configparser.ConfigParser:
+    """Read an INI file; a file the parser cannot read raises ``ValueError``
+    with its message on one line."""
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"),
+        converters={"intrange": _parse_int_range, "format": FixedPointFormat.parse},
+    )
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:
+        raise ValueError(" ".join(str(exc).split())) from None
+    return parser
+
+
+def _required(section: configparser.SectionProxy, key: str) -> str:
+    try:
+        return section[key]
+    except KeyError:
+        raise ValueError(f"[{section.name}] needs a {key!r} key") from None
+
+
 def load_profiles(path) -> tuple[StandardProfile, ...]:
     """Parse all [profile <id>] blocks from an INI file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    with open(path) as fh:
-        parser.read_file(fh)
-    return _profiles_from_parser(parser, Path(path).parent)
+    return _profiles_from_parser(_read_ini(path), Path(path).parent)
 
 
 def _profiles_from_parser(parser, base_dir: Path) -> tuple[StandardProfile, ...]:
@@ -146,14 +165,12 @@ def _profiles_from_parser(parser, base_dir: Path) -> tuple[StandardProfile, ...]
     for section in parser.sections():
         if not section.startswith(_PROFILE_PREFIX):
             continue
-        name = section[len(_PROFILE_PREFIX) :].strip()
         block = parser[section]
-        preamble = parse_preamble_source(block["preamble"], name, base_dir)
         profiles.append(
             StandardProfile(
-                id=name,
-                preamble=preamble,
-                fine_threshold=block.getint("threshold"),
+                id=section[len(_PROFILE_PREFIX) :].strip(),
+                preamble=parse_preamble_source(_required(block, "preamble"), base_dir),
+                fine_threshold=int(_required(block, "threshold")),
             )
         )
     if not profiles:
@@ -163,12 +180,7 @@ def _profiles_from_parser(parser, base_dir: Path) -> tuple[StandardProfile, ...]
 
 def load_sweep_config(path) -> SweepConfig:
     """Parse a full sweep description ([sweep] section plus profiles)."""
-    parser = configparser.ConfigParser(
-        inline_comment_prefixes=(";", "#"),
-        converters={"intrange": _parse_int_range, "format": FixedPointFormat.parse},
-    )
-    with open(path) as fh:
-        parser.read_file(fh)
+    parser = _read_ini(path)
     profiles = _profiles_from_parser(parser, Path(path).parent)
     if not parser.has_section("sweep"):
         raise ValueError("missing [sweep] section")
@@ -196,8 +208,8 @@ def load_sweep_config(path) -> SweepConfig:
         )
     return SweepConfig(
         profiles=profiles,
-        transmitted_profile_id=sweep["transmitted"].strip(),
-        snr_points_db=_parse_snr_points(sweep["snr_db"]),
+        transmitted_profile_id=_required(sweep, "transmitted").strip(),
+        snr_points_db=_parse_snr_points(_required(sweep, "snr_db")),
         trials_per_point=sweep.getint("trials", fallback=300),
         seed=sweep.getint("seed", fallback=0),
         pad_before_range=sweep.getintrange("pad_before", fallback=SweepConfig.pad_before_range),

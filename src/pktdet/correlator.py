@@ -214,4 +214,4 @@ def latch_enable(enable, holdoff: int) -> np.ndarray:
     enable = np.asarray(enable, dtype=bool)
     # every hold-off of at least len - 1 latches alike; the clamp bounds the
     # window's zero padding for any 32-bit register value
-    return window_sums(enable, min(holdoff, len(enable)) + 1, partial=True) > 0
+    return window_sums(enable, min(holdoff, len(enable)) + 1) > 0

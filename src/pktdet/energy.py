@@ -64,6 +64,6 @@ def enable_array(stream: SampleStream, cfg: EnergyConfig) -> np.ndarray:
     if len(stream) < w:
         raise ValueError("stream shorter than the energy window")
     exceed = stream.energy > raw_threshold(cfg, stream.format)
-    enable = np.zeros(len(stream), dtype=bool)
-    enable[w - 1 :] = window_sums(exceed, w) > cfg.count_threshold
+    enable = window_sums(exceed, w) > cfg.count_threshold
+    enable[: w - 1] = False  # the windows not yet full
     return enable

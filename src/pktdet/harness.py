@@ -152,17 +152,17 @@ def scenario_profiles(seed: int = 7) -> tuple[StandardProfile, ...]:
     return (
         StandardProfile(
             id="pn32",
-            preamble=pn_preamble("pn32", 32, (seed, 0)),
+            preamble=pn_preamble(32, (seed, 0)),
             fine_threshold=50,
         ),
         StandardProfile(
             id="pn64a",
-            preamble=pn_preamble("pn64a", 64, (seed, 1)),
+            preamble=pn_preamble(64, (seed, 1)),
             fine_threshold=100,
         ),
         StandardProfile(
             id="pn64b",
-            preamble=pn_preamble("pn64b", 64, (seed, 2)),
+            preamble=pn_preamble(64, (seed, 2)),
             fine_threshold=100,
         ),
     )
@@ -199,8 +199,17 @@ def synthesize(
     from in place, after whatever the caller drew before.
     """
     clean, start = embed_preamble(preamble, pad_before, pad_after)
-    noisy = add_awgn(clean, snr_db, rng, preamble.mean_power())
+    noisy = add_awgn(clean, snr_db, rng, preamble.mean_power)
     return quantize(noisy, fmt), start
+
+
+def _synthesize_capture(cfg: SweepConfig, tx, snr_db: float, seed) -> tuple[SampleStream, int]:
+    """One capture of ``tx`` under ``cfg``: the RNG seeded with ``seed``
+    draws the preamble start offset first, then the noise."""
+    rng = np.random.default_rng(seed)
+    lo, hi = cfg.pad_before_range
+    pad_before = int(rng.integers(lo, hi + 1))
+    return synthesize(tx.preamble, pad_before, cfg.pad_after, snr_db, rng, cfg.sample_format)
 
 
 def run_trial(cfg: SweepConfig, snr_db: float, trial_seed) -> TrialOutcome:
@@ -210,13 +219,8 @@ def run_trial(cfg: SweepConfig, snr_db: float, trial_seed) -> TrialOutcome:
     sweep passes (seed, snr_index, trial_index).  The preamble start offset
     is drawn per trial so the detector cannot memorize the alignment.
     """
-    rng = np.random.default_rng(trial_seed)
-    lo, hi = cfg.pad_before_range
-    pad_before = int(rng.integers(lo, hi + 1))
     tx = cfg.transmitted_profile()
-    stream, _ = synthesize(
-        tx.preamble, pad_before, cfg.pad_after, snr_db, rng, cfg.sample_format
-    )
+    stream, _ = _synthesize_capture(cfg, tx, snr_db, trial_seed)
     events = run_detector_bank(stream, cfg.profiles, cfg.registers)
     if not events:
         return TrialOutcome.MISSED
@@ -304,13 +308,8 @@ def run_scope_scenario(cfg: SweepConfig, snr_db: float = 10.0, seed: int = 0) ->
     thresholds and arbitration; with a healthy SNR the transmitted
     profile's trace holds the only threshold crossing.
     """
-    rng = np.random.default_rng((cfg.seed, seed))
-    lo, hi = cfg.pad_before_range
-    pad_before = int(rng.integers(lo, hi + 1))
     tx = cfg.transmitted_profile()
-    stream, start = synthesize(
-        tx.preamble, pad_before, cfg.pad_after, snr_db, rng, cfg.sample_format
-    )
+    stream, start = _synthesize_capture(cfg, tx, snr_db, (cfg.seed, seed))
 
     traces: dict[str, np.ndarray] = {}
     for profile in cfg.profiles:

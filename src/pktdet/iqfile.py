@@ -34,12 +34,11 @@ def write_iq(path, stream: SampleStream) -> None:
     header = _HEADER.pack(
         MAGIC, VERSION, fmt.total_bits, fmt.fractional_bits, _FLAG_SIGNED, len(stream)
     )
-    interleaved = np.empty(2 * len(stream), dtype="<i2")
-    interleaved[0::2] = stream.i.astype(np.int16)
-    interleaved[1::2] = stream.q.astype(np.int16)
+    # one strided cast interleaves I and Q, the mirror of read_iq's
+    interleaved = stream.codes.T.astype("<i2", order="C")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(interleaved.tobytes())
+        fh.write(interleaved)
 
 
 def read_iq(path) -> SampleStream:

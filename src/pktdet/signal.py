@@ -64,9 +64,6 @@ class FixedPointFormat:
     def max_code(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
-    def name(self) -> str:
-        return f"q{self.total_bits - self.fractional_bits}.{self.fractional_bits}"
-
     @classmethod
     def parse(cls, text: str) -> "FixedPointFormat":
         """Parse a signed format name like ``q1.15``."""
@@ -155,7 +152,6 @@ class SampleStream:
 class Preamble:
     """Known reference sequence at full precision (pre-quantization)."""
 
-    id: str
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -169,30 +165,24 @@ class Preamble:
     def length(self) -> int:
         return len(self.samples)
 
-    def mean_power(self) -> float:
-        return self._mean_power
-
     @cached_property
-    def _mean_power(self) -> float:
+    def mean_power(self) -> float:
         return float(np.mean(np.abs(self.samples) ** 2))
 
 
-def window_sums(values, width: int, partial: bool = False) -> np.ndarray:
-    """Sum of every ``width``-long window of integer or boolean ``values``,
-    from one int64 prefix sum.
+def window_sums(values, width: int) -> np.ndarray:
+    """Sum of the ``width``-long window of integer or boolean ``values``
+    ending at each index, from one int64 prefix sum.
 
-    Entry k sums ``values[k : k + width]``: one entry per full window, none
-    when ``width`` exceeds the length.  With ``partial``, the values are
-    preceded by ``width - 1`` zeros, so entry k sums the window ending at k,
-    ``values[max(0, k - width + 1) : k + 1]``: one entry per value.
+    Entry k sums ``values[max(0, k - width + 1) : k + 1]``, one entry per
+    value: the values are read as preceded by ``width - 1`` zeros.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    # the prefix sum lands after one zero, plus the partial windows' padding
-    lead = width if partial else 1
-    csum = np.zeros(lead + len(values), dtype=np.int64)
-    np.cumsum(values, dtype=np.int64, out=csum[lead:])
-    return csum[width:] - csum[: max(len(csum) - width, 0)]
+    # the prefix sum lands after the zero padding and one more zero
+    csum = np.zeros(width + len(values), dtype=np.int64)
+    np.cumsum(values, dtype=np.int64, out=csum[width:])
+    return csum[width:] - csum[: len(values)]
 
 
 def quantize(values, fmt: FixedPointFormat = Q1_15) -> SampleStream:
@@ -279,7 +269,7 @@ def add_awgn(signal, snr_db: float, seed, signal_power: float = 1.0) -> np.ndarr
     return noise.view(np.complex128).ravel()
 
 
-def pn_preamble(name: str, length: int, seed) -> Preamble:
+def pn_preamble(length: int, seed) -> Preamble:
     """Pseudo-noise preamble with unit mean sample power.
 
     Components take values +-1/sqrt(2) (QPSK-style signs drawn from the
@@ -290,4 +280,4 @@ def pn_preamble(name: str, length: int, seed) -> Preamble:
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(2, length)) * 2 - 1
     amp = 1.0 / math.sqrt(2.0)
-    return Preamble(id=name, samples=amp * (signs[0] + 1j * signs[1]))
+    return Preamble(amp * (signs[0] + 1j * signs[1]))

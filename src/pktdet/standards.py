@@ -95,7 +95,7 @@ class RegisterMap(Mapping):
     Values must be integers (``int``, ``bool`` or a numpy integer); a float
     or a string is rejected rather than truncated or parsed.  A map never
     changes, so its contents as a frozenset key the decode cache (see
-    :func:`_decode_registers`); the key is no part of equality or pickling."""
+    :func:`_decode_registers`); a loaded pickle hashes its key anew."""
 
     __slots__ = ("_values", "_key")
 
@@ -113,10 +113,6 @@ class RegisterMap(Mapping):
             checked[str(key)] = value
         self._values = checked
         self._key = frozenset(checked.items())
-
-    def __reduce__(self):
-        # string hashes differ between processes: the receiver builds its key
-        return RegisterMap, (self._values,)
 
     def read(self, key: str) -> int:
         try:
@@ -206,10 +202,15 @@ def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _Pi
     and ``fmt``, and is cached under them: equal maps, such as one rebuilt
     for every capture, share one view and its banks.  A full cache starts
     over, since a run swaps between only a few maps.  A map that fails to
-    decode caches nothing, so each error names the profile ids of its call."""
+    decode caches nothing, so each error names the profile ids of its call.
+    Ids are no part of the key, so a repeated id is rejected before the
+    lookup: two profiles of one id would report as one."""
     profiles = list(profiles)
     if not profiles:
         raise ConfigurationError("at least one profile is required")
+    ids = {p.id for p in profiles}
+    if len(ids) != len(profiles):
+        raise ConfigurationError("profile ids must be unique")
     key = (regs._key, tuple(p.correlator_len for p in profiles), fmt)
     view = _VIEWS.get(key)
     if view is not None:
@@ -423,6 +424,7 @@ class DetectorBank:
     def __init__(self, profiles, regs: RegisterMap, fmt: FixedPointFormat):
         self._profiles = list(profiles)
         self._fmt = fmt
+        self._lo, self._hi = fmt.min_code, fmt.max_code
         self._adopt(regs)
         self._win_i = self._win_q = 0
         self._exceed = 0
@@ -461,7 +463,12 @@ class DetectorBank:
         self._adopt(regs)
 
     def push(self, i_code: int, q_code: int) -> dict[str, CorrelatorOutput | None]:
+        """Take one sample's I and Q codes, integers within the bank's
+        format, and return each profile's output for it.  A code that is not
+        such an integer raises before any state changes."""
         i, q = operator.index(i_code), operator.index(q_code)
+        if not (self._lo <= i <= self._hi and self._lo <= q <= self._hi):
+            raise ValueError(f"sample codes ({i}, {q}) out of range for the bank's format")
         top = self._top
         win_i = self._win_i = (self._win_i >> 1) | (top if i >= 0 else 0)
         win_q = self._win_q = (self._win_q >> 1) | (top if q >= 0 else 0)

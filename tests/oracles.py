@@ -52,13 +52,11 @@ def exceed_count(i_codes, q_codes, start: int, window_len: int, thr_raw) -> int:
     return count
 
 
-def slice_sums(values, width: int, partial: bool) -> list[int]:
-    """Window sums by summing each slice: full windows ``values[k : k + width]``,
-    or with ``partial`` the windows ending at each k, clipped at the start."""
+def slice_sums(values, width: int) -> list[int]:
+    """Window sums by summing each slice: the windows ending at each k,
+    clipped at the start."""
     values = [int(v) for v in values]
-    if partial:
-        return [sum(values[max(0, k - width + 1) : k + 1]) for k in range(len(values))]
-    return [sum(values[k : k + width]) for k in range(len(values) - width + 1)]
+    return [sum(values[max(0, k - width + 1) : k + 1]) for k in range(len(values))]
 
 
 def sign_bits(samples) -> tuple[int, int]:

@@ -32,7 +32,7 @@ def blank_map(lengths):
     """Profiles ``c0``, ``c1``, ... of the given lengths and their register
     map, whose coefficient words :func:`with_banks` overwrites."""
     profiles = [
-        StandardProfile(f"c{k}", Preamble(f"c{k}", np.ones(n)), fine_threshold=1)
+        StandardProfile(f"c{k}", Preamble(np.ones(n)), fine_threshold=1)
         for k, n in enumerate(lengths)
     ]
     return profiles, build_register_map(profiles)

@@ -160,7 +160,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_ideal_maxima():
     t0 = time.perf_counter()
     for n, ideal in ((32, 64), (64, 128)):
-        preamble = pn_preamble("p", n, seed=(2, n))
+        preamble = pn_preamble(n, seed=(2, n))
         bank = load_coefficients(preamble)
         (outputs,) = correlate_both_ways(sign_pairs(bank), [bank])
         (p_ii, p_qq, p_qi, p_iq), re = outputs[n - 1]
@@ -169,7 +169,7 @@ def test_criterion_2_ideal_maxima():
 
     # zero components categorize as +1 on both sides, so the maximum survives
     samples = np.array([0 + 0j, 1j, -0.5 + 0j, 0.25 - 0.25j] * 8)
-    zero_bank = load_coefficients(Preamble(id="z", samples=samples))
+    zero_bank = load_coefficients(Preamble(samples))
     stream = quantize(samples, Q1_15)
     codes = list(zip(stream.i.tolist(), stream.q.tolist()))
     (outputs,) = correlate_both_ways(codes, [zero_bank])
@@ -385,7 +385,7 @@ def test_criterion_7_determinism(sweep_results):
 
 def test_criterion_5_energy_gating_contract():
     t0 = time.perf_counter()
-    preamble = pn_preamble("pkt", 64, seed=5)
+    preamble = pn_preamble(64, seed=5)
     profile = StandardProfile(id="pkt", preamble=preamble, fine_threshold=100)
     clean, start = embed_preamble(preamble, pad_before=200, pad_after=200)
     stream = quantize(clean, Q1_15)  # silent except for the one packet
@@ -440,7 +440,7 @@ def test_criterion_5_energy_gating_contract():
 def test_criterion_6_coarse_stage():
     t0 = time.perf_counter()
     lag = 32
-    half = pn_preamble("half", lag, seed=6)
+    half = pn_preamble(lag, seed=6)
     stream = quantize(np.concatenate([half.samples, half.samples]), Q1_15)
     metric = schmidl_cox_metric(stream, lag)
     assert abs(metric[0] - 1.0) <= 2.0**-10
@@ -474,7 +474,7 @@ def test_criterion_8_arbitration_priority():
     profiles = {
         n: StandardProfile(
             id=f"p{n}",
-            preamble=pn_preamble(f"p{n}", n, seed=n),
+            preamble=pn_preamble(n, seed=n),
             fine_threshold=10,
         )
         for n in (32, 64)

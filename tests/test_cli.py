@@ -50,7 +50,7 @@ def config_file(tmp_path):
 def test_gen_coeff_matches_library(tmp_path, capsys):
     assert main(["gen-coeff", "--preamble", "pn:seed=11,len=48"]) == 0
     text = capsys.readouterr().out
-    assert parse_bank(text) == load_coefficients(pn_preamble("preamble", 48, 11))
+    assert parse_bank(text) == load_coefficients(pn_preamble(48, 11))
 
 
 def test_gen_coeff_from_file(tmp_path):
@@ -208,7 +208,7 @@ def test_scope_seed_picks_only_the_capture(tmp_path, seed):
 def repeated_block_capture(tmp_path):
     """A 10 dB capture of a preamble made of one 16-sample block sent four
     times, so the coarse stage can fire at lag 16, and its profiles."""
-    block = pn_preamble("block", 16, 21).samples
+    block = pn_preamble(16, 21).samples
     ref = np.tile(block, 4)
     np.savetxt(tmp_path / "ref.txt", np.column_stack([ref.real, ref.imag]))
     profiles = tmp_path / "rep.ini"
@@ -268,6 +268,35 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[profile pn64b]", "[profile pn64a]", "already exists"),
+        ("\n[sweep]", "stray = 1\n[sweep]", "no section headers"),
+        ("preamble = pn:seed=202,len=64\n", "", "'preamble'"),
+        ("threshold = 50\n", "", "'threshold'"),
+        ("transmitted = pn64a\n", "", "'transmitted'"),
+        ("snr_db = 8,12\n", "", "'snr_db'"),
+    ],
+    ids=[
+        "duplicate-section",
+        "no-section-header",
+        "no-preamble",
+        "no-threshold",
+        "no-transmitted",
+        "no-snr_db",
+    ],
+)
+def test_malformed_ini_exits_2(capsys, tmp_path, old, new, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(CONFIG.replace(old, new, 1))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "out").exists()
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 

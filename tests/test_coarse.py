@@ -15,7 +15,7 @@ from oracles import plateau_scan, schmidl_point
 
 
 def repeated_block_stream(lag, seed=0, pad_after=0):
-    block = pn_preamble("half", lag, seed).samples
+    block = pn_preamble(lag, seed).samples
     signal = np.concatenate([block, block, np.zeros(pad_after, dtype=complex)])
     return quantize(signal, Q1_15)
 
@@ -73,7 +73,7 @@ class TestMetric:
 
     def test_phase_rotation_leaves_metric_close(self):
         lag = 16
-        block = pn_preamble("b", lag, 5).samples * 0.7
+        block = pn_preamble(lag, 5).samples * 0.7
         signal = np.concatenate([block, block])
         rotated = signal * np.exp(1j * 0.913)
         m0 = schmidl_cox_metric(quantize(signal, Q1_15), lag)
@@ -131,7 +131,7 @@ class TestTrigger:
         for seed in range(100):
             rng = np.random.default_rng((14, seed))
             pad = int(rng.integers(40, 80))
-            block = pn_preamble("h", lag, (15, seed)).samples
+            block = pn_preamble(lag, (15, seed)).samples
             signal = np.concatenate(
                 [np.zeros(pad, dtype=complex), block, block, np.zeros(48, dtype=complex)]
             )

@@ -50,13 +50,13 @@ def test_load_profiles(tmp_path):
     profiles = load_profiles(path)
     assert [p.id for p in profiles] == ["pn32", "pn64a", "pn64b"]
     assert [p.fine_threshold for p in profiles] == [50, 100, 100]
-    assert np.array_equal(profiles[0].preamble.samples, pn_preamble("pn32", 32, 101).samples)
+    assert np.array_equal(profiles[0].preamble.samples, pn_preamble(32, 101).samples)
 
 
 def test_file_preamble_source(tmp_path):
     ref = tmp_path / "ref.txt"
     ref.write_text("# two floats per line\n0.5 0.25\n-0.5, -0.25\n")
-    preamble = parse_preamble_source(f"file:{ref}", name="fromfile")
+    preamble = parse_preamble_source(f"file:{ref}")
     assert preamble.length == 2
     assert preamble.samples[0] == 0.5 + 0.25j
     assert preamble.samples[1] == -0.5 - 0.25j
@@ -73,21 +73,30 @@ def test_relative_file_source_resolves_against_config_dir(tmp_path):
 def test_coeff_source_round_trips_signs(tmp_path):
     from pktdet.correlator import dump_bank, load_coefficients
 
-    original = pn_preamble("orig", 48, seed=11)
+    original = pn_preamble(48, seed=11)
     bank = load_coefficients(original)
     path = tmp_path / "bank.txt"
     path.write_text(dump_bank(bank))
-    rebuilt = parse_preamble_source(f"coeff:{path}", name="rebuilt")
+    rebuilt = parse_preamble_source(f"coeff:{path}")
     assert rebuilt.length == 48
     # the reconstructed reference packs back to the identical bank
     assert load_coefficients(rebuilt) == bank
 
 
+def test_coeff_source_past_the_longest_preamble_rejected(tmp_path):
+    # 16,385 points take 513 words per component; the bank parses, but no
+    # preamble may be that long
+    path = tmp_path / "bank.txt"
+    path.write_text("n=16385\n" + "00000000\n" * 2 * 513)
+    with pytest.raises(ValueError, match="preamble length"):
+        parse_preamble_source(f"coeff:{path}")
+
+
 def test_bad_preamble_sources(tmp_path):
     with pytest.raises(ValueError):
-        parse_preamble_source("pn:len=32", "x")  # missing seed
+        parse_preamble_source("pn:len=32")  # missing seed
     with pytest.raises(ValueError):
-        parse_preamble_source("magic:stuff", "x")
+        parse_preamble_source("magic:stuff")
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3\n")
     with pytest.raises(ValueError):

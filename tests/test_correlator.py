@@ -55,7 +55,7 @@ def block_masks(draw):
 def bank_from_signs(pairs):
     """Build a CoefficientBank whose sign pattern is exactly `pairs`."""
     samples = np.array([si + 1j * sq for si, sq in pairs], dtype=complex)
-    return load_coefficients(Preamble(id="ref", samples=samples))
+    return load_coefficients(Preamble(samples))
 
 
 def correlate_codes(codes, bank):
@@ -89,18 +89,18 @@ class TestCategorize:
 
 class TestCoefficientBank:
     def test_sixteen_point_fills_half_a_word(self):
-        bank = load_coefficients(pn_preamble("p", 16, seed=1))
+        bank = load_coefficients(pn_preamble(16, seed=1))
         assert len(bank.i_words) == 1
         assert bank.valid_bits_in_last_word == 16
         assert bank.i_words[0] <= 0xFFFF
 
     def test_thirty_two_point_fills_one_word(self):
-        bank = load_coefficients(pn_preamble("p", 32, seed=1))
+        bank = load_coefficients(pn_preamble(32, seed=1))
         assert len(bank.i_words) == 1
         assert bank.valid_bits_in_last_word == 32
 
     def test_sixty_four_point_uses_two_words(self):
-        preamble = pn_preamble("p", 64, seed=1)
+        preamble = pn_preamble(64, seed=1)
         bank = load_coefficients(preamble)
         assert len(bank.i_words) == 2
         assert bank.valid_bits_in_last_word == 32
@@ -111,7 +111,7 @@ class TestCoefficientBank:
         assert sign_pairs(bank) == expected
 
     def test_zero_component_loads_as_one(self):
-        bank = load_coefficients(Preamble(id="z", samples=np.array([0 + 0j, -1 - 1j])))
+        bank = load_coefficients(Preamble(np.array([0 + 0j, -1 - 1j])))
         assert sign_pairs(bank) == [(1, 1), (-1, -1)]
 
     def test_word_count_validation(self):
@@ -134,7 +134,7 @@ class TestCoefficientBank:
     @given(st.lists(st.tuples(component, component), min_size=1, max_size=200))
     def test_codec_matches_bit_loop(self, parts):
         samples = np.array([complex(a, b) for a, b in parts])
-        bank = load_coefficients(Preamble(id="ref", samples=samples))
+        bank = load_coefficients(Preamble(samples))
         re_bits, im_bits = sign_bits(samples)
         n = len(parts)
         assert bank.i_words == split_words(re_bits, n)
@@ -156,19 +156,19 @@ class TestCoefficientBank:
 class TestCorrelateAt:
     def test_self_correlation_hits_ideal_maximum(self):
         for n, ideal in ((32, 64), (64, 128)):
-            preamble = pn_preamble("p", n, seed=9)
+            preamble = pn_preamble(n, seed=9)
             bank = load_coefficients(preamble)
             out = correlate_codes(sign_pairs(bank), bank)
             assert out.re == ideal
             assert out.p_qi - out.p_iq == 0
 
     def test_negated_window_hits_ideal_minimum(self):
-        bank = load_coefficients(pn_preamble("p", 32, seed=9))
+        bank = load_coefficients(pn_preamble(32, seed=9))
         out = correlate_codes([(-si, -sq) for si, sq in sign_pairs(bank)], bank)
         assert out.re == -64
 
     def test_underfilled_window_not_ready(self):
-        bank = load_coefficients(pn_preamble("p", 8, seed=1))
+        bank = load_coefficients(pn_preamble(8, seed=1))
         ones = np.ones(9, dtype=np.int32)
         (pairs,) = push_run([bank], SampleStream(format=Q1_15, i=ones, q=ones))
         assert [t for t, _ in pairs] == [7, 8]
@@ -196,14 +196,14 @@ class TestCorrelateAt:
             assert out.re % 2 == 0
 
     def test_window_keeps_most_recent_samples(self):
-        bank = load_coefficients(pn_preamble("p", 4, seed=3))
+        bank = load_coefficients(pn_preamble(4, seed=3))
         decoys = [(-1, -1)] * 3
         assert correlate_codes(decoys + sign_pairs(bank), bank).re == 8  # decoys evicted
 
     def test_stacking_two_halves(self):
-        preamble = pn_preamble("p", 64, seed=21)
-        first = Preamble(id="lo", samples=preamble.samples[:32])
-        second = Preamble(id="hi", samples=preamble.samples[32:])
+        preamble = pn_preamble(64, seed=21)
+        first = Preamble(preamble.samples[:32])
+        second = Preamble(preamble.samples[32:])
         bank64 = load_coefficients(preamble)
         bank_lo = load_coefficients(first)
         bank_hi = load_coefficients(second)
@@ -223,7 +223,7 @@ class TestCorrelateAt:
 class TestScalingInvariance:
     @given(st.floats(0.05, 3.0))
     def test_positive_gain_changes_nothing(self, gain):
-        preamble = pn_preamble("p", 32, seed=13)
+        preamble = pn_preamble(32, seed=13)
         signal, _ = embed_preamble(preamble, 8, 8)
         bank = load_coefficients(preamble)
         base = SignCorrelator(bank).process(quantize(np.asarray(signal) * 0.2, Q1_15))
@@ -235,7 +235,7 @@ class TestScalingInvariance:
 
 class TestCorrelateStream:
     def test_disabled_everywhere_does_no_work(self):
-        preamble = pn_preamble("p", 32, seed=2)
+        preamble = pn_preamble(32, seed=2)
         stream = quantize(embed_preamble(preamble, 10, 10)[0], Q1_15)
         corr = SignCorrelator(load_coefficients(preamble))
         index, re = corr.process(stream, enable=np.zeros(len(stream), dtype=bool))
@@ -243,7 +243,7 @@ class TestCorrelateStream:
         assert corr.work_count == 0
 
     def test_noiseless_peak_at_ground_truth(self):
-        preamble = pn_preamble("p", 64, seed=4)
+        preamble = pn_preamble(64, seed=4)
         signal, start = embed_preamble(preamble, 37, 50)
         stream = quantize(signal, Q1_15)
         index, re = SignCorrelator(load_coefficients(preamble)).process(stream)
@@ -254,7 +254,7 @@ class TestCorrelateStream:
         assert float_xcorr_argmax(signal, preamble.samples) == start
 
     def test_gated_run_preserves_peak(self):
-        preamble = pn_preamble("p", 32, seed=6)
+        preamble = pn_preamble(32, seed=6)
         signal, start = embed_preamble(preamble, 40, 40)
         stream = quantize(signal, Q1_15)
         bank = load_coefficients(preamble)
@@ -269,7 +269,7 @@ class TestCorrelateStream:
         assert peak(gated) == peak(SignCorrelator(bank).process(stream))
 
     def test_work_counter_counts_enabled_ready_positions(self):
-        preamble = pn_preamble("p", 16, seed=8)
+        preamble = pn_preamble(16, seed=8)
         stream = quantize(embed_preamble(preamble, 30, 30)[0], Q1_15)
         enable = np.zeros(len(stream), dtype=bool)
         enable[10:50] = True
@@ -281,7 +281,7 @@ class TestCorrelateStream:
 
     def test_process_equals_repeated_push(self):
         rng = np.random.default_rng(11)
-        preamble = pn_preamble("p", 8, seed=1)
+        preamble = pn_preamble(8, seed=1)
         bank = load_coefficients(preamble)
         stream = quantize(rng.normal(size=40) * 0.4 + 1j * rng.normal(size=40) * 0.4, Q1_15)
         enable = rng.integers(0, 2, size=40).astype(bool)
@@ -363,7 +363,7 @@ class TestCorrelateStream:
             )
 
     def test_enable_length_mismatch_rejected(self):
-        preamble = pn_preamble("p", 8, seed=1)
+        preamble = pn_preamble(8, seed=1)
         stream = quantize(np.zeros(16, dtype=complex), Q1_15)
         with pytest.raises(ValueError):
             SignCorrelator(load_coefficients(preamble)).process(stream, enable=[True] * 5)
@@ -377,7 +377,7 @@ class TestSignFlipModel:
     @pytest.mark.parametrize("snr_db", (-6.0, -2.0, 0.0, 2.0, 6.0))
     @pytest.mark.parametrize("n", (32, 64))
     def test_aligned_re_counts_sign_flips(self, n, snr_db):
-        preamble = pn_preamble("p", n, seed=(3, n))
+        preamble = pn_preamble(n, seed=(3, n))
         bank = load_coefficients(preamble)
         ref_i = preamble.samples.real >= 0
         ref_q = preamble.samples.imag >= 0

@@ -39,7 +39,7 @@ def stream_from_codes(codes, fmt=Q1_15):
 def streamed_enable(stream, cfg):
     """The streaming bank's gate decision per sample: its 1-point profile,
     with no hold-off, reports exactly where the gate is open."""
-    gate = StandardProfile(id="g", preamble=Preamble("g", np.ones(1)), fine_threshold=1)
+    gate = StandardProfile(id="g", preamble=Preamble(np.ones(1)), fine_threshold=1)
     regs = build_register_map([gate], energy=cfg, holdoff=0, fmt=stream.format)
     bank = DetectorBank([gate], regs, stream.format)
     codes = zip(stream.i.tolist(), stream.q.tolist())
@@ -86,7 +86,7 @@ class TestEnergyGate:
         assert not enable.any()
 
     def test_preamble_opens_gate_near_start(self):
-        preamble = pn_preamble("p", 64, seed=1)
+        preamble = pn_preamble(64, seed=1)
         signal, start = embed_preamble(preamble, pad_before=100, pad_after=60)
         stream = make_stream(signal)
         w = 16

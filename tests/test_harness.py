@@ -193,7 +193,7 @@ class TestScopeScenario:
             from pktdet.signal import add_awgn, embed_preamble
 
             clean, _ = embed_preamble(tx.preamble, pad_before, cfg.pad_after)
-            noisy = add_awgn(clean, 10.0, rng, tx.preamble.mean_power())
+            noisy = add_awgn(clean, 10.0, rng, tx.preamble.mean_power)
             oracle_start = float_xcorr_argmax(noisy, tx.preamble.samples)
             hits += peak == oracle_start + tx.correlator_len - 1
         assert hits >= 95

@@ -45,13 +45,11 @@ class TestFixedPointFormat:
         assert Q1_15.min_code == -32768
         assert Q1_15.max_code == 32767
         assert Q1_15.scale == 32768
-        assert Q1_15.name() == "q1.15"
 
     def test_parse_round_trips(self):
         assert FixedPointFormat.parse("q1.15") == Q1_15
         fmt = FixedPointFormat.parse("q2.14")
         assert (fmt.total_bits, fmt.fractional_bits) == (16, 14)
-        assert fmt.name() == "q2.14"
 
     @pytest.mark.parametrize("text", ["", "15", "q", "qa.b", "x1.15", "uq2.14"])
     def test_parse_rejects_garbage(self, text):
@@ -274,7 +272,7 @@ class TestSampleStreamBlock:
 
 class TestEmbed:
     def test_construction(self):
-        preamble = pn_preamble("p", 32, seed=1)
+        preamble = pn_preamble(32, seed=1)
         signal, start = embed_preamble(preamble, pad_before=100, pad_after=20)
         assert start == 100
         assert len(signal) == 100 + 32 + 20
@@ -282,18 +280,18 @@ class TestEmbed:
         assert np.array_equal(signal[100:132], preamble.samples)
 
     def test_identity_when_unpadded(self):
-        preamble = pn_preamble("p", 16, seed=2)
+        preamble = pn_preamble(16, seed=2)
         signal, start = embed_preamble(preamble, 0, 0)
         assert start == 0
         assert np.array_equal(signal, preamble.samples)
 
     def test_negative_pad_rejected(self):
         with pytest.raises(ValueError):
-            embed_preamble(pn_preamble("p", 8, 0), -1, 0)
+            embed_preamble(pn_preamble(8, 0), -1, 0)
 
     @pytest.mark.parametrize("seed,pad_before", [(3, 0), (4, 17), (5, 100)])
     def test_ground_truth_matches_float_correlation(self, seed, pad_before):
-        preamble = pn_preamble("p", 32, seed=seed)
+        preamble = pn_preamble(32, seed=seed)
         signal, start = embed_preamble(preamble, pad_before, pad_after=40)
         assert float_xcorr_argmax(signal, preamble.samples) == start
 
@@ -371,46 +369,41 @@ class TestAwgn:
 
 class TestPnPreamble:
     def test_unit_power_constant_modulus(self):
-        p = pn_preamble("x", 64, seed=11)
+        p = pn_preamble(64, seed=11)
         assert p.length == 64
         assert np.allclose(np.abs(p.samples), 1.0)
-        assert abs(p.mean_power() - 1.0) < 1e-12
+        assert abs(p.mean_power - 1.0) < 1e-12
         amp = 1 / math.sqrt(2)
         assert np.allclose(np.abs(p.samples.real), amp)
 
     def test_deterministic(self):
-        assert np.array_equal(pn_preamble("a", 32, 5).samples, pn_preamble("b", 32, 5).samples)
+        assert np.array_equal(pn_preamble(32, 5).samples, pn_preamble(32, 5).samples)
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            Preamble(id="empty", samples=np.array([], dtype=complex))
+            Preamble(np.array([], dtype=complex))
 
 
 class TestWindowSums:
-    @given(
-        st.lists(st.integers(-(1 << 40), 1 << 40), max_size=40),
-        st.booleans(),
-        st.data(),
-    )
-    def test_matches_slice_sums(self, values, partial, data):
-        # widths 1 to len + 3: the last three have no full window
+    @given(st.lists(st.integers(-(1 << 40), 1 << 40), max_size=40), st.data())
+    def test_matches_slice_sums(self, values, data):
+        # widths 1 to len + 3: the last three clip every window at the start
         width = data.draw(st.integers(1, len(values) + 3))
-        got = window_sums(np.array(values, dtype=np.int64), width, partial)
+        got = window_sums(np.array(values, dtype=np.int64), width)
         assert got.dtype == np.int64
-        assert got.tolist() == slice_sums(values, width, partial)
+        assert got.tolist() == slice_sums(values, width)
 
-    @example(values=[], width=1, partial=False)
-    @example(values=[], width=3, partial=True)
-    @example(values=[True, False, True], width=5, partial=False)
-    @example(values=[True, True], width=9, partial=True)
-    @given(st.lists(st.booleans(), max_size=40), st.integers(1, 45), st.booleans())
-    def test_counts_booleans(self, values, width, partial):
-        # a width past the length gives no full window and clips every partial one
-        assert window_sums(values, width, partial).tolist() == slice_sums(values, width, partial)
-        # the gate and the plateau pass boolean arrays
-        got = window_sums(np.array(values, dtype=bool), width, partial)
+    @example(values=[], width=1)
+    @example(values=[], width=3)
+    @example(values=[True, True], width=9)
+    @given(st.lists(st.booleans(), max_size=40), st.integers(1, 45))
+    def test_counts_booleans(self, values, width):
+        # a width past the length clips every window
+        assert window_sums(values, width).tolist() == slice_sums(values, width)
+        # the gate and the latch pass boolean arrays
+        got = window_sums(np.array(values, dtype=bool), width)
         assert got.dtype == np.int64
-        assert got.tolist() == slice_sums(values, width, partial)
+        assert got.tolist() == slice_sums(values, width)
 
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,10 @@
 import math
+import os
+from dataclasses import replace
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,14 +47,14 @@ from streaming import as_outputs, push_run, same_outputs, sign_pairs
 def profile(pid, length, threshold, seed=0):
     return StandardProfile(
         id=pid,
-        preamble=pn_preamble(pid, length, (seed, length)),
+        preamble=pn_preamble(length, (seed, length)),
         fine_threshold=threshold,
     )
 
 
 def make_capture(tx, pad_before=80, pad_after=96, snr_db=math.inf, seed=0):
     clean, start = embed_preamble(tx.preamble, pad_before, pad_after)
-    noisy = add_awgn(clean, snr_db, seed, tx.preamble.mean_power())
+    noisy = add_awgn(clean, snr_db, seed, tx.preamble.mean_power)
     return quantize(noisy, Q1_15), start
 
 
@@ -267,6 +272,33 @@ class TestDecodeMemo:
             self.profiles, self.regs, Q1_15
         )
 
+    def test_a_map_loaded_under_another_hash_seed_keys_alike(self, tmp_path):
+        # string hashes differ between processes: a loaded map's key must
+        # equal the key of a map built there, and find the same cached view
+        view = _decode_registers(self.profiles, self.regs, Q1_15)
+        dump = tmp_path / "regs.pickle"
+        dump.write_bytes(pickle.dumps((self.profiles, self.regs, view)))
+        script = "\n".join(
+            [
+                "import pickle, sys",
+                "from pktdet.signal import Q1_15",
+                "from pktdet.standards import RegisterMap, _decode_registers",
+                "profiles, regs, view = pickle.loads(open(sys.argv[1], 'rb').read())",
+                "fresh = RegisterMap(dict(regs))",
+                "assert regs._key == fresh._key",
+                "assert _decode_registers(profiles, fresh, Q1_15) == view",
+                "assert _decode_registers(profiles, regs, Q1_15) is "
+                "_decode_registers(profiles, fresh, Q1_15)",
+            ]
+        )
+        src = str(Path(standards.__file__).parents[1])
+        for seed in ("0", "1"):  # at least one differs from this process's
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            run = subprocess.run(
+                [sys.executable, "-c", script, str(dump)], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+
 
 class TestBankCache:
     """Equal register maps share one decoded view and its banks, so a map
@@ -309,13 +341,13 @@ class TestProfileWords:
         packed = []
 
         def counting(preamble):
-            packed.append(preamble.id)
+            packed.append(preamble.length)
             return load_coefficients(preamble)
 
         monkeypatch.setattr(standards, "load_coefficients", counting)
         profiles = [profile("a", 32, 50), profile("b", 64, 100), profile("c", 16, 20)]
         first, second = (build_register_map(profiles) for _ in range(2))
-        assert sorted(packed) == ["a", "b", "c"]
+        assert sorted(packed) == [16, 32, 64]
         expected = {}
         for p, prof in enumerate(profiles):
             bank = load_coefficients(prof.preamble)
@@ -325,6 +357,37 @@ class TestProfileWords:
         for regs in (first, second):
             assert {k: v for k, v in regs.items() if "/coeff_" in k} == expected
         assert first == second
+
+
+class TestDuplicateIds:
+    """Profile ids name the outputs of both pipelines, so a repeated id is
+    rejected wherever registers are decoded."""
+
+    def setup_method(self):
+        self.a, self.b = profile("pn32", 32, 50), profile("pn64", 64, 100)
+        self.twins = [self.a, replace(self.b, id="pn32")]
+        self.regs = build_register_map(self.twins)
+
+    def test_batch_pipeline_rejects_a_repeated_id(self):
+        stream, _ = make_capture(self.b)
+        assert run_detector_bank(stream, [self.a, self.b], self.regs)  # decoded and cached
+        with pytest.raises(ConfigurationError, match="unique"):
+            run_detector_bank(stream, self.twins, self.regs)
+
+    def test_streaming_bank_rejects_a_repeated_id(self):
+        DetectorBank([self.a, self.b], self.regs, Q1_15)
+        with pytest.raises(ConfigurationError, match="unique"):
+            DetectorBank(self.twins, self.regs, Q1_15)
+
+
+class TestScalabilityEdges:
+    def test_longest_profile_map_round_trips(self):
+        long = profile("long", MAX_PREAMBLE_LEN, 1000)
+        regs = build_register_map([long, profile("short", 32, 50)])
+        # threshold, enabled, and 512 coefficient words per component
+        assert sum(key.startswith("prof0/") for key in regs) == 1026
+        view = _decode_registers([long], regs, Q1_15)
+        assert view.banks[0] == long.bank and view.banks[0].length == MAX_PREAMBLE_LEN
 
 
 class TestArbitrate:
@@ -474,9 +537,9 @@ class TestRunDetectorBank:
     def test_stage_trace_names_the_energy_gate_run(self, coarse_on):
         # a loud random burst opens the gate before the repeated block that
         # fires the coarse stage; the trace keeps the energy gate's own start
-        half = pn_preamble("half", 16, seed=3).samples
-        p = StandardProfile("rep", Preamble("rep", np.concatenate([half, half])), 64)
-        burst = pn_preamble("burst", 48, seed=8).samples
+        half = pn_preamble(16, seed=3).samples
+        p = StandardProfile("rep", Preamble(np.concatenate([half, half])), 64)
+        burst = pn_preamble(48, seed=8).samples
         clean = np.concatenate([np.zeros(80), burst, p.preamble.samples, np.zeros(96)])
         stream = quantize(clean, Q1_15)
         energy = EnergyConfig(16, 0.25, 8)
@@ -504,7 +567,7 @@ class TestRunDetectorBank:
         # sample precedes a loud one, so the trigger moves with the data.
         codes = np.where(raw, 1000, -1).astype(np.int32)
         stream = SampleStream(format=Q1_15, i=codes, q=codes.copy())
-        p = StandardProfile("one", Preamble("one", [1 + 1j]), 2)
+        p = StandardProfile("one", Preamble([1 + 1j]), 2)
         energy = EnergyConfig(1, 1000 / Q1_15.scale**2, 0)  # raw threshold 1000
         coarse = None if plateau is None else CoarseConfig(1, 1.0, plateau)
         regs = build_register_map([p], energy, coarse, holdoff)
@@ -554,8 +617,8 @@ class TestRunDetectorBank:
 def repeated_block_capture():
     """A noiseless packet whose preamble is a repeated block, so the coarse
     stage fires, and a register map with energy and coarse stages on."""
-    half = pn_preamble("half", 16, seed=3)
-    rep = Preamble(id="rep", samples=np.concatenate([half.samples, half.samples]))
+    half = pn_preamble(16, seed=3)
+    rep = Preamble(np.concatenate([half.samples, half.samples]))
     p = StandardProfile(id="rep", preamble=rep, fine_threshold=64)
     stream, _ = make_capture(p)
     regs = build_register_map(
@@ -878,15 +941,32 @@ class TestStreamingDetectorBank:
         assert bank.push(np.int16(loud), np.int64(-loud))["a"] is not None
         assert bank.push(True, False)["a"] is None  # bools are the codes 1 and 0
 
+    @pytest.mark.parametrize(
+        "fmt, bad_codes",
+        [(Q1_15, (32768, 1 << 40, -32769, -(1 << 40))), (FixedPointFormat(12, 10), (2048, -2049))],
+        ids=["q1.15", "q2.10"],
+    )
+    def test_push_rejects_codes_outside_the_format(self, fmt, bad_codes):
+        profiles = [profile("a", 8, 10), profile("b", 3, 4)]
+        regs = build_register_map(profiles, energy=EnergyConfig(4, 0.0, 1), holdoff=2, fmt=fmt)
+        lo, hi = fmt.min_code, fmt.max_code
+        codes = [(lo, hi), (hi, lo), (0, -1), (hi, hi), (lo, lo), (1, 0), (-1, 0)] * 3
+        rejecting, clean = (DetectorBank(profiles, regs, fmt) for _ in range(2))
+        for i, q in codes:
+            # a rejected code, in either component, leaves no trace in the bank
+            for bad in bad_codes:
+                for pair in ((bad, i), (q, bad)):
+                    with pytest.raises(ValueError, match="out of range"):
+                        rejecting.push(*pair)
+            assert rejecting.push(i, q) == clean.push(i, q)
+
     def test_register_adoption_is_atomic(self):
         # two sentinel banks: all-positive signs vs all-negative signs, read
         # beside a longer all-positive bank that no publish touches
         ones = profile_from_signs("ones", [+1] * 32)
         wide = profile_from_signs("wide", [+1] * 48)
         regs_old = build_register_map([ones, wide])
-        neg_bank = load_coefficients(
-            pn_from_signs("neg", [-1] * 32)
-        )
+        neg_bank = load_coefficients(pn_from_signs([-1] * 32))
         regs_new = regs_old
         for w, word in enumerate(neg_bank.i_words):
             regs_new = regs_new.write(f"prof0/coeff_i/{w}", word)
@@ -915,7 +995,7 @@ class TestStreamingDetectorBank:
 def random_bank(rng, n):
     """A coefficient bank of ``n`` random sign pairs."""
     signs = rng.choice((-1.0, 1.0), size=(2, n))
-    return load_coefficients(Preamble("r", signs[0] + 1j * signs[1]))
+    return load_coefficients(Preamble(signs[0] + 1j * signs[1]))
 
 
 def partials(out):
@@ -936,11 +1016,11 @@ def burst_codes(seed, length):
     return np.where(loud[:, None], forced, codes >> 8)
 
 
-def pn_from_signs(name, signs):
+def pn_from_signs(signs):
     samples = np.array([s * (1 + 1j) for s in signs], dtype=complex) / math.sqrt(2)
-    return Preamble(id=name, samples=samples)
+    return Preamble(samples)
 
 
 def profile_from_signs(name, signs, threshold=50):
-    preamble = pn_from_signs(name, signs)
+    preamble = pn_from_signs(signs)
     return StandardProfile(id=name, preamble=preamble, fine_threshold=threshold)
