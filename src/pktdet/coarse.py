@@ -53,30 +53,35 @@ class CoarseOutput:
 
 def schmidl_cox_correlations(stream: SampleStream, lag: int) -> np.ndarray:
     """Exact integer (P_re, P_im, R) for every d in [0, len - 2*lag], as the
-    rows of one (3, m) int64 array, from one prefix sum along the rows.
+    rows of a (3, m) int64 array.
 
-    int64 is exact for the <= 16-bit formats and streams shorter than 2**32
-    samples."""
+    The rows are a transposed view of one C-ordered (m, 3) block: its prefix
+    sum runs down axis 0, which numpy does about twice as fast as along the
+    rows of a (3, m) block.  int64 is exact for the <= 16-bit formats and
+    streams shorter than 2**32 samples."""
     n = len(stream)
     if lag < 1 or n < 2 * lag:
         raise ValueError("stream must hold at least two half-periods")
     i, q = stream.codes.astype(np.int64)
-    # conj(y[t]) * y[t+L] and |y[t+L]|^2, after a zero column
-    sums = np.zeros((3, n - lag + 1), dtype=np.int64)
-    np.add(i[:-lag] * i[lag:], q[:-lag] * q[lag:], out=sums[0, 1:])
-    np.subtract(i[:-lag] * q[lag:], q[:-lag] * i[lag:], out=sums[1, 1:])
-    sums[2, 1:] = stream.energy[lag:]
-    np.cumsum(sums, axis=1, out=sums)
-    return sums[:, lag:] - sums[:, :-lag]
+    # conj(y[t]) * y[t+L] and |y[t+L]|^2, after a zero row
+    sums = np.empty((n - lag + 1, 3), dtype=np.int64)
+    sums[0] = 0
+    terms = sums.T
+    np.add(i[:-lag] * i[lag:], q[:-lag] * q[lag:], out=terms[0, 1:])
+    np.subtract(i[:-lag] * q[lag:], q[:-lag] * i[lag:], out=terms[1, 1:])
+    terms[2, 1:] = stream.energy[lag:]
+    np.cumsum(sums, axis=0, out=sums)
+    return (sums[lag:] - sums[:-lag]).T
 
 
 def schmidl_cox_metric(stream: SampleStream, lag: int) -> np.ndarray:
     """Timing metric M(d) = |P(d)|^2 / R(d)^2, with M = 0 where R = 0."""
-    p2, p_im2, r2 = schmidl_cox_correlations(stream, lag).astype(np.float64)
-    np.add(np.square(p2, out=p2), np.square(p_im2, out=p_im2), out=p2)  # |P|^2
+    squares = schmidl_cox_correlations(stream, lag).T.astype(np.float64)
+    np.square(squares, out=squares)
+    p2 = np.add(squares[:, 0], squares[:, 1])  # |P|^2
     # R = 0 only where the second half is silent, so P = 0 there too: R**2
     # raised to 1 gives M = 0 and leaves every other (integer) R**2 as is
-    np.maximum(np.square(r2, out=r2), 1.0, out=r2)
+    r2 = np.maximum(squares[:, 2], 1.0)
     return np.divide(p2, r2, out=p2)
 
 

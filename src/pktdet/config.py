@@ -135,8 +135,10 @@ def _parse_snr_points(text: str) -> tuple[float, ...]:
 
 def _read_ini(path) -> configparser.ConfigParser:
     """Read an INI file; a file the parser cannot read raises ``ValueError``
-    with its message on one line."""
+    with its message on one line.  Values are read literally: a ``%`` is
+    just a character, as in ``preamble = file:100%.txt``."""
     parser = configparser.ConfigParser(
+        interpolation=None,
         inline_comment_prefixes=(";", "#"),
         converters={"intrange": _parse_int_range, "format": FixedPointFormat.parse},
     )

@@ -202,8 +202,11 @@ class SignCorrelator:
         # sum is an integer of magnitude <= 2n, far below 2**53, and exact
         s_i, s_q = stream.sign_arrays
         ref_i, ref_q = self.bank.sign_arrays
-        re = np.correlate(s_i[lo:hi], ref_i) + np.correlate(s_q[lo:hi], ref_q)
-        return index, re[index - index[0]].astype(np.int64)
+        re = np.correlate(s_i[lo:hi], ref_i)
+        np.add(re, np.correlate(s_q[lo:hi], ref_q), out=re)
+        if index[-1] - index[0] >= len(index):  # a gap: pick the enabled windows
+            re = re[index - index[0]]
+        return index, re.astype(np.int64)
 
 
 def latch_enable(enable, holdoff: int) -> np.ndarray:

@@ -41,6 +41,8 @@ from .signal import FixedPointFormat, Preamble, SampleStream
 # decoded views, keyed on register contents; a view's banks take a few kB
 _VIEWS_CACHED = 256
 _VIEWS: dict[tuple, "_PipelineView"] = {}
+# built maps, keyed on the values they are made from, bounded alike
+_MAPS: dict[tuple, "RegisterMap"] = {}
 
 
 class ConfigurationError(ValueError):
@@ -151,8 +153,40 @@ def build_register_map(
     then run unconditionally); its registers then hold the stage's defaults,
     which no decode reads.  ``holdoff`` defaults to twice the longest
     correlator so a peak near the gate's trailing edge survives.
+
+    A map never changes, so equal calls share one: the map is cached under
+    each profile's threshold and bank, in order, the stage configurations,
+    ``holdoff`` and ``fmt``.  Equal numbers of different types, 16 and 16.0,
+    are equal keys, but only the int makes a register, so the key also holds
+    the type of every value a register is made from: a call that would raise
+    never finds a cached map.  A full cache starts over, as the decode
+    cache does.
     """
     profiles = list(profiles)
+    scalars = [holdoff, *vars(fmt).values()]
+    for cfg in (energy, coarse):
+        if cfg is not None:
+            scalars += vars(cfg).values()
+    scalars += (p.fine_threshold for p in profiles)
+    key = (
+        tuple((p.fine_threshold, p.bank) for p in profiles),
+        energy,
+        coarse,
+        holdoff,
+        fmt,
+        tuple(map(type, scalars)),
+    )
+    regs = _MAPS.get(key)
+    if regs is None:
+        regs = _build_register_map(profiles, energy, coarse, holdoff, fmt)
+        if len(_MAPS) >= _VIEWS_CACHED:
+            _MAPS.clear()
+        _MAPS[key] = regs
+    return regs
+
+
+def _build_register_map(profiles, energy, coarse, holdoff, fmt) -> RegisterMap:
+    """The uncached body of :func:`build_register_map`."""
     if not profiles:
         raise ConfigurationError("at least one profile is required")
     max_len = max(p.correlator_len for p in profiles)
@@ -291,6 +325,8 @@ def _extract_candidates(index, re, threshold: int, profile: StandardProfile, ord
     value at each.  A run breaks when the index jumps (gate gap) or ``re``
     drops below the threshold; its peak is its first maximum."""
     above = re >= threshold
+    if not above.any():
+        return []
     candidates = []
     peak = peak_index = None
     prev = -2  # below every index, so the first position opens a run

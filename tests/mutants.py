@@ -9,10 +9,12 @@ collect this file on its own):
 The source tree, the tests and ``pyproject.toml`` are copied once to a
 temporary directory, and the named tests must pass there unpatched.  Then,
 per entry, the entry's old text in its file is replaced by the new text,
-the named tests run in a fresh pytest process with a fixed hypothesis seed,
-and the file is restored.  An entry fails when its old text does not occur
-exactly once (the code it targets changed, so the entry must follow it) or
-when any named test passes under the mutant (the mutant survives).
+the named tests run in a fresh pytest process with a fixed hypothesis seed
+and no shrinking of a failing example (the ``mutants`` profile in
+``conftest.py``), and the file is restored.  An entry fails when its old
+text does not occur exactly once (the code it targets changed, so the entry
+must follow it) or when any named test passes under the mutant (the mutant
+survives).
 Standard library and pytest only.
 """
 
@@ -57,6 +59,20 @@ BAD_PUSH = (
 )
 MALFORMED = "tests/test_cli.py::test_malformed_ini_exits_2"
 TAP = "(profile.id, bank.length, span - bank.length, *bank._packed, on)"
+COARSE = "src/pktdet/coarse.py"
+METRIC = "tests/test_coarse.py::TestMetric::"
+METRIC_SCAN = "tests/test_coarse.py::TestTrigger::test_detect_coarse_matches_the_metric_scan"
+MAP_KEY = """    key = (
+        tuple((p.fine_threshold, p.bank) for p in profiles),
+        energy,
+        coarse,
+        holdoff,
+        fmt,
+        tuple(map(type, scalars)),
+    )
+"""
+MAP_MEMO = "tests/test_standards.py::TestMapMemo::"
+SPAN = "tests/test_correlator.py::TestCorrelateStream::"
 
 CATALOGUE = (
     # the streaming bank's datapath
@@ -153,6 +169,91 @@ CATALOGUE = (
         "    pass",
         (f"{GATE}test_enable_array_marks_window_ends", f"{GATE}test_matches_naive_recount"),
     ),
+    # the coarse stage: P and R down one (m, 3) prefix block, then the metric
+    Mutant(
+        "coarse-r-from-the-first-half",
+        COARSE,
+        "terms[2, 1:] = stream.energy[lag:]",
+        "terms[2, 1:] = stream.energy[:-lag]",
+        (f"{METRIC}test_incremental_equals_naive", f"{METRIC}test_white_noise_scores_low"),
+    ),
+    Mutant(
+        "coarse-window-difference-at-lag-minus-one",
+        COARSE,
+        "return (sums[lag:] - sums[:-lag]).T",
+        "return (sums[lag - 1 : -1] - sums[:-lag]).T",
+        (
+            f"{METRIC}test_incremental_equals_naive",
+            f"{METRIC}test_full_scale_long_stream_stays_exact",
+        ),
+    ),
+    Mutant(
+        "coarse-prefix-block-in-int32",
+        COARSE,
+        "sums = np.empty((n - lag + 1, 3), dtype=np.int64)",
+        "sums = np.empty((n - lag + 1, 3), dtype=np.int32)",
+        (f"{METRIC}test_full_scale_long_stream_stays_exact",),
+    ),
+    Mutant(
+        "coarse-r2-floor-dropped",
+        COARSE,
+        "r2 = np.maximum(squares[:, 2], 1.0)",
+        "r2 = squares[:, 2]",
+        (f"{METRIC}test_all_zero_stream_scores_zero",),
+    ),
+    Mutant(
+        "coarse-threshold-strict",
+        COARSE,
+        ">= threshold_q15(cfg) / (1 << 15)",
+        "> threshold_q15(cfg) / (1 << 15)",
+        (METRIC_SCAN,),
+    ),
+    Mutant(
+        "coarse-plateau-one-longer",
+        COARSE,
+        "_first_run(above, cfg.plateau_min)",
+        "_first_run(above, cfg.plateau_min + 1)",
+        (METRIC_SCAN,),
+    ),
+    # equal register-map builds share one map, and only equal ones do
+    *(
+        Mutant(
+            f"map-key-without-{field}",
+            STANDARDS,
+            MAP_KEY,
+            MAP_KEY.replace(f"        {field},\n", ""),
+            (f"{MAP_MEMO}test_memo_equals_a_fresh_build",),
+        )
+        for field in ("holdoff", "fmt", "energy")
+    ),
+    Mutant(
+        "map-key-without-types",
+        STANDARDS,
+        MAP_KEY,
+        MAP_KEY.replace("        tuple(map(type, scalars)),\n", ""),
+        tuple(
+            f"{MAP_MEMO}test_a_float_never_finds_the_int_map[{field}]"
+            for field in ("holdoff", "threshold", "energy-window", "coarse-plateau")
+        ),
+    ),
+    # the fine stage
+    Mutant(
+        "candidates-early-exit-inverted",
+        STANDARDS,
+        "    if not above.any():\n        return []",
+        "    if above.any():\n        return []",
+        (
+            "tests/test_standards.py::TestExtractCandidates::test_matches_naive_run_scan",
+            "tests/test_standards.py::TestRunDetectorBank::test_noiseless_event_at_ground_truth",
+        ),
+    ),
+    Mutant(
+        "gather-skipped-across-gaps",
+        "src/pktdet/correlator.py",
+        "if index[-1] - index[0] >= len(index):",
+        "if index[-1] - index[0] < len(index):",
+        (f"{SPAN}test_process_equals_repeated_push", f"{SPAN}test_process_span_edges"),
+    ),
     # malformed INI files end in an error line, not a traceback
     Mutant(
         "ini-parser-errors-unconverted",
@@ -170,6 +271,14 @@ CATALOGUE = (
             f"{MALFORMED}[no-{key}]" for key in ("preamble", "threshold", "transmitted", "snr_db")
         ),
     ),
+    # and their values are read literally
+    Mutant(
+        "ini-percent-interpolated",
+        "src/pktdet/config.py",
+        "        interpolation=None,\n",
+        "",
+        ("tests/test_cli.py::test_ini_values_are_read_literally",),
+    ),
 )
 
 
@@ -180,7 +289,7 @@ def run_tests(tree: Path, ids) -> subprocess.CompletedProcess:
     # no bytecode: a restored file must not load a mutant's stale .pyc
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider"]
-    command += ["--hypothesis-seed=0", *ids]
+    command += ["--hypothesis-seed=0", "--hypothesis-profile=mutants", *ids]
     return subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
 
 

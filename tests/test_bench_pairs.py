@@ -1,4 +1,5 @@
-"""``tools/bench_pairs.py`` keeps the pairs it finished when a run crashes."""
+"""``tools/bench_pairs.py`` keeps the pairs it finished when a run crashes,
+and sums each metric up per side and per pair."""
 
 import importlib.util
 import json
@@ -15,33 +16,38 @@ if seed == {crash_seed}:
     sys.exit(3)
 print(json.dumps({{"provenance": {{"seed": seed}}}}))
 print("12 untraced ops")
-metrics = {{"samples_per_s": {{"value": {speed} + seed, "unit": "samples/s"}}}}
+value = {table}.get(seed, {speed} + seed)
+metrics = {{"samples_per_s": {{"value": value, "unit": "samples/s"}}}}
 print(json.dumps({{"correct": True, "attempted": 12, "failed": 0, "metrics": metrics}}))
 """
 
 
-def fake_tree(root: Path, crash_seed: int, speed: int) -> Path:
+def fake_tree(root: Path, crash_seed: int, speed: int, table=None) -> Path:
+    """A tree whose run reports ``table[seed]``, or ``speed + seed`` for a
+    seed the table does not hold."""
     (root / "bench").mkdir(parents=True)
-    (root / "bench" / "run.py").write_text(FAKE_RUN.format(crash_seed=crash_seed, speed=speed))
+    run = FAKE_RUN.format(crash_seed=crash_seed, speed=speed, table=table or {})
+    (root / "bench" / "run.py").write_text(run)
     spec = {"end_to_end": [{"name": "samples_per_s", "better": "higher"}]}
     (root / "BENCHMARK.json").write_text(json.dumps(spec))
     return root
 
 
-def compare(tmp_path, monkeypatch, pairs: int, base_crash_seed: int = -1):
+def compare(tmp_path, monkeypatch, pairs: int, base_crash_seed: int = -1, tables=(None, None)):
     """Run the tool from seed 5 on two fake trees, the base one crashing on
-    ``base_crash_seed``; its exit code and the report it wrote."""
+    ``base_crash_seed``, each reporting from its entry of ``tables``; its
+    exit code and the report it wrote."""
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
 
     def export(revision, into):
-        fake_tree(into, base_crash_seed, 900)
+        fake_tree(into, base_crash_seed, 900, tables[0])
         return "base0"
 
     monkeypatch.setattr(tool, "export", export)
     monkeypatch.setattr(tool, "git", lambda *args: b"head0" if args[0] == "rev-parse" else b"")
-    monkeypatch.setattr(tool, "ROOT", fake_tree(tmp_path / "change", -1, 1000))
+    monkeypatch.setattr(tool, "ROOT", fake_tree(tmp_path / "change", -1, 1000, tables[1]))
     out = tmp_path / "pairs.json"
     argv = ["--workload", "w", "--base", "B", "--pairs", str(pairs), "--seed", "5"]
     code = tool.main(argv + ["--seconds", "1", "--out", str(out)])
@@ -77,3 +83,23 @@ def test_finished_runs_exit_0(tmp_path, monkeypatch):
     code, report, _ = compare(tmp_path, monkeypatch, pairs=2)
     assert code == 0
     assert len(report["pairs"]) == 2 and report["crashed"] is None
+
+
+def test_pair_ratio_median_cancels_shared_drift(tmp_path, monkeypatch):
+    # the sides' medians fall in different pairs (seeds 7 and 5), so the
+    # ratio of the medians reads no change; the pairs' own ratios do not
+    base = {5: 900, 6: 1300, 7: 1000}
+    change = {5: 1000, 6: 1400, 7: 950}
+    code, report, _ = compare(tmp_path, monkeypatch, pairs=3, tables=(base, change))
+    assert code == 0
+    summary = report["summary"]["samples_per_s"]
+    assert summary["median_change"] == 0
+    assert summary["pair_ratio_median"] == 1400 / 1300 - 1
+    assert summary["wins"] == 2
+
+
+def test_pair_ratio_median_skips_a_zero_base(tmp_path, monkeypatch):
+    base = {5: 0, 6: 800}
+    code, report, _ = compare(tmp_path, monkeypatch, pairs=2, tables=(base, {5: 1, 6: 1000}))
+    assert code == 0
+    assert report["summary"]["samples_per_s"]["pair_ratio_median"] == 1000 / 800 - 1

@@ -300,6 +300,20 @@ def test_malformed_ini_exits_2(capsys, tmp_path, old, new, message):
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+def test_ini_values_are_read_literally(tmp_path):
+    # a '%' starts no interpolation: the file name is read as written
+    ref = tmp_path / "100%.txt"
+    ref.write_text("0.5 -0.5\n-0.25 0.25\n")
+    profiles = tmp_path / "percent.ini"
+    profiles.write_text("[profile pct]\npreamble = file:100%.txt\nthreshold = 3\n")
+    (loaded,) = load_profiles(profiles)
+    assert loaded.preamble.samples.tolist() == [0.5 - 0.5j, -0.25 + 0.25j]
+    out = tmp_path / "pct.iqpd"
+    argv = ["gen-iq", "--profiles", str(profiles), "--transmit", "pct", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(read_iq(out)) > 2
+
+
 @pytest.mark.parametrize("snr", ["-inf", "1e308", "nan"])
 @pytest.mark.parametrize("command", ["scope", "gen-iq"])
 def test_bad_snr_exits_2(capsys, tmp_path, config_file, command, snr):

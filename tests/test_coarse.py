@@ -71,6 +71,18 @@ class TestMetric:
                 stream.i, stream.q, lag, d
             )
 
+    def test_full_scale_long_stream_stays_exact(self):
+        # a full-scale window's R passes 2**34 and the prefix sums of 50,000
+        # samples pass 2**46, so any 32-bit step would wrap
+        codes = np.random.default_rng(19).choice([-32768, 32767], size=(2, 50_000))
+        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
+        p_re, p_im, r = schmidl_cox_correlations(stream, 16)
+        assert r.min() > 1 << 34
+        for d in (0, len(r) // 2, len(r) - 1):
+            assert (int(p_re[d]), int(p_im[d]), int(r[d])) == schmidl_point(
+                stream.i, stream.q, 16, d
+            )
+
     def test_phase_rotation_leaves_metric_close(self):
         lag = 16
         block = pn_preamble(lag, 5).samples * 0.7

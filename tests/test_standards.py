@@ -308,13 +308,14 @@ class TestBankCache:
         self.profiles = [profile("a", 32, 50), profile("b", 40, 60)]
 
     def test_equal_maps_share_their_banks(self):
-        energy = EnergyConfig(16, 0.5, 8)
-        maps = [build_register_map(self.profiles, energy=energy) for _ in range(2)]
-        assert maps[0] is not maps[1] and maps[0] == maps[1]
-        first, second = (_decode_registers(self.profiles, regs, Q1_15) for regs in maps)
+        built = build_register_map(self.profiles, energy=EnergyConfig(16, 0.5, 8))
+        # equal builds share one map, so a copy stands for a second equal map
+        copy = RegisterMap(dict(built))
+        assert copy is not built and copy == built
+        first, second = (_decode_registers(self.profiles, regs, Q1_15) for regs in (built, copy))
         assert first is second
         # insertion order is not part of the contents
-        shuffled = RegisterMap(dict(reversed(list(maps[0].items()))))
+        shuffled = RegisterMap(dict(reversed(list(built.items()))))
         assert _decode_registers(self.profiles, shuffled, Q1_15) is first
 
     def test_invalid_words_raise_on_every_call(self):
@@ -331,6 +332,78 @@ class TestBankCache:
         for word in range(1000):
             _decode_registers(self.profiles[:1], regs.write("prof0/coeff_i/0", word), Q1_15)
         assert len(standards._VIEWS) <= standards._VIEWS_CACHED
+
+
+# sample thresholds on an eighths grid, so no two configurations and no two
+# formats round to one raw register
+ENERGIES = st.builds(
+    lambda w, k, c: EnergyConfig(w, k / 8, min(c, w)),
+    st.integers(1, 32),
+    st.integers(1, 16),
+    st.integers(0, 32),
+)
+# thresholds on the Q15 grid the register holds
+COARSES = st.builds(
+    lambda lag, q, plateau: CoarseConfig(lag, q / (1 << 15), plateau),
+    st.integers(1, 32),
+    st.integers(0, 1 << 15),
+    st.integers(1, 16),
+)
+
+
+class TestMapMemo:
+    """Equal calls of ``build_register_map`` share one map; a call that
+    differs in any value a register is made from builds its own."""
+
+    PROFILES = (profile("a", 32, 50), profile("b", 64, 100), profile("c", 16, 20))
+    FIELDS = {
+        "thresholds": st.tuples(*[st.integers(1, 200)] * 3),
+        "energy": st.none() | ENERGIES,
+        "coarse": st.none() | COARSES,
+        # 128 is the default, twice the longest correlator, so None builds it
+        "holdoff": st.none() | st.integers(0, 1000).filter(lambda h: h != 128),
+        "fmt": st.sampled_from((Q1_15, FixedPointFormat(12, 10))),
+    }
+
+    def build(self, fields, build=build_register_map):
+        thresholds = fields["thresholds"]
+        profiles = [replace(p, fine_threshold=t) for p, t in zip(self.PROFILES, thresholds)]
+        return build(profiles, fields["energy"], fields["coarse"], fields["holdoff"], fields["fmt"])
+
+    @given(st.fixed_dictionaries(FIELDS), st.data())
+    def test_memo_equals_a_fresh_build(self, fields, data):
+        regs = self.build(fields)
+        assert regs == self.build(fields, standards._build_register_map)
+        assert self.build(fields) is regs
+        name = data.draw(st.sampled_from(sorted(self.FIELDS)))
+        other = data.draw(self.FIELDS[name].filter(lambda value: value != fields[name]))
+        changed = {**fields, name: other}
+        assert self.build(changed) == self.build(changed, standards._build_register_map)
+        assert self.build(changed) != regs
+
+    @pytest.mark.parametrize(
+        "cached, floated",
+        [
+            ({"holdoff": 40}, {"holdoff": 40.0}),
+            ({"threshold": 50}, {"threshold": 50.0}),
+            ({"energy": EnergyConfig(16, 0.5, 8)}, {"energy": EnergyConfig(16.0, 0.5, 8)}),
+            ({"coarse": CoarseConfig(16, 0.5, 8)}, {"coarse": CoarseConfig(16, 0.5, 8.0)}),
+        ],
+        ids=["holdoff", "threshold", "energy-window", "coarse-plateau"],
+    )
+    def test_a_float_never_finds_the_int_map(self, cached, floated):
+        # 40.0 == 40 as keys go, but only an int makes a register
+        def build(threshold=50, **stages):
+            return build_register_map([profile("a", 32, threshold)], **stages)
+
+        build(**cached)
+        with pytest.raises(ConfigurationError, match="not an integer"):
+            build(**floated)
+
+    def test_cache_is_bounded(self):
+        for holdoff in range(1000):
+            build_register_map(self.PROFILES[:1], holdoff=holdoff)
+        assert len(standards._MAPS) <= standards._VIEWS_CACHED
 
 
 class TestProfileWords:

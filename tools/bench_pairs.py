@@ -10,9 +10,11 @@ directory; the change side is this checkout's files as they stand,
 committed or not.  Pair k runs ``bench/run.py --seed <seed + k>`` untraced
 on both trees, the base first on even pairs and the change first on odd
 ones.  The script writes every run's metrics and op count, each side's
-median and quartiles per metric, and the pairs the change won (ties count
-for neither side) to ``BENCH_<workload>.json`` at the repository root, or
-to ``--out``.  Whether higher or lower is better comes from the
+median and quartiles per metric, the median of the per-pair change/base
+ratios (``pair_ratio_median``, a fraction like ``median_change``, in which
+drift that both runs of a pair share cancels), and the pairs the change won
+(ties count for neither side) to ``BENCH_<workload>.json`` at the
+repository root, or to ``--out``.  Whether higher or lower is better comes from the
 ``end_to_end`` list of ``BENCHMARK.json``.  A run that crashes (no
 result line, or an exit code other than 0 or 1) ends the comparison
 without a retry: the file then holds the pairs finished before it and, under
@@ -105,11 +107,13 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         sign = -1 if better.get(name) == "lower" else 1
+        ratios = [c / b for b, c in zip(base, change) if b]
         summary[name] = {
             "better": better.get(name, "higher"),
             "base": spread(base),
             "change": spread(change),
             "median_change": statistics.median(change) / statistics.median(base) - 1,
+            "pair_ratio_median": statistics.median(ratios) - 1 if ratios else None,
             "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             "pairs": len(pairs),
         }
