@@ -21,6 +21,7 @@ single-sample spikes cannot fire it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,11 @@ class CoarseConfig:
     plateau_min: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("half_period", "plateau_min"):
+            try:  # a whole float, say, would fail later in the numpy stages
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.half_period < 1:
             raise ValueError("half_period must be >= 1")
         if not 0.0 <= self.metric_threshold <= 1.0:

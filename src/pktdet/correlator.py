@@ -192,20 +192,24 @@ class SignCorrelator:
         if len(enable) != length:
             raise ValueError("enable must have one entry per stream sample")
         first = self.bank.length - 1  # the first position with a full window
-        index = np.flatnonzero(enable[first:]) + first
-        self.work_count += len(index)
-        if not len(index):
+        # enabled positions, less ``first`` (nonzero skips flatnonzero's ravel)
+        index = enable[first:].nonzero()[0]
+        count = len(index)
+        self.work_count += count
+        if not count:
             return index, np.zeros(0, dtype=np.int64)
-        # the span reaches n - 1 samples back so its first window is full
-        lo, hi = index[0] - first, index[-1] + 1
+        # position first + k has its window at stream[k : k + n], so the
+        # span from the first to the last enabled position starts at index[0]
+        lo, last = int(index[0]), int(index[-1])
         # float64 takes numpy's fast dot path; every term is +-1, so each
         # sum is an integer of magnitude <= 2n, far below 2**53, and exact
         s_i, s_q = stream.sign_arrays
         ref_i, ref_q = self.bank.sign_arrays
-        re = np.correlate(s_i[lo:hi], ref_i)
-        np.add(re, np.correlate(s_q[lo:hi], ref_q), out=re)
-        if index[-1] - index[0] >= len(index):  # a gap: pick the enabled windows
-            re = re[index - index[0]]
+        re = np.correlate(s_i[lo : last + first + 1], ref_i)
+        np.add(re, np.correlate(s_q[lo : last + first + 1], ref_q), out=re)
+        if last - lo >= count:  # a gap: pick the enabled windows
+            re = re[index - lo]
+        index += first
         return index, re.astype(np.int64)
 
 

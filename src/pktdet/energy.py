@@ -17,6 +17,7 @@ rounded-down threshold is the same as exceeding the exact one, so
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,11 @@ class EnergyConfig:
     count_threshold: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("window_len", "count_threshold"):
+            try:  # a whole float, say, would fail later in the numpy stages
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
         if not 0 <= self.count_threshold <= self.window_len:

@@ -11,7 +11,9 @@ per point, and classifies each trial by what the detector bank reported:
 Each trial owns an RNG substream derived from (seed, snr_index,
 trial_index), so results are bit-identical whether trials run serially or
 in a process pool, and any rerun with the same seed reproduces the CSV
-byte for byte.
+byte for byte.  The sweep passes that seed as the 32-bit words numpy's
+``SeedSequence`` reads from the tuple, built once per SNR point, which
+draws the same stream without the per-item conversion.
 
 The scope scenario is the single-shot companion: one capture at a chosen
 SNR with the correlators running unconditionally, emitting the full ``re``
@@ -216,8 +218,9 @@ def run_trial(cfg: SweepConfig, snr_db: float, trial_seed) -> TrialOutcome:
     """One embed -> noise -> quantize -> detect -> classify pass.
 
     ``trial_seed`` is anything ``numpy.random.default_rng`` accepts; the
-    sweep passes (seed, snr_index, trial_index).  The preamble start offset
-    is drawn per trial so the detector cannot memorize the alignment.
+    sweep passes the words of (seed, snr_index, trial_index) as a uint32
+    array (:func:`_seed_words`).  The preamble start offset is drawn per
+    trial so the detector cannot memorize the alignment.
     """
     tx = cfg.transmitted_profile()
     stream, _ = _synthesize_capture(cfg, tx, snr_db, trial_seed)
@@ -229,12 +232,25 @@ def run_trial(cfg: SweepConfig, snr_db: float, trial_seed) -> TrialOutcome:
     return TrialOutcome.FALSE_STANDARD
 
 
+def _seed_words(value: int) -> list[int]:
+    """The 32-bit words ``SeedSequence`` makes of a non-negative int, least
+    significant first; 0 is one zero word."""
+    words = []
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words or [0]
+
+
 def _sweep_point(args) -> tuple[int, list[TrialOutcome]]:
     cfg, snr_index, snr_db = args
-    return snr_index, [
-        run_trial(cfg, snr_db, (cfg.seed, snr_index, t))
-        for t in range(cfg.trials_per_point)
+    # the words of (cfg.seed, snr_index, t), one array per trial: a tuple
+    # seeds the same stream, but default_rng converts it item by item
+    head = _seed_words(cfg.seed) + _seed_words(snr_index)
+    seeds = [
+        np.array(head + _seed_words(t), dtype=np.uint32) for t in range(cfg.trials_per_point)
     ]
+    return snr_index, [run_trial(cfg, snr_db, seed) for seed in seeds]
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:

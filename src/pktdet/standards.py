@@ -227,6 +227,7 @@ class _PipelineView:
     banks: tuple[CoefficientBank, ...]
     thresholds: tuple[int, ...]
     enabled: tuple[bool, ...]
+    arb_window: int  # the longest correlator, disabled profiles included
 
 
 def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _PipelineView:
@@ -300,6 +301,7 @@ def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _Pi
         banks=tuple(banks),
         thresholds=tuple(thresholds),
         enabled=tuple(enabled),
+        arb_window=max(bank.length for bank in banks),
     )
     return view
 
@@ -325,7 +327,7 @@ def _extract_candidates(index, re, threshold: int, profile: StandardProfile, ord
     value at each.  A run breaks when the index jumps (gate gap) or ``re``
     drops below the threshold; its peak is its first maximum."""
     above = re >= threshold
-    if not above.any():
+    if not np.count_nonzero(above):  # cheaper than above.any() on short spans
         return []
     candidates = []
     peak = peak_index = None
@@ -351,36 +353,37 @@ def events_from_candidates(
     coarse_index: int | None = None,
 ) -> list[DetectionEvent]:
     """Cluster candidates that are within ``arb_window`` samples of each
-    other and arbitrate one event per cluster."""
+    other and arbitrate one event per cluster.
+
+    An event's gate index is the last of the sorted ``gate_run_starts`` at
+    or before its peak (None without one); its coarse index is
+    ``coarse_index``."""
     ordered = sorted(candidates, key=lambda c: (c.peak_index, c.order))
-    events: list[DetectionEvent] = []
-    cluster: list[Candidate] = []
+    if not ordered:
+        return []
+    clusters = [[ordered[0]]]
+    for cand in ordered[1:]:
+        if cand.peak_index - clusters[-1][-1].peak_index > arb_window:
+            clusters.append([cand])
+        else:
+            clusters[-1].append(cand)
+    winners = [c[0] if len(c) == 1 else arbitrate(c) for c in clusters]
 
-    def flush() -> None:
-        if not cluster:
-            return
-        winner = arbitrate(cluster)
-        gate_index = None
-        if gate_run_starts is not None and len(gate_run_starts):
-            pos = int(np.searchsorted(gate_run_starts, winner.peak_index, side="right")) - 1
-            if pos >= 0:
-                gate_index = int(gate_run_starts[pos])
-        events.append(
-            DetectionEvent(
-                standard_id=winner.profile.id,
-                peak_value=winner.peak_value,
-                peak_index=winner.peak_index,
-                stage_trace=(gate_index, coarse_index),
-            )
+    gates = [None] * len(winners)
+    if gate_run_starts is not None and len(gate_run_starts):
+        # the number of starts at or before each peak; 0 means none
+        peaks = [w.peak_index for w in winners]
+        counts = np.searchsorted(gate_run_starts, peaks, side="right").tolist()
+        gates = [int(gate_run_starts[k - 1]) if k > 0 else None for k in counts]
+    return [
+        DetectionEvent(
+            standard_id=w.profile.id,
+            peak_value=w.peak_value,
+            peak_index=w.peak_index,
+            stage_trace=(gate, coarse_index),
         )
-
-    for cand in ordered:
-        if cluster and cand.peak_index - cluster[-1].peak_index > arb_window:
-            flush()
-            cluster = []
-        cluster.append(cand)
-    flush()
-    return events
+        for w, gate in zip(winners, gates)
+    ]
 
 
 def run_detector_bank(stream: SampleStream, profiles, regs: RegisterMap) -> list[DetectionEvent]:
@@ -413,23 +416,23 @@ def run_detector_bank(stream: SampleStream, profiles, regs: RegisterMap) -> list
         raw_enable[:coarse_index] = False
 
     enable = latch_enable(raw_enable, view.holdoff)
-    gate_run_starts = None
-    if view.energy_cfg is not None:
-        # the energy decision that opened each latched gate run: a raw-enabled
-        # index whose previous one lies more than holdoff + 1 back
-        on = np.flatnonzero(raw_energy)
-        opens = np.ones(len(on), dtype=bool)
-        np.greater(on[1:] - on[:-1], view.holdoff + 1, out=opens[1:])
-        gate_run_starts = on[opens]
-
     candidates: list[Candidate] = []
     for order, profile in enumerate(profiles):
         if not view.enabled[order]:
             continue
         index, re = SignCorrelator(view.banks[order]).process(stream, enable)
         candidates.extend(_extract_candidates(index, re, view.thresholds[order], profile, order))
-    arb_window = max(p.correlator_len for p in profiles)
-    return events_from_candidates(candidates, arb_window, gate_run_starts, coarse_index)
+
+    gate_run_starts = None
+    if candidates and view.energy_cfg is not None:
+        # only an event reads them: the energy decision that opened each
+        # latched gate run, a raw-enabled index whose previous one lies more
+        # than holdoff + 1 back
+        on = raw_energy.nonzero()[0]
+        opens = np.ones(len(on), dtype=bool)
+        np.greater(on[1:] - on[:-1], view.holdoff + 1, out=opens[1:])
+        gate_run_starts = on[opens]
+    return events_from_candidates(candidates, view.arb_window, gate_run_starts, coarse_index)
 
 
 class DetectorBank:

@@ -73,6 +73,15 @@ MAP_KEY = """    key = (
 """
 MAP_MEMO = "tests/test_standards.py::TestMapMemo::"
 SPAN = "tests/test_correlator.py::TestCorrelateStream::"
+SEED_WORDS = (
+    "tests/test_harness.py::TestSeedWords::test_words_draw_the_tuple_stream",
+    *(
+        f"tests/test_harness.py::TestSeedWords::"
+        f"test_sweep_point_seeds_each_trial_with_its_tuple_stream[{seed}]"
+        for seed in (0, 2**32 - 1, 2**32, 2**64 + 5)
+    ),
+)
+EVENTS = "tests/test_standards.py::TestEventsFromCandidates::test_matches_the_reference"
 
 CATALOGUE = (
     # the streaming bank's datapath
@@ -233,15 +242,15 @@ CATALOGUE = (
         MAP_KEY.replace("        tuple(map(type, scalars)),\n", ""),
         tuple(
             f"{MAP_MEMO}test_a_float_never_finds_the_int_map[{field}]"
-            for field in ("holdoff", "threshold", "energy-window", "coarse-plateau")
+            for field in ("holdoff", "threshold")
         ),
     ),
     # the fine stage
     Mutant(
         "candidates-early-exit-inverted",
         STANDARDS,
-        "    if not above.any():\n        return []",
-        "    if above.any():\n        return []",
+        "    if not np.count_nonzero(above):",
+        "    if np.count_nonzero(above):",
         (
             "tests/test_standards.py::TestExtractCandidates::test_matches_naive_run_scan",
             "tests/test_standards.py::TestRunDetectorBank::test_noiseless_event_at_ground_truth",
@@ -250,9 +259,60 @@ CATALOGUE = (
     Mutant(
         "gather-skipped-across-gaps",
         "src/pktdet/correlator.py",
-        "if index[-1] - index[0] >= len(index):",
-        "if index[-1] - index[0] < len(index):",
+        "if last - lo >= count:",
+        "if last - lo < count:",
         (f"{SPAN}test_process_equals_repeated_push", f"{SPAN}test_process_span_edges"),
+    ),
+    # each sweep trial's seed words draw its (seed, snr_index, t) stream
+    Mutant(
+        "seed-words-high-words-dropped",
+        "src/pktdet/harness.py",
+        "        value >>= 32\n",
+        "        value = 0\n",
+        SEED_WORDS[:1] + SEED_WORDS[3:],
+    ),
+    Mutant(
+        "seed-words-zero-gets-no-word",
+        "src/pktdet/harness.py",
+        "    return words or [0]",
+        "    return words",
+        # SeedSequence pads short entropy with zero words, so only rows whose
+        # lost zero is not trailing, or that are longer than its 4-word pool,
+        # draw another stream
+        SEED_WORDS[:2] + SEED_WORDS[4:],
+    ),
+    # gate-run starts only for candidates, and the arbitration that reads them
+    Mutant(
+        "gate-run-starts-guard-inverted",
+        STANDARDS,
+        "    if candidates and view.energy_cfg is not None:",
+        "    if not candidates and view.energy_cfg is not None:",
+        (
+            "tests/test_standards.py::TestRunDetectorBank::test_noiseless_event_at_ground_truth",
+            "tests/test_standards.py::TestRunDetectorBank::"
+            "test_gate_on_without_candidates_returns_no_events",
+        ),
+    ),
+    Mutant(
+        "cluster-split-at-the-window",
+        STANDARDS,
+        "if cand.peak_index - clusters[-1][-1].peak_index > arb_window:",
+        "if cand.peak_index - clusters[-1][-1].peak_index >= arb_window:",
+        (EVENTS,),
+    ),
+    Mutant(
+        "gate-lookup-side-left",
+        STANDARDS,
+        'side="right").tolist()',
+        'side="left").tolist()',
+        (EVENTS,),
+    ),
+    Mutant(
+        "gate-lookup-drops-the-first-start",
+        STANDARDS,
+        "if k > 0 else None",
+        "if k > 1 else None",
+        (EVENTS,),
     ),
     # malformed INI files end in an error line, not a traceback
     Mutant(

@@ -119,6 +119,46 @@ def run_peaks(outputs, threshold: int) -> list[tuple[int, int]]:
     return peaks
 
 
+def arbitrated_events(candidates, arb_window: int, gate_run_starts=None, coarse_index=None):
+    """``(standard id, peak value, peak index, stage trace)`` per event, by
+    one pass over the candidates in (peak index, order) order.
+
+    A cluster grows while each candidate lies within ``arb_window`` samples
+    of the one before it.  Its winner has the longest correlator, then the
+    highest peak, the lowest peak index and the lowest order.  The gate index
+    is the last of the sorted ``gate_run_starts`` at or before the winner's
+    peak, found by a scan."""
+    starts = [] if gate_run_starts is None else [int(s) for s in gate_run_starts]
+    ordered = sorted(candidates, key=lambda c: (c.peak_index, c.order))
+    events = []
+    cluster = []
+
+    def flush() -> None:
+        if not cluster:
+            return
+        winner = cluster[0]
+        for c in cluster[1:]:
+            if (c.profile.correlator_len, c.peak_value, -c.peak_index, -c.order) > (
+                winner.profile.correlator_len,
+                winner.peak_value,
+                -winner.peak_index,
+                -winner.order,
+            ):
+                winner = c
+        before = [s for s in starts if s <= winner.peak_index]
+        gate = before[-1] if before else None
+        trace = (gate, coarse_index)
+        events.append((winner.profile.id, winner.peak_value, winner.peak_index, trace))
+
+    for cand in ordered:
+        if cluster and cand.peak_index - cluster[-1].peak_index > arb_window:
+            flush()
+            cluster = []
+        cluster.append(cand)
+    flush()
+    return events
+
+
 def schmidl_point(i_codes, q_codes, lag: int, d: int) -> tuple[int, int, int]:
     """Direct recomputation of (P_re, P_im, R) at one position."""
     p_re = p_im = r = 0

@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
 # a stand-in for bench/run.py: three lines of output, or a crash on one seed
@@ -22,21 +24,25 @@ print(json.dumps({{"correct": True, "attempted": 12, "failed": 0, "metrics": met
 """
 
 
-def fake_tree(root: Path, crash_seed: int, speed: int, table=None) -> Path:
+def fake_tree(root: Path, crash_seed: int, speed: int, table=None, metric=None) -> Path:
     """A tree whose run reports ``table[seed]``, or ``speed + seed`` for a
-    seed the table does not hold."""
+    seed the table does not hold, and whose ``BENCHMARK.json`` declares
+    ``metric`` (higher is better, no bound, by default)."""
     (root / "bench").mkdir(parents=True)
     run = FAKE_RUN.format(crash_seed=crash_seed, speed=speed, table=table or {})
     (root / "bench" / "run.py").write_text(run)
-    spec = {"end_to_end": [{"name": "samples_per_s", "better": "higher"}]}
+    spec = {"end_to_end": [{"name": "samples_per_s", "better": "higher", **(metric or {})}]}
     (root / "BENCHMARK.json").write_text(json.dumps(spec))
     return root
 
 
-def compare(tmp_path, monkeypatch, pairs: int, base_crash_seed: int = -1, tables=(None, None)):
+def compare(
+    tmp_path, monkeypatch, pairs: int, base_crash_seed: int = -1, tables=(None, None), metric=None
+):
     """Run the tool from seed 5 on two fake trees, the base one crashing on
-    ``base_crash_seed``, each reporting from its entry of ``tables``; its
-    exit code and the report it wrote."""
+    ``base_crash_seed``, each reporting from its entry of ``tables``, with
+    the change tree declaring ``metric``; its exit code and the report it
+    wrote."""
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -47,7 +53,7 @@ def compare(tmp_path, monkeypatch, pairs: int, base_crash_seed: int = -1, tables
 
     monkeypatch.setattr(tool, "export", export)
     monkeypatch.setattr(tool, "git", lambda *args: b"head0" if args[0] == "rev-parse" else b"")
-    monkeypatch.setattr(tool, "ROOT", fake_tree(tmp_path / "change", -1, 1000, tables[1]))
+    monkeypatch.setattr(tool, "ROOT", fake_tree(tmp_path / "change", -1, 1000, tables[1], metric))
     out = tmp_path / "pairs.json"
     argv = ["--workload", "w", "--base", "B", "--pairs", str(pairs), "--seed", "5"]
     code = tool.main(argv + ["--seconds", "1", "--out", str(out)])
@@ -103,3 +109,22 @@ def test_pair_ratio_median_skips_a_zero_base(tmp_path, monkeypatch):
     code, report, _ = compare(tmp_path, monkeypatch, pairs=2, tables=(base, {5: 1, 6: 1000}))
     assert code == 0
     assert report["summary"]["samples_per_s"]["pair_ratio_median"] == 1000 / 800 - 1
+
+
+@pytest.mark.parametrize(
+    "metric, change, over",
+    [
+        ({"bound": 0.2}, {5: 700, 6: 850}, True),  # median 775: 22.5% worse
+        ({"bound": 0.2}, {5: 800, 6: 850}, False),  # median 825: 17.5% worse
+        ({}, {5: 100, 6: 100}, False),  # no bound
+        ({"better": "lower", "bound": 0.2}, {5: 1300, 6: 1200}, True),
+        ({"better": "lower", "bound": 0.2}, {5: 700, 6: 850}, False),
+    ],
+    ids=["higher-past", "higher-within", "no-bound", "lower-past", "lower-better"],
+)
+def test_a_median_past_its_bound_is_flagged(tmp_path, monkeypatch, capsys, metric, change, over):
+    base = {5: 1000, 6: 1000}
+    code, report, _ = compare(tmp_path, monkeypatch, 2, tables=(base, change), metric=metric)
+    assert code == 0
+    assert report["summary"]["samples_per_s"]["over_bound"] is over
+    assert ("worse than its bound" in capsys.readouterr().err) is over

@@ -159,3 +159,13 @@ class TestConfigValidation:
     def test_invalid(self, lag, thr, plateau):
         with pytest.raises(ValueError):
             CoarseConfig(lag, thr, plateau)
+
+    @pytest.mark.parametrize("field", ["half_period", "plateau_min"])
+    def test_whole_float_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            CoarseConfig(**{"half_period": 16, "plateau_min": 8, field: 8.0})
+
+    def test_integer_fields_become_ints(self):
+        cfg = CoarseConfig(np.int64(16), 0.5, np.uint8(8))
+        assert (type(cfg.half_period), type(cfg.plateau_min)) == (int, int)
+        assert cfg == CoarseConfig(16, 0.5, 8)

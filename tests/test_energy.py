@@ -177,6 +177,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="finite"):
             EnergyConfig(4, thr, 2)
 
+    @pytest.mark.parametrize("field", ["window_len", "count_threshold"])
+    def test_whole_float_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EnergyConfig(**{"window_len": 16, "count_threshold": 8, field: 8.0})
+
+    def test_integer_fields_become_ints(self):
+        cfg = EnergyConfig(np.int64(16), 0.5, np.uint8(8))
+        assert (type(cfg.window_len), type(cfg.count_threshold)) == (int, int)
+        assert cfg == EnergyConfig(16, 0.5, 8)
+
 
 @pytest.mark.parametrize(
     "threshold, fmt, raw",

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pktdet import harness
 from pktdet.harness import (
@@ -73,6 +74,35 @@ class TestRunTrial:
         cfg = tiny_config()
         seed = (7, 3, 11)
         assert run_trial(cfg, 2.0, seed) is run_trial(cfg, 2.0, seed)
+
+
+WORD_EDGES = (0, 2**32 - 1, 2**32, 2**64 + 5)
+
+
+class TestSeedWords:
+    @given(
+        st.tuples(*[st.sampled_from(WORD_EDGES) | st.integers(0, 2**80)] * 3),
+    )
+    @example((0, 0, 0))
+    @example((2**32 - 1, 2**32, 2**64 + 5))
+    @example((7, 0, 2**32))
+    def test_words_draw_the_tuple_stream(self, values):
+        words = np.array([w for v in values for w in harness._seed_words(v)], dtype=np.uint32)
+        by_words, by_tuple = np.random.default_rng(words), np.random.default_rng(values)
+        assert by_words.integers(0, 2**63, 6).tolist() == by_tuple.integers(0, 2**63, 6).tolist()
+        assert by_words.normal(size=6).tolist() == by_tuple.normal(size=6).tolist()
+
+    @pytest.mark.parametrize("seed", WORD_EDGES)
+    def test_sweep_point_seeds_each_trial_with_its_tuple_stream(self, monkeypatch, seed):
+        seeds = []
+        monkeypatch.setattr(harness, "run_trial", lambda cfg, snr_db, s: seeds.append(s))
+        harness._sweep_point((tiny_config(seed=seed, trials_per_point=3), 5, 0.0))
+        assert len(seeds) == 3
+        for t, trial_seed in enumerate(seeds):
+            assert trial_seed.dtype == np.uint32
+            drawn = np.random.default_rng(trial_seed).integers(0, 2**63, 4)
+            expected = np.random.default_rng((seed, 5, t)).integers(0, 2**63, 4)
+            assert drawn.tolist() == expected.tolist()
 
 
 class TestRunSweep:

@@ -40,7 +40,7 @@ from pktdet.standards import (
     run_detector_bank,
 )
 
-from oracles import latched_run_starts, run_peaks, sign_partials
+from oracles import arbitrated_events, latched_run_starts, run_peaks, sign_partials
 from streaming import as_outputs, push_run, same_outputs, sign_pairs
 
 
@@ -386,13 +386,12 @@ class TestMapMemo:
         [
             ({"holdoff": 40}, {"holdoff": 40.0}),
             ({"threshold": 50}, {"threshold": 50.0}),
-            ({"energy": EnergyConfig(16, 0.5, 8)}, {"energy": EnergyConfig(16.0, 0.5, 8)}),
-            ({"coarse": CoarseConfig(16, 0.5, 8)}, {"coarse": CoarseConfig(16, 0.5, 8.0)}),
         ],
-        ids=["holdoff", "threshold", "energy-window", "coarse-plateau"],
+        ids=["holdoff", "threshold"],
     )
     def test_a_float_never_finds_the_int_map(self, cached, floated):
-        # 40.0 == 40 as keys go, but only an int makes a register
+        # 40.0 == 40 as keys go, but only an int makes a register (the stage
+        # configurations turn their integer fields into ints when built)
         def build(threshold=50, **stages):
             return build_register_map([profile("a", 32, threshold)], **stages)
 
@@ -539,6 +538,37 @@ class TestArbitrate:
             assert events_from_candidates(permuted, arb_window) == events
 
 
+class TestEventsFromCandidates:
+    # registration order 0..3; two 64-point profiles so length ties occur
+    PROFILES = tuple(profile(f"p{k}", n, 10, seed=k) for k, n in enumerate((16, 32, 64, 64)))
+
+    @given(
+        specs=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(0, 60)),
+            max_size=12,
+            unique_by=lambda spec: (spec[0], spec[2]),  # one per (profile, peak index)
+        ),
+        arb_window=st.integers(0, 16),
+        starts=st.none() | st.lists(st.integers(0, 80), unique=True).map(sorted),
+        coarse_index=st.none() | st.integers(0, 60),
+    )
+    @example(specs=[(0, 2, 10), (1, 2, 14)], arb_window=4, starts=None, coarse_index=None)
+    @example(specs=[(0, 2, 10)], arb_window=0, starts=[3, 10, 12], coarse_index=None)
+    @example(specs=[(0, 2, 10)], arb_window=0, starts=[3], coarse_index=1)
+    @example(specs=[(2, 2, 10), (3, 2, 40)], arb_window=4, starts=[20], coarse_index=None)
+    @example(specs=[(0, 2, 10)], arb_window=0, starts=[], coarse_index=None)
+    def test_matches_the_reference(self, specs, arb_window, starts, coarse_index):
+        candidates = [
+            Candidate(self.PROFILES[order], peak, index, order) for order, peak, index in specs
+        ]
+        gate_run_starts = None if starts is None else np.array(starts, dtype=np.intp)
+        events = events_from_candidates(candidates, arb_window, gate_run_starts, coarse_index)
+        got = [(e.standard_id, e.peak_value, e.peak_index, e.stage_trace) for e in events]
+        assert got == arbitrated_events(candidates, arb_window, starts, coarse_index)
+        for event in events:
+            assert all(type(v) is int for v in event.stage_trace if v is not None)
+
+
 class TestRunDetectorBank:
     def test_silence_produces_no_events(self):
         profiles = [profile("a", 32, 50)]
@@ -584,6 +614,23 @@ class TestRunDetectorBank:
         stream, _ = make_capture(intruder)
         regs = build_register_map([listener], energy=EnergyConfig(16, 0.25, 8))
         assert run_detector_bank(stream, [listener], regs) == []
+
+    def test_gate_on_without_candidates_returns_no_events(self, monkeypatch):
+        listener = profile("listener", 64, 100, seed=1)
+        stream, _ = make_capture(profile("intruder", 64, 100, seed=2))
+        energy = EnergyConfig(16, 0.25, 8)
+        assert enable_array(stream, energy).any()  # the correlator runs
+        calls = []
+
+        def spy(candidates, arb_window, gate_run_starts=None, coarse_index=None):
+            calls.append((list(candidates), gate_run_starts))
+            return events_from_candidates(candidates, arb_window, gate_run_starts, coarse_index)
+
+        monkeypatch.setattr(standards, "events_from_candidates", spy)
+        regs = build_register_map([listener], energy=energy)
+        assert run_detector_bank(stream, [listener], regs) == []
+        # arbitration still runs once; no gate-run starts are built for it
+        assert calls == [([], None)]
 
     def test_disabled_profile_is_ignored(self):
         p = profile("a", 32, 64)

@@ -14,12 +14,14 @@ median and quartiles per metric, the median of the per-pair change/base
 ratios (``pair_ratio_median``, a fraction like ``median_change``, in which
 drift that both runs of a pair share cancels), and the pairs the change won
 (ties count for neither side) to ``BENCH_<workload>.json`` at the
-repository root, or to ``--out``.  Whether higher or lower is better comes from the
-``end_to_end`` list of ``BENCHMARK.json``.  A run that crashes (no
-result line, or an exit code other than 0 or 1) ends the comparison
-without a retry: the file then holds the pairs finished before it and, under
-``crashed``, that run's pair, side, seed, exit code and the tail of its
-standard error.  The script exits 1 if any run crashed or failed its checks,
+repository root, or to ``--out``.  Whether higher or lower is better, and
+each metric's bound, come from the ``end_to_end`` list of
+``BENCHMARK.json``; a metric whose ``median_change`` is worse than its
+bound is marked ``"over_bound": true`` and named on standard error.  A run
+that crashes (no result line, or an exit code other than 0 or 1) ends the
+comparison without a retry: the file then holds the pairs finished before
+it and, under ``crashed``, that run's pair, side, seed, exit code and the
+tail of its standard error.  The script exits 1 if any run crashed or failed its checks,
 after writing the file.  Standard library only.
 """
 
@@ -101,21 +103,27 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], spec: dict[str, dict]) -> dict:
+    """Per metric: each side's spread, the changes, the wins, and whether
+    the median change is worse than the metric's bound in ``spec``."""
     summary = {}
     for name in pairs[0]["base"]["metrics"]:
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
-        sign = -1 if better.get(name) == "lower" else 1
+        declared = spec.get(name, {})
+        sign = -1 if declared.get("better") == "lower" else 1
         ratios = [c / b for b, c in zip(base, change) if b]
+        median_change = statistics.median(change) / statistics.median(base) - 1
+        bound = declared.get("bound")
         summary[name] = {
-            "better": better.get(name, "higher"),
+            "better": declared.get("better", "higher"),
             "base": spread(base),
             "change": spread(change),
-            "median_change": statistics.median(change) / statistics.median(base) - 1,
+            "median_change": median_change,
             "pair_ratio_median": statistics.median(ratios) - 1 if ratios else None,
             "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             "pairs": len(pairs),
+            "over_bound": bound is not None and -sign * median_change > bound,
         }
     summary["ops"] = {
         side: spread([p[side]["ops"] for p in pairs]) for side in ("base", "change")
@@ -135,7 +143,7 @@ def main(argv=None) -> int:
     if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
         parser.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.workload}.json"
 
     pairs = []
@@ -170,12 +178,15 @@ def main(argv=None) -> int:
         "change": head + ("+uncommitted" if dirty else ""),
         "seconds": args.seconds,
         "seeds": [args.seed, args.seed + args.pairs - 1],
-        "summary": summarize(pairs, better) if pairs else {},
+        "summary": summarize(pairs, metrics) if pairs else {},
         "pairs": pairs,
         "crashed": crashed,
     }
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")
+    over = [name for name, m in report["summary"].items() if m.get("over_bound")]
+    if over:
+        print(f"median change worse than its bound: {over}", file=sys.stderr)
     failed = [(p["pair"], side) for p in pairs for side in ("base", "change") if p[side]["exit"]]
     if failed:
         print(f"runs that failed their checks (pair, side): {failed}", file=sys.stderr)
