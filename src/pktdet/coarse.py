@@ -13,20 +13,19 @@ point quantity, formed once per position from the exact integers.
 
 M(d) is bounded by the energy ratio of the two window halves; it sits in
 [0, 1] for stationary inputs but can exceed 1 on a sharp level transition
-(loud half followed by quiet half).  The trigger compares against a
-threshold in [0, 1], rounded to the Q15 grid of its register, and requires
-the metric to hold for ``plateau_min`` consecutive positions so
-single-sample spikes cannot fire it.
+(loud half followed by quiet half).  The trigger compares against the
+``coarse/thresh_q15`` register word as it is, ``thr_q15 / 2**15``, which
+may lie above 1, and requires the metric to hold for ``plateau``
+consecutive positions so single-sample spikes cannot fire it.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import SampleStream
+from .signal import SampleStream, _int_fields
 
 
 @dataclass(frozen=True)
@@ -39,11 +38,7 @@ class CoarseConfig:
     plateau_min: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("half_period", "plateau_min"):
-            try:  # a whole float, say, would fail later in the numpy stages
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
+        _int_fields(self, "half_period", "plateau_min")
         if self.half_period < 1:
             raise ValueError("half_period must be >= 1")
         if not 0.0 <= self.metric_threshold <= 1.0:
@@ -91,13 +86,6 @@ def schmidl_cox_metric(stream: SampleStream, lag: int) -> np.ndarray:
     return np.divide(p2, r2, out=p2)
 
 
-def threshold_q15(cfg: CoarseConfig) -> int:
-    """The metric threshold on the ``coarse/thresh_q15`` register's grid,
-    ``round(metric_threshold * 2**15)``: the configured and the
-    register-decoded stage both compare against it."""
-    return round(cfg.metric_threshold * (1 << 15))
-
-
 def _first_run(above, width: int) -> int | None:
     """Start of the first run of ``width`` True values in ``above``, or None.
 
@@ -116,8 +104,8 @@ def _first_run(above, width: int) -> int | None:
     return first if run[first] else None
 
 
-def detect_coarse(stream: SampleStream, cfg: CoarseConfig) -> CoarseOutput:
-    """The coarse stage: the first ``plateau_min``-long run of the stream's
-    metric at or above the Q15 threshold (:func:`threshold_q15`)."""
-    above = schmidl_cox_metric(stream, cfg.half_period) >= threshold_q15(cfg) / (1 << 15)
-    return CoarseOutput(first_trigger=_first_run(above, cfg.plateau_min))
+def detect_coarse(stream: SampleStream, lag: int, thr_q15: int, plateau: int) -> CoarseOutput:
+    """The coarse stage: the first ``plateau``-long run of the stream's
+    metric at ``lag`` at or above ``thr_q15 / 2**15``."""
+    above = schmidl_cox_metric(stream, lag) >= thr_q15 / (1 << 15)
+    return CoarseOutput(first_trigger=_first_run(above, plateau))

@@ -2,27 +2,26 @@
 
 A signal-present decision is made per sample position: over the most recent
 ``window_len`` samples, count how many have per-sample energy ``i^2 + q^2``
-strictly above a configurable per-sample threshold; the window is "active"
-when that count is strictly above a second configurable count threshold.
-The decision stream gates the downstream correlators.
+strictly above a per-sample threshold; the window is "active" when that
+count is strictly above a second, count threshold.  The decision stream
+gates the downstream correlators.
 
-Energies are computed on raw integer codes (exact in int64 for the <= 16-bit
-formats) and compared against the threshold in raw code-squared units,
-rounded down (:func:`raw_threshold`).  For an integer energy, exceeding the
-rounded-down threshold is the same as exceeding the exact one, so
-:func:`enable_array` and the register-driven gate of the streaming
-``DetectorBank`` agree with a naive per-window recount bit for bit.
+The gate reads its register words as they are: energies are computed on raw
+integer codes (exact in int64 for the <= 16-bit formats) and compared
+against ``energy/sample_thresh_raw`` in raw code-squared units.  Only
+:func:`raw_threshold` meets a natural-unit threshold, rounding it down when
+the register map is built; for an integer energy, exceeding the rounded-down
+threshold is the same as exceeding the exact one.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import FixedPointFormat, SampleStream, window_sums
+from .signal import FixedPointFormat, SampleStream, _int_fields, window_sums
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,7 @@ class EnergyConfig:
     """Energy-gate parameters.
 
     ``sample_energy_threshold`` is in natural squared-magnitude units (a
-    full-scale component is ~1.0); the gate compares raw energies against
+    full-scale component is ~1.0); its register holds
     :func:`raw_threshold`.  The field defaults are the stage defaults of the
     CLI, the INI files and ``SweepConfig``.
     """
@@ -40,11 +39,7 @@ class EnergyConfig:
     count_threshold: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("window_len", "count_threshold"):
-            try:  # a whole float, say, would fail later in the numpy stages
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
+        _int_fields(self, "window_len", "count_threshold")
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
         if not 0 <= self.count_threshold <= self.window_len:
@@ -60,16 +55,16 @@ def raw_threshold(cfg: EnergyConfig, fmt: FixedPointFormat) -> int:
     return num * fmt.scale**2 // den
 
 
-def enable_array(stream: SampleStream, cfg: EnergyConfig) -> np.ndarray:
-    """Boolean per-sample enable derived from the energy gate.
+def enable_array(stream: SampleStream, window_len: int, thr_raw: int, count: int) -> np.ndarray:
+    """Boolean per-sample enable derived from the energy gate's registers.
 
-    ``enable[n]`` is the decision for the window ending at ``n``; positions
-    before the first full window are disabled.
+    ``enable[n]`` is the decision for the window of ``window_len`` samples
+    ending at ``n``: more than ``count`` of them have energy above
+    ``thr_raw``.  Positions before the first full window are disabled.
     """
-    w = cfg.window_len
-    if len(stream) < w:
+    if len(stream) < window_len:
         raise ValueError("stream shorter than the energy window")
-    exceed = stream.energy > raw_threshold(cfg, stream.format)
-    enable = window_sums(exceed, w) > cfg.count_threshold
-    enable[: w - 1] = False  # the windows not yet full
+    exceed = stream.energy > thr_raw
+    enable = window_sums(exceed, window_len) > count
+    enable[: window_len - 1] = False  # the windows not yet full
     return enable

@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +30,17 @@ MAX_PREAMBLE_LEN = 1 << 14
 # a value of this magnitude or more quantizes to a saturated code in every
 # format (at most 16 bits, so |code| <= 2**15)
 _SATURATING = float(1 << 16)
+
+
+def _int_fields(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as an int, any
+    integer (NumPy's included) being accepted; anything else, a whole float
+    say, would fail later in the integer stages and raises ``ValueError``."""
+    for name in names:
+        try:
+            object.__setattr__(obj, name, operator.index(getattr(obj, name)))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer") from None
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,7 @@ class FixedPointFormat:
     fractional_bits: int = 15
 
     def __post_init__(self) -> None:
+        _int_fields(self, "total_bits", "fractional_bits")
         if not 2 <= self.total_bits <= 16:
             raise ValueError(f"total_bits must be in [2, 16], got {self.total_bits}")
         if not 0 <= self.fractional_bits < self.total_bits:

@@ -26,7 +26,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .coarse import CoarseConfig, detect_coarse, threshold_q15
+from .coarse import CoarseConfig, detect_coarse
 from .correlator import (
     CoefficientBank,
     CorrelatorOutput,
@@ -36,7 +36,7 @@ from .correlator import (
     words_for,
 )
 from .energy import EnergyConfig, enable_array, raw_threshold
-from .signal import FixedPointFormat, Preamble, SampleStream
+from .signal import FixedPointFormat, Preamble, SampleStream, _int_fields
 
 # decoded views, keyed on register contents; a view's banks take a few kB
 _VIEWS_CACHED = 256
@@ -59,6 +59,7 @@ class StandardProfile:
     fine_threshold: int
 
     def __post_init__(self) -> None:
+        _int_fields(self, "fine_threshold")
         # No upper bound on the threshold: configuring a value above the
         # ideal maximum 2n is a legitimate way to park a correlator.
         if self.fine_threshold < 1:
@@ -91,6 +92,14 @@ class Candidate:
     order: int  # profile registration order, final tie-break
 
 
+def _register_int(key: str, value) -> int:
+    """``value`` as the int register ``key`` holds (see :class:`RegisterMap`)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"register {key!r} value {value!r} is not an integer") from None
+
+
 class RegisterMap(Mapping):
     """Immutable keyed set of 32-bit unsigned registers.
 
@@ -104,12 +113,7 @@ class RegisterMap(Mapping):
     def __init__(self, values: Mapping[str, int]):
         checked = {}
         for key, value in values.items():
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ConfigurationError(
-                    f"register {key!r} value {value!r} is not an integer"
-                ) from None
+            value = _register_int(key, value)
             if not 0 <= value <= 0xFFFFFFFF:
                 raise ConfigurationError(f"register {key!r} value {value} not a 32-bit word")
             checked[str(key)] = value
@@ -156,26 +160,13 @@ def build_register_map(
 
     A map never changes, so equal calls share one: the map is cached under
     each profile's threshold and bank, in order, the stage configurations,
-    ``holdoff`` and ``fmt``.  Equal numbers of different types, 16 and 16.0,
-    are equal keys, but only the int makes a register, so the key also holds
-    the type of every value a register is made from: a call that would raise
-    never finds a cached map.  A full cache starts over, as the decode
-    cache does.
+    ``holdoff`` and ``fmt``.  A full cache starts over, as the decode cache
+    does.  Only here are thresholds rounded to their register words.
     """
     profiles = list(profiles)
-    scalars = [holdoff, *vars(fmt).values()]
-    for cfg in (energy, coarse):
-        if cfg is not None:
-            scalars += vars(cfg).values()
-    scalars += (p.fine_threshold for p in profiles)
-    key = (
-        tuple((p.fine_threshold, p.bank) for p in profiles),
-        energy,
-        coarse,
-        holdoff,
-        fmt,
-        tuple(map(type, scalars)),
-    )
+    if holdoff is not None:
+        holdoff = _register_int("fine/holdoff", holdoff)
+    key = (tuple((p.fine_threshold, p.bank) for p in profiles), energy, coarse, holdoff, fmt)
     regs = _MAPS.get(key)
     if regs is None:
         regs = _build_register_map(profiles, energy, coarse, holdoff, fmt)
@@ -202,7 +193,7 @@ def _build_register_map(profiles, energy, coarse, holdoff, fmt) -> RegisterMap:
         "energy/count_thresh": gate.count_threshold,
         "coarse/enabled": int(coarse is not None),
         "coarse/lag": trigger.half_period,
-        "coarse/thresh_q15": threshold_q15(trigger),
+        "coarse/thresh_q15": round(trigger.metric_threshold * (1 << 15)),
         "coarse/plateau": trigger.plateau_min,
         "fine/holdoff": holdoff,
     }
@@ -219,10 +210,11 @@ def _build_register_map(profiles, energy, coarse, holdoff, fmt) -> RegisterMap:
 
 @dataclass(frozen=True)
 class _PipelineView:
-    """Registers decoded into stage configuration, validated up front."""
+    """Registers decoded into stage configuration, validated up front; a
+    stage holds its register words as they are, or None where it is off."""
 
-    energy_cfg: EnergyConfig | None
-    coarse_cfg: CoarseConfig | None
+    energy: tuple[int, int, int] | None
+    coarse: tuple[int, int, int] | None
     holdoff: int
     banks: tuple[CoefficientBank, ...]
     thresholds: tuple[int, ...]
@@ -230,48 +222,49 @@ class _PipelineView:
     arb_window: int  # the longest correlator, disabled profiles included
 
 
-def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _PipelineView:
+def _positive(regs: RegisterMap, key: str) -> int:
+    """Register ``key`` of ``regs``, which must be at least 1."""
+    if (value := regs.read(key)) < 1:
+        raise ConfigurationError(f"register {key!r} must be >= 1, not {value}")
+    return value
+
+
+def _decode_registers(profiles, regs: RegisterMap) -> _PipelineView:
     """Decode and validate ``regs`` for a profile set.
 
-    The view depends only on the register contents, the profiles' lengths
-    and ``fmt``, and is cached under them: equal maps, such as one rebuilt
-    for every capture, share one view and its banks.  A full cache starts
-    over, since a run swaps between only a few maps.  A map that fails to
-    decode caches nothing, so each error names the profile ids of its call.
-    Ids are no part of the key, so a repeated id is rejected before the
-    lookup: two profiles of one id would report as one."""
+    The view depends only on the register contents and the profiles'
+    lengths, not on the sample format, and is cached under them: equal
+    maps, such as one rebuilt for every capture, share one view and its
+    banks.  A full cache starts over, since a run swaps between only a few
+    maps.  A map that fails to decode caches nothing, so each error names
+    the profile ids of its call.  Ids are no part of the key, so a repeated
+    id is rejected before the lookup: two profiles of one id would report
+    as one."""
     profiles = list(profiles)
     if not profiles:
         raise ConfigurationError("at least one profile is required")
     ids = {p.id for p in profiles}
     if len(ids) != len(profiles):
         raise ConfigurationError("profile ids must be unique")
-    key = (regs._key, tuple(p.correlator_len for p in profiles), fmt)
+    key = (regs._key, tuple(p.correlator_len for p in profiles))
     view = _VIEWS.get(key)
     if view is not None:
         return view
 
-    energy_cfg = None
+    energy = None
     if regs.read("energy/enabled"):
-        try:
-            energy_cfg = EnergyConfig(
-                window_len=regs.read("energy/window_len"),
-                sample_energy_threshold=regs.read("energy/sample_thresh_raw") / fmt.scale**2,
-                count_threshold=regs.read("energy/count_thresh"),
-            )
-        except ValueError as exc:
-            raise ConfigurationError(f"bad energy registers: {exc}") from None
+        window = _positive(regs, "energy/window_len")
+        count = regs.read("energy/count_thresh")
+        if count > window:
+            raise ConfigurationError(f"register 'energy/count_thresh' {count} exceeds the window")
+        energy = (window, regs.read("energy/sample_thresh_raw"), count)
 
-    coarse_cfg = None
+    coarse = None
     if regs.read("coarse/enabled"):
-        try:
-            coarse_cfg = CoarseConfig(
-                half_period=regs.read("coarse/lag"),
-                metric_threshold=regs.read("coarse/thresh_q15") / float(1 << 15),
-                plateau_min=regs.read("coarse/plateau"),
-            )
-        except ValueError as exc:
-            raise ConfigurationError(f"bad coarse registers: {exc}") from None
+        lag, plateau = _positive(regs, "coarse/lag"), _positive(regs, "coarse/plateau")
+        # any threshold word is legal: M can exceed 1, and a word above the
+        # M a stream reaches parks the stage
+        coarse = (lag, regs.read("coarse/thresh_q15"), plateau)
 
     banks, thresholds, enabled = [], [], []
     for p, profile in enumerate(profiles):
@@ -295,8 +288,8 @@ def _decode_registers(profiles, regs: RegisterMap, fmt: FixedPointFormat) -> _Pi
     if len(_VIEWS) >= _VIEWS_CACHED:
         _VIEWS.clear()
     _VIEWS[key] = view = _PipelineView(
-        energy_cfg=energy_cfg,
-        coarse_cfg=coarse_cfg,
+        energy=energy,
+        coarse=coarse,
         holdoff=regs.read("fine/holdoff"),
         banks=tuple(banks),
         thresholds=tuple(thresholds),
@@ -394,22 +387,22 @@ def run_detector_bank(stream: SampleStream, profiles, regs: RegisterMap) -> list
     positions (plus the hold-off extension).
     """
     profiles = list(profiles)
-    view = _decode_registers(profiles, regs, stream.format)
+    view = _decode_registers(profiles, regs)
     n = len(stream)
 
-    if view.energy_cfg is not None:
-        if n < view.energy_cfg.window_len:
+    if view.energy is not None:
+        if n < view.energy[0]:
             return []
-        raw_energy = enable_array(stream, view.energy_cfg)
+        raw_energy = enable_array(stream, *view.energy)
     else:
         raw_energy = np.ones(n, dtype=bool)
 
     coarse_index = None
     raw_enable = raw_energy
-    if view.coarse_cfg is not None:
-        if n < 2 * view.coarse_cfg.half_period:
+    if view.coarse is not None:
+        if n < 2 * view.coarse[0]:
             return []
-        coarse_index = detect_coarse(stream, view.coarse_cfg).first_trigger
+        coarse_index = detect_coarse(stream, *view.coarse).first_trigger
         if coarse_index is None:
             return []
         raw_enable = raw_energy.copy()
@@ -424,7 +417,7 @@ def run_detector_bank(stream: SampleStream, profiles, regs: RegisterMap) -> list
         candidates.extend(_extract_candidates(index, re, view.thresholds[order], profile, order))
 
     gate_run_starts = None
-    if candidates and view.energy_cfg is not None:
+    if candidates and view.energy is not None:
         # only an event reads them: the energy decision that opened each
         # latched gate run, a raw-enabled index whose previous one lies more
         # than holdoff + 1 back
@@ -462,7 +455,6 @@ class DetectorBank:
 
     def __init__(self, profiles, regs: RegisterMap, fmt: FixedPointFormat):
         self._profiles = list(profiles)
-        self._fmt = fmt
         self._lo, self._hi = fmt.min_code, fmt.max_code
         self._adopt(regs)
         self._win_i = self._win_q = 0
@@ -473,21 +465,19 @@ class DetectorBank:
     def _adopt(self, regs: RegisterMap) -> None:
         """Decode ``regs`` and put it in force, or raise and keep the map in
         force unchanged."""
-        view = _decode_registers(self._profiles, regs, self._fmt)
-        if view.coarse_cfg is not None:
+        view = _decode_registers(self._profiles, regs)
+        if view.coarse is not None:
             raise ConfigurationError("the streaming bank supports energy + fine only")
-        gate = view.energy_cfg
-        window_len = gate.window_len if gate is not None else 0
+        # a disabled gate is a 0-bit window whose count 0 always beats -1
+        window_len, thr_raw, count = view.energy or (0, -1, -1)
         # the constructor's first map sets the topology every later map keeps
         if getattr(self, "_window_len", window_len) != window_len:
             raise ConfigurationError("energy stage topology cannot change mid-stream")
         span = max(bank.length for bank in view.banks)
         self._window_len = window_len
         self._top = 1 << (span - 1)
-        # a disabled gate is a 0-bit window whose count 0 always beats -1
         self._mask = (1 << window_len) - 1
-        self._thr_raw = raw_threshold(gate, self._fmt) if gate is not None else -1
-        self._count_thr = gate.count_threshold if gate is not None else -1
+        self._thr_raw, self._count_thr = thr_raw, count
         self._holdoff = view.holdoff
         self._taps = tuple(
             (profile.id, bank.length, span - bank.length, *bank._packed, on)

@@ -62,15 +62,9 @@ TAP = "(profile.id, bank.length, span - bank.length, *bank._packed, on)"
 COARSE = "src/pktdet/coarse.py"
 METRIC = "tests/test_coarse.py::TestMetric::"
 METRIC_SCAN = "tests/test_coarse.py::TestTrigger::test_detect_coarse_matches_the_metric_scan"
-MAP_KEY = """    key = (
-        tuple((p.fine_threshold, p.bank) for p in profiles),
-        energy,
-        coarse,
-        holdoff,
-        fmt,
-        tuple(map(type, scalars)),
-    )
-"""
+MAP_KEY = (
+    "key = (tuple((p.fine_threshold, p.bank) for p in profiles), energy, coarse, holdoff, fmt)"
+)
 MAP_MEMO = "tests/test_standards.py::TestMapMemo::"
 SPAN = "tests/test_correlator.py::TestCorrelateStream::"
 SEED_WORDS = (
@@ -82,6 +76,11 @@ SEED_WORDS = (
     ),
 )
 EVENTS = "tests/test_standards.py::TestEventsFromCandidates::test_matches_the_reference"
+BAD_WORD = (
+    "tests/test_standards.py::TestRegisterValidation::test_bad_stage_word_is_rejected_by_key"
+)
+WORDS = "tests/test_standards.py::TestRegisterWords::test_stages_equal_the_oracles_fed_the_words"
+WINDOW = "tests/test_energy.py::TestWindowEnergy::"
 
 CATALOGUE = (
     # the streaming bank's datapath
@@ -170,13 +169,42 @@ CATALOGUE = (
             "tests/test_standards.py::TestDuplicateIds::test_streaming_bank_rejects_a_repeated_id",
         ),
     ),
+    # the decode rejects, by key, a stage word no stage can run under
+    *(
+        Mutant(
+            f"decode-{name}-check-dropped",
+            STANDARDS,
+            f'_positive(regs, "{key}")',
+            f'regs.read("{key}")',
+            (f"{BAD_WORD}[{name}]",),
+        )
+        for name, key in (
+            ("window", "energy/window_len"),
+            ("lag", "coarse/lag"),
+            ("plateau", "coarse/plateau"),
+        )
+    ),
+    Mutant(
+        "decode-count-check-dropped",
+        STANDARDS,
+        "        if count > window:\n",
+        "        if False:\n",
+        (f"{BAD_WORD}[count]", WORDS),
+    ),
     # the batch energy gate
     Mutant(
         "partial-windows-not-cleared",
         "src/pktdet/energy.py",
-        "    enable[: w - 1] = False",
+        "    enable[: window_len - 1] = False",
         "    pass",
         (f"{GATE}test_enable_array_marks_window_ends", f"{GATE}test_matches_naive_recount"),
+    ),
+    Mutant(
+        "sample-threshold-inclusive",
+        "src/pktdet/energy.py",
+        "exceed = stream.energy > thr_raw",
+        "exceed = stream.energy >= thr_raw",
+        (f"{WINDOW}test_zero_stream", f"{WINDOW}test_unit_samples", WORDS),
     ),
     # the coarse stage: P and R down one (m, 3) prefix block, then the metric
     Mutant(
@@ -213,15 +241,15 @@ CATALOGUE = (
     Mutant(
         "coarse-threshold-strict",
         COARSE,
-        ">= threshold_q15(cfg) / (1 << 15)",
-        "> threshold_q15(cfg) / (1 << 15)",
+        ">= thr_q15 / (1 << 15)",
+        "> thr_q15 / (1 << 15)",
         (METRIC_SCAN,),
     ),
     Mutant(
         "coarse-plateau-one-longer",
         COARSE,
-        "_first_run(above, cfg.plateau_min)",
-        "_first_run(above, cfg.plateau_min + 1)",
+        "_first_run(above, plateau)",
+        "_first_run(above, plateau + 1)",
         (METRIC_SCAN,),
     ),
     # equal register-map builds share one map, and only equal ones do
@@ -230,20 +258,10 @@ CATALOGUE = (
             f"map-key-without-{field}",
             STANDARDS,
             MAP_KEY,
-            MAP_KEY.replace(f"        {field},\n", ""),
+            MAP_KEY.replace(f", {field}", ""),
             (f"{MAP_MEMO}test_memo_equals_a_fresh_build",),
         )
         for field in ("holdoff", "fmt", "energy")
-    ),
-    Mutant(
-        "map-key-without-types",
-        STANDARDS,
-        MAP_KEY,
-        MAP_KEY.replace("        tuple(map(type, scalars)),\n", ""),
-        tuple(
-            f"{MAP_MEMO}test_a_float_never_finds_the_int_map[{field}]"
-            for field in ("holdoff", "threshold")
-        ),
     ),
     # the fine stage
     Mutant(
@@ -285,8 +303,8 @@ CATALOGUE = (
     Mutant(
         "gate-run-starts-guard-inverted",
         STANDARDS,
-        "    if candidates and view.energy_cfg is not None:",
-        "    if not candidates and view.energy_cfg is not None:",
+        "    if candidates and view.energy is not None:",
+        "    if not candidates and view.energy is not None:",
         (
             "tests/test_standards.py::TestRunDetectorBank::test_noiseless_event_at_ground_truth",
             "tests/test_standards.py::TestRunDetectorBank::"

@@ -52,6 +52,17 @@ def exceed_count(i_codes, q_codes, start: int, window_len: int, thr_raw) -> int:
     return count
 
 
+def oracle_enable(i_codes, q_codes, window_len: int, thr_raw, count: int) -> list[bool]:
+    """The gate decision at every position by a per-window recount: the
+    window of ``window_len`` samples ending there is full and more than
+    ``count`` of them have energy above ``thr_raw`` (an int or a float)."""
+    return [
+        n >= window_len - 1
+        and exceed_count(i_codes, q_codes, n - window_len + 1, window_len, thr_raw) > count
+        for n in range(len(i_codes))
+    ]
+
+
 def slice_sums(values, width: int) -> list[int]:
     """Window sums by summing each slice: the windows ending at each k,
     clipped at the start."""
@@ -179,6 +190,21 @@ def plateau_scan(metric, threshold: float, plateau: int) -> int | None:
         if all(values[d + k] >= threshold for k in range(plateau)):
             return d
     return None
+
+
+def coarse_trigger_exact(i_codes, q_codes, lag: int, thr_q15: int, plateau: int) -> int | None:
+    """First start of ``plateau`` consecutive positions whose metric is at or
+    above ``thr_q15 / 2**15``, decided as ``|P|**2 * 2**15 >= thr_q15 * R**2``
+    in Python ints.  Where R = 0, P = 0 too and the metric counts as 0, so
+    such a position is above only at ``thr_q15 = 0``."""
+    above = []
+    for d in range(len(i_codes) - 2 * lag + 1):
+        p_re, p_im, r = schmidl_point(i_codes, q_codes, lag, d)
+        if r == 0:
+            above.append(thr_q15 == 0)
+        else:
+            above.append((p_re * p_re + p_im * p_im) << 15 >= thr_q15 * r * r)
+    return plateau_scan(above, True, plateau)
 
 
 def latched_run_starts(raw, holdoff: int) -> list[int]:

@@ -392,7 +392,7 @@ def test_criterion_5_energy_gating_contract():
 
     energy = EnergyConfig(window_len=16, sample_energy_threshold=0.25, count_threshold=8)
     holdoff = 128
-    enable = latch_enable(enable_array(stream, energy), holdoff)
+    enable = latch_enable(enable_array(stream, 16, 1 << 28, 8), holdoff)  # 0.25 in raw units
 
     # no work at all when the gate never opens
     idle = SignCorrelator(load_coefficients(preamble))

@@ -11,7 +11,7 @@ from pktdet.coarse import (
 )
 from pktdet.signal import Q1_15, SampleStream, add_awgn, pn_preamble, quantize
 
-from oracles import plateau_scan, schmidl_point
+from oracles import coarse_trigger_exact, plateau_scan, schmidl_point
 
 
 def repeated_block_stream(lag, seed=0, pad_after=0):
@@ -118,27 +118,26 @@ class TestTrigger:
     @given(
         st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=64),
         st.integers(1, 8),
-        st.integers(0, 1 << 15),
+        st.integers(0, 1 << 15) | st.integers(0, 1 << 20),
         st.integers(1, 12),
     )
     def test_detect_coarse_matches_the_metric_scan(self, codes, lag, thr_q15, plateau):
-        # small codes repeat often, so long plateaus occur
+        # small codes repeat often, so long plateaus occur; a threshold above
+        # 1 is a word like any other, met where the second half is quieter
         stream = stream_from_codes(codes)
         lag = min(lag, len(stream) // 2)
         threshold = thr_q15 / (1 << 15)
         expected = plateau_scan(schmidl_cox_metric(stream, lag).tolist(), threshold, plateau)
-        cfg = CoarseConfig(half_period=lag, metric_threshold=threshold, plateau_min=plateau)
-        assert detect_coarse(stream, cfg).first_trigger == expected
+        assert detect_coarse(stream, lag, thr_q15, plateau).first_trigger == expected
 
     def test_detect_coarse_on_repeated_block(self):
         stream = repeated_block_stream(lag=16, seed=7, pad_after=16)
-        out = detect_coarse(stream, CoarseConfig(16, metric_threshold=0.9, plateau_min=1))
+        out = detect_coarse(stream, 16, round(0.9 * (1 << 15)), 1)
         assert out.first_trigger == 0
         assert schmidl_cox_metric(stream, 16)[0] == 1.0
 
     def test_trigger_lands_near_repetition_start_at_10db(self):
         lag = 32
-        cfg = CoarseConfig(half_period=lag, metric_threshold=0.5, plateau_min=8)
         hits = 0
         for seed in range(100):
             rng = np.random.default_rng((14, seed))
@@ -148,10 +147,34 @@ class TestTrigger:
                 [np.zeros(pad, dtype=complex), block, block, np.zeros(48, dtype=complex)]
             )
             noisy = add_awgn(signal, 10.0, rng, 1.0)
-            out = detect_coarse(quantize(noisy, Q1_15), cfg)
+            out = detect_coarse(quantize(noisy, Q1_15), lag, 1 << 14, 8)  # M >= 0.5
             if out.first_trigger is not None and abs(out.first_trigger - pad) <= lag:
                 hits += 1
         assert hits >= 95
+
+
+class TestExactTrigger:
+    """The trigger decided exactly, ``|P|**2 * 2**15 >= thr_q15 * R**2``."""
+
+    # Q1.15 codes, L = 16: P = 543,339,720 (imaginary part 0) and
+    # R = 768,398,401 satisfy R**2 - 2 * P**2 = 1, so M lies just below 0.5,
+    # yet its float64 quotient is exactly 0.5
+    I_CODES = [3573] + [3572] * 12 + [3555, 3683, 29064] + [5052] * 13 + [5028, 5208, 1]
+    Q_CODES = [3573] + [3572] * 12 + [3555, 3683, 0] + [5052] * 13 + [5028, 5208, 0]
+
+    def test_the_tie_lies_below_one_half(self):
+        p_re, p_im, r = schmidl_point(self.I_CODES, self.Q_CODES, 16, 0)
+        assert (p_re, p_im, r) == (543_339_720, 0, 768_398_401)
+        assert r * r - 2 * p_re * p_re == 1
+        assert coarse_trigger_exact(self.I_CODES, self.Q_CODES, 16, 1 << 14, 1) is None
+        assert coarse_trigger_exact(self.I_CODES, self.Q_CODES, 16, (1 << 14) - 1, 1) == 0
+
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: the float metric rounds M up to the threshold"
+    )
+    def test_detect_coarse_decides_the_tie_exactly(self):
+        stream = stream_from_codes(list(zip(self.I_CODES, self.Q_CODES)))
+        assert detect_coarse(stream, 16, 1 << 14, 1).first_trigger is None
 
 
 class TestConfigValidation:

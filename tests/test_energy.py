@@ -16,7 +16,7 @@ from pktdet.signal import (
 )
 from pktdet.standards import DetectorBank, StandardProfile, build_register_map
 
-from oracles import exceed_count
+from oracles import oracle_enable
 
 
 def make_stream(values):
@@ -46,15 +46,16 @@ def streamed_enable(stream, cfg):
     return [bank.push(i, q)["g"] is not None for i, q in codes]
 
 
-def oracle_enable(stream, cfg):
-    """Naive per-window recount of the gate decision at every position."""
-    w = cfg.window_len
+def gate(stream, cfg):
+    """The batch gate under the register words built from ``cfg``."""
+    thr_raw = raw_threshold(cfg, stream.format)
+    return enable_array(stream, cfg.window_len, thr_raw, cfg.count_threshold)
+
+
+def naive_gate(stream, cfg):
+    """The oracle's gate at ``cfg``'s exact threshold in raw units."""
     thr_raw = cfg.sample_energy_threshold * stream.format.scale**2
-    return [
-        n >= w - 1
-        and exceed_count(stream.i, stream.q, n - w + 1, w, thr_raw) > cfg.count_threshold
-        for n in range(len(stream))
-    ]
+    return oracle_enable(stream.i, stream.q, cfg.window_len, thr_raw, cfg.count_threshold)
 
 
 class TestWindowEnergy:
@@ -64,7 +65,7 @@ class TestWindowEnergy:
         # a silent sample has energy 0, which never exceeds even a 0 threshold
         stream = make_stream(np.zeros(32, dtype=complex))
         cfg = EnergyConfig(window_len=16, sample_energy_threshold=0.0, count_threshold=0)
-        assert not enable_array(stream, cfg).any()
+        assert not gate(stream, cfg).any()
         assert not any(streamed_enable(stream, cfg))
 
     def test_unit_samples(self):
@@ -73,7 +74,7 @@ class TestWindowEnergy:
         energy = (32767 / 32768) ** 2
         for threshold, expected in ((energy, False), (energy - 2.0**-30, True)):
             cfg = EnergyConfig(16, threshold, 0)
-            assert enable_array(stream, cfg)[15] == expected
+            assert gate(stream, cfg)[15] == expected
             assert streamed_enable(stream, cfg)[15] == expected
 
 
@@ -81,7 +82,7 @@ class TestEnergyGate:
     def test_silence_never_active(self):
         stream = make_stream(np.zeros(40, dtype=complex))
         cfg = EnergyConfig(window_len=8, sample_energy_threshold=0.01, count_threshold=2)
-        enable = enable_array(stream, cfg)
+        enable = gate(stream, cfg)
         assert len(enable) == 40
         assert not enable.any()
 
@@ -91,13 +92,13 @@ class TestEnergyGate:
         stream = make_stream(signal)
         w = 16
         cfg = EnergyConfig(window_len=w, sample_energy_threshold=0.25, count_threshold=w - 1)
-        first = int(np.flatnonzero(enable_array(stream, cfg))[0])
+        first = int(np.flatnonzero(gate(stream, cfg))[0])
         assert 100 <= first <= 100 + w
 
     def test_count_threshold_equal_window_never_fires(self):
         stream = make_stream(0.9 * np.ones(32) + 0.9j * np.ones(32))
         cfg = EnergyConfig(window_len=8, sample_energy_threshold=0.1, count_threshold=8)
-        assert not enable_array(stream, cfg).any()
+        assert not gate(stream, cfg).any()
 
     @example(codes=[(30000, 0)] * 6, window_len=4, threshold=0.0, count_threshold=0)
     @example(codes=[(30000, 0)] * 6, window_len=4, threshold=0.0, count_threshold=3)
@@ -106,15 +107,15 @@ class TestEnergyGate:
         stream = stream_from_codes(codes)
         window_len = min(window_len, len(stream))
         cfg = EnergyConfig(window_len, threshold, min(count_threshold, window_len))
-        expected = oracle_enable(stream, cfg)
-        assert enable_array(stream, cfg).tolist() == expected
+        expected = naive_gate(stream, cfg)
+        assert gate(stream, cfg).tolist() == expected
         assert streamed_enable(stream, cfg) == expected
 
     @given(code_lists)
     def test_streaming_equals_batch(self, codes):
         stream = stream_from_codes(codes)
         cfg = EnergyConfig(window_len=4, sample_energy_threshold=0.3, count_threshold=2)
-        assert streamed_enable(stream, cfg) == enable_array(stream, cfg).tolist()
+        assert streamed_enable(stream, cfg) == gate(stream, cfg).tolist()
 
     @given(
         st.lists(
@@ -131,12 +132,12 @@ class TestEnergyGate:
         scaled = make_stream(np.asarray(values) * gain)
         for count_threshold in range(8):
             cfg = EnergyConfig(8, sample_energy_threshold=0.05, count_threshold=count_threshold)
-            assert not (enable_array(base, cfg) & ~enable_array(scaled, cfg)).any()
+            assert not (gate(base, cfg) & ~gate(scaled, cfg)).any()
 
     def test_enable_array_marks_window_ends(self):
         stream = make_stream(0.9 * np.ones(12) + 0j)
         cfg = EnergyConfig(8, 0.1, 2)
-        enable = enable_array(stream, cfg)
+        enable = gate(stream, cfg)
         assert not enable[:7].any()
         assert enable[7:].all()
         assert streamed_enable(stream, cfg) == enable.tolist()
@@ -144,7 +145,7 @@ class TestEnergyGate:
     def test_short_stream_rejected(self):
         stream = make_stream(np.zeros(4, dtype=complex))
         with pytest.raises(ValueError):
-            enable_array(stream, EnergyConfig(8, 0.1, 2))
+            enable_array(stream, 8, 0, 2)
 
     def test_wide_format_stays_exact(self):
         # formats wider than 16 bits are refused, so int64 energies never wrap
@@ -158,8 +159,8 @@ class TestEnergyGate:
         stream = stream_from_codes(codes, fmt)
         for threshold in (0.0, 2.0**30, 2.0**31 - 1, 2.0**31):
             cfg = EnergyConfig(8, sample_energy_threshold=threshold, count_threshold=4)
-            expected = oracle_enable(stream, cfg)
-            assert enable_array(stream, cfg).tolist() == expected
+            expected = naive_gate(stream, cfg)
+            assert gate(stream, cfg).tolist() == expected
             assert streamed_enable(stream, cfg) == expected
 
 

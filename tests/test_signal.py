@@ -63,6 +63,13 @@ class TestFixedPointFormat:
         with pytest.raises(ValueError):
             FixedPointFormat(total, frac)
 
+    @pytest.mark.parametrize("field", ["total_bits", "fractional_bits"])
+    def test_whole_float_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FixedPointFormat(**{"total_bits": 16, "fractional_bits": 15, field: 8.0})
+        fmt = FixedPointFormat(np.int64(12), np.uint8(10))
+        assert (type(fmt.total_bits), type(fmt.fractional_bits)) == (int, int)
+
 
 class TestQuantize:
     def test_zero_is_exact(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pktdet import standards
-from pktdet.coarse import CoarseConfig, detect_coarse, schmidl_cox_metric
+from pktdet.coarse import CoarseConfig, detect_coarse
 from pktdet.correlator import SignCorrelator, latch_enable, load_coefficients
 from pktdet.energy import EnergyConfig, enable_array
 from pktdet.harness import scenario_profiles
@@ -40,7 +40,15 @@ from pktdet.standards import (
     run_detector_bank,
 )
 
-from oracles import arbitrated_events, latched_run_starts, run_peaks, sign_partials
+from oracles import (
+    arbitrated_events,
+    latched_run_starts,
+    oracle_enable,
+    plateau_scan,
+    run_peaks,
+    schmidl_point,
+    sign_partials,
+)
 from streaming import as_outputs, push_run, same_outputs, sign_pairs
 
 
@@ -62,6 +70,12 @@ class TestProfileValidation:
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
             profile("bad", 32, 0)
+
+    def test_threshold_must_be_an_integer(self):
+        # 50.0 == 50 as keys go, but only an int makes a register
+        with pytest.raises(ValueError, match="fine_threshold must be an integer"):
+            profile("bad", 32, 50.0)
+        assert type(profile("a", 32, np.int64(50)).fine_threshold) is int
 
 
 class TestRegisterMap:
@@ -148,11 +162,12 @@ class TestRegisterMap:
 
 
 class TestRegisterRoundTrip:
-    """Decoding a freshly built map gives back every stage's configuration.
+    """Decoding a freshly built map gives back every stage's register words.
 
-    Thresholds are drawn on the grids the registers hold (raw code-squared
-    units for the energy sample threshold, Q15 for the coarse metric), so
-    the round trip is exact."""
+    Energy sample thresholds are drawn on the raw code-squared grid their
+    register holds, so the decoded word is the drawn one.  Coarse thresholds
+    are drawn on and off the Q15 grid: the register holds the nearest Q15
+    value."""
 
     FORMATS = (Q1_15, FixedPointFormat(12, 10), FixedPointFormat(8, 7))
 
@@ -164,28 +179,31 @@ class TestRegisterRoundTrip:
             profile(f"p{k}", n, data.draw(st.integers(1, 300)), seed=k)
             for k, n in enumerate(lengths)
         ]
-        energy = None
+        energy = words = None
         if data.draw(st.booleans()):
             window = data.draw(st.integers(1, 64))
-            energy = EnergyConfig(
-                window,
-                data.draw(st.integers(0, 0xFFFFFFFF)) / fmt.scale**2,
-                data.draw(st.integers(0, window)),
-            )
+            raw, count = data.draw(st.integers(0, 0xFFFFFFFF)), data.draw(st.integers(0, window))
+            words = (window, raw, count)
+            energy = EnergyConfig(window, raw / fmt.scale**2, count)
         coarse = None
         if data.draw(st.booleans()):
+            on_grid = st.integers(0, 1 << 15).map(lambda k: k / (1 << 15))
             coarse = CoarseConfig(
                 data.draw(st.integers(1, 64)),
-                data.draw(st.integers(0, 1 << 15)) / (1 << 15),
+                data.draw(on_grid | st.floats(0, 1)),
                 data.draw(st.integers(1, 32)),
             )
         holdoff = data.draw(st.none() | st.integers(0, 1000))
         regs = build_register_map(profiles, energy, coarse, holdoff, fmt)
-        view = _decode_registers(profiles, regs, fmt)
-        assert _decode_registers(list(profiles), regs, fmt) is view
-        assert view == _decode_registers(profiles, RegisterMap(regs), fmt)  # a fresh decode
-        assert view.energy_cfg == energy
-        assert view.coarse_cfg == coarse
+        view = _decode_registers(profiles, regs)
+        assert _decode_registers(list(profiles), regs) is view
+        assert view == _decode_registers(profiles, RegisterMap(regs))  # a fresh decode
+        assert view.energy == words
+        if coarse is None:
+            assert view.coarse is None
+        else:
+            thr_q15 = round(coarse.metric_threshold * 2**15)
+            assert view.coarse == (coarse.half_period, thr_q15, coarse.plateau_min)
         assert view.holdoff == (2 * max(lengths) if holdoff is None else holdoff)
         assert view.banks == tuple(load_coefficients(p.preamble) for p in profiles)
         assert view.thresholds == tuple(p.fine_threshold for p in profiles)
@@ -207,7 +225,7 @@ class TestRegisterRoundTrip:
     def test_register_gate_equals_configured_gate(self, fmt, codes, window, count, pick, offset):
         # thresholds off the raw grid, near a sample's energy: the register
         # holds the floor of the raw threshold, which opens the gate on the
-        # same integer energies
+        # same integer energies as the exact threshold does
         shift = 16 - fmt.total_bits
         i = np.array([c[0] for c in codes], dtype=np.int32) >> shift
         q = np.array([c[1] for c in codes], dtype=np.int32) >> shift
@@ -218,37 +236,42 @@ class TestRegisterRoundTrip:
         energy = EnergyConfig(window, raw / fmt.scale**2, min(count, window))
         profiles = [profile("a", 8, 10)]
         regs = build_register_map(profiles, energy, fmt=fmt)
-        decoded = _decode_registers(profiles, regs, fmt).energy_cfg
-        assert enable_array(stream, decoded).tolist() == enable_array(stream, energy).tolist()
+        decoded = _decode_registers(profiles, regs).energy
+        expected = oracle_enable(i, q, window, raw, energy.count_threshold)
+        assert enable_array(stream, *decoded).tolist() == expected
 
 
 class TestDecodeMemo:
-    """The decoded view is cached on the register contents, the profiles'
-    correlator lengths and the sample format."""
+    """The decoded view is cached on the register contents and the profiles'
+    correlator lengths."""
 
     def setup_method(self):
         self.profiles = [profile("a", 32, 50), profile("b", 40, 60)]
         self.regs = build_register_map(self.profiles, energy=EnergyConfig(16, 0.5, 8))
 
     def test_same_map_and_format_share_one_view(self):
-        view = _decode_registers(self.profiles, self.regs, Q1_15)
-        assert _decode_registers(self.profiles, self.regs, Q1_15) is view
+        view = _decode_registers(self.profiles, self.regs)
+        assert _decode_registers(self.profiles, self.regs) is view
         # the decode reads only lengths: other profiles of the same lengths share it
         others = [profile("c", 32, 7, seed=1), profile("d", 40, 9, seed=1)]
-        assert _decode_registers(others, self.regs, Q1_15) is view
-        q2_10 = _decode_registers(self.profiles, self.regs, FixedPointFormat(12, 10))
-        assert q2_10 is not view
-        assert q2_10.energy_cfg.sample_energy_threshold == 0.5 * Q1_15.scale**2 / 2**20
+        assert _decode_registers(others, self.regs) is view
+        # and no sample format: Q1.15 and Q2.10 runs of one map decode it once
+        for fmt in (Q1_15, FixedPointFormat(12, 10)):
+            codes = np.zeros(64, dtype=np.int32)
+            run_detector_bank(SampleStream(format=fmt, i=codes, q=codes), self.profiles, self.regs)
+            DetectorBank(self.profiles, self.regs, fmt)
+        key = (self.regs._key, (32, 40))
+        assert [k for k in standards._VIEWS if k[0] == self.regs._key] == [key]
+        assert standards._VIEWS[key] is view
+        assert view.energy == (16, 1 << 29, 8)  # 0.5 on Q1.15 is 2**29 raw
 
     def test_a_written_map_decodes_afresh(self):
-        view = _decode_registers(self.profiles, self.regs, Q1_15)
-        updated = _decode_registers(self.profiles, self.regs.write("prof0/threshold", 61), Q1_15)
+        view = _decode_registers(self.profiles, self.regs)
+        updated = _decode_registers(self.profiles, self.regs.write("prof0/threshold", 61))
         assert updated is not view
         assert updated.thresholds == (61, 60)
         word = self.regs["prof1/coeff_q/1"] ^ 0x1
-        flipped = _decode_registers(
-            self.profiles, self.regs.write("prof1/coeff_q/1", word), Q1_15
-        )
+        flipped = _decode_registers(self.profiles, self.regs.write("prof1/coeff_q/1", word))
         assert flipped.banks[0] == view.banks[0]
         assert flipped.banks[1].q_words == (view.banks[1].q_words[0], word)
         assert flipped.banks[1].sign_arrays[1][32] == -view.banks[1].sign_arrays[1][32]
@@ -258,37 +281,36 @@ class TestDecodeMemo:
         for pid in ("b", "e", "b"):
             profiles = [self.profiles[0], profile(pid, 40, 60)]
             with pytest.raises(ConfigurationError, match=f"profile '{pid}'"):
-                _decode_registers(profiles, bad, Q1_15)
+                _decode_registers(profiles, bad)
         assert all(key[0] != bad._key for key in standards._VIEWS)
 
     def test_memo_is_invisible(self):
         fresh = RegisterMap(self.regs)
-        _decode_registers(self.profiles, self.regs, Q1_15)
+        _decode_registers(self.profiles, self.regs)
         assert self.regs == fresh and list(self.regs) == list(fresh)
         assert pickle.dumps(self.regs) == pickle.dumps(fresh)
         clone = pickle.loads(pickle.dumps(self.regs))
         assert clone == self.regs and list(clone) == list(self.regs)
-        assert _decode_registers(self.profiles, clone, Q1_15) == _decode_registers(
-            self.profiles, self.regs, Q1_15
+        assert _decode_registers(self.profiles, clone) == _decode_registers(
+            self.profiles, self.regs
         )
 
     def test_a_map_loaded_under_another_hash_seed_keys_alike(self, tmp_path):
         # string hashes differ between processes: a loaded map's key must
         # equal the key of a map built there, and find the same cached view
-        view = _decode_registers(self.profiles, self.regs, Q1_15)
+        view = _decode_registers(self.profiles, self.regs)
         dump = tmp_path / "regs.pickle"
         dump.write_bytes(pickle.dumps((self.profiles, self.regs, view)))
         script = "\n".join(
             [
                 "import pickle, sys",
-                "from pktdet.signal import Q1_15",
                 "from pktdet.standards import RegisterMap, _decode_registers",
                 "profiles, regs, view = pickle.loads(open(sys.argv[1], 'rb').read())",
                 "fresh = RegisterMap(dict(regs))",
                 "assert regs._key == fresh._key",
-                "assert _decode_registers(profiles, fresh, Q1_15) == view",
-                "assert _decode_registers(profiles, regs, Q1_15) is "
-                "_decode_registers(profiles, fresh, Q1_15)",
+                "assert _decode_registers(profiles, fresh) == view",
+                "assert _decode_registers(profiles, regs) is "
+                "_decode_registers(profiles, fresh)",
             ]
         )
         src = str(Path(standards.__file__).parents[1])
@@ -312,11 +334,11 @@ class TestBankCache:
         # equal builds share one map, so a copy stands for a second equal map
         copy = RegisterMap(dict(built))
         assert copy is not built and copy == built
-        first, second = (_decode_registers(self.profiles, regs, Q1_15) for regs in (built, copy))
+        first, second = (_decode_registers(self.profiles, regs) for regs in (built, copy))
         assert first is second
         # insertion order is not part of the contents
         shuffled = RegisterMap(dict(reversed(list(built.items()))))
-        assert _decode_registers(self.profiles, shuffled, Q1_15) is first
+        assert _decode_registers(self.profiles, shuffled) is first
 
     def test_invalid_words_raise_on_every_call(self):
         # bit 8 of the second word is sample 40, past a 40-point bank's end
@@ -324,13 +346,13 @@ class TestBankCache:
             bad = build_register_map(self.profiles).write("prof1/coeff_i/1", 0x100)
             profiles = [self.profiles[0], profile(pid, 40, 60)]
             with pytest.raises(ConfigurationError, match=f"profile '{pid}'.*40-point"):
-                _decode_registers(profiles, bad, Q1_15)
+                _decode_registers(profiles, bad)
             assert all(key[0] != bad._key for key in standards._VIEWS)
 
     def test_cache_is_bounded(self):
         regs = build_register_map(self.profiles[:1])
         for word in range(1000):
-            _decode_registers(self.profiles[:1], regs.write("prof0/coeff_i/0", word), Q1_15)
+            _decode_registers(self.profiles[:1], regs.write("prof0/coeff_i/0", word))
         assert len(standards._VIEWS) <= standards._VIEWS_CACHED
 
 
@@ -381,23 +403,15 @@ class TestMapMemo:
         assert self.build(changed) == self.build(changed, standards._build_register_map)
         assert self.build(changed) != regs
 
-    @pytest.mark.parametrize(
-        "cached, floated",
-        [
-            ({"holdoff": 40}, {"holdoff": 40.0}),
-            ({"threshold": 50}, {"threshold": 50.0}),
-        ],
-        ids=["holdoff", "threshold"],
-    )
-    def test_a_float_never_finds_the_int_map(self, cached, floated):
-        # 40.0 == 40 as keys go, but only an int makes a register (the stage
-        # configurations turn their integer fields into ints when built)
-        def build(threshold=50, **stages):
-            return build_register_map([profile("a", 32, threshold)], **stages)
-
-        build(**cached)
+    @pytest.mark.parametrize("floated", [40.0, np.float64(40.0)], ids=["holdoff", "holdoff-numpy"])
+    def test_a_float_never_finds_the_int_map(self, floated):
+        # 40.0 == 40 as keys go, but only an int makes a register (profiles
+        # and stage configurations turn their integer fields into ints when
+        # built, so holdoff is the one value checked at the call)
+        profiles = [profile("a", 32, 50)]
+        build_register_map(profiles, holdoff=40)
         with pytest.raises(ConfigurationError, match="not an integer"):
-            build(**floated)
+            build_register_map(profiles, holdoff=floated)
 
     def test_cache_is_bounded(self):
         for holdoff in range(1000):
@@ -458,7 +472,7 @@ class TestScalabilityEdges:
         regs = build_register_map([long, profile("short", 32, 50)])
         # threshold, enabled, and 512 coefficient words per component
         assert sum(key.startswith("prof0/") for key in regs) == 1026
-        view = _decode_registers([long], regs, Q1_15)
+        view = _decode_registers([long], regs)
         assert view.banks[0] == long.bank and view.banks[0].length == MAX_PREAMBLE_LEN
 
 
@@ -618,8 +632,8 @@ class TestRunDetectorBank:
     def test_gate_on_without_candidates_returns_no_events(self, monkeypatch):
         listener = profile("listener", 64, 100, seed=1)
         stream, _ = make_capture(profile("intruder", 64, 100, seed=2))
-        energy = EnergyConfig(16, 0.25, 8)
-        assert enable_array(stream, energy).any()  # the correlator runs
+        regs = build_register_map([listener], energy=EnergyConfig(16, 0.25, 8))
+        assert enable_array(stream, *_decode_registers([listener], regs).energy).any()  # it runs
         calls = []
 
         def spy(candidates, arb_window, gate_run_starts=None, coarse_index=None):
@@ -627,7 +641,6 @@ class TestRunDetectorBank:
             return events_from_candidates(candidates, arb_window, gate_run_starts, coarse_index)
 
         monkeypatch.setattr(standards, "events_from_candidates", spy)
-        regs = build_register_map([listener], energy=energy)
         assert run_detector_bank(stream, [listener], regs) == []
         # arbitration still runs once; no gate-run starts are built for it
         assert calls == [([], None)]
@@ -666,9 +679,10 @@ class TestRunDetectorBank:
         coarse = CoarseConfig(half_period=16, metric_threshold=0.9, plateau_min=2)
         regs = build_register_map([p], energy=energy, coarse=coarse if coarse_on else None)
         (event,) = run_detector_bank(stream, [p], regs)
-        gate = latch_enable(enable_array(stream, energy), regs["fine/holdoff"])
+        view = _decode_registers([p], regs)
+        gate = latch_enable(enable_array(stream, *view.energy), view.holdoff)
         starts = [n for n in range(event.peak_index + 1) if gate[n] and (n == 0 or not gate[n - 1])]
-        coarse_index = detect_coarse(stream, coarse).first_trigger if coarse_on else None
+        coarse_index = detect_coarse(stream, *view.coarse).first_trigger if coarse_on else None
         assert event.stage_trace == (starts[-1], coarse_index)
         assert not coarse_on or starts[-1] < coarse_index
 
@@ -692,7 +706,9 @@ class TestRunDetectorBank:
         coarse = None if plateau is None else CoarseConfig(1, 1.0, plateau)
         regs = build_register_map([p], energy, coarse, holdoff)
         events = run_detector_bank(stream, [p], regs)
-        coarse_index = None if coarse is None else detect_coarse(stream, coarse).first_trigger
+        coarse_index = None
+        if coarse is not None:
+            coarse_index = detect_coarse(stream, 1, 1 << 15, plateau).first_trigger
         if coarse is not None and coarse_index is None:
             assert events == []
             return
@@ -785,25 +801,66 @@ class TestExtractCandidates:
         assert [(c.peak_value, c.peak_index) for c in got] == peaks
 
 
-class TestCoarseThresholdGrid:
-    @example(seed=0, pick=30)
-    @given(st.integers(0, 2**32), st.integers(0, 200))
-    def test_configured_and_register_paths_agree(self, seed, pick):
-        # the threshold is one of the stream's own metric values, the hardest
-        # case for two paths that round it differently; thresholds off the
-        # metric are drawn by the picks past its end
-        rng = np.random.default_rng(seed)
-        codes = rng.integers(-32768, 32768, size=(2, 48), dtype=np.int32)
-        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
-        metric = sorted(v for v in schmidl_cox_metric(stream, 8).tolist() if v <= 1.0)
-        threshold = metric[pick] if pick < len(metric) else (pick - len(metric)) / 200
-        cfg = CoarseConfig(half_period=8, metric_threshold=threshold, plateau_min=1)
-        p = profile("a", 32, 50)
-        regs = build_register_map([p], coarse=cfg)
-        decoded = _decode_registers([p], regs, Q1_15).coarse_cfg
-        assert regs["coarse/thresh_q15"] == round(threshold * 2**15)
-        configured = detect_coarse(stream, cfg).first_trigger
-        assert detect_coarse(stream, decoded).first_trigger == configured
+class TestRegisterWords:
+    """The stages read the decoded register words as they are: for random
+    words, the batch gate and the coarse trigger equal the oracles fed the
+    same integers, and a word no stage can run under is rejected."""
+
+    @given(
+        codes=st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+            | st.tuples(st.integers(-600, 600), st.integers(-600, 600)),
+            min_size=2,
+            max_size=64,
+        ),
+        window=st.integers(0, 70),
+        thr_raw=st.integers(0, 20) | st.integers(0, 800_000) | st.just(0xFFFFFFFF),
+        count_pick=st.integers(0, 70),
+        lag=st.integers(0, 33),
+        thr_q15=st.integers(0, 1 << 16) | st.integers(0, 0xFFFFFFFF),
+        plateau=st.integers(0, 12) | st.just(0xFFFFFFFF),
+    )
+    @example(  # energies of exactly the threshold stay below it
+        codes=[(1, 1)] * 4, window=1, thr_raw=2, count_pick=0, lag=1, thr_q15=0, plateau=1
+    )
+    def test_stages_equal_the_oracles_fed_the_words(
+        self, codes, window, thr_raw, count_pick, lag, thr_q15, plateau
+    ):
+        # codes of at most 600 keep |P|**2 and R**2 below 2**53, so the
+        # float metric of both the package and the oracle is the correctly
+        # rounded quotient of the exact integers
+        i, q = [c[0] for c in codes], [c[1] for c in codes]
+        stream = SampleStream(format=Q1_15, i=np.array(i), q=np.array(q))
+        count = count_pick % (window + 2)  # now and then one above the window
+        words = {
+            "energy/window_len": window,
+            "energy/sample_thresh_raw": thr_raw,
+            "energy/count_thresh": count,
+            "coarse/lag": lag,
+            "coarse/thresh_q15": thr_q15,
+            "coarse/plateau": plateau,
+        }
+        p = profile("a", 8, 10)
+        regs = build_register_map([p], EnergyConfig(), CoarseConfig())
+        for key, word in words.items():
+            regs = regs.write(key, word)
+        if min(window, lag, plateau) < 1 or count > window:
+            with pytest.raises(ConfigurationError):
+                _decode_registers([p], regs)
+            return
+        view = _decode_registers([p], regs)
+        assert (view.energy, view.coarse) == ((window, thr_raw, count), (lag, thr_q15, plateau))
+        n = len(stream)
+        if window <= n:
+            expected = oracle_enable(i, q, window, thr_raw, count)
+            assert enable_array(stream, *view.energy).tolist() == expected
+        if 2 * lag <= n:
+            metric = []
+            for d in range(n - 2 * lag + 1):
+                p_re, p_im, r = schmidl_point(i, q, lag, d)
+                metric.append((p_re**2 + p_im**2) / r**2 if r else 0.0)
+            expected = plateau_scan(metric, thr_q15 / 2**15, plateau)
+            assert detect_coarse(stream, *view.coarse).first_trigger == expected
 
 
 class TestRegisterValidation:
@@ -820,6 +877,45 @@ class TestRegisterValidation:
         # 4.0 on Q1.15 is 2**32 raw; larger values overflowed float scaling
         with pytest.raises(ConfigurationError, match="32-bit"):
             build_register_map([profile("a", 32, 50)], energy=EnergyConfig(16, threshold, 8))
+
+    # each map is bad in the named word alone; a disabled stage's words go
+    # unread, so the coarse cases turn the stage on
+    @pytest.mark.parametrize(
+        "key, words",
+        [
+            ("energy/window_len", {"energy/window_len": 0, "energy/count_thresh": 0}),
+            ("energy/count_thresh", {"energy/count_thresh": 17}),  # a 16-sample window
+            ("coarse/lag", {"coarse/lag": 0, "coarse/enabled": 1}),
+            ("coarse/plateau", {"coarse/plateau": 0, "coarse/enabled": 1}),
+        ],
+        ids=["window", "count", "lag", "plateau"],
+    )
+    def test_bad_stage_word_is_rejected_by_key(self, key, words):
+        p = profile("a", 32, 50)
+        stream, _ = make_capture(p)
+        regs = build_register_map([p], energy=EnergyConfig(16, 0.25, 8))
+        bad = RegisterMap({**regs, **words})
+        with pytest.raises(ConfigurationError, match=key):
+            run_detector_bank(stream, [p], bad)
+        with pytest.raises(ConfigurationError, match=key):
+            DetectorBank([p], bad, Q1_15)
+        with pytest.raises(ConfigurationError, match=key):
+            DetectorBank([p], regs, Q1_15).update_registers(bad)
+
+    def test_coarse_threshold_above_one_is_a_word_like_any(self):
+        # a loud half, then a quiet half of the same phase: P = 16 * 2 * 2000
+        # * 1000 and R = 16 * 2 * 1000**2, so M = 4 at the one position
+        p = StandardProfile("one", Preamble([1 + 1j]), 2)
+        codes = np.array([2000] * 16 + [1000] * 16, dtype=np.int32)
+        stream = SampleStream(format=Q1_15, i=codes, q=codes.copy())
+        regs = build_register_map([p], coarse=CoarseConfig(16, 1.0, 1))
+        cases = ((3 << 15, 0), (4 << 15, 0), ((4 << 15) + 1, None), (0xFFFFFFFF, None))
+        for thr_q15, trigger in cases:
+            regs = regs.write("coarse/thresh_q15", thr_q15)
+            coarse = _decode_registers([p], regs).coarse
+            assert detect_coarse(stream, *coarse).first_trigger == trigger
+            events = run_detector_bank(stream, [p], regs)
+            assert [e.stage_trace for e in events] == ([] if trigger is None else [(None, 0)])
 
     def test_zero_threshold_register(self):
         p = profile("a", 32, 50)
@@ -852,10 +948,11 @@ class TestStreamingDetectorBank:
         codes = burst_codes(seed, length)
         stream = SampleStream(format=Q1_15, i=codes[:, 0].copy(), q=codes[:, 1].copy())
         profiles = [profile(f"p{k}", n, 1, s) for k, (n, s, _) in enumerate(specs)]
-        cfg = None
+        cfg = raw = None
         if energy is not None:
             window, thr_raw, count = energy
             cfg = EnergyConfig(window, thr_raw / Q1_15.scale**2, count % window)
+            raw = enable_array(stream, window, thr_raw, count % window)
         regs = build_register_map(profiles, energy=cfg, holdoff=holdoff)
         for k, (_, _, on) in enumerate(specs):
             regs = regs.write(f"prof{k}/enabled", int(on))
@@ -863,7 +960,8 @@ class TestStreamingDetectorBank:
         bank = DetectorBank(profiles, regs, Q1_15)
         pushed = [bank.push(int(i), int(q)) for i, q in zip(stream.i, stream.q)]
 
-        raw = enable_array(stream, cfg) if cfg else np.ones(len(stream), dtype=bool)
+        if raw is None:
+            raw = np.ones(len(stream), dtype=bool)
         enable = latch_enable(raw, regs.read("fine/holdoff"))
         for p, (_, _, on) in zip(profiles, specs):
             batch = SignCorrelator(load_coefficients(p.preamble)).process(stream, enable & on)
