@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .signal import Preamble, SampleStream, window_sums
+from .signal import Preamble, SampleStream, prefix_sums
 
 WORD_BITS = 32
 WORD_MASK = 0xFFFFFFFF
@@ -221,4 +221,7 @@ def latch_enable(enable, holdoff: int) -> np.ndarray:
     enable = np.asarray(enable, dtype=bool)
     # every hold-off of at least len - 1 latches alike; the clamp bounds the
     # window's zero padding for any 32-bit register value
-    return window_sums(enable, min(holdoff, len(enable)) + 1) > 0
+    width = min(holdoff, len(enable)) + 1
+    csum = prefix_sums(enable, width)
+    # a window holds an open gate where the running count rose across it
+    return csum[width:] > csum[: len(enable)]

@@ -256,7 +256,9 @@ def _sweep_point(args) -> tuple[int, list[TrialOutcome]]:
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Run all SNR points x trials.  ``workers > 1`` fans the SNR points out
     to a process pool of at most one worker per point; outcomes are
-    identical either way."""
+    identical either way.  ``workers < 1`` raises ``ValueError``."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     tasks = [(cfg, k, snr) for k, snr in enumerate(cfg.snr_points_db)]
     # the pool starts every worker it may use at once, busy or not
     workers = min(workers, len(tasks))

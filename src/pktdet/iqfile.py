@@ -13,10 +13,19 @@ stored as 16-bit signed integers (the raw fixed-point codes).
 
 Every format's codes fit int16, since formats are signed and at most 16
 bits wide.
+
+``read_iq`` reads the file with ``os.open``/``os.read``, with no buffered
+file object: the first read asks for the size ``fstat`` reports plus one
+byte, so a regular file arrives whole, and reads go on to EOF, so a pipe
+(which reports size 0) or a short read still arrives whole.  It takes its
+``FixedPointFormat`` from a memo keyed on the header's two format bytes;
+a format that fails validation is not memoised.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import struct
 
 import numpy as np
@@ -27,6 +36,10 @@ MAGIC = b"IQPD"
 VERSION = 1
 _HEADER = struct.Struct("<4sBBBBQ")
 _FLAG_SIGNED = 0x01
+_READ_CHUNK = 1 << 16  # a pipe's default capacity on Linux
+
+# a raised ValueError is not cached, and at most 135 formats are valid
+_format = functools.cache(FixedPointFormat)
 
 
 def write_iq(path, stream: SampleStream) -> None:
@@ -41,9 +54,23 @@ def write_iq(path, stream: SampleStream) -> None:
         fh.write(interleaved)
 
 
+def _read_all(path) -> bytes:
+    """Every byte of the file at ``path``, read to EOF."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+        return b"".join(chunks)  # one chunk is returned as it is
+    except OSError as exc:
+        exc.filename = os.fsdecode(path)  # as open() names it; os.read does not
+        raise
+    finally:
+        os.close(fd)
+
+
 def read_iq(path) -> SampleStream:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_all(path)
     if len(raw) < _HEADER.size:
         raise ValueError("file too short for an IQPD header")
     magic, version, total_bits, frac_bits, flags, count = _HEADER.unpack_from(raw)
@@ -53,7 +80,7 @@ def read_iq(path) -> SampleStream:
         raise ValueError(f"unsupported IQPD version {version}")
     if flags != _FLAG_SIGNED:
         raise ValueError(f"unsupported IQPD flags {flags:#04x} (only signed codes)")
-    fmt = FixedPointFormat(total_bits, frac_bits)
+    fmt = _format(total_bits, frac_bits)
     payload = len(raw) - _HEADER.size
     if payload != 4 * count:
         raise ValueError(f"payload holds {payload // 4} samples but header declares {count}")

@@ -81,6 +81,8 @@ BAD_WORD = (
 )
 WORDS = "tests/test_standards.py::TestRegisterWords::test_stages_equal_the_oracles_fed_the_words"
 WINDOW = "tests/test_energy.py::TestWindowEnergy::"
+BLOCK = "tests/test_signal.py::TestSampleStreamBlock::"
+LATCH = "tests/test_correlator.py::TestLatchEnable::"
 
 CATALOGUE = (
     # the streaming bank's datapath
@@ -205,6 +207,45 @@ CATALOGUE = (
         "exceed = stream.energy > thr_raw",
         "exceed = stream.energy >= thr_raw",
         (f"{WINDOW}test_zero_stream", f"{WINDOW}test_unit_samples", WORDS),
+    ),
+    # the shared int64 prefix sums, the per-sample energy and the latch
+    Mutant(
+        # without the dtype numpy still counts (it accumulates a bool input
+        # in the default int, or in the out array's type), so the mutant
+        # accumulates in the input's type, where a bool accumulate ORs
+        "window-sums-accumulate-in-bool",
+        "src/pktdet/signal.py",
+        "dtype=np.int64, out=csum[width:]",
+        "dtype=np.asarray(values).dtype, out=csum[width:]",
+        (
+            "tests/test_signal.py::TestWindowSums::test_counts_booleans",
+            f"{GATE}test_matches_naive_recount",
+        ),
+    ),
+    Mutant(
+        "energy-one-row-squared",
+        "src/pktdet/signal.py",
+        "np.multiply(squares, squares, out=squares)",
+        "np.multiply(squares[0], squares[0], out=squares[0])",
+        (
+            f"{BLOCK}test_every_constructor_gives_the_same_block",
+            f"{BLOCK}test_copies_integer_codes_into_its_own_block[int32]",
+        ),
+    ),
+    Mutant(
+        "latch-compare-inclusive",
+        "src/pktdet/correlator.py",
+        "return csum[width:] > csum[: len(enable)]",
+        "return csum[width:] >= csum[: len(enable)]",
+        (f"{LATCH}test_zero_holdoff_is_identity", f"{LATCH}test_matches_window_any"),
+    ),
+    # a pipe reports size 0: its capture arrives only if the read loops to EOF
+    Mutant(
+        "read-iq-first-read-only",
+        "src/pktdet/iqfile.py",
+        "        while chunk := os.read(fd, _READ_CHUNK):\n            chunks.append(chunk)\n",
+        "",
+        ("tests/test_iqfile.py::test_pipe_is_read_to_eof",),
     ),
     # the coarse stage: P and R down one (m, 3) prefix block, then the metric
     Mutant(

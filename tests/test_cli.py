@@ -185,6 +185,15 @@ def test_sweep_csv_is_deterministic(tmp_path, config_file):
     assert len(lines) == 3  # two SNR points
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_workers_below_one(tmp_path, capsys, config_file, workers):
+    out = tmp_path / "r.csv"
+    argv = ["sweep", "--config", str(config_file), "--out", str(out), "--workers", workers]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: workers must be >= 1\n"
+    assert not out.exists()
+
+
 def test_scope_default_scenario(tmp_path):
     out = tmp_path / "traces.csv"
     assert main(["scope", "--snr", "10", "--seed", "4", "--out", str(out)]) == 0

@@ -170,6 +170,15 @@ class TestRunSweep:
         run_sweep(tiny_config(snr_points_db=(6.0,), trials_per_point=2), workers=4)
         assert asked == [13]  # one point runs serially
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_rejected(self, monkeypatch, workers):
+        # a pool of min(workers, points) < 2 would run the sweep serially
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_sweep(tiny_config(), workers=workers)
+        assert trials == []  # rejected before any trial runs
+
     def test_csv_shape(self):
         cfg = tiny_config(snr_points_db=(6.0,), trials_per_point=4)
         text = run_sweep(cfg).to_csv()

@@ -1,8 +1,11 @@
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pktdet.iqfile import _HEADER, MAGIC, read_iq, write_iq
+from pktdet.iqfile import _HEADER, MAGIC, _format, read_iq, write_iq
 from pktdet.signal import FixedPointFormat, Q1_15, quantize
 
 
@@ -28,6 +31,48 @@ def test_header_is_sixteen_bytes(tmp_path):
     # little-endian int16 interleaved I,Q
     assert raw[16:18] == (8192).to_bytes(2, "little", signed=True)
     assert raw[18:20] == (-16384).to_bytes(2, "little", signed=True)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_pipe_is_read_to_eof(tmp_path):
+    # a pipe reports size 0, so the whole capture arrives only if the read
+    # goes on to EOF
+    rng = np.random.default_rng(3)
+    stream = quantize(rng.normal(size=1000) * 0.3 + 1j * rng.normal(size=1000) * 0.3, Q1_15)
+    path = tmp_path / "capture.iqpd"
+    write_iq(path, stream)
+    r, w = os.pipe()
+    try:
+        os.write(w, path.read_bytes())  # 4,016 bytes fit a pipe's buffer
+        os.close(w)
+        loaded = read_iq(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert loaded.codes.tolist() == stream.codes.tolist()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_failed_reads_close_their_descriptors(tmp_path):
+    empty = tmp_path / "empty.iqpd"
+    empty.write_bytes(b"")
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(100):
+        with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path))):
+            read_iq(tmp_path)  # named, as open() names it
+        with pytest.raises(ValueError, match="too short"):
+            read_iq(empty)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_bad_format_is_not_memoised(tmp_path):
+    path = tmp_path / "bad.iqpd"
+    path.write_bytes(_HEADER.pack(MAGIC, 1, 17, 3, 1, 0))  # 17 bits: no such format
+    cached = _format.cache_info().currsize
+    with pytest.raises(ValueError, match="total_bits"):
+        read_iq(path)
+    assert _format.cache_info().currsize == cached
+    write_iq(path, quantize([0.5j], FixedPointFormat(9, 4)))
+    assert read_iq(path).format is read_iq(path).format  # a valid one is
 
 
 def test_bad_magic_rejected(tmp_path):
