@@ -48,6 +48,7 @@ from .signal import FixedPointFormat, Preamble, pn_preamble
 from .standards import StandardProfile
 
 _PROFILE_PREFIX = "profile "
+_MAX_SNR_POINTS = 10_000
 
 
 def read_complex_file(path) -> np.ndarray:
@@ -122,14 +123,15 @@ def _parse_snr_points(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"snr range must be lo:hi:step, got {text!r}")
         lo, hi, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise ValueError(f"snr range needs finite lo, hi and step, got {text!r}")
         if step <= 0:
             raise ValueError("snr step must be positive")
-        points = []
-        value = lo
-        while value <= hi + 1e-9:
-            points.append(round(value, 9))
-            value += step
-        return tuple(points)
+        span = (hi - lo) / step  # +-inf where hi - lo overflows
+        if span >= _MAX_SNR_POINTS:
+            raise ValueError(f"snr range {text!r} has more than {_MAX_SNR_POINTS} points")
+        count = math.floor(max(span, -1.0) + 1e-9) + 1  # 0 when hi < lo
+        return tuple(round(lo + k * step, 9) for k in range(count))
     return tuple(float(p) for p in text.split(","))
 
 

@@ -131,7 +131,7 @@ def dump_bank(bank: CoefficientBank) -> str:
 
 def parse_bank(text: str) -> CoefficientBank:
     """Parse the :func:`dump_bank` format."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("coefficient dump must start with 'n=<length>'")
     length = int(lines[0][2:])

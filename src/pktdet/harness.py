@@ -73,6 +73,8 @@ class SweepConfig:
     sample_format: FixedPointFormat = Q1_15
 
     def __post_init__(self) -> None:
+        if not self.snr_points_db:
+            raise ValueError("snr_points_db must hold at least one point")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.seed < 0:

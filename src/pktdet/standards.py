@@ -36,13 +36,7 @@ from .correlator import (
     words_for,
 )
 from .energy import EnergyConfig, enable_array, raw_threshold
-from .signal import FixedPointFormat, Preamble, SampleStream, _int_fields
-
-# decoded views, keyed on register contents; a view's banks take a few kB
-_VIEWS_CACHED = 256
-_VIEWS: dict[tuple, "_PipelineView"] = {}
-# built maps, keyed on the values they are made from, bounded alike
-_MAPS: dict[tuple, "RegisterMap"] = {}
+from .signal import Q1_15, FixedPointFormat, Preamble, SampleStream, _int_fields
 
 
 class ConfigurationError(ValueError):
@@ -92,33 +86,34 @@ class Candidate:
     order: int  # profile registration order, final tie-break
 
 
-def _register_int(key: str, value) -> int:
-    """``value`` as the int register ``key`` holds (see :class:`RegisterMap`)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"register {key!r} value {value!r} is not an integer") from None
-
-
 class RegisterMap(Mapping):
     """Immutable keyed set of 32-bit unsigned registers.
 
     Values must be integers (``int``, ``bool`` or a numpy integer); a float
     or a string is rejected rather than truncated or parsed.  A map never
-    changes, so its contents as a frozenset key the decode cache (see
-    :func:`_decode_registers`); a loaded pickle hashes its key anew."""
+    changes, so it keeps its own decodes, one per tuple of correlator
+    lengths (see :func:`_decode_registers`).  A pickle or a copy carries
+    only the values, which are checked again on load."""
 
-    __slots__ = ("_values", "_key")
+    __slots__ = ("_values", "_views")
 
     def __init__(self, values: Mapping[str, int]):
         checked = {}
         for key, value in values.items():
-            value = _register_int(key, value)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ConfigurationError(
+                    f"register {key!r} value {value!r} is not an integer"
+                ) from None
             if not 0 <= value <= 0xFFFFFFFF:
                 raise ConfigurationError(f"register {key!r} value {value} not a 32-bit word")
             checked[str(key)] = value
         self._values = checked
-        self._key = frozenset(checked.items())
+        self._views = {}  # correlator lengths -> decoded view
+
+    def __reduce__(self):
+        return (RegisterMap, (self._values,))
 
     def read(self, key: str) -> int:
         try:
@@ -148,42 +143,30 @@ def build_register_map(
     profiles,
     energy: EnergyConfig | None = None,
     coarse: CoarseConfig | None = None,
-    holdoff: int | None = None,
-    fmt: FixedPointFormat = FixedPointFormat(),
+    fmt: FixedPointFormat = Q1_15,
 ) -> RegisterMap:
     """Populate a register map for a profile set.
 
     ``energy``/``coarse`` of None leaves that stage disabled (the correlators
     then run unconditionally); its registers then hold the stage's defaults,
-    which no decode reads.  ``holdoff`` defaults to twice the longest
-    correlator so a peak near the gate's trailing edge survives.
+    which no decode reads.  ``fine/holdoff`` is twice the longest correlator,
+    so a peak near the gate's trailing edge survives; write the register for
+    any other hold-off.
 
-    A map never changes, so equal calls share one: the map is cached under
-    each profile's threshold and bank, in order, the stage configurations,
-    ``holdoff`` and ``fmt``.  A full cache starts over, as the decode cache
-    does.  Only here are thresholds rounded to their register words.
+    A map never changes, so equal calls share one: the build is memoised
+    (``functools.lru_cache``, 256 maps) on each profile's threshold and
+    bank, in order, the stage configurations and ``fmt``.  Only here are
+    thresholds rounded to their register words.
     """
-    profiles = list(profiles)
-    if holdoff is not None:
-        holdoff = _register_int("fine/holdoff", holdoff)
-    key = (tuple((p.fine_threshold, p.bank) for p in profiles), energy, coarse, holdoff, fmt)
-    regs = _MAPS.get(key)
-    if regs is None:
-        regs = _build_register_map(profiles, energy, coarse, holdoff, fmt)
-        if len(_MAPS) >= _VIEWS_CACHED:
-            _MAPS.clear()
-        _MAPS[key] = regs
-    return regs
+    entries = tuple((p.fine_threshold, p.bank) for p in profiles)
+    return _build_register_map(entries, energy, coarse, fmt)
 
 
-def _build_register_map(profiles, energy, coarse, holdoff, fmt) -> RegisterMap:
-    """The uncached body of :func:`build_register_map`."""
-    if not profiles:
+@functools.lru_cache(maxsize=256)
+def _build_register_map(entries, energy, coarse, fmt) -> RegisterMap:
+    """The body of :func:`build_register_map`, on (threshold, bank) pairs."""
+    if not entries:
         raise ConfigurationError("at least one profile is required")
-    max_len = max(p.correlator_len for p in profiles)
-    if holdoff is None:
-        holdoff = 2 * max_len
-
     gate = energy or EnergyConfig()
     trigger = coarse or CoarseConfig()
     values: dict[str, int] = {
@@ -195,11 +178,10 @@ def _build_register_map(profiles, energy, coarse, holdoff, fmt) -> RegisterMap:
         "coarse/lag": trigger.half_period,
         "coarse/thresh_q15": round(trigger.metric_threshold * (1 << 15)),
         "coarse/plateau": trigger.plateau_min,
-        "fine/holdoff": holdoff,
+        "fine/holdoff": 2 * max(bank.length for _, bank in entries),
     }
-    for p, profile in enumerate(profiles):
-        bank = profile.bank
-        values[f"prof{p}/threshold"] = profile.fine_threshold
+    for p, (threshold, bank) in enumerate(entries):
+        values[f"prof{p}/threshold"] = threshold
         values[f"prof{p}/enabled"] = 1
         for w, word in enumerate(bank.i_words):
             values[f"prof{p}/coeff_i/{w}"] = word
@@ -233,10 +215,9 @@ def _decode_registers(profiles, regs: RegisterMap) -> _PipelineView:
     """Decode and validate ``regs`` for a profile set.
 
     The view depends only on the register contents and the profiles'
-    lengths, not on the sample format, and is cached under them: equal
-    maps, such as one rebuilt for every capture, share one view and its
-    banks.  A full cache starts over, since a run swaps between only a few
-    maps.  A map that fails to decode caches nothing, so each error names
+    lengths, not on the sample format, and the map keeps it under the
+    lengths: every trial of a sweep and every publish of one map decode it
+    once.  A map that fails to decode keeps nothing, so each error names
     the profile ids of its call.  Ids are no part of the key, so a repeated
     id is rejected before the lookup: two profiles of one id would report
     as one."""
@@ -246,8 +227,8 @@ def _decode_registers(profiles, regs: RegisterMap) -> _PipelineView:
     ids = {p.id for p in profiles}
     if len(ids) != len(profiles):
         raise ConfigurationError("profile ids must be unique")
-    key = (regs._key, tuple(p.correlator_len for p in profiles))
-    view = _VIEWS.get(key)
+    lengths = tuple(p.correlator_len for p in profiles)
+    view = regs._views.get(lengths)
     if view is not None:
         return view
 
@@ -266,36 +247,32 @@ def _decode_registers(profiles, regs: RegisterMap) -> _PipelineView:
         # M a stream reaches parks the stage
         coarse = (lag, regs.read("coarse/thresh_q15"), plateau)
 
-    banks, thresholds, enabled = [], [], []
+    banks = []
     for p, profile in enumerate(profiles):
         length = profile.correlator_len
         word_count = words_for(length)
         try:
             i_words = tuple(regs.read(f"prof{p}/coeff_i/{w}") for w in range(word_count))
             q_words = tuple(regs.read(f"prof{p}/coeff_q/{w}") for w in range(word_count))
-            bank = CoefficientBank(length=length, i_words=i_words, q_words=q_words)
+            banks.append(CoefficientBank(length=length, i_words=i_words, q_words=q_words))
         except ValueError as exc:
             raise ConfigurationError(
                 f"profile {profile.id!r}: coefficient words do not form a valid "
                 f"{length}-point bank ({exc})"
             ) from None
-        threshold = regs.read(f"prof{p}/threshold")
-        if threshold < 1:
-            raise ConfigurationError(f"profile {profile.id!r}: threshold must be positive")
-        banks.append(bank)
-        thresholds.append(threshold)
-        enabled.append(bool(regs.read(f"prof{p}/enabled")))
-    if len(_VIEWS) >= _VIEWS_CACHED:
-        _VIEWS.clear()
-    _VIEWS[key] = view = _PipelineView(
+    view = _PipelineView(
         energy=energy,
         coarse=coarse,
         holdoff=regs.read("fine/holdoff"),
         banks=tuple(banks),
-        thresholds=tuple(thresholds),
-        enabled=tuple(enabled),
-        arb_window=max(bank.length for bank in banks),
+        thresholds=tuple(regs.read(f"prof{p}/threshold") for p in range(len(profiles))),
+        enabled=tuple(bool(regs.read(f"prof{p}/enabled")) for p in range(len(profiles))),
+        arb_window=max(lengths),
     )
+    for profile, threshold in zip(profiles, view.thresholds):
+        if threshold < 1:
+            raise ConfigurationError(f"profile {profile.id!r}: threshold must be positive")
+    regs._views[lengths] = view
     return view
 
 
@@ -473,7 +450,7 @@ class DetectorBank:
         # the constructor's first map sets the topology every later map keeps
         if getattr(self, "_window_len", window_len) != window_len:
             raise ConfigurationError("energy stage topology cannot change mid-stream")
-        span = max(bank.length for bank in view.banks)
+        span = view.arb_window
         self._window_len = window_len
         self._top = 1 << (span - 1)
         self._mask = (1 << window_len) - 1

@@ -13,8 +13,9 @@ the named tests run in a fresh pytest process with a fixed hypothesis seed
 and no shrinking of a failing example (the ``mutants`` profile in
 ``conftest.py``), and the file is restored.  An entry fails when its old
 text does not occur exactly once (the code it targets changed, so the entry
-must follow it) or when any named test passes under the mutant (the mutant
-survives).
+must follow it), when any named test passes under the mutant (the mutant
+survives), or when its tests run longer than ``RUN_TIMEOUT_S`` (a mutant
+that hangs is reported by name, not counted as killed).
 Standard library and pytest only.
 """
 
@@ -30,6 +31,7 @@ from typing import NamedTuple
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 300  # per pytest process; every entry's run takes seconds
 
 
 class Mutant(NamedTuple):
@@ -62,10 +64,14 @@ TAP = "(profile.id, bank.length, span - bank.length, *bank._packed, on)"
 COARSE = "src/pktdet/coarse.py"
 METRIC = "tests/test_coarse.py::TestMetric::"
 METRIC_SCAN = "tests/test_coarse.py::TestTrigger::test_detect_coarse_matches_the_metric_scan"
-MAP_KEY = (
-    "key = (tuple((p.fine_threshold, p.bank) for p in profiles), energy, coarse, holdoff, fmt)"
-)
-MAP_MEMO = "tests/test_standards.py::TestMapMemo::"
+BUILD_CALL = "return _build_register_map(entries, energy, coarse, fmt)"
+DECODE_MEMO = "tests/test_standards.py::TestDecodeMemo::"
+VIEW_LOOKUP = "    view = regs._views.get(lengths)\n"
+THRESHOLD_CHECK = """    for profile, threshold in zip(profiles, view.thresholds):
+        if threshold < 1:
+            raise ConfigurationError(f"profile {profile.id!r}: threshold must be positive")
+"""
+VIEW_STORE = "    regs._views[lengths] = view\n"
 SPAN = "tests/test_correlator.py::TestCorrelateStream::"
 SEED_WORDS = (
     "tests/test_harness.py::TestSeedWords::test_words_draw_the_tuple_stream",
@@ -296,13 +302,31 @@ CATALOGUE = (
     # equal register-map builds share one map, and only equal ones do
     *(
         Mutant(
-            f"map-key-without-{field}",
+            f"build-call-{field}-replaced",
             STANDARDS,
-            MAP_KEY,
-            MAP_KEY.replace(f", {field}", ""),
-            (f"{MAP_MEMO}test_memo_equals_a_fresh_build",),
+            BUILD_CALL,
+            BUILD_CALL.replace(f", {field}", f", {value}"),
+            (
+                "tests/test_standards.py::TestMapMemo::test_memo_equals_a_fresh_build",
+                "tests/test_standards.py::TestRegisterRoundTrip::test_build_then_decode",
+            ),
         )
-        for field in ("holdoff", "fmt", "energy")
+        for field, value in (("fmt", "Q1_15"), ("energy", "None"), ("coarse", "None"))
+    ),
+    # a map keeps one decoded view per tuple of lengths, and only valid ones
+    Mutant(
+        "decode-memo-without-lengths",
+        STANDARDS,
+        VIEW_LOOKUP,
+        "    view = next(iter(regs._views.values()), None)\n",
+        (f"{DECODE_MEMO}test_each_length_tuple_decodes_its_own_view",),
+    ),
+    Mutant(
+        "decode-memo-stored-before-checks",
+        STANDARDS,
+        THRESHOLD_CHECK + VIEW_STORE,
+        VIEW_STORE + THRESHOLD_CHECK,
+        (f"{DECODE_MEMO}test_failed_decode_is_not_cached",),
     ),
     # the fine stage
     Mutant(
@@ -373,6 +397,17 @@ CATALOGUE = (
         "if k > 1 else None",
         (EVENTS,),
     ),
+    # a sweep needs at least one SNR point
+    Mutant(
+        "snr-grid-empty-check-dropped",
+        "src/pktdet/harness.py",
+        '        if not self.snr_points_db:\n            raise ValueError("snr_points_db must',
+        '        if False:\n            raise ValueError("snr_points_db must',
+        (
+            "tests/test_harness.py::TestRunSweep::test_config_validation",
+            f"{MALFORMED}[snr-range-empty]",
+        ),
+    ),
     # malformed INI files end in an error line, not a traceback
     Mutant(
         "ini-parser-errors-unconverted",
@@ -409,7 +444,9 @@ def run_tests(tree: Path, ids) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider"]
     command += ["--hypothesis-seed=0", "--hypothesis-profile=mutants", *ids]
-    return subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    return subprocess.run(
+        command, cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+    )
 
 
 def failed_ids(run: subprocess.CompletedProcess) -> set[str]:
@@ -447,6 +484,8 @@ def test_mutant_is_killed(tree, mutant):
     path.write_text(original.replace(mutant.old, mutant.new))
     try:
         run = run_tests(tree, mutant.kills)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{mutant.name} timed out after {RUN_TIMEOUT_S} s")
     finally:
         path.write_text(original)
     survivors = set(mutant.kills) - failed_ids(run)

@@ -403,7 +403,7 @@ def test_criterion_5_energy_gating_contract():
     gated.process(stream, enable)
     enabled_ready = int(np.count_nonzero(enable[63:]))
     assert gated.work_count == enabled_ready  # zero work outside the gate
-    regs_gated = build_register_map([profile], energy=energy, holdoff=holdoff)
+    regs_gated = build_register_map([profile], energy=energy).write("fine/holdoff", holdoff)
     streaming = DetectorBank([profile], regs_gated, Q1_15)
     codes = zip(stream.i.tolist(), stream.q.tolist())
     pushed = sum(streaming.push(i, q)["pkt"] is not None for i, q in codes)

@@ -289,6 +289,11 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
         ("threshold = 50\n", "", "'threshold'"),
         ("transmitted = pn64a\n", "", "'transmitted'"),
         ("snr_db = 8,12\n", "", "'snr_db'"),
+        ("snr_db = 8,12\n", "snr_db = 0:inf:2\n", "finite"),
+        ("snr_db = 8,12\n", "snr_db = 1:2:1e-300\n", "more than"),
+        ("snr_db = 8,12\n", "snr_db = 0:nan:1\n", "finite"),
+        ("snr_db = 8,12\n", "snr_db = nan:5:1\n", "finite"),
+        ("snr_db = 8,12\n", "snr_db = 1:0:1\n", "snr_points_db"),
     ],
     ids=[
         "duplicate-section",
@@ -297,6 +302,11 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
         "no-threshold",
         "no-transmitted",
         "no-snr_db",
+        "snr-range-to-inf",
+        "snr-range-step-below-ulp",
+        "snr-range-to-nan",
+        "snr-range-from-nan",
+        "snr-range-empty",
     ],
 )
 def test_malformed_ini_exits_2(capsys, tmp_path, old, new, message):

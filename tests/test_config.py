@@ -123,6 +123,47 @@ def test_snr_comma_list(tmp_path):
     assert load_sweep_config(path).snr_points_db == (1.0, 3.5, 10.0)
 
 
+@pytest.mark.parametrize(
+    "text, points",
+    [
+        ("0:0:1", (0.0,)),
+        ("0:1:0.1", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+        ("-10:15:2.5", (-10.0, -7.5, -5.0, -2.5, 0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0)),
+        ("0:1:0.3", (0.0, 0.3, 0.6, 0.9)),
+        ("1:0.9999999999:1", (1.0,)),  # hi within 1e-9 steps of a point keeps it
+        ("0:9999:1", tuple(float(k) for k in range(10_000))),
+    ],
+)
+def test_snr_range_points(tmp_path, text, points):
+    path = tmp_path / "sweep.ini"
+    path.write_text(SWEEP.replace("-4:4:2", text) + PROFILES)
+    assert load_sweep_config(path).snr_points_db == points
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0:inf:2", "finite"),
+        ("-inf:0:1", "finite"),
+        ("0:nan:1", "finite"),
+        ("nan:5:1", "finite"),
+        ("0:5:nan", "finite"),
+        ("1:2:1e-300", "more than 10000 points"),  # 1 + 1e-300 == 1
+        ("0:10000:1", "more than 10000 points"),
+        ("-1e308:1e308:1", "more than 10000 points"),  # hi - lo overflows
+        ("1:0:1", "snr_points_db"),  # an empty grid
+        ("1e308:-1e308:1", "snr_points_db"),
+        ("0:4:0", "positive"),
+        ("0:4", "lo:hi:step"),
+    ],
+)
+def test_bad_snr_range_rejected(tmp_path, text, message):
+    path = tmp_path / "sweep.ini"
+    path.write_text(SWEEP.replace("-4:4:2", text) + PROFILES)
+    with pytest.raises(ValueError, match=message):
+        load_sweep_config(path)
+
+
 def test_energy_can_be_disabled(tmp_path):
     path = tmp_path / "sweep.ini"
     path.write_text(SWEEP.replace("energy_enabled = true", "energy_enabled = false") + PROFILES)

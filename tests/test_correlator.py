@@ -124,6 +124,8 @@ class TestCoefficientBank:
     def test_dump_parse_round_trip(self, pairs):
         bank = bank_from_signs(pairs)
         assert parse_bank(dump_bank(bank)) == bank
+        # comment lines may be indented, as the other lines may
+        assert parse_bank("  # note\n" + dump_bank(bank) + "\t# end\n") == bank
 
     @given(sign_pair_lists)
     def test_sign_arrays_unpack_the_words(self, pairs):

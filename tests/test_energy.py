@@ -40,7 +40,7 @@ def streamed_enable(stream, cfg):
     """The streaming bank's gate decision per sample: its 1-point profile,
     with no hold-off, reports exactly where the gate is open."""
     gate = StandardProfile(id="g", preamble=Preamble(np.ones(1)), fine_threshold=1)
-    regs = build_register_map([gate], energy=cfg, holdoff=0, fmt=stream.format)
+    regs = build_register_map([gate], energy=cfg, fmt=stream.format).write("fine/holdoff", 0)
     bank = DetectorBank([gate], regs, stream.format)
     codes = zip(stream.i.tolist(), stream.q.tolist())
     return [bank.push(i, q)["g"] is not None for i, q in codes]

@@ -193,6 +193,8 @@ class TestRunSweep:
             tiny_config(transmitted_profile_id="nope")
         with pytest.raises(ValueError):
             tiny_config(pad_before_range=(10, 5))
+        with pytest.raises(ValueError, match="snr_points_db"):
+            tiny_config(snr_points_db=())
 
 
 class TestScopeScenario:

@@ -1,10 +1,7 @@
+import copy
 import math
-import os
 from dataclasses import replace
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,8 +190,10 @@ class TestRegisterRoundTrip:
                 data.draw(on_grid | st.floats(0, 1)),
                 data.draw(st.integers(1, 32)),
             )
+        regs = build_register_map(profiles, energy, coarse, fmt)
         holdoff = data.draw(st.none() | st.integers(0, 1000))
-        regs = build_register_map(profiles, energy, coarse, holdoff, fmt)
+        if holdoff is not None:
+            regs = regs.write("fine/holdoff", holdoff)
         view = _decode_registers(profiles, regs)
         assert _decode_registers(list(profiles), regs) is view
         assert view == _decode_registers(profiles, RegisterMap(regs))  # a fresh decode
@@ -242,12 +241,14 @@ class TestRegisterRoundTrip:
 
 
 class TestDecodeMemo:
-    """The decoded view is cached on the register contents and the profiles'
+    """A map keeps its decoded views, one per tuple of the profiles'
     correlator lengths."""
 
     def setup_method(self):
         self.profiles = [profile("a", 32, 50), profile("b", 40, 60)]
-        self.regs = build_register_map(self.profiles, energy=EnergyConfig(16, 0.5, 8))
+        # a map of this test's own: equal builds share one map and its views
+        built = build_register_map(self.profiles, energy=EnergyConfig(16, 0.5, 8))
+        self.regs = RegisterMap(built)
 
     def test_same_map_and_format_share_one_view(self):
         view = _decode_registers(self.profiles, self.regs)
@@ -260,10 +261,20 @@ class TestDecodeMemo:
             codes = np.zeros(64, dtype=np.int32)
             run_detector_bank(SampleStream(format=fmt, i=codes, q=codes), self.profiles, self.regs)
             DetectorBank(self.profiles, self.regs, fmt)
-        key = (self.regs._key, (32, 40))
-        assert [k for k in standards._VIEWS if k[0] == self.regs._key] == [key]
-        assert standards._VIEWS[key] is view
+        assert self.regs._views == {(32, 40): view}
+        assert self.regs._views[(32, 40)] is view
         assert view.energy == (16, 1 << 29, 8)  # 0.5 on Q1.15 is 2**29 raw
+
+    def test_each_length_tuple_decodes_its_own_view(self):
+        # a 40-point and a 64-point bank both take two words per component
+        longer = [self.profiles[0], profile("b", 64, 60)]
+        short, long = (_decode_registers(ps, self.regs) for ps in (self.profiles, longer))
+        assert short != long
+        assert [bank.length for bank in short.banks] == [32, 40]
+        assert [bank.length for bank in long.banks] == [32, 64]
+        assert (short.arb_window, long.arb_window) == (40, 64)
+        assert self.regs._views == {(32, 40): short, (32, 64): long}
+        assert _decode_registers(self.profiles, self.regs) is short
 
     def test_a_written_map_decodes_afresh(self):
         view = _decode_registers(self.profiles, self.regs)
@@ -282,7 +293,7 @@ class TestDecodeMemo:
             profiles = [self.profiles[0], profile(pid, 40, 60)]
             with pytest.raises(ConfigurationError, match=f"profile '{pid}'"):
                 _decode_registers(profiles, bad)
-        assert all(key[0] != bad._key for key in standards._VIEWS)
+        assert bad._views == {}
 
     def test_memo_is_invisible(self):
         fresh = RegisterMap(self.regs)
@@ -291,54 +302,34 @@ class TestDecodeMemo:
         assert pickle.dumps(self.regs) == pickle.dumps(fresh)
         clone = pickle.loads(pickle.dumps(self.regs))
         assert clone == self.regs and list(clone) == list(self.regs)
+        # a pickle or a copy carries the values only, and decodes anew
+        assert clone._views == {} and copy.copy(self.regs)._views == {}
         assert _decode_registers(self.profiles, clone) == _decode_registers(
             self.profiles, self.regs
         )
 
-    def test_a_map_loaded_under_another_hash_seed_keys_alike(self, tmp_path):
-        # string hashes differ between processes: a loaded map's key must
-        # equal the key of a map built there, and find the same cached view
-        view = _decode_registers(self.profiles, self.regs)
-        dump = tmp_path / "regs.pickle"
-        dump.write_bytes(pickle.dumps((self.profiles, self.regs, view)))
-        script = "\n".join(
-            [
-                "import pickle, sys",
-                "from pktdet.standards import RegisterMap, _decode_registers",
-                "profiles, regs, view = pickle.loads(open(sys.argv[1], 'rb').read())",
-                "fresh = RegisterMap(dict(regs))",
-                "assert regs._key == fresh._key",
-                "assert _decode_registers(profiles, fresh) == view",
-                "assert _decode_registers(profiles, regs) is "
-                "_decode_registers(profiles, fresh)",
-            ]
-        )
-        src = str(Path(standards.__file__).parents[1])
-        for seed in ("0", "1"):  # at least one differs from this process's
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-            run = subprocess.run(
-                [sys.executable, "-c", script, str(dump)], env=env, capture_output=True, text=True
-            )
-            assert run.returncode == 0, run.stderr
-
 
 class TestBankCache:
-    """Equal register maps share one decoded view and its banks, so a map
-    rebuilt for every capture decodes and unpacks nothing again."""
+    """Equal builds share one register map, and so one decoded view and its
+    banks: a map rebuilt for every capture decodes and unpacks nothing
+    again."""
 
     def setup_method(self):
         self.profiles = [profile("a", 32, 50), profile("b", 40, 60)]
 
     def test_equal_maps_share_their_banks(self):
         built = build_register_map(self.profiles, energy=EnergyConfig(16, 0.5, 8))
-        # equal builds share one map, so a copy stands for a second equal map
-        copy = RegisterMap(dict(built))
-        assert copy is not built and copy == built
-        first, second = (_decode_registers(self.profiles, regs) for regs in (built, copy))
-        assert first is second
+        view = _decode_registers(self.profiles, built)
+        twins = [profile("a", 32, 50), profile("b", 40, 60)]  # equal, not the same objects
+        again = build_register_map(twins, energy=EnergyConfig(16, 0.5, 8))
+        assert again is built and _decode_registers(twins, again) is view
+        # a map rebuilt by hand keeps its own decode, equal to the shared one
+        by_hand = RegisterMap(dict(built))
+        assert by_hand is not built and by_hand == built
+        assert _decode_registers(self.profiles, by_hand) == view
         # insertion order is not part of the contents
         shuffled = RegisterMap(dict(reversed(list(built.items()))))
-        assert _decode_registers(self.profiles, shuffled) is first
+        assert _decode_registers(self.profiles, shuffled) == view
 
     def test_invalid_words_raise_on_every_call(self):
         # bit 8 of the second word is sample 40, past a 40-point bank's end
@@ -347,13 +338,7 @@ class TestBankCache:
             profiles = [self.profiles[0], profile(pid, 40, 60)]
             with pytest.raises(ConfigurationError, match=f"profile '{pid}'.*40-point"):
                 _decode_registers(profiles, bad)
-            assert all(key[0] != bad._key for key in standards._VIEWS)
-
-    def test_cache_is_bounded(self):
-        regs = build_register_map(self.profiles[:1])
-        for word in range(1000):
-            _decode_registers(self.profiles[:1], regs.write("prof0/coeff_i/0", word))
-        assert len(standards._VIEWS) <= standards._VIEWS_CACHED
+            assert bad._views == {}
 
 
 # sample thresholds on an eighths grid, so no two configurations and no two
@@ -382,41 +367,39 @@ class TestMapMemo:
         "thresholds": st.tuples(*[st.integers(1, 200)] * 3),
         "energy": st.none() | ENERGIES,
         "coarse": st.none() | COARSES,
-        # 128 is the default, twice the longest correlator, so None builds it
-        "holdoff": st.none() | st.integers(0, 1000).filter(lambda h: h != 128),
         "fmt": st.sampled_from((Q1_15, FixedPointFormat(12, 10))),
     }
 
-    def build(self, fields, build=build_register_map):
-        thresholds = fields["thresholds"]
-        profiles = [replace(p, fine_threshold=t) for p, t in zip(self.PROFILES, thresholds)]
-        return build(profiles, fields["energy"], fields["coarse"], fields["holdoff"], fields["fmt"])
+    def profiles(self, fields):
+        return [replace(p, fine_threshold=t) for p, t in zip(self.PROFILES, fields["thresholds"])]
+
+    def build(self, fields):
+        return build_register_map(
+            self.profiles(fields), fields["energy"], fields["coarse"], fields["fmt"]
+        )
+
+    def fresh(self, fields):
+        """The map an uncached build makes."""
+        entries = tuple((p.fine_threshold, p.bank) for p in self.profiles(fields))
+        build = standards._build_register_map.__wrapped__
+        return build(entries, fields["energy"], fields["coarse"], fields["fmt"])
 
     @given(st.fixed_dictionaries(FIELDS), st.data())
     def test_memo_equals_a_fresh_build(self, fields, data):
         regs = self.build(fields)
-        assert regs == self.build(fields, standards._build_register_map)
+        assert regs == self.fresh(fields)
         assert self.build(fields) is regs
         name = data.draw(st.sampled_from(sorted(self.FIELDS)))
         other = data.draw(self.FIELDS[name].filter(lambda value: value != fields[name]))
         changed = {**fields, name: other}
-        assert self.build(changed) == self.build(changed, standards._build_register_map)
+        assert self.build(changed) == self.fresh(changed)
         assert self.build(changed) != regs
 
-    @pytest.mark.parametrize("floated", [40.0, np.float64(40.0)], ids=["holdoff", "holdoff-numpy"])
-    def test_a_float_never_finds_the_int_map(self, floated):
-        # 40.0 == 40 as keys go, but only an int makes a register (profiles
-        # and stage configurations turn their integer fields into ints when
-        # built, so holdoff is the one value checked at the call)
-        profiles = [profile("a", 32, 50)]
-        build_register_map(profiles, holdoff=40)
-        with pytest.raises(ConfigurationError, match="not an integer"):
-            build_register_map(profiles, holdoff=floated)
-
     def test_cache_is_bounded(self):
-        for holdoff in range(1000):
-            build_register_map(self.PROFILES[:1], holdoff=holdoff)
-        assert len(standards._MAPS) <= standards._VIEWS_CACHED
+        for threshold in range(1, 1001):
+            build_register_map([replace(self.PROFILES[0], fine_threshold=threshold)])
+        info = standards._build_register_map.cache_info()
+        assert info.maxsize == 256 and info.currsize <= 256
 
 
 class TestProfileWords:
@@ -704,7 +687,7 @@ class TestRunDetectorBank:
         p = StandardProfile("one", Preamble([1 + 1j]), 2)
         energy = EnergyConfig(1, 1000 / Q1_15.scale**2, 0)  # raw threshold 1000
         coarse = None if plateau is None else CoarseConfig(1, 1.0, plateau)
-        regs = build_register_map([p], energy, coarse, holdoff)
+        regs = build_register_map([p], energy, coarse).write("fine/holdoff", holdoff)
         events = run_detector_bank(stream, [p], regs)
         coarse_index = None
         if coarse is not None:
@@ -953,7 +936,7 @@ class TestStreamingDetectorBank:
             window, thr_raw, count = energy
             cfg = EnergyConfig(window, thr_raw / Q1_15.scale**2, count % window)
             raw = enable_array(stream, window, thr_raw, count % window)
-        regs = build_register_map(profiles, energy=cfg, holdoff=holdoff)
+        regs = build_register_map(profiles, energy=cfg).write("fine/holdoff", holdoff)
         for k, (_, _, on) in enumerate(specs):
             regs = regs.write(f"prof{k}/enabled", int(on))
 
@@ -971,7 +954,8 @@ class TestStreamingDetectorBank:
     def test_energy_thresholds_adopted_mid_stream(self):
         p, short = profile("a", 16, 20), profile("s", 3, 20)
         w = 8
-        regs_old = build_register_map([p, short], energy=EnergyConfig(w, 0.2, 3), holdoff=0)
+        regs_old = build_register_map([p, short], energy=EnergyConfig(w, 0.2, 3))
+        regs_old = regs_old.write("fine/holdoff", 0)
         thr_old = regs_old.read("energy/sample_thresh_raw")
         thr_new = round(0.35 * Q1_15.scale**2)
         regs_new = regs_old.write("energy/count_thresh", 5).write(
@@ -1133,7 +1117,7 @@ class TestStreamingDetectorBank:
         # windows, the samples seen and the hold-off count carry on
         profiles = [profile("a", 8, 1, 1), profile("b", 40, 1, 2)]
         regs, same = (
-            build_register_map(profiles, energy=EnergyConfig(16, 0.05, 6), holdoff=5)
+            build_register_map(profiles, energy=EnergyConfig(16, 0.05, 6)).write("fine/holdoff", 5)
             for _ in range(2)
         )
         codes = burst_codes(seed, 200).tolist()
@@ -1149,7 +1133,7 @@ class TestStreamingDetectorBank:
 
     def test_push_takes_integer_codes_only(self):
         p = profile("a", 1, 1)
-        regs = build_register_map([p], energy=EnergyConfig(1, 0.5, 0), holdoff=0)
+        regs = build_register_map([p], energy=EnergyConfig(1, 0.5, 0)).write("fine/holdoff", 0)
         bank = DetectorBank([p], regs, Q1_15)
         # 0.9 and -0.9 would truncate to energy 0 and keep the gate shut
         for i, q in ((0.9, -0.9), (1.0, 0), (0, "1"), (None, 0), (np.float32(1), 0)):
@@ -1166,7 +1150,8 @@ class TestStreamingDetectorBank:
     )
     def test_push_rejects_codes_outside_the_format(self, fmt, bad_codes):
         profiles = [profile("a", 8, 10), profile("b", 3, 4)]
-        regs = build_register_map(profiles, energy=EnergyConfig(4, 0.0, 1), holdoff=2, fmt=fmt)
+        regs = build_register_map(profiles, energy=EnergyConfig(4, 0.0, 1), fmt=fmt)
+        regs = regs.write("fine/holdoff", 2)
         lo, hi = fmt.min_code, fmt.max_code
         codes = [(lo, hi), (hi, lo), (0, -1), (hi, hi), (lo, lo), (1, 0), (-1, 0)] * 3
         rejecting, clean = (DetectorBank(profiles, regs, fmt) for _ in range(2))
