@@ -7,9 +7,10 @@ in the timing metric
     R(d) = sum_{m=0}^{L-1} |y[d+m+L]|^2
     M(d) = |P(d)|^2 / R(d)^2          (M = 0 where R = 0)
 
-P and R are accumulated on raw integer codes with incremental updates, so a
-naive per-position recomputation agrees bit-exactly.  M is the only floating
-point quantity, formed once per position from the exact integers.
+P and R are window sums of exact lag products of the stream's int64 codes,
+taken from one prefix sum, so a naive per-position recomputation agrees
+bit-exactly.  M is the only floating point quantity, formed once per
+position from the exact integers.
 
 M(d) is bounded by the energy ratio of the two window halves; it sits in
 [0, 1] for stationary inputs but can exceed 1 on a sharp level transition
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import SampleStream, _int_fields
+from .signal import SampleStream, _int_fields, prefix_sums
 
 
 @dataclass(frozen=True)
@@ -56,22 +57,21 @@ def schmidl_cox_correlations(stream: SampleStream, lag: int) -> np.ndarray:
     """Exact integer (P_re, P_im, R) for every d in [0, len - 2*lag], as the
     rows of a (3, m) int64 array.
 
-    The rows are a transposed view of one C-ordered (m, 3) block: its prefix
-    sum runs down axis 0, which numpy does about twice as fast as along the
-    rows of a (3, m) block.  int64 is exact for the <= 16-bit formats and
-    streams shorter than 2**32 samples."""
+    The three lag products are the columns of one C-ordered (n - lag, 3)
+    ``terms`` block, whose :func:`prefix_sums` run down axis 0, which numpy
+    does about twice as fast as along the rows of a (3, m) block; the rows
+    returned are a transposed view of the window differences.  int64 is
+    exact for the <= 16-bit formats and streams shorter than 2**32 samples."""
     n = len(stream)
     if lag < 1 or n < 2 * lag:
         raise ValueError("stream must hold at least two half-periods")
-    i, q = stream.codes.astype(np.int64)
-    # conj(y[t]) * y[t+L] and |y[t+L]|^2, after a zero row
-    sums = np.empty((n - lag + 1, 3), dtype=np.int64)
-    sums[0] = 0
-    terms = sums.T
-    np.add(i[:-lag] * i[lag:], q[:-lag] * q[lag:], out=terms[0, 1:])
-    np.subtract(i[:-lag] * q[lag:], q[:-lag] * i[lag:], out=terms[1, 1:])
-    terms[2, 1:] = stream.energy[lag:]
-    np.cumsum(sums, axis=0, out=sums)
+    i, q = stream.codes
+    # conj(y[t]) * y[t+L] and |y[t+L]|^2
+    terms = np.empty((n - lag, 3), dtype=np.int64)
+    np.add(i[:-lag] * i[lag:], q[:-lag] * q[lag:], out=terms[:, 0])
+    np.subtract(i[:-lag] * q[lag:], q[:-lag] * i[lag:], out=terms[:, 1])
+    terms[:, 2] = stream.energy[lag:]
+    sums = prefix_sums(terms, 1)
     return (sums[lag:] - sums[:-lag]).T
 
 

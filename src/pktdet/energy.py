@@ -8,7 +8,8 @@ gates the downstream correlators.
 
 The gate reads its register words as they are: energies are computed on raw
 integer codes (exact in int64 for the <= 16-bit formats) and compared
-against ``energy/sample_thresh_raw`` in raw code-squared units.  Only
+against ``energy/sample_thresh_raw`` in raw code-squared units, and counted
+over each window from two slices of one ``prefix_sums`` array.  Only
 :func:`raw_threshold` meets a natural-unit threshold, rounding it down when
 the register map is built; for an integer energy, exceeding the rounded-down
 threshold is the same as exceeding the exact one.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import FixedPointFormat, SampleStream, _int_fields, window_sums
+from .signal import FixedPointFormat, SampleStream, _int_fields, prefix_sums
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,7 @@ def enable_array(stream: SampleStream, window_len: int, thr_raw: int, count: int
     if len(stream) < window_len:
         raise ValueError("stream shorter than the energy window")
     exceed = stream.energy > thr_raw
-    enable = window_sums(exceed, window_len) > count
+    csum = prefix_sums(exceed, window_len)
+    enable = csum[window_len:] - csum[: len(stream)] > count
     enable[: window_len - 1] = False  # the windows not yet full
     return enable

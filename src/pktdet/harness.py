@@ -75,6 +75,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.snr_points_db:
             raise ValueError("snr_points_db must hold at least one point")
+        # +inf means no noise; NaN and -inf give no noise level
+        if not all(-math.inf < snr <= math.inf for snr in self.snr_points_db):
+            raise ValueError(f"snr_points_db must not hold NaN or -inf, got {self.snr_points_db}")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.seed < 0:

@@ -84,8 +84,7 @@ def read_iq(path) -> SampleStream:
     payload = len(raw) - _HEADER.size
     if payload != 4 * count:
         raise ValueError(f"payload holds {payload // 4} samples but header declares {count}")
-    interleaved = np.frombuffer(raw, dtype="<i2", offset=_HEADER.size)
-    codes = interleaved.reshape(-1, 2).T.astype(np.int32, order="C")  # one strided cast
+    pairs = np.frombuffer(raw, dtype="<i2", offset=_HEADER.size).reshape(-1, 2)
     if fmt.total_bits < 16:  # a stored int16 code can exceed the format: scan
-        return SampleStream(format=fmt, i=codes[0], q=codes[1])
-    return SampleStream._from_codes(fmt, codes)
+        return SampleStream(format=fmt, i=pairs[:, 0], q=pairs[:, 1])
+    return SampleStream._from_codes(fmt, pairs)

@@ -99,13 +99,14 @@ Q1_15 = FixedPointFormat(16, 15)
 class SampleStream:
     """Immutable block of quantized I/Q samples.
 
-    ``i`` and ``q`` hold raw integer codes (int32); values are
+    ``i`` and ``q`` hold raw integer codes; values are
     ``code * 2**-fractional_bits``.  ``saturation_count`` records how many
     components were clipped during quantization.  ``codes`` holds ``i`` and
-    ``q`` as the rows of one read-only (2, n) block, which every stage
-    reads.  The constructor takes integer arrays of any width, checks every
-    code against the format and copies them into a fresh block, so the
-    caller's arrays stay theirs; a float or bool array is rejected."""
+    ``q`` as the rows of one read-only (2, n) int64 block, which every stage
+    reads without a cast.  The constructor takes integer arrays of any
+    width, checks every code against the format and copies them into a fresh
+    block, so the caller's arrays stay theirs; a float or bool array is
+    rejected."""
 
     format: FixedPointFormat
     i: np.ndarray
@@ -124,17 +125,19 @@ class SampleStream:
         bounds = [int(f(arr)) for arr in (i, q) for f in (np.min, np.max)] if i.size else [0]
         if min(bounds) < lo or max(bounds) > hi:
             raise ValueError("sample codes out of range for the declared format")
-        codes = np.empty((2, len(i)), dtype=np.int32)
+        codes = np.empty((2, len(i)), dtype=np.int64)
         codes[0], codes[1] = i, q
         codes.flags.writeable = False  # immutable after construction
         self.__dict__.update(i=codes[0], q=codes[1], codes=codes)  # frozen fields
 
     @classmethod
     def _from_codes(
-        cls, fmt: FixedPointFormat, codes: np.ndarray, saturation_count: int = 0
+        cls, fmt: FixedPointFormat, pairs: np.ndarray, saturation_count: int = 0
     ) -> "SampleStream":
-        """A stream over the rows of a fresh (2, n) int32 array, built without
-        the range scan: only a caller that bounded every code may call it."""
+        """A stream over the (n, 2) code ``pairs``, cast in one strided pass to
+        a fresh (2, n) int64 block, built without the range scan: only a
+        caller that bounded every code may call it."""
+        codes = pairs.T.astype(np.int64, order="C")
         codes.flags.writeable = False
         stream = object.__new__(cls)
         stream.__dict__.update(
@@ -148,9 +151,8 @@ class SampleStream:
     @cached_property
     def energy(self) -> np.ndarray:
         """The per-sample energy ``i**2 + q**2``, exact in read-only int64."""
-        squares = self.codes.astype(np.int64)
-        np.multiply(squares, squares, out=squares)
-        energy = np.add(squares[0], squares[1])
+        i2, q2 = np.square(self.codes)
+        energy = i2 + q2
         energy.flags.writeable = False
         return energy
 
@@ -173,6 +175,8 @@ class Preamble:
         samples = np.array(self.samples, dtype=np.complex128)
         if samples.ndim != 1 or not 1 <= len(samples) <= MAX_PREAMBLE_LEN:
             raise ValueError(f"preamble length must be in [1, {MAX_PREAMBLE_LEN}]")
+        if not np.isfinite(samples).all():  # a NaN has no sign, an inf no power
+            raise ValueError("preamble samples must be finite")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
@@ -186,29 +190,19 @@ class Preamble:
 
 
 def prefix_sums(values, width: int) -> np.ndarray:
-    """The int64 running sums of integer or boolean ``values`` after
-    ``width`` zeros: entry ``k + width`` less entry ``k`` is the sum of the
-    ``width``-long window ending at value k (see :func:`window_sums`)."""
+    """The int64 running sums down axis 0 of integer or boolean ``values``
+    (1-D, or (n, k) summed per column) after ``width`` zero rows: entry
+    ``k + width`` less entry ``k`` is the sum of the ``width``-long window
+    ending at value k, the values read as preceded by ``width - 1`` zeros."""
     if width < 1:
         raise ValueError("width must be >= 1")
-    csum = np.zeros(width + len(values), dtype=np.int64)
+    values = np.asarray(values)
+    csum = np.zeros((width + len(values), *values.shape[1:]), dtype=np.int64)
     # int64 counts a boolean input, which a bool-typed accumulate would OR;
     # add.accumulate runs about 1.3x faster than np.cumsum with the same
     # dtype and out
     np.add.accumulate(values, dtype=np.int64, out=csum[width:])
     return csum
-
-
-def window_sums(values, width: int) -> np.ndarray:
-    """Sum of the ``width``-long window of integer or boolean ``values``
-    ending at each index, as the difference of two slices of one int64
-    :func:`prefix_sums` array.
-
-    Entry k sums ``values[max(0, k - width + 1) : k + 1]``, one entry per
-    value: the values are read as preceded by ``width - 1`` zeros.
-    """
-    csum = prefix_sums(values, width)
-    return csum[width:] - csum[: len(values)]
 
 
 def quantize(values, fmt: FixedPointFormat = Q1_15) -> SampleStream:
@@ -235,8 +229,7 @@ def quantize(values, fmt: FixedPointFormat = Q1_15) -> SampleStream:
     saturated = int(np.count_nonzero(rounded != clipped))
     if saturated and np.isnan(rounded).any():
         raise ValueError("cannot quantize NaN")
-    codes = clipped.T.astype(np.int32, order="C")  # contiguous i and q rows
-    return SampleStream._from_codes(fmt, codes, saturated)
+    return SampleStream._from_codes(fmt, clipped, saturated)
 
 
 def embed_preamble(
@@ -301,8 +294,10 @@ def pn_preamble(length: int, seed) -> Preamble:
     Components take values +-1/sqrt(2) (QPSK-style signs drawn from the
     seeded RNG).  Constant modulus keeps the sign pattern well defined for
     every sample, so the sign correlator's ideal peak is exactly twice the
-    length.
+    length.  The length is checked before the signs are drawn.
     """
+    if not 1 <= length <= MAX_PREAMBLE_LEN:
+        raise ValueError(f"preamble length must be in [1, {MAX_PREAMBLE_LEN}]")
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(2, length)) * 2 - 1
     amp = 1.0 / math.sqrt(2.0)

@@ -214,12 +214,23 @@ CATALOGUE = (
         "exceed = stream.energy >= thr_raw",
         (f"{WINDOW}test_zero_stream", f"{WINDOW}test_unit_samples", WORDS),
     ),
-    # the shared int64 prefix sums, the per-sample energy and the latch
+    # the int64 code block, the shared int64 prefix sums, the per-sample
+    # energy and the latch
+    Mutant(
+        "code-block-in-int32",
+        "src/pktdet/signal.py",
+        "codes = np.empty((2, len(i)), dtype=np.int64)",
+        "codes = np.empty((2, len(i)), dtype=np.int32)",
+        (
+            f"{GATE}test_wide_format_stays_exact",
+            f"{METRIC}test_full_scale_long_stream_stays_exact",
+        ),
+    ),
     Mutant(
         # without the dtype numpy still counts (it accumulates a bool input
         # in the default int, or in the out array's type), so the mutant
         # accumulates in the input's type, where a bool accumulate ORs
-        "window-sums-accumulate-in-bool",
+        "prefix-sums-accumulate-in-bool",
         "src/pktdet/signal.py",
         "dtype=np.int64, out=csum[width:]",
         "dtype=np.asarray(values).dtype, out=csum[width:]",
@@ -229,10 +240,20 @@ CATALOGUE = (
         ),
     ),
     Mutant(
+        "prefix-sums-across-columns",
+        "src/pktdet/signal.py",
+        "np.add.accumulate(values, dtype",
+        "np.add.accumulate(values, axis=-1, dtype",
+        (
+            "tests/test_signal.py::TestWindowSums::test_sums_each_column_of_a_block",
+            f"{METRIC}test_incremental_equals_naive",
+        ),
+    ),
+    Mutant(
         "energy-one-row-squared",
         "src/pktdet/signal.py",
-        "np.multiply(squares, squares, out=squares)",
-        "np.multiply(squares[0], squares[0], out=squares[0])",
+        "i2, q2 = np.square(self.codes)",
+        "i2, q2 = np.square(self.codes[0]), self.codes[1]",
         (
             f"{BLOCK}test_every_constructor_gives_the_same_block",
             f"{BLOCK}test_copies_integer_codes_into_its_own_block[int32]",
@@ -253,12 +274,13 @@ CATALOGUE = (
         "",
         ("tests/test_iqfile.py::test_pipe_is_read_to_eof",),
     ),
-    # the coarse stage: P and R down one (m, 3) prefix block, then the metric
+    # the coarse stage: P and R from the prefix sums of one (n - L, 3)
+    # block of lag products, then the metric
     Mutant(
         "coarse-r-from-the-first-half",
         COARSE,
-        "terms[2, 1:] = stream.energy[lag:]",
-        "terms[2, 1:] = stream.energy[:-lag]",
+        "terms[:, 2] = stream.energy[lag:]",
+        "terms[:, 2] = stream.energy[:-lag]",
         (f"{METRIC}test_incremental_equals_naive", f"{METRIC}test_white_noise_scores_low"),
     ),
     Mutant(
@@ -272,10 +294,10 @@ CATALOGUE = (
         ),
     ),
     Mutant(
-        "coarse-prefix-block-in-int32",
+        "coarse-terms-block-in-int32",
         COARSE,
-        "sums = np.empty((n - lag + 1, 3), dtype=np.int64)",
-        "sums = np.empty((n - lag + 1, 3), dtype=np.int32)",
+        "terms = np.empty((n - lag, 3), dtype=np.int64)",
+        "terms = np.empty((n - lag, 3), dtype=np.int32)",
         (f"{METRIC}test_full_scale_long_stream_stays_exact",),
     ),
     Mutant(

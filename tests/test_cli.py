@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from pktdet import cli
+from pktdet import cli, harness
 from pktdet.cli import main
 from pktdet.coarse import CoarseConfig
 from pktdet.config import load_profiles, load_sweep_config
@@ -294,6 +294,8 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
         ("snr_db = 8,12\n", "snr_db = 0:nan:1\n", "finite"),
         ("snr_db = 8,12\n", "snr_db = nan:5:1\n", "finite"),
         ("snr_db = 8,12\n", "snr_db = 1:0:1\n", "snr_points_db"),
+        ("snr_db = 8,12\n", "snr_db = 0, nan\n", "NaN or -inf"),
+        ("snr_db = 8,12\n", "snr_db = 0, -inf\n", "NaN or -inf"),
     ],
     ids=[
         "duplicate-section",
@@ -307,9 +309,19 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
         "snr-range-to-nan",
         "snr-range-from-nan",
         "snr-range-empty",
+        "snr-list-nan",
+        "snr-list-minus-inf",
     ],
 )
-def test_malformed_ini_exits_2(capsys, tmp_path, old, new, message):
+def test_malformed_ini_exits_2(capsys, monkeypatch, tmp_path, old, new, message):
+    trials = []
+    run_trial = harness.run_trial
+
+    def counted(*args, **kwargs):
+        trials.append(args)
+        return run_trial(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", counted)
     path = tmp_path / "bad.ini"
     path.write_text(CONFIG.replace(old, new, 1))
     capsys.readouterr()
@@ -317,6 +329,7 @@ def test_malformed_ini_exits_2(capsys, tmp_path, old, new, message):
     out, err = capsys.readouterr()
     assert out == "" and not (tmp_path / "out").exists()
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert trials == []  # rejected before any trial ran
 
 
 def test_ini_values_are_read_literally(tmp_path):
@@ -331,6 +344,30 @@ def test_ini_values_are_read_literally(tmp_path):
     argv = ["gen-iq", "--profiles", str(profiles), "--transmit", "pct", "--out", str(out)]
     assert main(argv) == 0
     assert len(read_iq(out)) > 2
+
+
+def test_gen_coeff_rejects_an_overlong_pn_preamble(capsys):
+    # 10**12 signs would take 16 TB, so the length is checked before the draw
+    capsys.readouterr()
+    assert main(["gen-coeff", "--preamble", "pn:seed=1,len=1000000000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: preamble length must be in [1, 16384]\n"
+
+
+def test_non_finite_preamble_file_exits_2(capsys, tmp_path, repeated_block_capture):
+    _, capture = repeated_block_capture
+    ref = tmp_path / "nan.txt"
+    ref.write_text("nan 0\n0.5 -0.5\n")
+    profiles = tmp_path / "nan.ini"
+    profiles.write_text(f"[profile nan]\npreamble = file:{ref}\nthreshold = 3\n")
+    for argv in (
+        ["gen-coeff", "--preamble", f"file:{ref}"],
+        ["detect", "--profiles", str(profiles), "--input", str(capture)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: preamble samples must be finite\n"
 
 
 @pytest.mark.parametrize("snr", ["-inf", "1e308", "nan"])

@@ -196,6 +196,15 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="snr_points_db"):
             tiny_config(snr_points_db=())
 
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_snr_points_without_a_noise_level_are_rejected(self, snr):
+        with pytest.raises(ValueError, match="NaN or -inf"):
+            default_sweep_config(snr_points_db=(0.0, snr))
+
+    def test_snr_point_at_plus_inf_means_no_noise(self):
+        cfg = tiny_config(snr_points_db=(math.inf,), trials_per_point=2)
+        assert run_sweep(cfg).rows[0].probability == 1.0
+
 
 class TestScopeScenario:
     def test_noiseless_peak_is_ideal_maximum(self):

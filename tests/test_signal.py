@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from pktdet.iqfile import read_iq, write_iq
 from pktdet.signal import (
+    MAX_PREAMBLE_LEN,
     FixedPointFormat,
     Preamble,
     Q1_15,
@@ -14,8 +15,8 @@ from pktdet.signal import (
     add_awgn,
     embed_preamble,
     pn_preamble,
+    prefix_sums,
     quantize,
-    window_sums,
 )
 
 from oracles import float_xcorr_argmax, quantize_oracle, slice_sums
@@ -114,7 +115,7 @@ class TestQuantize:
         assert list(zip(stream.i.tolist(), stream.q.tolist())) == expected_pairs
         assert stream.saturation_count == expected_sats
         for codes in (stream.i, stream.q):
-            assert codes.dtype == np.int32 and codes.flags.c_contiguous
+            assert codes.dtype == np.int64 and codes.flags.c_contiguous
 
     def test_non_contiguous_input(self):
         values = np.random.default_rng(5).normal(size=(40, 2)) @ np.array([1, 1j])
@@ -246,7 +247,7 @@ class TestSampleStreamBlock:
         i = np.array([0, 7, 127], dtype=dtype)
         q = np.array([3, 0, 1], dtype=dtype)
         stream = SampleStream(format=Q1_15, i=i, q=q)
-        assert stream.codes.dtype == np.int32 and stream.codes.flags.c_contiguous
+        assert stream.codes.dtype == np.int64 and stream.codes.flags.c_contiguous
         assert stream.codes.tolist() == [[0, 7, 127], [3, 0, 1]]
         assert stream.i.base is stream.codes and stream.q.base is stream.codes
         assert stream.energy.tolist() == [9, 49, 127**2 + 1]
@@ -390,8 +391,32 @@ class TestPnPreamble:
         with pytest.raises(ValueError):
             Preamble(np.array([], dtype=complex))
 
+    @pytest.mark.parametrize("length", [0, MAX_PREAMBLE_LEN + 1, 10**12])
+    def test_length_is_checked_before_the_draw(self, length):
+        # 10**12 signs would take 16 TB: the draw must not start
+        with pytest.raises(ValueError, match=r"preamble length must be in \[1, 16384\]"):
+            pn_preamble(length, 0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [complex(math.nan, 0), complex(0, math.nan), math.inf, complex(0, -math.inf)],
+        ids=["nan-i", "nan-q", "inf-i", "minus-inf-q"],
+    )
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Preamble(np.array([0.5 + 0.5j, bad]))
+
+
+def window_sums(values, width: int) -> np.ndarray:
+    """The ``width``-long window sums ending at each value, as the gate and
+    the coarse stage take them from :func:`prefix_sums`."""
+    csum = prefix_sums(values, width)
+    return csum[width:] - csum[: len(values)]
+
 
 class TestWindowSums:
+    """Window sums from two slices of :func:`prefix_sums`."""
+
     @given(st.lists(st.integers(-(1 << 40), 1 << 40), max_size=40), st.data())
     def test_matches_slice_sums(self, values, data):
         # widths 1 to len + 3: the last three clip every window at the start
@@ -412,6 +437,21 @@ class TestWindowSums:
         assert got.dtype == np.int64
         assert got.tolist() == slice_sums(values, width)
 
+    @example(rows=[], width=2)
+    @example(rows=[(1 << 40, -(1 << 40), 3)] * 3, width=2)
+    @given(
+        st.lists(st.tuples(*[st.integers(-(1 << 40), 1 << 40)] * 3), max_size=40),
+        st.integers(1, 45),
+    )
+    def test_sums_each_column_of_a_block(self, rows, width):
+        # the coarse stage's (n, 3) block of lag products
+        block = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        csum = prefix_sums(block, width)
+        assert csum.shape == (width + len(rows), 3) and csum.dtype == np.int64
+        got = window_sums(block, width)
+        for k in range(3):
+            assert got[:, k].tolist() == slice_sums(block[:, k], width)
+
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):
-            window_sums([1, 2], 0)
+            prefix_sums([1, 2], 0)
