@@ -55,19 +55,20 @@ class CoarseOutput:
 
 def schmidl_cox_correlations(stream: SampleStream, lag: int) -> np.ndarray:
     """Exact integer (P_re, P_im, R) for every d in [0, len - 2*lag], as the
-    rows of a (3, m) int64 array.
+    rows of a (3, m) int64 array; m is 0 for a stream shorter than two
+    half-periods.
 
     The three lag products are the columns of one C-ordered (n - lag, 3)
     ``terms`` block, whose :func:`prefix_sums` run down axis 0, which numpy
     does about twice as fast as along the rows of a (3, m) block; the rows
     returned are a transposed view of the window differences.  int64 is
     exact for the <= 16-bit formats and streams shorter than 2**32 samples."""
+    if lag < 1:
+        raise ValueError("lag must be >= 1")
     n = len(stream)
-    if lag < 1 or n < 2 * lag:
-        raise ValueError("stream must hold at least two half-periods")
     i, q = stream.codes
-    # conj(y[t]) * y[t+L] and |y[t+L]|^2
-    terms = np.empty((n - lag, 3), dtype=np.int64)
+    # conj(y[t]) * y[t+L] and |y[t+L]|^2, none below L + 1 samples
+    terms = np.empty((max(n - lag, 0), 3), dtype=np.int64)
     np.add(i[:-lag] * i[lag:], q[:-lag] * q[lag:], out=terms[:, 0])
     np.subtract(i[:-lag] * q[lag:], q[:-lag] * i[lag:], out=terms[:, 1])
     terms[:, 2] = stream.energy[lag:]
@@ -76,8 +77,14 @@ def schmidl_cox_correlations(stream: SampleStream, lag: int) -> np.ndarray:
 
 
 def schmidl_cox_metric(stream: SampleStream, lag: int) -> np.ndarray:
-    """Timing metric M(d) = |P(d)|^2 / R(d)^2, with M = 0 where R = 0."""
-    squares = schmidl_cox_correlations(stream, lag).T.astype(np.float64)
+    """Timing metric M(d) = |P(d)|^2 / R(d)^2 in float64, with M = 0 where
+    R = 0."""
+    return _metric(schmidl_cox_correlations(stream, lag))
+
+
+def _metric(correlations: np.ndarray) -> np.ndarray:
+    """M from the rows (P_re, P_im, R) of :func:`schmidl_cox_correlations`."""
+    squares = correlations.T.astype(np.float64)
     np.square(squares, out=squares)
     p2 = np.add(squares[:, 0], squares[:, 1])  # |P|^2
     # R = 0 only where the second half is silent, so P = 0 there too: R**2
@@ -86,26 +93,38 @@ def schmidl_cox_metric(stream: SampleStream, lag: int) -> np.ndarray:
     return np.divide(p2, r2, out=p2)
 
 
-def _first_run(above, width: int) -> int | None:
-    """Start of the first run of ``width`` True values in ``above``, or None.
-
-    While ``run[k]`` says ``above[k : k + covered]`` is all True, ``run[k] &
-    run[k + step]`` with ``step <= covered`` says it of ``covered + step``
-    values, so about log2(width) shifted ANDs reach any width."""
-    run = np.asarray(above, dtype=bool)
-    if len(run) < width:
-        return None  # the ANDs would empty ``run``; bounds any 32-bit width
-    covered = 1
-    while covered < width:
-        step = min(covered, width - covered)
-        run = run[:-step] & run[step:]
-        covered += step
-    first = int(run.argmax())
-    return first if run[first] else None
+def _run_starts(above: np.ndarray, width: int) -> np.ndarray:
+    """Start of every maximal run of at least ``width`` True values in the
+    boolean ``above``, in order."""
+    padded = np.zeros(len(above) + 2, dtype=bool)
+    padded[1:-1] = above
+    # the edges alternate: each run's start, then the index past its end
+    # (nonzero skips flatnonzero's ravel)
+    edges = (padded[1:] != padded[:-1]).nonzero()[0].reshape(-1, 2)
+    starts, ends = edges[:, 0], edges[:, 1]
+    return starts[ends - starts >= width]
 
 
 def detect_coarse(stream: SampleStream, lag: int, thr_q15: int, plateau: int) -> CoarseOutput:
-    """The coarse stage: the first ``plateau``-long run of the stream's
-    metric at ``lag`` at or above ``thr_q15 / 2**15``."""
-    above = schmidl_cox_metric(stream, lag) >= thr_q15 / (1 << 15)
-    return CoarseOutput(first_trigger=_first_run(above, plateau))
+    """The coarse stage: the first ``plateau``-long run of positions whose
+    metric at ``lag`` is at or above ``t = thr_q15 / 2**15``, decided
+    exactly as ``|P|**2 * 2**15 >= thr_q15 * R**2`` (a position with R = 0
+    has M = 0, above only at ``thr_q15 = 0``).
+
+    The float M screens every position.  Its three int64 -> float64
+    conversions, three squares, the sum and the quotient each round by at
+    most 2**-53 relative, so it is within 8 * 2**-53 (to first order, and
+    below 2**-49 in all) of M, relative; t is exact.  So a float M at or
+    above ``t * (1 + 2**-48)`` (rounded) is above, one below ``t * (1 -
+    2**-48)`` is below, and only the positions in that band are settled in
+    Python ints.  At t = 0 the band is empty and every position is above."""
+    correlations = schmidl_cox_correlations(stream, lag)
+    metric = _metric(correlations)
+    t = thr_q15 / (1 << 15)
+    lo, hi = t * (1 - 2.0**-48), t * (1 + 2.0**-48)
+    above = metric >= hi
+    for d in (above != (metric >= lo)).nonzero()[0].tolist():
+        p_re, p_im, r = correlations[:, d].tolist()
+        above[d] = (p_re * p_re + p_im * p_im) << 15 >= thr_q15 * r * r
+    starts = _run_starts(above, plateau)
+    return CoarseOutput(first_trigger=int(starts[0]) if len(starts) else None)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import FixedPointFormat, SampleStream, _int_fields, prefix_sums
+from .signal import MAX_ENERGY_WINDOW, FixedPointFormat, SampleStream, _int_fields, prefix_sums
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class EnergyConfig:
 
     def __post_init__(self) -> None:
         _int_fields(self, "window_len", "count_threshold")
-        if self.window_len < 1:
-            raise ValueError("window_len must be >= 1")
+        if not 1 <= self.window_len <= MAX_ENERGY_WINDOW:
+            raise ValueError(f"window_len must be in [1, {MAX_ENERGY_WINDOW}]")
         if not 0 <= self.count_threshold <= self.window_len:
             raise ValueError("count_threshold must be in [0, window_len]")
         if not math.isfinite(self.sample_energy_threshold) or self.sample_energy_threshold < 0:
@@ -61,12 +61,13 @@ def enable_array(stream: SampleStream, window_len: int, thr_raw: int, count: int
 
     ``enable[n]`` is the decision for the window of ``window_len`` samples
     ending at ``n``: more than ``count`` of them have energy above
-    ``thr_raw``.  Positions before the first full window are disabled.
+    ``thr_raw``.  Positions before the first full window are disabled, so a
+    stream shorter than the window gets a closed gate.
     """
-    if len(stream) < window_len:
-        raise ValueError("stream shorter than the energy window")
-    exceed = stream.energy > thr_raw
-    csum = prefix_sums(exceed, window_len)
-    enable = csum[window_len:] - csum[: len(stream)] > count
+    # every window longer than the stream is closed alike; the clamp bounds
+    # the prefix sums' zero padding for any 32-bit register value
+    width = min(window_len, len(stream) + 1)
+    csum = prefix_sums(stream.energy > thr_raw, width)
+    enable = csum[width:] - csum[: len(stream)] > count
     enable[: window_len - 1] = False  # the windows not yet full
     return enable

@@ -41,6 +41,7 @@ from .signal import (
     SampleStream,
     add_awgn,
     embed_preamble,
+    noise_sigma,
     pn_preamble,
     quantize,
 )
@@ -75,9 +76,6 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.snr_points_db:
             raise ValueError("snr_points_db must hold at least one point")
-        # +inf means no noise; NaN and -inf give no noise level
-        if not all(-math.inf < snr <= math.inf for snr in self.snr_points_db):
-            raise ValueError(f"snr_points_db must not hold NaN or -inf, got {self.snr_points_db}")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.seed < 0:
@@ -101,10 +99,7 @@ class SweepConfig:
         )
 
     def transmitted_profile(self) -> StandardProfile:
-        for p in self.profiles:
-            if p.id == self.transmitted_profile_id:
-                return p
-        raise KeyError(self.transmitted_profile_id)
+        return next(p for p in self.profiles if p.id == self.transmitted_profile_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,9 +256,14 @@ def _sweep_point(args) -> tuple[int, list[TrialOutcome]]:
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Run all SNR points x trials.  ``workers > 1`` fans the SNR points out
     to a process pool of at most one worker per point; outcomes are
-    identical either way.  ``workers < 1`` raises ``ValueError``."""
+    identical either way.  ``workers < 1``, and an SNR point that gives the
+    transmitted preamble no noise level (:func:`noise_sigma`), raise
+    ``ValueError`` before any trial runs."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    power = cfg.transmitted_profile().preamble.mean_power
+    for snr in cfg.snr_points_db:
+        noise_sigma(snr, power)
     tasks = [(cfg, k, snr) for k, snr in enumerate(cfg.snr_points_db)]
     # the pool starts every worker it may use at once, busy or not
     workers = min(workers, len(tasks))

@@ -26,6 +26,13 @@ import numpy as np
 # Correlator partial sums are accumulated in >=16-bit signed registers; this
 # caps the reference length so |re| <= 2n can never overflow them.
 MAX_PREAMBLE_LEN = 1 << 14
+# The energy gate's exceedance register holds one bit per window sample, so
+# its width, and the longest window, is fixed too.
+MAX_ENERGY_WINDOW = 1 << 16
+
+# Preamble components below this magnitude keep the mean power of the
+# longest preamble finite: 2**14 samples of 2 * 2**1000 sum below 2**1016.
+_MAX_PREAMBLE_MAGNITUDE = 2.0**500
 
 # a value of this magnitude or more quantizes to a saturated code in every
 # format (at most 16 bits, so |code| <= 2**15)
@@ -175,8 +182,15 @@ class Preamble:
         samples = np.array(self.samples, dtype=np.complex128)
         if samples.ndim != 1 or not 1 <= len(samples) <= MAX_PREAMBLE_LEN:
             raise ValueError(f"preamble length must be in [1, {MAX_PREAMBLE_LEN}]")
-        if not np.isfinite(samples).all():  # a NaN has no sign, an inf no power
+        # the largest component magnitude, NaN where a component is NaN
+        peak = float(np.abs(samples.view(np.float64)).max())
+        if not math.isfinite(peak):  # a NaN has no sign, an inf no power
             raise ValueError("preamble samples must be finite")
+        if peak >= _MAX_PREAMBLE_MAGNITUDE:
+            raise ValueError(
+                "preamble samples are too large: each component must be below "
+                "2**500 (about 3.3e150), so their mean power stays finite"
+            )
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
@@ -262,30 +276,38 @@ def add_awgn(signal, snr_db: float, seed, signal_power: float = 1.0) -> np.ndarr
     noise.  ``seed`` may be anything ``numpy.random.default_rng`` accepts,
     including an existing Generator; a fixed seed is bit-reproducible.
 
-    A ``ValueError`` rejects a ``signal_power`` that is negative or not
-    finite, and an SNR (NaN, -inf or of too large a magnitude) that leaves
-    no finite noise level.
+    The signal power and the SNR are checked by :func:`noise_sigma`.
     """
+    sigma = noise_sigma(snr_db, signal_power)
+    x = np.asarray(signal, dtype=np.complex128)
+    if len(x) == 0:
+        raise ValueError("signal must be non-empty")
+    if snr_db == math.inf:
+        return x.copy()
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, sigma, size=(len(x), 2))
+    # complex addition is componentwise: add the signal into the noise pairs
+    noise += np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
+    return noise.view(np.complex128).ravel()
+
+
+def noise_sigma(snr_db: float, signal_power: float) -> float:
+    """The per-component noise standard deviation of :func:`add_awgn`,
+    ``sqrt(signal_power / (2 * 10**(snr_db/10)))``, which is 0 at ``snr_db =
+    +inf``.  A ``ValueError`` rejects a ``signal_power`` that is negative or
+    not finite, and an SNR (NaN, -inf or of too large a magnitude) that
+    leaves no finite noise level."""
     # Python floats: an overflow raises here instead of a numpy scalar warning
     snr_db, signal_power = float(snr_db), float(signal_power)
     if not (math.isfinite(signal_power) and signal_power >= 0):
         raise ValueError(f"signal_power must be finite and >= 0, got {signal_power}")
-    x = np.asarray(signal, dtype=np.complex128)
-    if len(x) == 0:
-        raise ValueError("signal must be non-empty")
-    if math.isinf(snr_db) and snr_db > 0:
-        return x.copy()
     try:
         sigma = math.sqrt(signal_power / (2.0 * 10.0 ** (snr_db / 10.0)))
     except (OverflowError, ZeroDivisionError):  # 10**(snr/10) overflowed or reached 0
         sigma = math.inf
     if not math.isfinite(sigma):  # also a NaN SNR
         raise ValueError(f"snr_db {snr_db} gives no finite noise level")
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, size=(len(x), 2))
-    # complex addition is componentwise: add the signal into the noise pairs
-    noise += np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
-    return noise.view(np.complex128).ravel()
+    return sigma
 
 
 def pn_preamble(length: int, seed) -> Preamble:

@@ -36,7 +36,7 @@ from .correlator import (
     words_for,
 )
 from .energy import EnergyConfig, enable_array, raw_threshold
-from .signal import Q1_15, FixedPointFormat, Preamble, SampleStream, _int_fields
+from .signal import MAX_ENERGY_WINDOW, Q1_15, FixedPointFormat, Preamble, SampleStream, _int_fields
 
 
 class ConfigurationError(ValueError):
@@ -204,10 +204,10 @@ class _PipelineView:
     arb_window: int  # the longest correlator, disabled profiles included
 
 
-def _positive(regs: RegisterMap, key: str) -> int:
-    """Register ``key`` of ``regs``, which must be at least 1."""
-    if (value := regs.read(key)) < 1:
-        raise ConfigurationError(f"register {key!r} must be >= 1, not {value}")
+def _positive(regs: RegisterMap, key: str, most: int = 0xFFFFFFFF) -> int:
+    """Register ``key`` of ``regs``, which must be in [1, most]."""
+    if not 1 <= (value := regs.read(key)) <= most:
+        raise ConfigurationError(f"register {key!r} must be in [1, {most}], not {value}")
     return value
 
 
@@ -234,7 +234,8 @@ def _decode_registers(profiles, regs: RegisterMap) -> _PipelineView:
 
     energy = None
     if regs.read("energy/enabled"):
-        window = _positive(regs, "energy/window_len")
+        # checked before any stage sizes its window register to it
+        window = _positive(regs, "energy/window_len", MAX_ENERGY_WINDOW)
         count = regs.read("energy/count_thresh")
         if count > window:
             raise ConfigurationError(f"register 'energy/count_thresh' {count} exceeds the window")
@@ -368,8 +369,6 @@ def run_detector_bank(stream: SampleStream, profiles, regs: RegisterMap) -> list
     n = len(stream)
 
     if view.energy is not None:
-        if n < view.energy[0]:
-            return []
         raw_energy = enable_array(stream, *view.energy)
     else:
         raw_energy = np.ones(n, dtype=bool)
@@ -377,8 +376,6 @@ def run_detector_bank(stream: SampleStream, profiles, regs: RegisterMap) -> list
     coarse_index = None
     raw_enable = raw_energy
     if view.coarse is not None:
-        if n < 2 * view.coarse[0]:
-            return []
         coarse_index = detect_coarse(stream, *view.coarse).first_trigger
         if coarse_index is None:
             return []

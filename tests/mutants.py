@@ -89,6 +89,11 @@ WORDS = "tests/test_standards.py::TestRegisterWords::test_stages_equal_the_oracl
 WINDOW = "tests/test_energy.py::TestWindowEnergy::"
 BLOCK = "tests/test_signal.py::TestSampleStreamBlock::"
 LATCH = "tests/test_correlator.py::TestLatchEnable::"
+WINDOW_MAX = (
+    "tests/test_standards.py::TestRegisterValidation::"
+    "test_energy_window_above_the_maximum_allocates_nothing"
+)
+EXACT = "tests/test_coarse.py::TestExactTrigger::"
 
 CATALOGUE = (
     # the streaming bank's datapath
@@ -182,15 +187,31 @@ CATALOGUE = (
         Mutant(
             f"decode-{name}-check-dropped",
             STANDARDS,
-            f'_positive(regs, "{key}")',
+            f'_positive(regs, "{key}"{most})',
             f'regs.read("{key}")',
             (f"{BAD_WORD}[{name}]",),
         )
-        for name, key in (
-            ("window", "energy/window_len"),
-            ("lag", "coarse/lag"),
-            ("plateau", "coarse/plateau"),
+        for name, key, most in (
+            ("window", "energy/window_len", ", MAX_ENERGY_WINDOW"),
+            ("lag", "coarse/lag", ""),
+            ("plateau", "coarse/plateau", ""),
         )
+    ),
+    # and an energy window wider than the exceedance register, before the
+    # streaming bank sizes its register to it
+    Mutant(
+        "decode-window-maximum-dropped",
+        STANDARDS,
+        '_positive(regs, "energy/window_len", MAX_ENERGY_WINDOW)',
+        '_positive(regs, "energy/window_len")',
+        (f"{WINDOW_MAX}[65537]",),
+    ),
+    Mutant(
+        "energy-config-window-maximum-dropped",
+        "src/pktdet/energy.py",
+        "if not 1 <= self.window_len <= MAX_ENERGY_WINDOW:",
+        "if not 1 <= self.window_len:",
+        (f"{WINDOW_MAX}[65537]",),
     ),
     Mutant(
         "decode-count-check-dropped",
@@ -210,8 +231,8 @@ CATALOGUE = (
     Mutant(
         "sample-threshold-inclusive",
         "src/pktdet/energy.py",
-        "exceed = stream.energy > thr_raw",
-        "exceed = stream.energy >= thr_raw",
+        "stream.energy > thr_raw",
+        "stream.energy >= thr_raw",
         (f"{WINDOW}test_zero_stream", f"{WINDOW}test_unit_samples", WORDS),
     ),
     # the int64 code block, the shared int64 prefix sums, the per-sample
@@ -296,9 +317,19 @@ CATALOGUE = (
     Mutant(
         "coarse-terms-block-in-int32",
         COARSE,
-        "terms = np.empty((n - lag, 3), dtype=np.int64)",
-        "terms = np.empty((n - lag, 3), dtype=np.int32)",
+        "terms = np.empty((max(n - lag, 0), 3), dtype=np.int64)",
+        "terms = np.empty((max(n - lag, 0), 3), dtype=np.int32)",
         (f"{METRIC}test_full_scale_long_stream_stays_exact",),
+    ),
+    Mutant(
+        "coarse-short-stream-unclamped",
+        COARSE,
+        "terms = np.empty((max(n - lag, 0), 3)",
+        "terms = np.empty((n - lag, 3)",
+        (
+            f"{METRIC}test_short_stream_has_no_positions[1]",
+            f"{EXACT}test_matches_the_exact_oracle",
+        ),
     ),
     Mutant(
         "coarse-r2-floor-dropped",
@@ -307,19 +338,60 @@ CATALOGUE = (
         "r2 = squares[:, 2]",
         (f"{METRIC}test_all_zero_stream_scores_zero",),
     ),
+    # the R = 0 rule dropped without numpy's warning: M is NaN there, below
+    # even a threshold of 0
+    Mutant(
+        "coarse-r0-rule-dropped",
+        COARSE,
+        "    r2 = np.maximum(squares[:, 2], 1.0)\n    return np.divide(p2, r2, out=p2)",
+        '    with np.errstate(invalid="ignore"):\n'
+        "        return np.divide(p2, squares[:, 2], out=p2)",
+        (
+            f"{EXACT}test_silent_windows_are_above_only_at_threshold_zero[0-0]",
+            f"{EXACT}test_matches_the_exact_oracle",
+        ),
+    ),
+    # the exact compare: the float screen's band settled in Python ints
     Mutant(
         "coarse-threshold-strict",
         COARSE,
-        ">= thr_q15 / (1 << 15)",
-        "> thr_q15 / (1 << 15)",
-        (METRIC_SCAN,),
+        ">= thr_q15 * r * r",
+        "> thr_q15 * r * r",
+        (f"{EXACT}test_exact_ties_are_above", f"{EXACT}test_matches_the_exact_oracle"),
+    ),
+    Mutant(
+        "coarse-float-compare-restored",
+        COARSE,
+        "    above = metric >= hi\n    for d in (above != (metric >= lo)).nonzero()[0].tolist():",
+        "    above = metric >= t\n    for d in []:",
+        (
+            f"{EXACT}test_detect_coarse_decides_the_tie_exactly",
+            f"{EXACT}test_matches_the_exact_oracle",
+        ),
+    ),
+    Mutant(
+        "coarse-band-zero",
+        COARSE,
+        "lo, hi = t * (1 - 2.0**-48), t * (1 + 2.0**-48)",
+        "lo, hi = t, t",
+        (
+            f"{EXACT}test_detect_coarse_decides_the_tie_exactly",
+            f"{EXACT}test_matches_the_exact_oracle",
+        ),
     ),
     Mutant(
         "coarse-plateau-one-longer",
         COARSE,
-        "_first_run(above, plateau)",
-        "_first_run(above, plateau + 1)",
-        (METRIC_SCAN,),
+        "_run_starts(above, plateau)",
+        "_run_starts(above, plateau + 1)",
+        (METRIC_SCAN, f"{EXACT}test_matches_the_exact_oracle"),
+    ),
+    Mutant(
+        "coarse-runs-one-short",
+        COARSE,
+        "starts[ends - starts >= width]",
+        "starts[ends - starts > width]",
+        ("tests/test_coarse.py::TestTrigger::test_matches_naive_scan",),
     ),
     # equal register-map builds share one map, and only equal ones do
     *(
@@ -385,6 +457,17 @@ CATALOGUE = (
         # lost zero is not trailing, or that are longer than its 4-word pool,
         # draw another stream
         SEED_WORDS[:2] + SEED_WORDS[4:],
+    ),
+    # a trial another standard wins is no miss
+    Mutant(
+        "false-standard-reported-as-missed",
+        "src/pktdet/harness.py",
+        "        return TrialOutcome.CORRECT\n    return TrialOutcome.FALSE_STANDARD\n",
+        "        return TrialOutcome.CORRECT\n    return TrialOutcome.MISSED\n",
+        (
+            "tests/test_harness.py::TestRunTrial::"
+            "test_another_standard_winning_is_a_false_standard",
+        ),
     ),
     # gate-run starts only for candidates, and the arbitration that reads them
     Mutant(

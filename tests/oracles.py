@@ -192,6 +192,21 @@ def plateau_scan(metric, threshold: float, plateau: int) -> int | None:
     return None
 
 
+def maximal_run_starts(values, width: int) -> list[int]:
+    """Start of every maximal run of at least ``width`` true values, by one
+    pass that measures each run when it ends."""
+    starts = []
+    run_start = None
+    for k, value in enumerate([*values, False]):
+        if value and run_start is None:
+            run_start = k
+        elif not value and run_start is not None:
+            if k - run_start >= width:
+                starts.append(run_start)
+            run_start = None
+    return starts
+
+
 def coarse_trigger_exact(i_codes, q_codes, lag: int, thr_q15: int, plateau: int) -> int | None:
     """First start of ``plateau`` consecutive positions whose metric is at or
     above ``thr_q15 / 2**15``, decided as ``|P|**2 * 2**15 >= thr_q15 * R**2``

@@ -294,8 +294,9 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
         ("snr_db = 8,12\n", "snr_db = 0:nan:1\n", "finite"),
         ("snr_db = 8,12\n", "snr_db = nan:5:1\n", "finite"),
         ("snr_db = 8,12\n", "snr_db = 1:0:1\n", "snr_points_db"),
-        ("snr_db = 8,12\n", "snr_db = 0, nan\n", "NaN or -inf"),
-        ("snr_db = 8,12\n", "snr_db = 0, -inf\n", "NaN or -inf"),
+        ("snr_db = 8,12\n", "snr_db = 0, nan\n", "no finite noise level"),
+        ("snr_db = 8,12\n", "snr_db = 0, -inf\n", "no finite noise level"),
+        ("snr_db = 8,12\n", "snr_db = 0, 1e308\n", "no finite noise level"),
     ],
     ids=[
         "duplicate-section",
@@ -311,6 +312,7 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
         "snr-range-empty",
         "snr-list-nan",
         "snr-list-minus-inf",
+        "snr-list-huge",
     ],
 )
 def test_malformed_ini_exits_2(capsys, monkeypatch, tmp_path, old, new, message):
@@ -368,6 +370,23 @@ def test_non_finite_preamble_file_exits_2(capsys, tmp_path, repeated_block_captu
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: preamble samples must be finite\n"
+
+
+def test_overflowing_preamble_file_exits_2(capsys, tmp_path):
+    ref = tmp_path / "big.txt"
+    ref.write_text("1e200 0\n1 0\n")
+    profiles = tmp_path / "big.ini"
+    profiles.write_text(f"[profile big]\npreamble = file:{ref}\nthreshold = 3\n")
+    out = tmp_path / "big.iqpd"
+    for argv in (
+        ["gen-coeff", "--preamble", f"file:{ref}"],
+        ["gen-iq", "--profiles", str(profiles), "--transmit", "big", "--out", str(out)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: preamble samples are too large") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("snr", ["-inf", "1e308", "nan"])

@@ -4,14 +4,14 @@ from hypothesis import example, given, strategies as st
 
 from pktdet.coarse import (
     CoarseConfig,
-    _first_run,
+    _run_starts,
     detect_coarse,
     schmidl_cox_correlations,
     schmidl_cox_metric,
 )
 from pktdet.signal import Q1_15, SampleStream, add_awgn, pn_preamble, quantize
 
-from oracles import coarse_trigger_exact, plateau_scan, schmidl_point
+from oracles import coarse_trigger_exact, maximal_run_starts, plateau_scan, schmidl_point
 
 
 def repeated_block_stream(lag, seed=0, pad_after=0):
@@ -35,6 +35,31 @@ code_lists = st.lists(
     min_size=8,
     max_size=64,
 )
+
+
+@st.composite
+def near_tie_cases(draw):
+    """(codes, lag, thr_q15, plateau) over every stream length from 0 to three
+    windows of 2 * lag: loud or quiet codes, a first half repeated or a
+    silent tail, and thresholds of 0, of 1, of any word, or next to one
+    position's exact metric, where the float quotient is least sure."""
+    lag = draw(st.integers(1, 8))
+    component = draw(st.sampled_from([st.integers(-32768, 32767), st.integers(-3, 3)]))
+    codes = draw(st.lists(st.tuples(component, component), max_size=6 * lag))
+    shape = draw(st.sampled_from(["plain", "repeated", "silent-tail"]))
+    if shape == "repeated":
+        codes = codes[:lag] * 2 + codes[2 * lag :]
+    elif shape == "silent-tail":
+        codes = codes + [(0, 0)] * lag
+    thresholds = [st.just(0), st.just(1 << 15), st.integers(0, 1 << 17)]
+    if len(codes) >= 2 * lag:
+        d = draw(st.integers(0, len(codes) - 2 * lag))
+        p_re, p_im, r = schmidl_point([c[0] for c in codes], [c[1] for c in codes], lag, d)
+        if r:
+            tie = ((p_re * p_re + p_im * p_im) << 15) // (r * r)
+            thresholds.append(st.sampled_from([max(tie - 1, 0), tie, tie + 1]))
+    thr_q15 = min(draw(st.one_of(thresholds)), 0xFFFFFFFF)
+    return codes, lag, thr_q15, draw(st.integers(1, 6))
 
 
 class TestMetric:
@@ -92,18 +117,23 @@ class TestMetric:
         m1 = schmidl_cox_metric(quantize(rotated, Q1_15), lag)
         assert np.max(np.abs(m0 - m1)) < 5e-3
 
-    def test_short_stream_rejected(self):
-        stream = quantize(np.zeros(15, dtype=complex), Q1_15)
-        with pytest.raises(ValueError):
-            schmidl_cox_metric(stream, 8)
+    @pytest.mark.parametrize("length", [0, 1, 7, 8, 15])
+    def test_short_stream_has_no_positions(self, length):
+        # below two half-periods no window fills, down to an empty stream
+        stream = quantize(np.ones(length, dtype=complex), Q1_15)
+        assert schmidl_cox_correlations(stream, 8).shape == (3, 0)
+        assert schmidl_cox_metric(stream, 8).shape == (0,)
+        assert detect_coarse(stream, 8, 0, 1).first_trigger is None
+        with pytest.raises(ValueError, match="lag"):
+            schmidl_cox_correlations(stream, 0)
 
 
 class TestTrigger:
     def test_constant_metric_triggers_at_zero(self):
-        assert _first_run(np.ones(16, dtype=bool), 4) == 0
+        assert _run_starts(np.ones(16, dtype=bool), 4).tolist() == [0]
 
     def test_silent_metric_never_triggers(self):
-        assert _first_run(np.zeros(16, dtype=bool), 4) is None
+        assert _run_starts(np.zeros(16, dtype=bool), 4).tolist() == []
 
     @given(
         st.lists(st.booleans(), max_size=64) | run_lists,
@@ -113,7 +143,9 @@ class TestTrigger:
     @example([True] * 7 + [False] + [True] * 8, 8)
     def test_matches_naive_scan(self, above, width):
         # widths past the length and the largest plateau register included
-        assert _first_run(above, width) == plateau_scan(above, True, width)
+        starts = _run_starts(np.array(above, dtype=bool), width).tolist()
+        assert starts == maximal_run_starts(above, width)
+        assert (starts or [None])[0] == plateau_scan(above, True, width)
 
     @given(
         st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=64),
@@ -169,12 +201,37 @@ class TestExactTrigger:
         assert coarse_trigger_exact(self.I_CODES, self.Q_CODES, 16, 1 << 14, 1) is None
         assert coarse_trigger_exact(self.I_CODES, self.Q_CODES, 16, (1 << 14) - 1, 1) == 0
 
-    @pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: the float metric rounds M up to the threshold"
-    )
     def test_detect_coarse_decides_the_tie_exactly(self):
+        # the float metric is exactly 0.5, inside the band the ints settle
         stream = stream_from_codes(list(zip(self.I_CODES, self.Q_CODES)))
+        assert schmidl_cox_metric(stream, 16)[0] == 0.5
         assert detect_coarse(stream, 16, 1 << 14, 1).first_trigger is None
+        assert detect_coarse(stream, 16, (1 << 14) - 1, 1).first_trigger == 0
+
+    def test_exact_ties_are_above(self):
+        # identical halves give P = R, so M = 1 exactly at t = 1
+        stream = repeated_block_stream(lag=16, seed=4)
+        assert detect_coarse(stream, 16, 1 << 15, 1).first_trigger == 0
+        assert detect_coarse(stream, 16, (1 << 15) + 1, 1).first_trigger is None
+
+    @pytest.mark.parametrize("thr_q15, trigger", [(0, 0), (1, None)])
+    def test_silent_windows_are_above_only_at_threshold_zero(self, thr_q15, trigger):
+        stream = quantize(np.zeros(40, dtype=complex), Q1_15)
+        assert detect_coarse(stream, 8, thr_q15, 4).first_trigger == trigger
+
+    @given(near_tie_cases())
+    @example((list(zip(I_CODES, Q_CODES)), 16, 1 << 14, 1))
+    @example((list(zip(I_CODES, Q_CODES)), 16, (1 << 14) - 1, 1))
+    @example(([(5, -3), (2, 7)] * 2, 2, 1 << 15, 1))  # M = 1 = t exactly
+    @example(([(0, 0)] * 4, 1, 0, 3))  # R = 0 throughout, at t = 0
+    @example(([], 1, 0, 1))
+    def test_matches_the_exact_oracle(self, case):
+        codes, lag, thr_q15, plateau = case
+        i = [c[0] for c in codes]
+        q = [c[1] for c in codes]
+        expected = coarse_trigger_exact(i, q, lag, thr_q15, plateau)
+        stream = stream_from_codes(codes)
+        assert detect_coarse(stream, lag, thr_q15, plateau).first_trigger == expected
 
 
 class TestConfigValidation:

@@ -101,6 +101,10 @@ def test_bad_preamble_sources(tmp_path):
     bad.write_text("1 2 3\n")
     with pytest.raises(ValueError):
         read_complex_file(bad)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no samples\n\n")
+    with pytest.raises(ValueError, match="no samples found"):
+        parse_preamble_source(f"file:{empty}")
 
 
 def test_load_sweep_config(tmp_path):
@@ -115,6 +119,12 @@ def test_load_sweep_config(tmp_path):
     assert cfg.pad_after == 48
     assert cfg.energy is not None and cfg.energy.window_len == 16
     assert cfg.coarse is None
+
+
+def test_single_pad_before_value(tmp_path):
+    path = tmp_path / "sweep.ini"
+    path.write_text(SWEEP.replace("pad_before = 32:64", "pad_before = 40") + PROFILES)
+    assert load_sweep_config(path).pad_before_range == (40, 40)
 
 
 def test_snr_comma_list(tmp_path):

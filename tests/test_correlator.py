@@ -119,6 +119,10 @@ class TestCoefficientBank:
             CoefficientBank(length=33, i_words=(0,), q_words=(0,))
         with pytest.raises(ValueError):
             CoefficientBank(length=8, i_words=(0x100,), q_words=(0,))
+        with pytest.raises(ValueError, match="bank length must be >= 1"):
+            CoefficientBank(length=0, i_words=(), q_words=())
+        with pytest.raises(ValueError, match="unsigned 32-bit"):
+            CoefficientBank(length=40, i_words=(-1, 0), q_words=(0, 0))
 
     @given(sign_pair_lists)
     def test_dump_parse_round_trip(self, pairs):
@@ -153,6 +157,11 @@ class TestCoefficientBank:
     def test_parse_rejects_wrong_word_count(self):
         with pytest.raises(ValueError):
             parse_bank("n=64\n00000000\n00000000\n00000000\n")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "00000000\nn=1\n"])
+    def test_parse_needs_the_length_line_first(self, text):
+        with pytest.raises(ValueError, match="must start with 'n=<length>'"):
+            parse_bank(text)
 
 
 class TestCorrelateAt:
@@ -407,6 +416,10 @@ class TestLatchEnable:
     def test_zero_holdoff_is_identity(self):
         raw = np.array([1, 0, 1, 0], dtype=bool)
         assert latch_enable(raw, 0).tolist() == raw.tolist()
+
+    def test_negative_holdoff_rejected(self):
+        with pytest.raises(ValueError, match="holdoff must be >= 0"):
+            latch_enable([True], -1)
 
     @given(st.lists(st.booleans(), max_size=64))
     def test_largest_holdoff_register(self, raw):

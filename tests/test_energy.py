@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ def make_stream(values):
 
 code_lists = st.lists(
     st.tuples(st.integers(-32768, 32767), st.integers(-32768, 32767)),
-    min_size=4,
     max_size=48,
 )
 
@@ -104,8 +104,8 @@ class TestEnergyGate:
     @example(codes=[(30000, 0)] * 6, window_len=4, threshold=0.0, count_threshold=3)
     @given(code_lists, st.integers(1, 8), st.floats(0, 2.5), st.integers(0, 8))
     def test_matches_naive_recount(self, codes, window_len, threshold, count_threshold):
+        # windows longer than the stream included
         stream = stream_from_codes(codes)
-        window_len = min(window_len, len(stream))
         cfg = EnergyConfig(window_len, threshold, min(count_threshold, window_len))
         expected = naive_gate(stream, cfg)
         assert gate(stream, cfg).tolist() == expected
@@ -142,10 +142,23 @@ class TestEnergyGate:
         assert enable[7:].all()
         assert streamed_enable(stream, cfg) == enable.tolist()
 
-    def test_short_stream_rejected(self):
-        stream = make_stream(np.zeros(4, dtype=complex))
-        with pytest.raises(ValueError):
-            enable_array(stream, 8, 0, 2)
+    @pytest.mark.parametrize("length", [0, 1, 4, 7])
+    def test_short_stream_gives_a_closed_gate(self, length):
+        # no 8-sample window fills, however loud the stream
+        stream = make_stream(0.9 * np.ones(length, dtype=complex))
+        assert enable_array(stream, 8, 0, 0).tolist() == [False] * length
+
+    def test_longest_window_register_allocates_nothing_for_it(self):
+        stream = make_stream(0.9 * np.ones(16, dtype=complex))
+        stream.energy  # built once per stream, whatever the window
+        tracemalloc.start()
+        try:
+            enable = enable_array(stream, 0xFFFFFFFF, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert enable.tolist() == [False] * 16
+        assert peak < 1 << 20
 
     def test_wide_format_stays_exact(self):
         # formats wider than 16 bits are refused, so int64 energies never wrap

@@ -16,6 +16,7 @@ from pktdet.harness import (
     run_trial,
     scenario_profiles,
 )
+from pktdet.signal import Preamble, add_awgn, pn_preamble
 from pktdet.standards import StandardProfile, build_register_map
 
 from oracles import float_xcorr_argmax
@@ -51,6 +52,20 @@ class TestRunTrial:
         )
         cfg = tiny_config(profiles=profiles)
         assert run_trial(cfg, math.inf, (7, 0, 0)) is TrialOutcome.MISSED
+
+    def test_another_standard_winning_is_a_false_standard(self):
+        # the long reference is 32 silent samples (codes of 0 count as +1)
+        # then the short one, so it matches the short preamble after its
+        # zero pad, as well as the short reference does; the longer
+        # correlator wins arbitration
+        short = pn_preamble(32, (3, 0))
+        long = Preamble(np.concatenate([np.full(32, 1 + 1j), short.samples]))
+        profiles = (StandardProfile("short", short, 60), StandardProfile("long", long, 120))
+        cfg = tiny_config(profiles=profiles, transmitted_profile_id="short")
+        assert run_trial(cfg, math.inf, (7, 0, 0)) is TrialOutcome.FALSE_STANDARD
+        cfg = replace(cfg, snr_points_db=(math.inf,), trials_per_point=3)
+        (row,) = run_sweep(cfg).rows
+        assert (row.correct, row.missed, row.false_standard) == (0, 0, 3)
 
     def test_register_map_built_once_per_config(self, monkeypatch):
         built = []
@@ -195,11 +210,24 @@ class TestRunSweep:
             tiny_config(pad_before_range=(10, 5))
         with pytest.raises(ValueError, match="snr_points_db"):
             tiny_config(snr_points_db=())
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            tiny_config(seed=-1)
+        with pytest.raises(ValueError, match="profile ids must be unique"):
+            profiles = scenario_profiles(seed=7)
+            tiny_config(profiles=profiles + profiles[1:2])
+        with pytest.raises(ValueError, match="pad_after must be >= 0"):
+            tiny_config(pad_after=-1)
 
-    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
-    def test_snr_points_without_a_noise_level_are_rejected(self, snr):
-        with pytest.raises(ValueError, match="NaN or -inf"):
-            default_sweep_config(snr_points_db=(0.0, snr))
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf, 1e308, -1e308])
+    def test_snr_points_without_a_noise_level_are_rejected(self, monkeypatch, snr):
+        # rejected by the rule add_awgn applies, before any trial runs
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
+        with pytest.raises(ValueError, match="no finite noise level"):
+            run_sweep(default_sweep_config(snr_points_db=(0.0, snr), trials_per_point=5))
+        assert trials == []
+        with pytest.raises(ValueError, match="no finite noise level"):
+            add_awgn(np.ones(4), snr, 0)
 
     def test_snr_point_at_plus_inf_means_no_noise(self):
         cfg = tiny_config(snr_points_db=(math.inf,), trials_per_point=2)

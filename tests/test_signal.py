@@ -269,6 +269,15 @@ class TestSampleStreamBlock:
             SampleStream(format=Q1_15, i=i, q=q)
 
     @pytest.mark.parametrize(
+        "i, q",
+        [(np.zeros(3, int), np.zeros(2, int)), (np.zeros((2, 2), int), np.zeros((2, 2), int))],
+        ids=["unequal", "2-d"],
+    )
+    def test_rejects_rows_that_are_not_one_pair(self, i, q):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            SampleStream(format=Q1_15, i=i, q=q)
+
+    @pytest.mark.parametrize(
         "code", [np.uint64(2**63), np.uint64(32768), np.int64(-32769), np.int64(2**40)]
     )
     def test_rejects_codes_beyond_the_format_in_any_integer_type(self, code):
@@ -405,6 +414,21 @@ class TestPnPreamble:
     def test_non_finite_samples_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             Preamble(np.array([0.5 + 0.5j, bad]))
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[1e200, 1.0], [1e154 + 1e154j], [1.3e154, 1.3e154], [2.0**500], [-(2.0**500) * 1j]],
+        ids=["square", "complex-square", "sum", "at-the-cap", "at-the-cap-q"],
+    )
+    def test_overflowing_power_rejected(self, samples):
+        # each rejected without numpy's overflow warning (an error in tier-1)
+        with pytest.raises(ValueError, match="preamble samples are too large"):
+            Preamble(np.array(samples))
+
+    def test_largest_components_keep_a_finite_power(self):
+        below = np.nextafter(2.0**500, 0)
+        power = Preamble(np.full(MAX_PREAMBLE_LEN, complex(below, -below))).mean_power
+        assert math.isfinite(power) and power == pytest.approx(2 * below**2)
 
 
 def window_sums(values, width: int) -> np.ndarray:

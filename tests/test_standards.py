@@ -2,6 +2,7 @@ import copy
 import math
 from dataclasses import replace
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pktdet.correlator import SignCorrelator, latch_enable, load_coefficients
 from pktdet.energy import EnergyConfig, enable_array
 from pktdet.harness import scenario_profiles
 from pktdet.signal import (
+    MAX_ENERGY_WINDOW,
     MAX_PREAMBLE_LEN,
     FixedPointFormat,
     Preamble,
@@ -39,11 +41,10 @@ from pktdet.standards import (
 
 from oracles import (
     arbitrated_events,
+    coarse_trigger_exact,
     latched_run_starts,
     oracle_enable,
-    plateau_scan,
     run_peaks,
-    schmidl_point,
     sign_partials,
 )
 from streaming import as_outputs, push_run, same_outputs, sign_pairs
@@ -703,6 +704,59 @@ class TestRunDetectorBank:
             gate_index = max(k for k in starts if k <= event.peak_index)
             assert event.stage_trace == (gate_index, coarse_index)
 
+    @given(st.data())
+    def test_every_stream_length_takes_each_stage_rule(self, data):
+        # streams from empty to three times the longer of the energy window
+        # and the coarse stage's 2L: each stage decides them by its own rule,
+        # and a stage whose window never fills keeps every event out
+        window, lag = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(0, 3 * max(window, 2 * lag)))
+        component = st.integers(-600, 600) | st.integers(-2, 2)
+        codes = data.draw(st.lists(st.tuples(component, component), min_size=n, max_size=n))
+        i, q = [c[0] for c in codes], [c[1] for c in codes]
+        stream = SampleStream(format=Q1_15, i=np.array(i, int), q=np.array(q, int))
+        thr_raw = data.draw(st.integers(0, 8) | st.integers(0, 2 * 600**2))
+        count = data.draw(st.integers(0, window))
+        thr_q15 = data.draw(st.sampled_from([0, 1 << 15]) | st.integers(0, 1 << 16))
+        plateau = data.draw(st.integers(1, 4))
+        expected = oracle_enable(i, q, window, thr_raw, count)
+        assert enable_array(stream, window, thr_raw, count).tolist() == expected
+        expected = coarse_trigger_exact(i, q, lag, thr_q15, plateau)
+        assert detect_coarse(stream, lag, thr_q15, plateau).first_trigger == expected
+
+        length = data.draw(st.integers(1, 8))
+        p = profile("a", length, data.draw(st.integers(1, 2 * length)))
+        energy_on, coarse_on = data.draw(st.booleans()), data.draw(st.booleans())
+        words = {
+            "energy/enabled": energy_on,
+            "energy/window_len": window,
+            "energy/sample_thresh_raw": thr_raw,
+            "energy/count_thresh": count,
+            "coarse/enabled": coarse_on,
+            "coarse/lag": lag,
+            "coarse/thresh_q15": thr_q15,
+            "coarse/plateau": plateau,
+        }
+        regs = RegisterMap({**build_register_map([p]), **words})
+        events = run_detector_bank(stream, [p], regs)
+        if (energy_on and n < window) or (coarse_on and n < 2 * lag):
+            assert events == []
+
+    def test_longest_coarse_words_allocate_nothing_for_them(self):
+        p = profile("a", 8, 10)
+        regs = build_register_map([p], EnergyConfig(4, 0.25, 1), CoarseConfig(1, 0.5, 1))
+        regs = regs.write("coarse/lag", 0xFFFFFFFF).write("coarse/plateau", 0xFFFFFFFF)
+        stream = quantize(0.9 * np.ones(16, dtype=complex), Q1_15)
+        stream.energy  # built once per stream, whatever the registers
+        _decode_registers([p], regs)
+        tracemalloc.start()
+        try:
+            events = run_detector_bank(stream, [p], regs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert events == [] and peak < 1 << 20
+
     def test_event_and_candidate_fields_are_builtin_ints(self):
         # == cannot tell np.int64 from int, but an event's repr can
         p, stream, regs = repeated_block_capture()
@@ -793,10 +847,9 @@ class TestRegisterWords:
         codes=st.lists(
             st.tuples(st.integers(-3, 3), st.integers(-3, 3))
             | st.tuples(st.integers(-600, 600), st.integers(-600, 600)),
-            min_size=2,
             max_size=64,
         ),
-        window=st.integers(0, 70),
+        window=st.integers(0, 70) | st.just(MAX_ENERGY_WINDOW + 1),
         thr_raw=st.integers(0, 20) | st.integers(0, 800_000) | st.just(0xFFFFFFFF),
         count_pick=st.integers(0, 70),
         lag=st.integers(0, 33),
@@ -809,11 +862,9 @@ class TestRegisterWords:
     def test_stages_equal_the_oracles_fed_the_words(
         self, codes, window, thr_raw, count_pick, lag, thr_q15, plateau
     ):
-        # codes of at most 600 keep |P|**2 and R**2 below 2**53, so the
-        # float metric of both the package and the oracle is the correctly
-        # rounded quotient of the exact integers
+        # windows and half-periods longer than the stream included
         i, q = [c[0] for c in codes], [c[1] for c in codes]
-        stream = SampleStream(format=Q1_15, i=np.array(i), q=np.array(q))
+        stream = SampleStream(format=Q1_15, i=np.array(i, int), q=np.array(q, int))
         count = count_pick % (window + 2)  # now and then one above the window
         words = {
             "energy/window_len": window,
@@ -827,23 +878,16 @@ class TestRegisterWords:
         regs = build_register_map([p], EnergyConfig(), CoarseConfig())
         for key, word in words.items():
             regs = regs.write(key, word)
-        if min(window, lag, plateau) < 1 or count > window:
+        if min(window, lag, plateau) < 1 or count > window or window > MAX_ENERGY_WINDOW:
             with pytest.raises(ConfigurationError):
                 _decode_registers([p], regs)
             return
         view = _decode_registers([p], regs)
         assert (view.energy, view.coarse) == ((window, thr_raw, count), (lag, thr_q15, plateau))
-        n = len(stream)
-        if window <= n:
-            expected = oracle_enable(i, q, window, thr_raw, count)
-            assert enable_array(stream, *view.energy).tolist() == expected
-        if 2 * lag <= n:
-            metric = []
-            for d in range(n - 2 * lag + 1):
-                p_re, p_im, r = schmidl_point(i, q, lag, d)
-                metric.append((p_re**2 + p_im**2) / r**2 if r else 0.0)
-            expected = plateau_scan(metric, thr_q15 / 2**15, plateau)
-            assert detect_coarse(stream, *view.coarse).first_trigger == expected
+        expected = oracle_enable(i, q, window, thr_raw, count)
+        assert enable_array(stream, *view.energy).tolist() == expected
+        expected = coarse_trigger_exact(i, q, lag, thr_q15, plateau)
+        assert detect_coarse(stream, *view.coarse).first_trigger == expected
 
 
 class TestRegisterValidation:
@@ -885,6 +929,26 @@ class TestRegisterValidation:
         with pytest.raises(ConfigurationError, match=key):
             DetectorBank([p], regs, Q1_15).update_registers(bad)
 
+    @pytest.mark.parametrize("window", [MAX_ENERGY_WINDOW + 1, 0xFFFFFFFF])
+    def test_energy_window_above_the_maximum_allocates_nothing(self, window):
+        # the streaming bank's exceedance register would be ``window`` bits
+        p = profile("a", 32, 50)
+        regs = build_register_map([p], energy=EnergyConfig(16, 0.25, 8))
+        bad = regs.write("energy/window_len", window)
+        bank = DetectorBank([p], regs, Q1_15)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="energy/window_len"):
+                DetectorBank([p], bad, Q1_15)
+            with pytest.raises(ConfigurationError, match="energy/window_len"):
+                bank.update_registers(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match=f"window_len must be in .1, {MAX_ENERGY_WINDOW}."):
+            EnergyConfig(window, 0.25, 8)
+
     def test_coarse_threshold_above_one_is_a_word_like_any(self):
         # a loud half, then a quiet half of the same phase: P = 16 * 2 * 2000
         # * 1000 and R = 16 * 2 * 1000**2, so M = 4 at the one position
@@ -899,6 +963,13 @@ class TestRegisterValidation:
             assert detect_coarse(stream, *coarse).first_trigger == trigger
             events = run_detector_bank(stream, [p], regs)
             assert [e.stage_trace for e in events] == ([] if trigger is None else [(None, 0)])
+
+    def test_no_profiles_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one profile"):
+            build_register_map([])
+        regs = build_register_map([profile("a", 32, 50)])
+        with pytest.raises(ConfigurationError, match="at least one profile"):
+            _decode_registers([], regs)
 
     def test_zero_threshold_register(self):
         p = profile("a", 32, 50)
