@@ -29,6 +29,9 @@ MAX_PREAMBLE_LEN = 1 << 14
 # The energy gate's exceedance register holds one bit per window sample, so
 # its width, and the longest window, is fixed too.
 MAX_ENERGY_WINDOW = 1 << 16
+# The longest zero pad on either side of an embedded preamble (256 MiB of
+# complex128); a longer one is refused before anything is allocated.
+MAX_PAD = 1 << 24
 
 # Preamble components below this magnitude keep the mean power of the
 # longest preamble finite: 2**14 samples of 2 * 2**1000 sum below 2**1016.
@@ -37,6 +40,10 @@ _MAX_PREAMBLE_MAGNITUDE = 2.0**500
 # a value of this magnitude or more quantizes to a saturated code in every
 # format (at most 16 bits, so |code| <= 2**15)
 _SATURATING = float(1 << 16)
+# the float64 just below one half: added to a scaled magnitude, it rounds
+# k + 0.5 up to k + 1 yet leaves 0.5 - 2**-54 below 1, where adding 0.5
+# itself would round that sum up to 1.0
+_JUST_BELOW_HALF = float(np.nextafter(0.5, 0.0))
 
 
 def _int_fields(obj, *names: str) -> None:
@@ -229,12 +236,14 @@ def quantize(values, fmt: FixedPointFormat = Q1_15) -> SampleStream:
     if v.ndim != 1:
         raise ValueError("i and q must be 1-D arrays of equal length")
     pairs = np.ascontiguousarray(v).view(np.float64).reshape(-1, 2)
-    # round half away from zero, sign(x) * floor(|x| * scale + 0.5), in
+    # round half away from zero, sign(x) * floor(|x| * scale + 1/2), in
     # place.  A magnitude of 2**16 or more saturates every format, so capping
-    # it there first keeps the scaling finite; below 2**16 every step is exact
+    # it there first keeps the scaling finite.  Scaling by a power of two is
+    # exact; the addition is not, so it adds the float just below 1/2, whose
+    # sum floors to the exact rounding at every magnitude up to the cap
     rounded = np.minimum(np.abs(pairs), _SATURATING)
     rounded *= fmt.scale
-    rounded += 0.5
+    rounded += _JUST_BELOW_HALF
     np.floor(rounded, out=rounded)
     np.copysign(rounded, pairs, out=rounded)
     clipped = np.maximum(rounded, fmt.min_code)
@@ -254,10 +263,10 @@ def embed_preamble(
     """Build ``zeros(pad_before) ++ preamble ++ zeros(pad_after)``.
 
     Returns the signal and the ground-truth preamble start index
-    (== ``pad_before``).
+    (== ``pad_before``).  Each pad must lie in [0, MAX_PAD].
     """
-    if pad_before < 0 or pad_after < 0:
-        raise ValueError("pads must be non-negative")
+    if not (0 <= pad_before <= MAX_PAD and 0 <= pad_after <= MAX_PAD):
+        raise ValueError(f"pads must be in [0, {MAX_PAD}] samples")
     parts = [
         np.zeros(pad_before, dtype=np.complex128),
         preamble.samples,

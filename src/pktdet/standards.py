@@ -406,7 +406,10 @@ class DetectorBank:
     """Streaming energy + fine pipeline with runtime register adoption.
 
     Single-owner: feed samples one at a time; each call returns the raw
-    correlator output per profile id (None where gated off or not ready).
+    correlator output per profile id, in registration order (None where
+    gated off, disabled or not ready).  Every call returns a fresh map: on a
+    closed gate, a copy of the bank's idle map, every id None.  The tap
+    table holds the enabled profiles only, so a disabled one costs nothing.
     A register map passed to :meth:`update_registers` is in force, in full,
     from the next push: the owner calls it between pushes, so it always
     lands on a sample boundary and every output is explainable by exactly
@@ -431,6 +434,7 @@ class DetectorBank:
         self._profiles = list(profiles)
         self._lo, self._hi = fmt.min_code, fmt.max_code
         self._adopt(regs)
+        self._idle = dict.fromkeys(profile.id for profile in self._profiles)
         self._win_i = self._win_q = 0
         self._exceed = 0
         self._seen = 0
@@ -454,8 +458,9 @@ class DetectorBank:
         self._thr_raw, self._count_thr = thr_raw, count
         self._holdoff = view.holdoff
         self._taps = tuple(
-            (profile.id, bank.length, span - bank.length, *bank._packed, on)
+            (profile.id, bank.length, span - bank.length, *bank._packed)
             for profile, bank, on in zip(self._profiles, view.banks, view.enabled)
+            if on
         )
 
     def update_registers(self, regs: RegisterMap) -> None:
@@ -478,15 +483,15 @@ class DetectorBank:
         seen = self._seen = self._seen + 1
         above = i * i + q * q > self._thr_raw
         exceed = self._exceed = ((self._exceed << 1) | above) & self._mask
+        outs = self._idle.copy()
         if seen >= self._window_len and exceed.bit_count() > self._count_thr:
             self._holdoff_left = self._holdoff
-            enabled = True
+        elif self._holdoff_left:
+            self._holdoff_left -= 1
         else:
-            enabled = self._holdoff_left > 0
-            self._holdoff_left = max(0, self._holdoff_left - 1)
-        outs = {}
-        for pid, n, shift, b_i, b_q, on in self._taps:
-            if enabled and on and seen >= n:
+            return outs
+        for pid, n, shift, b_i, b_q in self._taps:
+            if seen >= n:
                 w_i, w_q = win_i >> shift, win_q >> shift
                 # positional, in field order p_ii, p_qq, p_qi, p_iq
                 outs[pid] = CorrelatorOutput(
@@ -495,6 +500,4 @@ class DetectorBank:
                     n - 2 * (w_q ^ b_i).bit_count(),
                     n - 2 * (w_i ^ b_q).bit_count(),
                 )
-            else:
-                outs[pid] = None
         return outs

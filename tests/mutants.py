@@ -60,7 +60,7 @@ BAD_PUSH = (
     f"{STREAM}test_push_rejects_codes_outside_the_format[q2.10]",
 )
 MALFORMED = "tests/test_cli.py::test_malformed_ini_exits_2"
-TAP = "(profile.id, bank.length, span - bank.length, *bank._packed, on)"
+TAP = "(profile.id, bank.length, span - bank.length, *bank._packed)"
 COARSE = "src/pktdet/coarse.py"
 METRIC = "tests/test_coarse.py::TestMetric::"
 METRIC_SCAN = "tests/test_coarse.py::TestTrigger::test_detect_coarse_matches_the_metric_scan"
@@ -94,6 +94,7 @@ WINDOW_MAX = (
     "test_energy_window_above_the_maximum_allocates_nothing"
 )
 EXACT = "tests/test_coarse.py::TestExactTrigger::"
+TIE = "tests/test_signal.py::TestQuantize::test_rounds_half_away_from_zero_beside_the_tie"
 
 CATALOGUE = (
     # the streaming bank's datapath
@@ -114,8 +115,8 @@ CATALOGUE = (
     Mutant(
         "correlator-ready-one-late",
         STANDARDS,
-        "if enabled and on and seen >= n:",
-        "if enabled and on and seen > n:",
+        "            if seen >= n:\n",
+        "            if seen > n:\n",
         (
             "tests/test_correlator.py::TestCorrelateAt::test_underfilled_window_not_ready",
             f"{STREAM}test_mixed_lengths_match_the_oracle",
@@ -138,9 +139,35 @@ CATALOGUE = (
     Mutant(
         "holdoff-not-reloaded",
         STANDARDS,
-        "            self._holdoff_left = self._holdoff\n            enabled = True\n",
-        "            enabled = True\n",
+        "            self._holdoff_left = self._holdoff\n",
+        "            pass\n",
         (f"{STREAM}test_matches_batch_outputs_when_idle",),
+    ),
+    Mutant(
+        "holdoff-never-counts-down",
+        STANDARDS,
+        "            self._holdoff_left -= 1\n",
+        "            pass\n",
+        (f"{STREAM}test_matches_batch_outputs_when_idle",),
+    ),
+    # a closed gate answers with a copy of the idle map, and a disabled
+    # profile is no tap at all
+    Mutant(
+        "idle-map-shared",
+        STANDARDS,
+        "outs = self._idle.copy()",
+        "outs = self._idle",
+        (f"{STREAM}test_each_push_returns_a_fresh_map",),
+    ),
+    Mutant(
+        "disabled-taps-kept",
+        STANDARDS,
+        "            if on\n",
+        "",
+        (
+            f"{STREAM}test_each_push_returns_a_fresh_map",
+            f"{STREAM}test_profile_enables_adopted_at_the_next_push",
+        ),
     ),
     # a publish must swap the configuration only
     *(
@@ -278,6 +305,25 @@ CATALOGUE = (
         (
             f"{BLOCK}test_every_constructor_gives_the_same_block",
             f"{BLOCK}test_copies_integer_codes_into_its_own_block[int32]",
+        ),
+    ),
+    # quantize rounds with the float just below one half, and the embed
+    # refuses a pad past its cap before it allocates
+    Mutant(
+        "quantize-half-constant",
+        "src/pktdet/signal.py",
+        "rounded += _JUST_BELOW_HALF",
+        "rounded += 0.5",
+        tuple(f"{TIE}[{fmt}-below]" for fmt in ("q8.0", "q1.15")),
+    ),
+    Mutant(
+        "pad-cap-dropped",
+        "src/pktdet/signal.py",
+        "if not (0 <= pad_before <= MAX_PAD and 0 <= pad_after <= MAX_PAD):",
+        "if not (0 <= pad_before and 0 <= pad_after):",
+        (
+            "tests/test_cli.py::test_pad_past_the_cap_exits_2[gen-iq]",
+            "tests/test_cli.py::test_pad_past_the_cap_exits_2[sweep]",
         ),
     ),
     Mutant(

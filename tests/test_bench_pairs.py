@@ -128,3 +128,24 @@ def test_a_median_past_its_bound_is_flagged(tmp_path, monkeypatch, capsys, metri
     assert code == 0
     assert report["summary"]["samples_per_s"]["over_bound"] is over
     assert ("worse than its bound" in capsys.readouterr().err) is over
+
+
+# base values 100 apart, whose IQR of 450 a gain of 50 in every pair is within
+WIDE = {5 + k: 1000 + 100 * k for k in range(10)}
+
+
+@pytest.mark.parametrize(
+    "base, change, met",
+    [
+        (None, None, True),  # 100 better in every pair, base IQR 4.5
+        (None, {5: 904, 9: 908}, False),  # 100 better in 8 pairs only
+        (WIDE, {seed: value + 50 for seed, value in WIDE.items()}, False),
+    ],
+    ids=["met", "too-few-wins", "within-the-spread"],
+)
+def test_claim_met_needs_nine_wins_in_ten_beyond_the_base_spread(
+    tmp_path, monkeypatch, base, change, met
+):
+    code, report, _ = compare(tmp_path, monkeypatch, pairs=10, tables=(base, change))
+    assert code == 0
+    assert report["summary"]["samples_per_s"]["claim_met"] is met

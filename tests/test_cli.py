@@ -389,6 +389,23 @@ def test_overflowing_preamble_file_exits_2(capsys, tmp_path):
         assert err.startswith("error: preamble samples are too large") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["gen-iq", "sweep"])
+def test_pad_past_the_cap_exits_2(capsys, tmp_path, config_file, command):
+    # 10**13 zeros would take 146 TiB, so the pad is checked before the embed
+    # allocates, in the one place both commands reach
+    if command == "gen-iq":
+        argv = ["gen-iq", "--profiles", str(config_file), "--transmit", "pn32"]
+        argv += ["--pad-before", "10000000000000"]
+    else:
+        config_file.write_text(CONFIG.replace("pad_before = 32:48", "pad_before = 10000000000000"))
+        argv = ["sweep", "--config", str(config_file)]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "out").exists()
+    assert err == "error: pads must be in [0, 16777216] samples\n"
+
+
 @pytest.mark.parametrize("snr", ["-inf", "1e308", "nan"])
 @pytest.mark.parametrize("command", ["scope", "gen-iq"])
 def test_bad_snr_exits_2(capsys, tmp_path, config_file, command, snr):

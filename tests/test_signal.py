@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from pktdet.iqfile import read_iq, write_iq
 from pktdet.signal import (
+    MAX_PAD,
     MAX_PREAMBLE_LEN,
     FixedPointFormat,
     Preamble,
@@ -93,6 +94,26 @@ class TestQuantize:
         value = code_values(stream)[0]
         assert abs(value.real - 0.1) < 2.0**-15
         assert abs(value.imag - 0.7) < 2.0**-15
+
+    @pytest.mark.parametrize(
+        "fmt, magnitude, code",
+        [
+            (FixedPointFormat(8, 0), 0.49999999999999994, 0),
+            (FixedPointFormat(8, 0), 0.5, 1),
+            (FixedPointFormat(8, 0), 1.5, 2),
+            (FixedPointFormat(8, 0), 2.5, 3),
+            (Q1_15, 0.49999999999999994 * 2.0**-15, 0),
+            (Q1_15, 0.5 * 2.0**-15, 1),
+        ],
+        ids=["q8.0-below", "q8.0-half", "q8.0-1.5", "q8.0-2.5", "q1.15-below", "q1.15-half"],
+    )
+    def test_rounds_half_away_from_zero_beside_the_tie(self, fmt, magnitude, code):
+        # 0.49999999999999994 + 0.5 rounds up to 1.0 in float64, so the
+        # rounding must not add one half itself
+        values = [complex(magnitude, -magnitude)]
+        stream = quantize(values, fmt)
+        assert (int(stream.i[0]), int(stream.q[0])) == (code, -code)
+        assert quantize_oracle(values, fmt) == ([(code, -code)], 0)
 
     @example(fmt=Q1_15, values=[complex(math.inf, -math.inf), -0.0, complex(1e308, -1e308)])
     @example(fmt=FixedPointFormat(12, 10), values=[2 - 2j, 2 - 2.0005j, -0.0004882 + 0.0004883j])
@@ -305,6 +326,11 @@ class TestEmbed:
     def test_negative_pad_rejected(self):
         with pytest.raises(ValueError):
             embed_preamble(pn_preamble(8, 0), -1, 0)
+
+    @pytest.mark.parametrize("pads", [(MAX_PAD + 1, 0), (0, MAX_PAD + 1), (0, 10**13)])
+    def test_pad_past_the_cap_rejected(self, pads):
+        with pytest.raises(ValueError, match="pads must be in"):
+            embed_preamble(pn_preamble(8, 0), *pads)
 
     @pytest.mark.parametrize("seed,pad_before", [(3, 0), (4, 17), (5, 100)])
     def test_ground_truth_matches_float_correlation(self, seed, pad_before):

@@ -1126,6 +1126,28 @@ class TestStreamingDetectorBank:
         expected = [(n >= 15, n >= 31 and not 50 <= n < 100) for n in range(len(stream))]
         assert reported == expected
 
+    def test_each_push_returns_a_fresh_map(self):
+        # a one-sample gate with no hold-off is open on the loud samples only
+        lengths = {"c": 3, "a": 4, "b": 2}
+        profiles = [profile(pid, n, 1) for pid, n in lengths.items()]
+        regs = build_register_map(profiles, energy=EnergyConfig(1, 0.25, 0))
+        regs = regs.write("fine/holdoff", 0)
+        # profile a is disabled until the publish at sample 12, b after it
+        bank = DetectorBank(profiles, regs.write("prof1/enabled", 0), Q1_15)
+        for t in range(24):
+            if t == 12:
+                bank.update_registers(regs.write("prof2/enabled", 0))
+            loud = t % 3 != 2
+            code = 20000 if loud else 100
+            out = bank.push(code, -code)
+            assert list(out) == ["c", "a", "b"]
+            disabled = "a" if t < 12 else "b"
+            reporting = {pid for pid, n in lengths.items() if t + 1 >= n and pid != disabled}
+            got = {pid for pid, o in out.items() if o is not None}
+            assert got == (reporting if loud else set())
+            # the map is the caller's: what it does to it reaches no later push
+            out.update(c="stale", a="stale", b="stale", extra=None)
+
     @example(lengths=[1, 31, 32, 33], seed=0, publish_at=40)
     @example(lengths=[33, 1], seed=1, publish_at=0)
     @given(

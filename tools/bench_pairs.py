@@ -17,7 +17,10 @@ drift that both runs of a pair share cancels), and the pairs the change won
 repository root, or to ``--out``.  Whether higher or lower is better, and
 each metric's bound, come from the ``end_to_end`` list of
 ``BENCHMARK.json``; a metric whose ``median_change`` is worse than its
-bound is marked ``"over_bound": true`` and named on standard error.  A run
+bound is marked ``"over_bound": true`` and named on standard error.  A
+metric's ``claim_met`` holds when the change won at least 9 in 10 of the
+pairs and its median beats the base median, in the better direction, by
+more than the base's interquartile range (q3 - q1).  A run
 that crashes (no result line, or an exit code other than 0 or 1) ends the
 comparison without a retry: the file then holds the pairs finished before
 it and, under ``crashed``, that run's pair, side, seed, exit code and the
@@ -104,8 +107,9 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], spec: dict[str, dict]) -> dict:
-    """Per metric: each side's spread, the changes, the wins, and whether
-    the median change is worse than the metric's bound in ``spec``."""
+    """Per metric: each side's spread, the changes, the wins, whether the
+    median change is worse than the metric's bound in ``spec``, and whether
+    the change meets the claim rule."""
     summary = {}
     for name in pairs[0]["base"]["metrics"]:
         base = [p["base"]["metrics"][name] for p in pairs]
@@ -115,15 +119,20 @@ def summarize(pairs: list[dict], spec: dict[str, dict]) -> dict:
         ratios = [c / b for b, c in zip(base, change) if b]
         median_change = statistics.median(change) / statistics.median(base) - 1
         bound = declared.get("bound")
+        base_spread, change_spread = spread(base), spread(change)
+        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        gain = sign * (change_spread["median"] - base_spread["median"])
         summary[name] = {
             "better": declared.get("better", "higher"),
-            "base": spread(base),
-            "change": spread(change),
+            "base": base_spread,
+            "change": change_spread,
             "median_change": median_change,
             "pair_ratio_median": statistics.median(ratios) - 1 if ratios else None,
-            "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            "wins": wins,
             "pairs": len(pairs),
             "over_bound": bound is not None and -sign * median_change > bound,
+            "claim_met": 10 * wins >= 9 * len(pairs)
+            and gain > base_spread["q3"] - base_spread["q1"],
         }
     summary["ops"] = {
         side: spread([p[side]["ops"] for p in pairs]) for side in ("base", "change")
