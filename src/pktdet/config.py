@@ -109,11 +109,14 @@ def parse_preamble_source(source: str, base_dir: Path | None = None) -> Preamble
 
 
 def _parse_int_range(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    """``pad_before``, the one range key: ``lo:hi`` or one integer."""
+    parts = text.split(":")
+    try:
+        if len(parts) <= 2:
+            return int(parts[0]), int(parts[-1])
+    except ValueError:
+        pass
+    raise ValueError(f"pad_before takes lo:hi or one integer, got {text!r}")
 
 
 def _parse_snr_points(text: str) -> tuple[float, ...]:

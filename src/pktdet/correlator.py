@@ -152,9 +152,11 @@ def parse_bank(text: str) -> CoefficientBank:
 class CorrelatorOutput:
     """The four sign partial sums; ``re`` is the detection statistic.
 
-    A plain mutable record (not frozen), since ``DetectorBank.push`` builds
-    one per profile per enabled sample and a frozen dataclass pays a
-    guarded ``object.__setattr__`` for every field."""
+    A plain mutable record (not frozen): ``DetectorBank.push`` builds one
+    per profile per enabled sample with ``object.__new__`` and four slot
+    stores, skipping the ``__init__`` frame, which a frozen dataclass could
+    not.  It stays a dataclass for ``==``, ``repr`` and
+    ``dataclasses.replace``."""
 
     p_ii: int
     p_qq: int

@@ -35,6 +35,7 @@ from .coarse import CoarseConfig
 from .correlator import SignCorrelator
 from .energy import EnergyConfig
 from .signal import (
+    MAX_PAD,
     FixedPointFormat,
     Preamble,
     Q1_15,
@@ -150,23 +151,18 @@ class SweepResult:
 def scenario_profiles(seed: int = 7) -> tuple[StandardProfile, ...]:
     """The three-standard demo setup: a 32-sample PN preamble and two
     distinct 64-sample PN preambles, with thresholds softened below the
-    ideal maxima (64 and 128) to tolerate noise."""
-    return (
+    ideal maxima (64 and 128) to tolerate noise.  Preamble k is drawn from
+    the words of (seed, k), the stream that tuple seeds."""
+    head = _seed_words(seed)
+    return tuple(
         StandardProfile(
-            id="pn32",
-            preamble=pn_preamble(32, (seed, 0)),
-            fine_threshold=50,
-        ),
-        StandardProfile(
-            id="pn64a",
-            preamble=pn_preamble(64, (seed, 1)),
-            fine_threshold=100,
-        ),
-        StandardProfile(
-            id="pn64b",
-            preamble=pn_preamble(64, (seed, 2)),
-            fine_threshold=100,
-        ),
+            id=pid,
+            preamble=pn_preamble(length, np.array(head + _seed_words(k), dtype=np.uint32)),
+            fine_threshold=threshold,
+        )
+        for k, (pid, length, threshold) in enumerate(
+            (("pn32", 32, 50), ("pn64a", 64, 100), ("pn64b", 64, 100))
+        )
     )
 
 
@@ -235,6 +231,8 @@ def run_trial(cfg: SweepConfig, snr_db: float, trial_seed) -> TrialOutcome:
 def _seed_words(value: int) -> list[int]:
     """The 32-bit words ``SeedSequence`` makes of a non-negative int, least
     significant first; 0 is one zero word."""
+    if value < 0:
+        raise ValueError("seed must be non-negative")
     words = []
     while value:
         words.append(value & 0xFFFFFFFF)
@@ -256,11 +254,13 @@ def _sweep_point(args) -> tuple[int, list[TrialOutcome]]:
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Run all SNR points x trials.  ``workers > 1`` fans the SNR points out
     to a process pool of at most one worker per point; outcomes are
-    identical either way.  ``workers < 1``, and an SNR point that gives the
-    transmitted preamble no noise level (:func:`noise_sigma`), raise
-    ``ValueError`` before any trial runs."""
+    identical either way.  ``workers < 1``, a pad above ``MAX_PAD`` and an
+    SNR point that gives the transmitted preamble no noise level
+    (:func:`noise_sigma`) raise ``ValueError`` before any trial runs."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if max(cfg.pad_before_range[1], cfg.pad_after) > MAX_PAD:
+        raise ValueError(f"pads must be in [0, {MAX_PAD}] samples")
     power = cfg.transmitted_profile().preamble.mean_power
     for snr in cfg.snr_points_db:
         noise_sigma(snr, power)

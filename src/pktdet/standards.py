@@ -38,6 +38,9 @@ from .correlator import (
 from .energy import EnergyConfig, enable_array, raw_threshold
 from .signal import MAX_ENERGY_WINDOW, Q1_15, FixedPointFormat, Preamble, SampleStream, _int_fields
 
+# bound once: DetectorBank.push calls it per profile per enabled sample
+_new_record = object.__new__
+
 
 class ConfigurationError(ValueError):
     """Raised for unknown register keys or a register map inconsistent with
@@ -410,6 +413,8 @@ class DetectorBank:
     gated off, disabled or not ready).  Every call returns a fresh map: on a
     closed gate, a copy of the bank's idle map, every id None.  The tap
     table holds the enabled profiles only, so a disabled one costs nothing.
+    Each output record is made by ``object.__new__`` with its four slots
+    stored in place, so no ``__init__`` frame runs per profile per sample.
     A register map passed to :meth:`update_registers` is in force, in full,
     from the next push: the owner calls it between pushes, so it always
     lands on a sample boundary and every output is explainable by exactly
@@ -493,11 +498,10 @@ class DetectorBank:
         for pid, n, shift, b_i, b_q in self._taps:
             if seen >= n:
                 w_i, w_q = win_i >> shift, win_q >> shift
-                # positional, in field order p_ii, p_qq, p_qi, p_iq
-                outs[pid] = CorrelatorOutput(
-                    n - 2 * (w_i ^ b_i).bit_count(),
-                    n - 2 * (w_q ^ b_q).bit_count(),
-                    n - 2 * (w_q ^ b_i).bit_count(),
-                    n - 2 * (w_i ^ b_q).bit_count(),
-                )
+                # no __init__ runs, so all four slots must be stored here
+                out = outs[pid] = _new_record(CorrelatorOutput)
+                out.p_ii = n - 2 * (w_i ^ b_i).bit_count()
+                out.p_qq = n - 2 * (w_q ^ b_q).bit_count()
+                out.p_qi = n - 2 * (w_q ^ b_i).bit_count()
+                out.p_iq = n - 2 * (w_i ^ b_q).bit_count()
         return outs

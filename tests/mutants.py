@@ -61,6 +61,12 @@ BAD_PUSH = (
 )
 MALFORMED = "tests/test_cli.py::test_malformed_ini_exits_2"
 TAP = "(profile.id, bank.length, span - bank.length, *bank._packed)"
+P_QI_STORE = "                out.p_qi = n - 2 * (w_q ^ b_i).bit_count()\n"
+P_IQ_STORE = "                out.p_iq = n - 2 * (w_i ^ b_q).bit_count()\n"
+RECORD_KILLS = (
+    f"{STREAM}test_mixed_lengths_match_the_oracle",
+    f"{STREAM}test_each_record_equals_the_one_init_builds",
+)
 COARSE = "src/pktdet/coarse.py"
 METRIC = "tests/test_coarse.py::TestMetric::"
 METRIC_SCAN = "tests/test_coarse.py::TestTrigger::test_detect_coarse_matches_the_metric_scan"
@@ -149,6 +155,21 @@ CATALOGUE = (
         "            self._holdoff_left -= 1\n",
         "            pass\n",
         (f"{STREAM}test_matches_batch_outputs_when_idle",),
+    ),
+    # push fills every slot of a bare record, each with its own partial
+    Mutant(
+        "push-record-slot-dropped",
+        STANDARDS,
+        P_IQ_STORE,
+        "",
+        RECORD_KILLS,
+    ),
+    Mutant(
+        "push-record-partials-swapped",
+        STANDARDS,
+        P_QI_STORE + P_IQ_STORE,
+        P_QI_STORE.replace("w_q ^ b_i", "w_i ^ b_q") + P_IQ_STORE.replace("w_i ^ b_q", "w_q ^ b_i"),
+        RECORD_KILLS,
     ),
     # a closed gate answers with a copy of the idle map, and a disabled
     # profile is no tap at all
@@ -323,8 +344,23 @@ CATALOGUE = (
         "if not (0 <= pad_before and 0 <= pad_after):",
         (
             "tests/test_cli.py::test_pad_past_the_cap_exits_2[gen-iq]",
-            "tests/test_cli.py::test_pad_past_the_cap_exits_2[sweep]",
+            "tests/test_signal.py::TestEmbed::test_pad_past_the_cap_rejected[pads2]",
         ),
+    ),
+    # a sweep checks its pads before any trial runs
+    Mutant(
+        "sweep-pad-check-dropped",
+        "src/pktdet/harness.py",
+        "if max(cfg.pad_before_range[1], cfg.pad_after) > MAX_PAD:",
+        "if False:",
+        (f"{MALFORMED}[pad-before-past-the-cap]", f"{MALFORMED}[pad-after-past-the-cap]"),
+    ),
+    Mutant(
+        "pad-range-form-unchecked",
+        "src/pktdet/config.py",
+        "        if len(parts) <= 2:\n",
+        "        if True:\n",
+        (f"{MALFORMED}[pad-range-three-fields]",),
     ),
     Mutant(
         "latch-compare-inclusive",

@@ -149,3 +149,13 @@ def test_claim_met_needs_nine_wins_in_ten_beyond_the_base_spread(
     code, report, _ = compare(tmp_path, monkeypatch, pairs=10, tables=(base, change))
     assert code == 0
     assert report["summary"]["samples_per_s"]["claim_met"] is met
+
+
+def test_stdout_ends_with_one_verdict_line_per_metric(tmp_path, monkeypatch, capsys):
+    base = {5: 1000, 6: 1000}
+    metric = {"bound": 0.2}
+    code, _, _ = compare(tmp_path, monkeypatch, 2, tables=(base, {5: 700, 6: 850}), metric=metric)
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("wrote ")
+    assert lines[-1] == "samples_per_s: median -22.5%, won 0/2, claim_met false, over_bound true"

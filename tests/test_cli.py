@@ -280,6 +280,9 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+PAD_RANGE_FORM = "pad_before takes lo:hi or one integer"
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
@@ -297,6 +300,10 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
         ("snr_db = 8,12\n", "snr_db = 0, nan\n", "no finite noise level"),
         ("snr_db = 8,12\n", "snr_db = 0, -inf\n", "no finite noise level"),
         ("snr_db = 8,12\n", "snr_db = 0, 1e308\n", "no finite noise level"),
+        ("pad_before = 32:48", "pad_before = 1:2:3", f"{PAD_RANGE_FORM}, got '1:2:3'"),
+        ("pad_before = 32:48", "pad_before = a:b", f"{PAD_RANGE_FORM}, got 'a:b'"),
+        ("pad_before = 32:48", "pad_before = 32:16777217", "pads must be in [0, 16777216]"),
+        ("pad_after = 48", "pad_after = 16777217", "pads must be in [0, 16777216]"),
     ],
     ids=[
         "duplicate-section",
@@ -313,6 +320,10 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
         "snr-list-nan",
         "snr-list-minus-inf",
         "snr-list-huge",
+        "pad-range-three-fields",
+        "pad-range-not-integers",
+        "pad-before-past-the-cap",
+        "pad-after-past-the-cap",
     ],
 )
 def test_malformed_ini_exits_2(capsys, monkeypatch, tmp_path, old, new, message):

@@ -119,6 +119,22 @@ class TestSeedWords:
             expected = np.random.default_rng((seed, 5, t)).integers(0, 2**63, 4)
             assert drawn.tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
+    def test_scenario_preambles_draw_the_tuple_stream(self, seed):
+        profiles = scenario_profiles(seed)
+        assert [(p.id, p.correlator_len, p.fine_threshold) for p in profiles] == [
+            ("pn32", 32, 50),
+            ("pn64a", 64, 100),
+            ("pn64b", 64, 100),
+        ]
+        for k, p in enumerate(profiles):
+            by_tuple = pn_preamble(p.correlator_len, (seed, k))
+            assert p.preamble.samples.tolist() == by_tuple.samples.tolist()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            scenario_profiles(-1)
+
 
 class TestRunSweep:
     def test_noise_free_probability_is_one(self):

@@ -1,6 +1,7 @@
 import copy
+import gc
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 import pickle
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pktdet import standards
 from pktdet.coarse import CoarseConfig, detect_coarse
-from pktdet.correlator import SignCorrelator, latch_enable, load_coefficients
+from pktdet.correlator import CorrelatorOutput, SignCorrelator, latch_enable, load_coefficients
 from pktdet.energy import EnergyConfig, enable_array
 from pktdet.harness import scenario_profiles
 from pktdet.signal import (
@@ -1147,6 +1148,29 @@ class TestStreamingDetectorBank:
             assert got == (reporting if loud else set())
             # the map is the caller's: what it does to it reaches no later push
             out.update(c="stale", a="stale", b="stale", extra=None)
+
+    def test_each_record_equals_the_one_init_builds(self):
+        # push stores the slots of a bare record; each must be the record
+        # __init__ builds from the oracle's partials, in field order
+        rng = np.random.default_rng(28)
+        banks = [random_bank(rng, n) for n in (1, 5, 33)]
+        length = 80
+        codes = rng.integers(-2, 2, size=(2, length))
+        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
+        signs = [(1 if i >= 0 else -1, 1 if q >= 0 else -1) for i, q in codes.T.tolist()]
+        for bank, outputs in zip(banks, push_run(banks, stream)):
+            n = bank.length
+            assert [t for t, _ in outputs] == list(range(n - 1, length))
+            for t, out in outputs:
+                expected = sign_partials(signs[t - n + 1 : t + 1], sign_pairs(bank))
+                built = CorrelatorOutput(*expected)
+                assert type(out) is CorrelatorOutput
+                assert [getattr(out, f.name) for f in fields(out)] == list(expected)
+                assert out == built and repr(out) == repr(built)
+                assert out.re == out.p_ii + out.p_qq == built.re
+                assert gc.is_tracked(out) == gc.is_tracked(built)
+                changed = replace(out, p_ii=out.p_ii + 1)
+                assert changed == replace(built, p_ii=built.p_ii + 1) and changed != out
 
     @example(lengths=[1, 31, 32, 33], seed=0, publish_at=40)
     @example(lengths=[33, 1], seed=1, publish_at=0)

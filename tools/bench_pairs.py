@@ -24,7 +24,9 @@ more than the base's interquartile range (q3 - q1).  A run
 that crashes (no result line, or an exit code other than 0 or 1) ends the
 comparison without a retry: the file then holds the pairs finished before
 it and, under ``crashed``, that run's pair, side, seed, exit code and the
-tail of its standard error.  The script exits 1 if any run crashed or failed its checks,
+tail of its standard error.  Standard output ends with one verdict line per
+metric: its median change, the pairs it won, ``claim_met`` and
+``over_bound``.  The script exits 1 if any run crashed or failed its checks,
 after writing the file.  Standard library only.
 """
 
@@ -193,6 +195,12 @@ def main(argv=None) -> int:
     }
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")
+    for name, m in report["summary"].items():
+        if name != "ops":
+            print(
+                f"{name}: median {m['median_change']:+.1%}, won {m['wins']}/{m['pairs']}, "
+                f"claim_met {json.dumps(m['claim_met'])}, over_bound {json.dumps(m['over_bound'])}"
+            )
     over = [name for name, m in report["summary"].items() if m.get("over_bound")]
     if over:
         print(f"median change worse than its bound: {over}", file=sys.stderr)
