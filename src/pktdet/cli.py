@@ -11,21 +11,17 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import config as cfgfile
 from .coarse import CoarseConfig
 from .correlator import dump_bank, load_coefficients
 from .energy import EnergyConfig
-from .harness import default_sweep_config, run_scope_scenario, run_sweep, synthesize
+from .harness import csv_text, default_sweep_config, run_scope_scenario, run_sweep, synthesize
 from .iqfile import read_iq, write_iq
-from .signal import FixedPointFormat
+from .signal import FixedPointFormat, seed_words
 from .standards import build_register_map, run_detector_bank
 
 
@@ -36,33 +32,29 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _cmd_gen_coeff(args) -> int:
+def _cmd_gen_coeff(args) -> None:
     preamble = cfgfile.parse_preamble_source(args.preamble)
     _write_text(args.out, dump_bank(load_coefficients(preamble)))
-    return 0
 
 
-def _cmd_gen_iq(args) -> int:
+def _cmd_gen_iq(args) -> None:
     profiles = cfgfile.load_profiles(args.profiles)
     by_id = {p.id: p for p in profiles}
     if args.transmit not in by_id:
-        print(f"error: unknown profile {args.transmit!r}", file=sys.stderr)
-        return 2
-    tx = by_id[args.transmit]
+        raise ValueError(f"unknown profile {args.transmit!r}")
     stream, start = synthesize(
-        tx.preamble,
+        by_id[args.transmit].preamble,
         args.pad_before,
         args.pad_after,
         args.snr,
-        np.random.default_rng(args.seed),
+        seed_words(args.seed),
         FixedPointFormat.parse(args.format),
     )
     write_iq(args.out, stream)
     print(f"wrote {len(stream)} samples (preamble starts at {start})", file=sys.stderr)
-    return 0
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args) -> None:
     profiles = cfgfile.load_profiles(args.profiles)
     stream = read_iq(args.input)
     coarse = None
@@ -79,13 +71,8 @@ def _cmd_detect(args) -> int:
     )
     regs = build_register_map(profiles, energy=energy, coarse=coarse, fmt=stream.format)
     events = run_detector_bank(stream, profiles, regs)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("standard_id", "peak_value", "peak_index"))
-    for event in events:
-        writer.writerow((event.standard_id, event.peak_value, event.peak_index))
-    _write_text(args.out, buf.getvalue())
-    return 0
+    rows = ((e.standard_id, e.peak_value, e.peak_index) for e in events)
+    _write_text(args.out, csv_text(("standard_id", "peak_value", "peak_index"), rows))
 
 
 def _scenario(config_path: str | None):
@@ -93,23 +80,20 @@ def _scenario(config_path: str | None):
     return default_sweep_config() if config_path is None else cfgfile.load_sweep_config(config_path)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     cfg = _scenario(args.config)
     if args.transmit is not None:
         if args.transmit not in {p.id for p in cfg.profiles}:
-            print(f"error: unknown profile {args.transmit!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown profile {args.transmit!r}")
         cfg = replace(cfg, transmitted_profile_id=args.transmit)
     result = run_sweep(cfg, workers=args.workers)
     _write_text(args.out, result.to_csv())
-    return 0
 
 
-def _cmd_scope(args) -> int:
+def _cmd_scope(args) -> None:
     cfg = _scenario(args.config)
     result = run_scope_scenario(cfg, snr_db=args.snr, seed=args.seed)
     _write_text(args.out, result.to_csv())
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-coeff", help="emit a coefficient register dump")
-    p.add_argument("--preamble", required=True, help="pn:seed=S,len=N or file:PATH")
+    p.add_argument("--preamble", required=True, help="pn:seed=S,len=N, file:PATH or coeff:PATH")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=_cmd_gen_coeff)
 
@@ -163,13 +147,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: exit status 0, or 2 with one ``error:`` line on
+    stderr for bad input (files, formats, seeds, stage parameters), which
+    every command reports by raising ``ValueError`` or ``OSError``."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError) as exc:
-        # bad input (files, formats, stage parameters), not a program fault
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -44,11 +44,12 @@ import numpy as np
 from .coarse import CoarseConfig
 from .energy import EnergyConfig
 from .harness import SweepConfig
-from .signal import FixedPointFormat, Preamble, pn_preamble
+from .signal import FixedPointFormat, Preamble, pn_preamble, seed_words
 from .standards import StandardProfile
 
 _PROFILE_PREFIX = "profile "
 _MAX_SNR_POINTS = 10_000
+_PN_FIELDS = ("seed", "len")
 
 
 def read_complex_file(path) -> np.ndarray:
@@ -70,9 +71,10 @@ def read_complex_file(path) -> np.ndarray:
 def parse_preamble_source(source: str, base_dir: Path | None = None) -> Preamble:
     """Resolve a preamble source string into a Preamble.
 
-    ``pn:seed=S,len=N`` draws a pseudo-noise reference, ``file:PATH`` loads
-    full-precision complex samples, and ``coeff:PATH`` loads a packed
-    coefficient dump (as written by ``pktdet gen-coeff``).  A ``coeff:``
+    ``pn:seed=S,len=N`` (two integer fields, each once) draws a pseudo-noise
+    reference from ``seed_words(S)``, ``file:PATH`` loads full-precision
+    complex samples, and ``coeff:PATH`` loads a packed coefficient dump (as
+    written by ``pktdet gen-coeff``).  A ``coeff:``
     source reconstructs a unit-power sign-faithful preamble: the detector
     only ever uses component signs, so detection behavior is identical to
     the original reference.
@@ -88,14 +90,17 @@ def parse_preamble_source(source: str, base_dir: Path | None = None) -> Preamble
     if source.startswith("pn:"):
         fields = {}
         for item in source[3:].split(","):
-            key, _, value = item.partition("=")
-            fields[key.strip()] = value.strip()
-        try:
-            seed = int(fields["seed"])
-            length = int(fields["len"])
-        except KeyError as exc:
-            raise ValueError(f"pn preamble source needs seed= and len=: {source!r}") from exc
-        return pn_preamble(length, seed)
+            key, _, value = (part.strip() for part in item.partition("="))
+            if key not in _PN_FIELDS or key in fields:
+                raise ValueError(f"pn preamble source: unknown or repeated field {key!r}")
+            try:
+                fields[key] = int(value)
+            except ValueError:
+                raise ValueError(f"pn preamble {key} must be an integer, got {value!r}") from None
+        for key in _PN_FIELDS:
+            if key not in fields:
+                raise ValueError(f"pn preamble source needs {key}=: {source!r}")
+        return pn_preamble(fields["len"], seed_words(fields["seed"]))
     if source.startswith("file:"):
         return Preamble(read_complex_file(resolve(source[5:])))
     if source.startswith("coeff:"):
@@ -116,7 +121,7 @@ def _parse_int_range(text: str) -> tuple[int, int]:
             return int(parts[0]), int(parts[-1])
     except ValueError:
         pass
-    raise ValueError(f"pad_before takes lo:hi or one integer, got {text!r}")
+    raise ValueError(f"takes lo:hi or one integer, got {text!r}")
 
 
 def _parse_snr_points(text: str) -> tuple[float, ...]:
@@ -138,15 +143,18 @@ def _parse_snr_points(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
 def _read_ini(path) -> configparser.ConfigParser:
     """Read an INI file; a file the parser cannot read raises ``ValueError``
     with its message on one line.  Values are read literally: a ``%`` is
     just a character, as in ``preamble = file:100%.txt``."""
-    parser = configparser.ConfigParser(
-        interpolation=None,
-        inline_comment_prefixes=(";", "#"),
-        converters={"intrange": _parse_int_range, "format": FixedPointFormat.parse},
-    )
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -155,11 +163,21 @@ def _read_ini(path) -> configparser.ConfigParser:
     return parser
 
 
-def _required(section: configparser.SectionProxy, key: str) -> str:
+def _value(section: configparser.SectionProxy, key: str, parse, default=None):
+    """``parse`` of the text of ``key`` in ``section``, or ``default`` where
+    the key is absent; the one reader of every INI value.  A missing key
+    with no default, or a value ``parse`` rejects, raises ``ValueError``
+    naming the section and the key."""
     try:
-        return section[key]
+        text = section[key]
     except KeyError:
-        raise ValueError(f"[{section.name}] needs a {key!r} key") from None
+        if default is None:
+            raise ValueError(f"[{section.name}] needs a {key!r} key") from None
+        return default
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"[{section.name}] {key}: {exc}") from None
 
 
 def load_profiles(path) -> tuple[StandardProfile, ...]:
@@ -176,8 +194,8 @@ def _profiles_from_parser(parser, base_dir: Path) -> tuple[StandardProfile, ...]
         profiles.append(
             StandardProfile(
                 id=section[len(_PROFILE_PREFIX) :].strip(),
-                preamble=parse_preamble_source(_required(block, "preamble"), base_dir),
-                fine_threshold=int(_required(block, "threshold")),
+                preamble=_value(block, "preamble", lambda s: parse_preamble_source(s, base_dir)),
+                fine_threshold=_value(block, "threshold", int),
             )
         )
     if not profiles:
@@ -194,34 +212,32 @@ def load_sweep_config(path) -> SweepConfig:
     sweep = parser["sweep"]
 
     energy = None
-    if sweep.getboolean("energy_enabled", fallback=True):
+    if _value(sweep, "energy_enabled", _boolean, True):
         energy = EnergyConfig(
-            window_len=sweep.getint("energy_window", fallback=EnergyConfig.window_len),
-            sample_energy_threshold=sweep.getfloat(
-                "energy_sample_thresh", fallback=EnergyConfig.sample_energy_threshold
+            window_len=_value(sweep, "energy_window", int, EnergyConfig.window_len),
+            sample_energy_threshold=_value(
+                sweep, "energy_sample_thresh", float, EnergyConfig.sample_energy_threshold
             ),
-            count_threshold=sweep.getint(
-                "energy_count_thresh", fallback=EnergyConfig.count_threshold
-            ),
+            count_threshold=_value(sweep, "energy_count_thresh", int, EnergyConfig.count_threshold),
         )
     coarse = None
-    if sweep.getboolean("coarse_enabled", fallback=False):
+    if _value(sweep, "coarse_enabled", _boolean, False):
         coarse = CoarseConfig(
-            half_period=sweep.getint("coarse_lag", fallback=CoarseConfig.half_period),
-            metric_threshold=sweep.getfloat(
-                "coarse_thresh", fallback=CoarseConfig.metric_threshold
-            ),
-            plateau_min=sweep.getint("coarse_plateau", fallback=CoarseConfig.plateau_min),
+            half_period=_value(sweep, "coarse_lag", int, CoarseConfig.half_period),
+            metric_threshold=_value(sweep, "coarse_thresh", float, CoarseConfig.metric_threshold),
+            plateau_min=_value(sweep, "coarse_plateau", int, CoarseConfig.plateau_min),
         )
     return SweepConfig(
         profiles=profiles,
-        transmitted_profile_id=_required(sweep, "transmitted").strip(),
-        snr_points_db=_parse_snr_points(_required(sweep, "snr_db")),
-        trials_per_point=sweep.getint("trials", fallback=300),
-        seed=sweep.getint("seed", fallback=0),
-        pad_before_range=sweep.getintrange("pad_before", fallback=SweepConfig.pad_before_range),
-        pad_after=sweep.getint("pad_after", fallback=SweepConfig.pad_after),
+        transmitted_profile_id=_value(sweep, "transmitted", str),
+        snr_points_db=_value(sweep, "snr_db", _parse_snr_points),
+        trials_per_point=_value(sweep, "trials", int, 300),
+        seed=_value(sweep, "seed", int, 0),
+        pad_before_range=_value(
+            sweep, "pad_before", _parse_int_range, SweepConfig.pad_before_range
+        ),
+        pad_after=_value(sweep, "pad_after", int, SweepConfig.pad_after),
         energy=energy,
         coarse=coarse,
-        sample_format=sweep.getformat("format", fallback=SweepConfig.sample_format),
+        sample_format=_value(sweep, "format", FixedPointFormat.parse, SweepConfig.sample_format),
     )

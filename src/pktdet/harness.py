@@ -11,9 +11,9 @@ per point, and classifies each trial by what the detector bank reported:
 Each trial owns an RNG substream derived from (seed, snr_index,
 trial_index), so results are bit-identical whether trials run serially or
 in a process pool, and any rerun with the same seed reproduces the CSV
-byte for byte.  The sweep passes that seed as the 32-bit words numpy's
-``SeedSequence`` reads from the tuple, built once per SNR point, which
-draws the same stream without the per-item conversion.
+byte for byte.  Every draw that starts from a user's seed is seeded with
+:func:`signal.seed_words` of its tuple, the uint32 words numpy's
+``SeedSequence`` reads from it, which draw the tuple's stream.
 
 The scope scenario is the single-shot companion: one capture at a chosen
 SNR with the correlators running unconditionally, emitting the full ``re``
@@ -45,6 +45,7 @@ from .signal import (
     noise_sigma,
     pn_preamble,
     quantize,
+    seed_words,
 )
 from .standards import (
     DetectionEvent,
@@ -53,6 +54,16 @@ from .standards import (
     build_register_map,
     run_detector_bank,
 )
+
+
+def csv_text(header, rows) -> str:
+    """``header`` and then each of ``rows`` as comma-separated lines with LF
+    endings: the one CSV writer of every table the package emits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 class TrialOutcome(str, Enum):
@@ -79,8 +90,7 @@ class SweepConfig:
             raise ValueError("snr_points_db must hold at least one point")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        seed_words(self.seed)  # the one seed rule: a negative seed raises
         ids = [p.id for p in self.profiles]
         if len(set(ids)) != len(ids):
             raise ValueError("profile ids must be unique")
@@ -130,34 +140,23 @@ class SweepResult:
     )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_HEADER)
-        for row in self.rows:
-            writer.writerow(
-                [
-                    f"{row.snr_db:g}",
-                    row.trials,
-                    row.correct,
-                    row.missed,
-                    row.false_standard,
-                    f"{row.probability:.6f}",
-                    f"{row.ci_half_width:.6f}",
-                ]
-            )
-        return buf.getvalue()
+        rows = (
+            (f"{r.snr_db:g}", r.trials, r.correct, r.missed, r.false_standard)
+            + (f"{r.probability:.6f}", f"{r.ci_half_width:.6f}")
+            for r in self.rows
+        )
+        return csv_text(self.CSV_HEADER, rows)
 
 
 def scenario_profiles(seed: int = 7) -> tuple[StandardProfile, ...]:
     """The three-standard demo setup: a 32-sample PN preamble and two
     distinct 64-sample PN preambles, with thresholds softened below the
     ideal maxima (64 and 128) to tolerate noise.  Preamble k is drawn from
-    the words of (seed, k), the stream that tuple seeds."""
-    head = _seed_words(seed)
+    ``seed_words(seed, k)``, the stream that tuple seeds."""
     return tuple(
         StandardProfile(
             id=pid,
-            preamble=pn_preamble(length, np.array(head + _seed_words(k), dtype=np.uint32)),
+            preamble=pn_preamble(length, seed_words(seed, k)),
             fine_threshold=threshold,
         )
         for k, (pid, length, threshold) in enumerate(
@@ -214,9 +213,9 @@ def run_trial(cfg: SweepConfig, snr_db: float, trial_seed) -> TrialOutcome:
     """One embed -> noise -> quantize -> detect -> classify pass.
 
     ``trial_seed`` is anything ``numpy.random.default_rng`` accepts; the
-    sweep passes the words of (seed, snr_index, trial_index) as a uint32
-    array (:func:`_seed_words`).  The preamble start offset is drawn per
-    trial so the detector cannot memorize the alignment.
+    sweep passes ``seed_words(seed, snr_index, trial_index)``.  The preamble
+    start offset is drawn per trial so the detector cannot memorize the
+    alignment.
     """
     tx = cfg.transmitted_profile()
     stream, _ = _synthesize_capture(cfg, tx, snr_db, trial_seed)
@@ -228,26 +227,9 @@ def run_trial(cfg: SweepConfig, snr_db: float, trial_seed) -> TrialOutcome:
     return TrialOutcome.FALSE_STANDARD
 
 
-def _seed_words(value: int) -> list[int]:
-    """The 32-bit words ``SeedSequence`` makes of a non-negative int, least
-    significant first; 0 is one zero word."""
-    if value < 0:
-        raise ValueError("seed must be non-negative")
-    words = []
-    while value:
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
-    return words or [0]
-
-
 def _sweep_point(args) -> tuple[int, list[TrialOutcome]]:
     cfg, snr_index, snr_db = args
-    # the words of (cfg.seed, snr_index, t), one array per trial: a tuple
-    # seeds the same stream, but default_rng converts it item by item
-    head = _seed_words(cfg.seed) + _seed_words(snr_index)
-    seeds = [
-        np.array(head + _seed_words(t), dtype=np.uint32) for t in range(cfg.trials_per_point)
-    ]
+    seeds = [seed_words(cfg.seed, snr_index, t) for t in range(cfg.trials_per_point)]
     return snr_index, [run_trial(cfg, snr_db, seed) for seed in seeds]
 
 
@@ -312,13 +294,11 @@ class ScopeResult:
     events: tuple[DetectionEvent, ...]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("index",) + self.profile_ids)
         length = len(next(iter(self.traces.values())))
-        for n in range(length):
-            writer.writerow([n] + [int(self.traces[pid][n]) for pid in self.profile_ids])
-        return buf.getvalue()
+        return csv_text(
+            ("index",) + self.profile_ids,
+            ([n] + [int(self.traces[pid][n]) for pid in self.profile_ids] for n in range(length)),
+        )
 
 
 def run_scope_scenario(cfg: SweepConfig, snr_db: float = 10.0, seed: int = 0) -> ScopeResult:
@@ -332,7 +312,7 @@ def run_scope_scenario(cfg: SweepConfig, snr_db: float = 10.0, seed: int = 0) ->
     profile's trace holds the only threshold crossing.
     """
     tx = cfg.transmitted_profile()
-    stream, start = _synthesize_capture(cfg, tx, snr_db, (cfg.seed, seed))
+    stream, start = _synthesize_capture(cfg, tx, snr_db, seed_words(cfg.seed, seed))
 
     traces: dict[str, np.ndarray] = {}
     for profile in cfg.profiles:

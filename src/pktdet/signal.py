@@ -319,6 +319,21 @@ def noise_sigma(snr_db: float, signal_power: float) -> float:
     return sigma
 
 
+def seed_words(*values) -> np.ndarray:
+    """The uint32 words numpy's ``SeedSequence`` makes of the tuple ``values``
+    of non-negative integers (each least significant word first, 0 as one
+    zero word), which draw the tuple's stream without its per-item
+    conversion: the one rule for a user's seed.  A negative value raises."""
+    words: list[int] = []
+    for value in map(operator.index, values):
+        if value < 0:
+            raise ValueError(f"seed must be non-negative, got {value}")
+        words.append(value & 0xFFFFFFFF)  # 0 too: one zero word
+        for shift in range(32, value.bit_length(), 32):
+            words.append((value >> shift) & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def pn_preamble(length: int, seed) -> Preamble:
     """Pseudo-noise preamble with unit mean sample power.
 

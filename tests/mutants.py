@@ -87,6 +87,9 @@ SEED_WORDS = (
         for seed in (0, 2**32 - 1, 2**32, 2**64 + 5)
     ),
 )
+SEED_CHECK = """        if value < 0:
+            raise ValueError(f"seed must be non-negative, got {value}")
+"""
 EVENTS = "tests/test_standards.py::TestEventsFromCandidates::test_matches_the_reference"
 BAD_WORD = (
     "tests/test_standards.py::TestRegisterValidation::test_bad_stage_word_is_rejected_by_key"
@@ -525,20 +528,31 @@ CATALOGUE = (
     # each sweep trial's seed words draw its (seed, snr_index, t) stream
     Mutant(
         "seed-words-high-words-dropped",
-        "src/pktdet/harness.py",
-        "        value >>= 32\n",
-        "        value = 0\n",
+        "src/pktdet/signal.py",
+        "range(32, value.bit_length(), 32)",
+        "range(0)",
         SEED_WORDS[:1] + SEED_WORDS[3:],
     ),
     Mutant(
         "seed-words-zero-gets-no-word",
-        "src/pktdet/harness.py",
-        "    return words or [0]",
-        "    return words",
+        "src/pktdet/signal.py",
+        "        words.append(value & 0xFFFFFFFF)  # 0 too",
+        "        words += [value & 0xFFFFFFFF] if value else []  # 0 too",
         # SeedSequence pads short entropy with zero words, so only rows whose
         # lost zero is not trailing, or that are longer than its 4-word pool,
         # draw another stream
         SEED_WORDS[:2] + SEED_WORDS[4:],
+    ),
+    # every seed a user gives is checked by the one seed rule
+    Mutant(
+        "seed-words-negative-unchecked",
+        "src/pktdet/signal.py",
+        SEED_CHECK,
+        "",
+        tuple(
+            f"tests/test_cli.py::test_negative_seed_exits_2[{command}]"
+            for command in ("gen-iq", "scope", "gen-coeff", "ini-preamble")
+        ),
     ),
     # a trial another standard wins is no miss
     Mutant(
@@ -606,18 +620,43 @@ CATALOGUE = (
     Mutant(
         "ini-missing-keys-unconverted",
         "src/pktdet/config.py",
-        "    except KeyError:\n        raise ValueError(f\"[{section.name}] needs",
-        "    except ZeroDivisionError:\n        raise ValueError(f\"[{section.name}] needs",
+        "    except KeyError:\n        if default is None:",
+        "    except ZeroDivisionError:\n        if default is None:",
         tuple(
             f"{MALFORMED}[no-{key}]" for key in ("preamble", "threshold", "transmitted", "snr_db")
         ),
+    ),
+    # a value the INI reader rejects names its section and key
+    Mutant(
+        "ini-value-key-unnamed",
+        "src/pktdet/config.py",
+        '        raise ValueError(f"[{section.name}] {key}: {exc}") from None\n',
+        "        raise\n",
+        tuple(
+            f"{MALFORMED}[{case}]"
+            for case in (
+                "float-energy-window",
+                "float-seed",
+                "not-a-boolean",
+                "profile-threshold-not-an-int",
+                "pn-negative-seed",
+            )
+        ),
+    ),
+    # a pn: source takes its two fields and no other
+    Mutant(
+        "pn-unknown-field-accepted",
+        "src/pktdet/config.py",
+        "if key not in _PN_FIELDS or key in fields:",
+        "if key in fields:",
+        ("tests/test_config.py::test_bad_preamble_sources", f"{MALFORMED}[pn-unknown-field]"),
     ),
     # and their values are read literally
     Mutant(
         "ini-percent-interpolated",
         "src/pktdet/config.py",
-        "        interpolation=None,\n",
-        "",
+        "ConfigParser(interpolation=None, ",
+        "ConfigParser(",
         ("tests/test_cli.py::test_ini_values_are_read_literally",),
     ),
 )

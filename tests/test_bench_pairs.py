@@ -17,19 +17,22 @@ if seed == {crash_seed}:
     sys.stderr.write("".join(f"trace line {{k}}\\n" for k in range(40)))
     sys.exit(3)
 print(json.dumps({{"provenance": {{"seed": seed}}}}))
-print("12 untraced ops")
+ops = {ops}.get(seed, 12)
+if ops is not None:
+    print(f"{{ops}} untraced ops")
 value = {table}.get(seed, {speed} + seed)
 metrics = {{"samples_per_s": {{"value": value, "unit": "samples/s"}}}}
 print(json.dumps({{"correct": True, "attempted": 12, "failed": 0, "metrics": metrics}}))
 """
 
 
-def fake_tree(root: Path, crash_seed: int, speed: int, table=None, metric=None) -> Path:
+def fake_tree(root: Path, crash_seed: int, speed: int, table=None, metric=None, ops=None) -> Path:
     """A tree whose run reports ``table[seed]``, or ``speed + seed`` for a
-    seed the table does not hold, and whose ``BENCHMARK.json`` declares
-    ``metric`` (higher is better, no bound, by default)."""
+    seed the table does not hold, and ``ops[seed]`` ops (12 by default, no
+    op line for None), and whose ``BENCHMARK.json`` declares ``metric``
+    (higher is better, no bound, by default)."""
     (root / "bench").mkdir(parents=True)
-    run = FAKE_RUN.format(crash_seed=crash_seed, speed=speed, table=table or {})
+    run = FAKE_RUN.format(crash_seed=crash_seed, speed=speed, table=table or {}, ops=ops or {})
     (root / "bench" / "run.py").write_text(run)
     spec = {"end_to_end": [{"name": "samples_per_s", "better": "higher", **(metric or {})}]}
     (root / "BENCHMARK.json").write_text(json.dumps(spec))
@@ -37,23 +40,30 @@ def fake_tree(root: Path, crash_seed: int, speed: int, table=None, metric=None) 
 
 
 def compare(
-    tmp_path, monkeypatch, pairs: int, base_crash_seed: int = -1, tables=(None, None), metric=None
+    tmp_path,
+    monkeypatch,
+    pairs: int,
+    base_crash_seed: int = -1,
+    tables=(None, None),
+    metric=None,
+    ops=(None, None),
 ):
     """Run the tool from seed 5 on two fake trees, the base one crashing on
-    ``base_crash_seed``, each reporting from its entry of ``tables``, with
-    the change tree declaring ``metric``; its exit code and the report it
-    wrote."""
+    ``base_crash_seed``, each reporting from its entries of ``tables`` and
+    ``ops``, with the change tree declaring ``metric``; its exit code and
+    the report it wrote."""
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
 
     def export(revision, into):
-        fake_tree(into, base_crash_seed, 900, tables[0])
+        fake_tree(into, base_crash_seed, 900, tables[0], ops=ops[0])
         return "base0"
 
     monkeypatch.setattr(tool, "export", export)
     monkeypatch.setattr(tool, "git", lambda *args: b"head0" if args[0] == "rev-parse" else b"")
-    monkeypatch.setattr(tool, "ROOT", fake_tree(tmp_path / "change", -1, 1000, tables[1], metric))
+    change = fake_tree(tmp_path / "change", -1, 1000, tables[1], metric, ops[1])
+    monkeypatch.setattr(tool, "ROOT", change)
     out = tmp_path / "pairs.json"
     argv = ["--workload", "w", "--base", "B", "--pairs", str(pairs), "--seed", "5"]
     code = tool.main(argv + ["--seconds", "1", "--out", str(out)])
@@ -157,5 +167,23 @@ def test_stdout_ends_with_one_verdict_line_per_metric(tmp_path, monkeypatch, cap
     code, _, _ = compare(tmp_path, monkeypatch, 2, tables=(base, {5: 700, 6: 850}), metric=metric)
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2].startswith("wrote ")
-    assert lines[-1] == "samples_per_s: median -22.5%, won 0/2, claim_met false, over_bound true"
+    assert lines[-3].startswith("wrote ")
+    assert lines[-2] == "samples_per_s: median -22.5%, won 0/2, claim_met false, over_bound true"
+
+
+@pytest.mark.parametrize(
+    "ops, line",
+    [
+        (({}, {5: 15, 6: 16}), "ops: base median 12, change median 15.5, change +29.2%"),
+        (({5: None}, {}), "ops: base median 12, change median 12, change +0.0%"),
+        (({5: None, 6: None}, {}), "ops: base median n/a, change median 12, change n/a"),
+        (({}, {5: None, 6: None}), "ops: base median 12, change median n/a, change n/a"),
+    ],
+    ids=["both", "one-base-run-without", "base-without", "change-without"],
+)
+def test_stdout_ends_with_the_op_counts(tmp_path, monkeypatch, capsys, ops, line):
+    code, report, _ = compare(tmp_path, monkeypatch, 2, ops=ops)
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == line
+    side = report["summary"]["ops"]["base"]
+    assert side is None or side["median"] == 12

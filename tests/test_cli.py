@@ -280,7 +280,8 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
-PAD_RANGE_FORM = "pad_before takes lo:hi or one integer"
+PAD_RANGE_FORM = "[sweep] pad_before: takes lo:hi or one integer"
+NOT_AN_INT = "invalid literal for int() with base 10"
 
 
 @pytest.mark.parametrize(
@@ -304,6 +305,21 @@ PAD_RANGE_FORM = "pad_before takes lo:hi or one integer"
         ("pad_before = 32:48", "pad_before = a:b", f"{PAD_RANGE_FORM}, got 'a:b'"),
         ("pad_before = 32:48", "pad_before = 32:16777217", "pads must be in [0, 16777216]"),
         ("pad_after = 48", "pad_after = 16777217", "pads must be in [0, 16777216]"),
+        ("pad_after = 48", "energy_window = 1.5", f"[sweep] energy_window: {NOT_AN_INT}: '1.5'"),
+        ("seed = 5", "seed = 1e3", f"[sweep] seed: {NOT_AN_INT}: '1e3'"),
+        ("pad_after = 48", "coarse_enabled = maybe", "[sweep] coarse_enabled: not a boolean"),
+        ("threshold = 100", "threshold = 5x", f"[profile pn64a] threshold: {NOT_AN_INT}: '5x'"),
+        ("seed = 5", "seed = -1", "seed must be non-negative, got -1"),
+        (
+            "seed=202,len=64",
+            "seed=-1,len=64",
+            "[profile pn64a] preamble: seed must be non-negative, got -1",
+        ),
+        (
+            "seed=202,len=64",
+            "seed=202,len=64,bogus=3",
+            "[profile pn64a] preamble: pn preamble source: unknown or repeated field 'bogus'",
+        ),
     ],
     ids=[
         "duplicate-section",
@@ -324,6 +340,13 @@ PAD_RANGE_FORM = "pad_before takes lo:hi or one integer"
         "pad-range-not-integers",
         "pad-before-past-the-cap",
         "pad-after-past-the-cap",
+        "float-energy-window",
+        "float-seed",
+        "not-a-boolean",
+        "profile-threshold-not-an-int",
+        "negative-seed",
+        "pn-negative-seed",
+        "pn-unknown-field",
     ],
 )
 def test_malformed_ini_exits_2(capsys, monkeypatch, tmp_path, old, new, message):
@@ -373,14 +396,15 @@ def test_non_finite_preamble_file_exits_2(capsys, tmp_path, repeated_block_captu
     ref.write_text("nan 0\n0.5 -0.5\n")
     profiles = tmp_path / "nan.ini"
     profiles.write_text(f"[profile nan]\npreamble = file:{ref}\nthreshold = 3\n")
-    for argv in (
-        ["gen-coeff", "--preamble", f"file:{ref}"],
-        ["detect", "--profiles", str(profiles), "--input", str(capture)],
+    detect = ["detect", "--profiles", str(profiles), "--input", str(capture)]
+    for argv, prefix in (
+        (["gen-coeff", "--preamble", f"file:{ref}"], ""),
+        (detect, "[profile nan] preamble: "),
     ):
         capsys.readouterr()
         assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: preamble samples must be finite\n"
+        assert out == "" and err == f"error: {prefix}preamble samples must be finite\n"
 
 
 def test_overflowing_preamble_file_exits_2(capsys, tmp_path):
@@ -389,15 +413,41 @@ def test_overflowing_preamble_file_exits_2(capsys, tmp_path):
     profiles = tmp_path / "big.ini"
     profiles.write_text(f"[profile big]\npreamble = file:{ref}\nthreshold = 3\n")
     out = tmp_path / "big.iqpd"
-    for argv in (
-        ["gen-coeff", "--preamble", f"file:{ref}"],
-        ["gen-iq", "--profiles", str(profiles), "--transmit", "big", "--out", str(out)],
+    for argv, prefix in (
+        (["gen-coeff", "--preamble", f"file:{ref}"], ""),
+        (
+            ["gen-iq", "--profiles", str(profiles), "--transmit", "big", "--out", str(out)],
+            "[profile big] preamble: ",
+        ),
     ):
         capsys.readouterr()
         assert main(argv) == 2
         stdout, err = capsys.readouterr()
         assert stdout == "" and not out.exists()
-        assert err.startswith("error: preamble samples are too large") and err.count("\n") == 1
+        assert err.startswith(f"error: {prefix}preamble samples are too large")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["gen-iq", "scope", "gen-coeff", "ini-preamble"])
+def test_negative_seed_exits_2(capsys, tmp_path, config_file, command):
+    # every seed a user gives goes through signal.seed_words, which names it
+    out = tmp_path / "out"
+    negative = "pn:seed=-1,len=32"
+    gen_iq = ["gen-iq", "--profiles", str(config_file), "--transmit", "pn32"]
+    argv = {
+        "gen-iq": gen_iq + ["--seed", "-1"],
+        "scope": ["scope", "--seed", "-1"],
+        "gen-coeff": ["gen-coeff", "--preamble", negative],
+        "ini-preamble": gen_iq,
+    }[command]
+    if command == "ini-preamble":
+        config_file.write_text(CONFIG.replace("pn:seed=101,len=32", negative))
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("seed must be non-negative, got -1\n")
 
 
 @pytest.mark.parametrize("command", ["gen-iq", "sweep"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -93,8 +95,19 @@ def test_coeff_source_past_the_longest_preamble_rejected(tmp_path):
 
 
 def test_bad_preamble_sources(tmp_path):
-    with pytest.raises(ValueError):
-        parse_preamble_source("pn:len=32")  # missing seed
+    for source, message in (
+        ("pn:len=32", "needs seed="),
+        ("pn:seed=1", "needs len="),
+        ("pn:seed=1,len=32,bogus=3", "unknown or repeated field 'bogus'"),
+        ("pn:seed=1,len=32,", "unknown or repeated field ''"),
+        ("pn:seed=1,seed=2,len=32", "unknown or repeated field 'seed'"),
+        ("pn:seed=1,len=32,len=64", "unknown or repeated field 'len'"),
+        ("pn:seed=x,len=3", "pn preamble seed must be an integer, got 'x'"),
+        ("pn:seed=1,len=3.5", "pn preamble len must be an integer, got '3.5'"),
+        ("pn:seed=-1,len=32", "seed must be non-negative, got -1"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_preamble_source(source)
     with pytest.raises(ValueError):
         parse_preamble_source("magic:stuff")
     bad = tmp_path / "bad.txt"

@@ -16,7 +16,7 @@ from pktdet.harness import (
     run_trial,
     scenario_profiles,
 )
-from pktdet.signal import Preamble, add_awgn, pn_preamble
+from pktdet.signal import Preamble, add_awgn, pn_preamble, seed_words
 from pktdet.standards import StandardProfile, build_register_map
 
 from oracles import float_xcorr_argmax
@@ -102,7 +102,8 @@ class TestSeedWords:
     @example((2**32 - 1, 2**32, 2**64 + 5))
     @example((7, 0, 2**32))
     def test_words_draw_the_tuple_stream(self, values):
-        words = np.array([w for v in values for w in harness._seed_words(v)], dtype=np.uint32)
+        words = seed_words(*values)
+        assert words.dtype == np.uint32
         by_words, by_tuple = np.random.default_rng(words), np.random.default_rng(values)
         assert by_words.integers(0, 2**63, 6).tolist() == by_tuple.integers(0, 2**63, 6).tolist()
         assert by_words.normal(size=6).tolist() == by_tuple.normal(size=6).tolist()
@@ -131,9 +132,16 @@ class TestSeedWords:
             by_tuple = pn_preamble(p.correlator_len, (seed, k))
             assert p.preamble.samples.tolist() == by_tuple.samples.tolist()
 
+    @pytest.mark.parametrize("value", WORD_EDGES)
+    def test_one_value_draws_the_int_stream(self, value):
+        drawn = np.random.default_rng(seed_words(value)).integers(0, 2**63, 4)
+        assert drawn.tolist() == np.random.default_rng(value).integers(0, 2**63, 4).tolist()
+
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             scenario_profiles(-1)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+            seed_words(2, -3)
 
 
 class TestRunSweep:

@@ -24,10 +24,11 @@ more than the base's interquartile range (q3 - q1).  A run
 that crashes (no result line, or an exit code other than 0 or 1) ends the
 comparison without a retry: the file then holds the pairs finished before
 it and, under ``crashed``, that run's pair, side, seed, exit code and the
-tail of its standard error.  Standard output ends with one verdict line per
-metric: its median change, the pairs it won, ``claim_met`` and
-``over_bound``.  The script exits 1 if any run crashed or failed its checks,
-after writing the file.  Standard library only.
+tail of its standard error.  Standard output then holds one verdict line
+per metric (its median change, the pairs it won, ``claim_met`` and
+``over_bound``) and ends with an ``ops:`` line: each side's median op
+count and the change between them.  The script exits 1 if any run crashed
+or failed its checks, after writing the file.  Standard library only.
 """
 
 from __future__ import annotations
@@ -136,10 +137,22 @@ def summarize(pairs: list[dict], spec: dict[str, dict]) -> dict:
             "claim_met": 10 * wins >= 9 * len(pairs)
             and gain > base_spread["q3"] - base_spread["q1"],
         }
-    summary["ops"] = {
-        side: spread([p[side]["ops"] for p in pairs]) for side in ("base", "change")
-    }
+    summary["ops"] = {}
+    for side in ("base", "change"):
+        # a run whose output gave no op count is left out; a side with none is None
+        counts = [p[side]["ops"] for p in pairs if p[side]["ops"] is not None]
+        summary["ops"][side] = spread(counts) if counts else None
     return summary
+
+
+def ops_line(ops: dict) -> str:
+    """Each side's median op count and the change's median against the
+    base's, ``n/a`` where a side has none: ``peak_rss_mb`` grows with the
+    ops a run keeps, so it is read beside these."""
+    base, change = (ops[side] and ops[side]["median"] for side in ("base", "change"))
+    delta = f"{change / base - 1:+.1%}" if base and change is not None else "n/a"
+    base, change = ("n/a" if n is None else f"{n:g}" for n in (base, change))
+    return f"ops: base median {base}, change median {change}, change {delta}"
 
 
 def main(argv=None) -> int:
@@ -201,6 +214,8 @@ def main(argv=None) -> int:
                 f"{name}: median {m['median_change']:+.1%}, won {m['wins']}/{m['pairs']}, "
                 f"claim_met {json.dumps(m['claim_met'])}, over_bound {json.dumps(m['over_bound'])}"
             )
+    if pairs:
+        print(ops_line(report["summary"]["ops"]))
     over = [name for name, m in report["summary"].items() if m.get("over_bound")]
     if over:
         print(f"median change worse than its bound: {over}", file=sys.stderr)
