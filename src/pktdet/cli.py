@@ -82,9 +82,7 @@ def _scenario(config_path: str | None):
 
 def _cmd_sweep(args) -> None:
     cfg = _scenario(args.config)
-    if args.transmit is not None:
-        if args.transmit not in {p.id for p in cfg.profiles}:
-            raise ValueError(f"unknown profile {args.transmit!r}")
+    if args.transmit is not None:  # replace() checks the id
         cfg = replace(cfg, transmitted_profile_id=args.transmit)
     result = run_sweep(cfg, workers=args.workers)
     _write_text(args.out, result.to_csv())

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import SampleStream, _int_fields, prefix_sums
+from .signal import SampleStream, _int_field, _real, prefix_sums
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,10 @@ class CoarseConfig:
     plateau_min: int = 8
 
     def __post_init__(self) -> None:
-        _int_fields(self, "half_period", "plateau_min")
-        if self.half_period < 1:
-            raise ValueError("half_period must be >= 1")
-        if not 0.0 <= self.metric_threshold <= 1.0:
+        _int_field(self, "half_period", 1)
+        if not 0.0 <= _real(self.metric_threshold, "metric_threshold") <= 1.0:
             raise ValueError("metric_threshold must be in [0, 1]")
-        if self.plateau_min < 1:
-            raise ValueError("plateau_min must be >= 1")
+        _int_field(self, "plateau_min", 1)
 
 
 @dataclass(frozen=True)

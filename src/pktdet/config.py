@@ -176,7 +176,7 @@ def _value(section: configparser.SectionProxy, key: str, parse, default=None):
         return default
     try:
         return parse(text)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a file: or coeff: path
         raise ValueError(f"[{section.name}] {key}: {exc}") from None
 
 

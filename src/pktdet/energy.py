@@ -22,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import MAX_ENERGY_WINDOW, FixedPointFormat, SampleStream, _int_fields, prefix_sums
+from .signal import (
+    MAX_ENERGY_WINDOW,
+    FixedPointFormat,
+    SampleStream,
+    _int_field,
+    _real,
+    prefix_sums,
+)
 
 
 @dataclass(frozen=True)
@@ -40,12 +47,10 @@ class EnergyConfig:
     count_threshold: int = 8
 
     def __post_init__(self) -> None:
-        _int_fields(self, "window_len", "count_threshold")
-        if not 1 <= self.window_len <= MAX_ENERGY_WINDOW:
-            raise ValueError(f"window_len must be in [1, {MAX_ENERGY_WINDOW}]")
-        if not 0 <= self.count_threshold <= self.window_len:
-            raise ValueError("count_threshold must be in [0, window_len]")
-        if not math.isfinite(self.sample_energy_threshold) or self.sample_energy_threshold < 0:
+        window_len = _int_field(self, "window_len", 1, MAX_ENERGY_WINDOW)
+        _int_field(self, "count_threshold", 0, window_len)
+        threshold = _real(self.sample_energy_threshold, "sample_energy_threshold")
+        if not math.isfinite(threshold) or threshold < 0:
             raise ValueError("sample_energy_threshold must be finite and >= 0")
 
 

@@ -40,6 +40,9 @@ from .signal import (
     Preamble,
     Q1_15,
     SampleStream,
+    _int_field,
+    _int_in,
+    _real,
     add_awgn,
     embed_preamble,
     noise_sigma,
@@ -88,19 +91,20 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.snr_points_db:
             raise ValueError("snr_points_db must hold at least one point")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be >= 1")
+        for snr in self.snr_points_db:
+            _real(snr, "snr_points_db")
         seed_words(self.seed)  # the one seed rule: a negative seed raises
         ids = [p.id for p in self.profiles]
         if len(set(ids)) != len(ids):
             raise ValueError("profile ids must be unique")
         if self.transmitted_profile_id not in ids:
-            raise ValueError("transmitted_profile_id must name one of the profiles")
+            raise ValueError(f"unknown profile {self.transmitted_profile_id!r}")
+        _int_field(self, "trials_per_point", 1)
         lo, hi = self.pad_before_range
-        if not 0 <= lo <= hi:
-            raise ValueError("pad_before_range must satisfy 0 <= lo <= hi")
-        if self.pad_after < 0:
-            raise ValueError("pad_after must be >= 0")
+        lo = _int_in(lo, "pad_before_range[0]", 0)
+        hi = _int_in(hi, "pad_before_range[1]", lo)
+        object.__setattr__(self, "pad_before_range", (lo, hi))
+        _int_field(self, "pad_after", 0)
 
     @cached_property
     def registers(self) -> RegisterMap:
@@ -236,11 +240,10 @@ def _sweep_point(args) -> tuple[int, list[TrialOutcome]]:
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Run all SNR points x trials.  ``workers > 1`` fans the SNR points out
     to a process pool of at most one worker per point; outcomes are
-    identical either way.  ``workers < 1``, a pad above ``MAX_PAD`` and an
-    SNR point that gives the transmitted preamble no noise level
-    (:func:`noise_sigma`) raise ``ValueError`` before any trial runs."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    identical either way.  ``workers`` below 1 or not an integer, a pad
+    above ``MAX_PAD`` and an SNR point that gives the transmitted preamble
+    no noise level (:func:`noise_sigma`) raise ``ValueError`` before any trial runs."""
+    workers = _int_in(workers, "workers", 1)
     if max(cfg.pad_before_range[1], cfg.pad_after) > MAX_PAD:
         raise ValueError(f"pads must be in [0, {MAX_PAD}] samples")
     power = cfg.transmitted_profile().preamble.mean_power

@@ -46,15 +46,36 @@ _SATURATING = float(1 << 16)
 _JUST_BELOW_HALF = float(np.nextafter(0.5, 0.0))
 
 
-def _int_fields(obj, *names: str) -> None:
-    """Store each named field of the frozen dataclass ``obj`` as an int, any
-    integer (NumPy's included) being accepted; anything else, a whole float
-    say, would fail later in the integer stages and raises ``ValueError``."""
-    for name in names:
-        try:
-            object.__setattr__(obj, name, operator.index(getattr(obj, name)))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer") from None
+def _int_in(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an int (NumPy's integers too) within [lo, hi], a bound
+    of None being none: the one rule for an integer setting.  Anything
+    else, a whole float say, raises ``ValueError`` naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}]")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    return value
+
+
+def _int_field(obj, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """Store field ``name`` of the frozen dataclass ``obj`` as :func:`_int_in`
+    returns it, and return it."""
+    value = _int_in(getattr(obj, name), name, lo, hi)
+    object.__setattr__(obj, name, value)
+    return value
+
+
+def _real(value, name: str):
+    """``value``, if a real number of any type, else ``ValueError`` naming it."""
+    try:
+        math.isnan(value)  # a TypeError for a string, None or a complex
+    except TypeError:
+        raise ValueError(f"{name} must be a real number") from None
+    return value
 
 
 @dataclass(frozen=True)
@@ -71,13 +92,8 @@ class FixedPointFormat:
     fractional_bits: int = 15
 
     def __post_init__(self) -> None:
-        _int_fields(self, "total_bits", "fractional_bits")
-        if not 2 <= self.total_bits <= 16:
-            raise ValueError(f"total_bits must be in [2, 16], got {self.total_bits}")
-        if not 0 <= self.fractional_bits < self.total_bits:
-            raise ValueError(
-                f"fractional_bits must be in [0, total_bits), got {self.fractional_bits}"
-            )
+        total_bits = _int_field(self, "total_bits", 2, 16)
+        _int_field(self, "fractional_bits", 0, total_bits - 1)
 
     @property
     def scale(self) -> int:
@@ -323,9 +339,11 @@ def seed_words(*values) -> np.ndarray:
     """The uint32 words numpy's ``SeedSequence`` makes of the tuple ``values``
     of non-negative integers (each least significant word first, 0 as one
     zero word), which draw the tuple's stream without its per-item
-    conversion: the one rule for a user's seed.  A negative value raises."""
+    conversion: the one rule for a user's seed.  A value that is not an
+    integer (:func:`_int_in`) or is negative raises ``ValueError``."""
     words: list[int] = []
-    for value in map(operator.index, values):
+    for value in values:
+        value = _int_in(value, "seed")
         if value < 0:
             raise ValueError(f"seed must be non-negative, got {value}")
         words.append(value & 0xFFFFFFFF)  # 0 too: one zero word
@@ -342,8 +360,7 @@ def pn_preamble(length: int, seed) -> Preamble:
     every sample, so the sign correlator's ideal peak is exactly twice the
     length.  The length is checked before the signs are drawn.
     """
-    if not 1 <= length <= MAX_PREAMBLE_LEN:
-        raise ValueError(f"preamble length must be in [1, {MAX_PREAMBLE_LEN}]")
+    length = _int_in(length, "preamble length", 1, MAX_PREAMBLE_LEN)
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(2, length)) * 2 - 1
     amp = 1.0 / math.sqrt(2.0)

@@ -36,7 +36,7 @@ from .correlator import (
     words_for,
 )
 from .energy import EnergyConfig, enable_array, raw_threshold
-from .signal import MAX_ENERGY_WINDOW, Q1_15, FixedPointFormat, Preamble, SampleStream, _int_fields
+from .signal import MAX_ENERGY_WINDOW, Q1_15, FixedPointFormat, Preamble, SampleStream, _int_field
 
 # bound once: DetectorBank.push calls it per profile per enabled sample
 _new_record = object.__new__
@@ -56,11 +56,9 @@ class StandardProfile:
     fine_threshold: int
 
     def __post_init__(self) -> None:
-        _int_fields(self, "fine_threshold")
         # No upper bound on the threshold: configuring a value above the
         # ideal maximum 2n is a legitimate way to park a correlator.
-        if self.fine_threshold < 1:
-            raise ValueError("fine_threshold must be positive")
+        _int_field(self, "fine_threshold", 1)
 
     @property
     def correlator_len(self) -> int:
@@ -207,10 +205,11 @@ class _PipelineView:
     arb_window: int  # the longest correlator, disabled profiles included
 
 
-def _positive(regs: RegisterMap, key: str, most: int = 0xFFFFFFFF) -> int:
-    """Register ``key`` of ``regs``, which must be in [1, most]."""
-    if not 1 <= (value := regs.read(key)) <= most:
-        raise ConfigurationError(f"register {key!r} must be in [1, {most}], not {value}")
+def _word(regs: RegisterMap, key: str, least: int = 1, most: int = 0xFFFFFFFF) -> int:
+    """Register ``key`` of ``regs``, which must be in [least, most]: the one
+    rule for a stage word the decode checks."""
+    if not least <= (value := regs.read(key)) <= most:
+        raise ConfigurationError(f"register {key!r} must be in [{least}, {most}], not {value}")
     return value
 
 
@@ -238,15 +237,13 @@ def _decode_registers(profiles, regs: RegisterMap) -> _PipelineView:
     energy = None
     if regs.read("energy/enabled"):
         # checked before any stage sizes its window register to it
-        window = _positive(regs, "energy/window_len", MAX_ENERGY_WINDOW)
-        count = regs.read("energy/count_thresh")
-        if count > window:
-            raise ConfigurationError(f"register 'energy/count_thresh' {count} exceeds the window")
+        window = _word(regs, "energy/window_len", most=MAX_ENERGY_WINDOW)
+        count = _word(regs, "energy/count_thresh", 0, window)
         energy = (window, regs.read("energy/sample_thresh_raw"), count)
 
     coarse = None
     if regs.read("coarse/enabled"):
-        lag, plateau = _positive(regs, "coarse/lag"), _positive(regs, "coarse/plateau")
+        lag, plateau = _word(regs, "coarse/lag"), _word(regs, "coarse/plateau")
         # any threshold word is legal: M can exceed 1, and a word above the
         # M a stream reaches parks the stage
         coarse = (lag, regs.read("coarse/thresh_q15"), plateau)

@@ -104,6 +104,14 @@ WINDOW_MAX = (
 )
 EXACT = "tests/test_coarse.py::TestExactTrigger::"
 TIE = "tests/test_signal.py::TestQuantize::test_rounds_half_away_from_zero_beside_the_tie"
+SETTING = "tests/test_settings.py::test_integer_setting_takes_the_one_rule"
+SWEEP_INTS = """        _int_field(self, "trials_per_point", 1)
+        lo, hi = self.pad_before_range
+        lo = _int_in(lo, "pad_before_range[0]", 0)
+        hi = _int_in(hi, "pad_before_range[1]", lo)
+        object.__setattr__(self, "pad_before_range", (lo, hi))
+        _int_field(self, "pad_after", 0)
+"""
 
 CATALOGUE = (
     # the streaming bank's datapath
@@ -238,12 +246,12 @@ CATALOGUE = (
         Mutant(
             f"decode-{name}-check-dropped",
             STANDARDS,
-            f'_positive(regs, "{key}"{most})',
+            f'_word(regs, "{key}"{most})',
             f'regs.read("{key}")',
             (f"{BAD_WORD}[{name}]",),
         )
         for name, key, most in (
-            ("window", "energy/window_len", ", MAX_ENERGY_WINDOW"),
+            ("window", "energy/window_len", ", most=MAX_ENERGY_WINDOW"),
             ("lag", "coarse/lag", ""),
             ("plateau", "coarse/plateau", ""),
         )
@@ -253,23 +261,28 @@ CATALOGUE = (
     Mutant(
         "decode-window-maximum-dropped",
         STANDARDS,
-        '_positive(regs, "energy/window_len", MAX_ENERGY_WINDOW)',
-        '_positive(regs, "energy/window_len")',
+        '_word(regs, "energy/window_len", most=MAX_ENERGY_WINDOW)',
+        '_word(regs, "energy/window_len")',
         (f"{WINDOW_MAX}[65537]",),
     ),
     Mutant(
         "energy-config-window-maximum-dropped",
         "src/pktdet/energy.py",
-        "if not 1 <= self.window_len <= MAX_ENERGY_WINDOW:",
-        "if not 1 <= self.window_len:",
+        '_int_field(self, "window_len", 1, MAX_ENERGY_WINDOW)',
+        '_int_field(self, "window_len", 1)',
         (f"{WINDOW_MAX}[65537]",),
     ),
     Mutant(
         "decode-count-check-dropped",
         STANDARDS,
-        "        if count > window:\n",
-        "        if False:\n",
-        (f"{BAD_WORD}[count]", WORDS),
+        '_word(regs, "energy/count_thresh", 0, window)',
+        'regs.read("energy/count_thresh")',
+        (
+            f"{BAD_WORD}[count]",
+            WORDS,
+            "tests/test_standards.py::TestRegisterValidation::"
+            "test_count_word_above_the_window_names_its_key_and_range",
+        ),
     ),
     # the batch energy gate
     Mutant(
@@ -554,6 +567,42 @@ CATALOGUE = (
             for command in ("gen-iq", "scope", "gen-coeff", "ini-preamble")
         ),
     ),
+    # every integer setting takes the one rule, its upper bound included
+    Mutant(
+        "int-rule-upper-bound-dropped",
+        "src/pktdet/signal.py",
+        "    if hi is not None and not lo <= value <= hi:\n",
+        "    if False:\n",
+        (
+            f"{WINDOW_MAX}[65537]",
+            *(f"{SETTING}[{name}]" for name in ("total_bits", "fractional_bits", "window_len")),
+            *(f"{SETTING}[{name}]" for name in ("count_threshold", "preamble-length")),
+        ),
+    ),
+    Mutant(
+        "sweep-fields-unconverted",
+        "src/pktdet/harness.py",
+        SWEEP_INTS,
+        """        if self.trials_per_point < 1:
+            raise ValueError("trials_per_point must be >= 1")
+        lo, hi = self.pad_before_range
+        if not 0 <= lo <= hi:
+            raise ValueError("pad_before_range must satisfy 0 <= lo <= hi")
+        if self.pad_after < 0:
+            raise ValueError("pad_after must be >= 0")
+""",
+        tuple(
+            f"{SETTING}[{name}]"
+            for name in ("trials_per_point", "pad_after", *(f"pad_before_range[{k}]" for k in "01"))
+        ),
+    ),
+    Mutant(
+        "seed-words-type-unchecked",
+        "src/pktdet/signal.py",
+        '        value = _int_in(value, "seed")\n',
+        "",
+        (f"{SETTING}[seed]", f"{SETTING}[seed_words]"),
+    ),
     # a trial another standard wins is no miss
     Mutant(
         "false-standard-reported-as-missed",
@@ -641,6 +690,18 @@ CATALOGUE = (
                 "profile-threshold-not-an-int",
                 "pn-negative-seed",
             )
+        ),
+    ),
+    # and so does a preamble file that cannot be read
+    Mutant(
+        "ini-oserror-unnamed",
+        "src/pktdet/config.py",
+        "    except (ValueError, OSError) as exc:",
+        "    except ValueError as exc:",
+        tuple(
+            f"tests/test_cli.py::test_unreadable_preamble_names_its_key[{command}-{source}]"
+            for command in ("gen-iq", "detect")
+            for source in ("missing-file", "coeff-directory")
         ),
     ),
     # a pn: source takes its two fields and no other

@@ -450,6 +450,31 @@ def test_negative_seed_exits_2(capsys, tmp_path, config_file, command):
     assert err.endswith("seed must be non-negative, got -1\n")
 
 
+@pytest.mark.parametrize(
+    "source, reason",
+    [
+        ("file:missing.txt", "[Errno 2] No such file or directory"),
+        ("coeff:bank_dir", "[Errno 21] Is a directory"),
+    ],
+    ids=["missing-file", "coeff-directory"],
+)
+@pytest.mark.parametrize("command", ["gen-iq", "detect"])
+def test_unreadable_preamble_names_its_key(capsys, tmp_path, command, source, reason):
+    (tmp_path / "bank_dir").mkdir()
+    profiles = tmp_path / "p.ini"
+    profiles.write_text(f"[profile p]\npreamble = {source}\nthreshold = 3\n")
+    out = tmp_path / "out"
+    argv = {
+        "gen-iq": ["gen-iq", "--transmit", "p"],
+        "detect": ["detect", "--input", str(tmp_path / "none.iqpd")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--profiles", str(profiles), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith(f"error: [profile p] preamble: {reason}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["gen-iq", "sweep"])
 def test_pad_past_the_cap_exits_2(capsys, tmp_path, config_file, command):
     # 10**13 zeros would take 146 TiB, so the pad is checked before the embed
@@ -550,13 +575,15 @@ def test_scope_config_with_two_profiles(tmp_path):
     assert data[:, 2].max() >= 100  # pn64a is transmitted
 
 
-def test_sweep_transmit_overrides_the_config(tmp_path, config_file):
+def test_sweep_transmit_overrides_the_config(capsys, tmp_path, config_file):
     out = tmp_path / "r.csv"
     assert main(["sweep", "--config", str(config_file), "--transmit", "pn32", "--out", str(out)]) == 0
     cfg = replace(load_sweep_config(config_file), transmitted_profile_id="pn32")
     assert out.read_text() == run_sweep(cfg).to_csv()
     unknown = ["sweep", "--config", str(config_file), "--transmit", "nope", "--out", str(out)]
+    capsys.readouterr()
     assert main(unknown) == 2
+    assert capsys.readouterr().err == "error: unknown profile 'nope'\n"
 
 
 @pytest.mark.parametrize("transmit", [None, "pn32"])

@@ -228,7 +228,7 @@ class TestRunSweep:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             tiny_config(trials_per_point=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown profile 'nope'$"):
             tiny_config(transmitted_profile_id="nope")
         with pytest.raises(ValueError):
             tiny_config(pad_before_range=(10, 5))

@@ -3,6 +3,7 @@ import gc
 import math
 from dataclasses import fields, replace
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -929,6 +930,14 @@ class TestRegisterValidation:
             DetectorBank([p], bad, Q1_15)
         with pytest.raises(ConfigurationError, match=key):
             DetectorBank([p], regs, Q1_15).update_registers(bad)
+
+    def test_count_word_above_the_window_names_its_key_and_range(self):
+        # the one register-word rule, whose upper bound here is the window
+        p = profile("a", 32, 50)
+        regs = build_register_map([p], energy=EnergyConfig(16, 0.25, 8))
+        message = "register 'energy/count_thresh' must be in [0, 16], not 17"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            DetectorBank([p], regs.write("energy/count_thresh", 17), Q1_15)
 
     @pytest.mark.parametrize("window", [MAX_ENERGY_WINDOW + 1, 0xFFFFFFFF])
     def test_energy_window_above_the_maximum_allocates_nothing(self, window):
