@@ -59,16 +59,8 @@ def _cmd_detect(args) -> None:
     stream = read_iq(args.input)
     coarse = None
     if args.coarse_lag is not None:
-        coarse = CoarseConfig(
-            half_period=args.coarse_lag,
-            metric_threshold=args.coarse_thresh,
-            plateau_min=args.coarse_plateau,
-        )
-    energy = EnergyConfig(
-        window_len=args.energy_window,
-        sample_energy_threshold=args.energy_sample_thresh,
-        count_threshold=args.energy_count_thresh,
-    )
+        coarse = CoarseConfig(args.coarse_lag, args.coarse_thresh, args.coarse_plateau)
+    energy = EnergyConfig(args.energy_window, args.energy_sample_thresh, args.energy_count_thresh)
     regs = build_register_map(profiles, energy=energy, coarse=coarse, fmt=stream.format)
     events = run_detector_bank(stream, profiles, regs)
     rows = ((e.standard_id, e.peak_value, e.peak_index) for e in events)
@@ -94,8 +86,16 @@ def _cmd_scope(args) -> None:
     _write_text(args.out, result.to_csv())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``ValueError``, which ``main`` prints as any
+    other; the subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pktdet", description=__doc__)
+    parser = _Parser(prog="pktdet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-coeff", help="emit a coefficient register dump")
@@ -147,9 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand: exit status 0, or 2 with one ``error:`` line on
     stderr for bad input (files, formats, seeds, stage parameters), which
-    every command reports by raising ``ValueError`` or ``OSError``."""
-    args = build_parser().parse_args(argv)
+    every command reports by raising ``ValueError`` or ``OSError``; a usage
+    error too.  ``--help`` prints and exits 0."""
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 
@@ -89,18 +89,27 @@ class SweepConfig:
     sample_format: FixedPointFormat = Q1_15
 
     def __post_init__(self) -> None:
-        if not self.snr_points_db:
-            raise ValueError("snr_points_db must hold at least one point")
-        for snr in self.snr_points_db:
-            _real(snr, "snr_points_db")
+        try:
+            if not self.snr_points_db:
+                raise ValueError("snr_points_db must hold at least one point")
+            for snr in self.snr_points_db:
+                _real(snr, "snr_points_db")
+        except TypeError:
+            raise ValueError("snr_points_db must be a sequence of real numbers") from None
         seed_words(self.seed)  # the one seed rule: a negative seed raises
-        ids = [p.id for p in self.profiles]
+        try:
+            ids = [p.id for p in self.profiles]
+        except (TypeError, AttributeError):
+            raise ValueError("profiles must be a sequence of profiles") from None
         if len(set(ids)) != len(ids):
             raise ValueError("profile ids must be unique")
         if self.transmitted_profile_id not in ids:
             raise ValueError(f"unknown profile {self.transmitted_profile_id!r}")
         _int_field(self, "trials_per_point", 1)
-        lo, hi = self.pad_before_range
+        try:
+            lo, hi = self.pad_before_range
+        except (TypeError, ValueError):
+            raise ValueError("pad_before_range must be a (lo, hi) pair") from None
         lo = _int_in(lo, "pad_before_range[0]", 0)
         hi = _int_in(hi, "pad_before_range[1]", lo)
         object.__setattr__(self, "pad_before_range", (lo, hi))
@@ -133,15 +142,7 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     outcomes: tuple[tuple[TrialOutcome, ...], ...]  # per SNR point, per trial
 
-    CSV_HEADER = (
-        "snr_db",
-        "trials",
-        "correct",
-        "missed",
-        "false_standard",
-        "probability",
-        "ci_half_width",
-    )
+    CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 
     def to_csv(self) -> str:
         rows = (
@@ -271,17 +272,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
         false_standard = len(point) - correct - missed
         probability = correct / len(point)
         ci = 1.96 * math.sqrt(probability * (1.0 - probability) / len(point))
-        rows.append(
-            SweepRow(
-                snr_db=snr,
-                trials=len(point),
-                correct=correct,
-                missed=missed,
-                false_standard=false_standard,
-                probability=probability,
-                ci_half_width=ci,
-            )
-        )
+        rows.append(SweepRow(snr, len(point), correct, missed, false_standard, probability, ci))
         outcomes.append(tuple(point))
     return SweepResult(rows=tuple(rows), outcomes=tuple(outcomes))
 

@@ -70,10 +70,11 @@ def _int_field(obj, name: str, lo: int | None = None, hi: int | None = None) -> 
 
 
 def _real(value, name: str):
-    """``value``, if a real number of any type, else ``ValueError`` naming it."""
+    """``value``, if a real number of any type that a float can hold, else
+    ``ValueError`` naming it."""
     try:
         math.isnan(value)  # a TypeError for a string, None or a complex
-    except TypeError:
+    except (TypeError, OverflowError):  # OverflowError: an int beyond a float
         raise ValueError(f"{name} must be a real number") from None
     return value
 
@@ -323,7 +324,8 @@ def noise_sigma(snr_db: float, signal_power: float) -> float:
     not finite, and an SNR (NaN, -inf or of too large a magnitude) that
     leaves no finite noise level."""
     # Python floats: an overflow raises here instead of a numpy scalar warning
-    snr_db, signal_power = float(snr_db), float(signal_power)
+    snr_db = float(_real(snr_db, "snr_db"))
+    signal_power = float(_real(signal_power, "signal_power"))
     if not (math.isfinite(signal_power) and signal_power >= 0):
         raise ValueError(f"signal_power must be finite and >= 0, got {signal_power}")
     try:

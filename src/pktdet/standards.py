@@ -38,6 +38,24 @@ from .correlator import (
 from .energy import EnergyConfig, enable_array, raw_threshold
 from .signal import MAX_ENERGY_WINDOW, Q1_15, FixedPointFormat, Preamble, SampleStream, _int_field
 
+# Every register word: key -> (least, most, meaning).  A key as most bounds
+# the word by that word's value; <p> is a profile's place, <w> a word's.
+_REGISTERS = {
+    "energy/enabled": (0, 0xFFFFFFFF, "nonzero turns the energy gate on"),
+    "energy/window_len": (1, MAX_ENERGY_WINDOW, "samples in the gate's sliding window"),
+    "energy/sample_thresh_raw": (0, 0xFFFFFFFF, "energy a sample must exceed, in code^2 units"),
+    "energy/count_thresh": (0, "energy/window_len", "count of such samples a window must exceed"),
+    "coarse/enabled": (0, 0xFFFFFFFF, "nonzero turns the coarse stage on"),
+    "coarse/lag": (1, 0xFFFFFFFF, "repetition lag L of the training block"),
+    "coarse/thresh_q15": (0, 0xFFFFFFFF, "metric threshold t as round(t * 32768)"),
+    "coarse/plateau": (1, 0xFFFFFFFF, "positions the metric must stay at or above t"),
+    "fine/holdoff": (0, 0xFFFFFFFF, "samples the correlators stay on after the gate closes"),
+    "prof<p>/threshold": (1, 0xFFFFFFFF, "least re that makes a candidate"),
+    "prof<p>/enabled": (0, 0xFFFFFFFF, "nonzero turns the profile's correlator on"),
+    "prof<p>/coeff_i/<w>": (0, 0xFFFFFFFF, "I sign bits, bit k for sample 32w + k"),
+    "prof<p>/coeff_q/<w>": (0, 0xFFFFFFFF, "Q sign bits, laid out as the I words"),
+}
+
 # bound once: DetectorBank.push calls it per profile per enabled sample
 _new_record = object.__new__
 
@@ -170,24 +188,26 @@ def _build_register_map(entries, energy, coarse, fmt) -> RegisterMap:
         raise ConfigurationError("at least one profile is required")
     gate = energy or EnergyConfig()
     trigger = coarse or CoarseConfig()
-    values: dict[str, int] = {
-        "energy/enabled": int(energy is not None),
-        "energy/window_len": gate.window_len,
-        "energy/sample_thresh_raw": raw_threshold(gate, fmt),
-        "energy/count_thresh": gate.count_threshold,
-        "coarse/enabled": int(coarse is not None),
-        "coarse/lag": trigger.half_period,
-        "coarse/thresh_q15": round(trigger.metric_threshold * (1 << 15)),
-        "coarse/plateau": trigger.plateau_min,
-        "fine/holdoff": 2 * max(bank.length for _, bank in entries),
-    }
+    # the words of the table's rows, in its order: the stage rows first
+    stage_words = (
+        int(energy is not None),
+        gate.window_len,
+        raw_threshold(gate, fmt),
+        gate.count_threshold,
+        int(coarse is not None),
+        trigger.half_period,
+        round(trigger.metric_threshold * (1 << 15)),
+        trigger.plateau_min,
+        2 * max(bank.length for _, bank in entries),
+    )
+    values = dict(zip(_REGISTERS, stage_words))
+    profile_rows = list(_REGISTERS)[len(values) :]
     for p, (threshold, bank) in enumerate(entries):
-        values[f"prof{p}/threshold"] = threshold
-        values[f"prof{p}/enabled"] = 1
-        for w, word in enumerate(bank.i_words):
-            values[f"prof{p}/coeff_i/{w}"] = word
-        for w, word in enumerate(bank.q_words):
-            values[f"prof{p}/coeff_q/{w}"] = word
+        # a row takes one word, a <w> row one per coefficient word
+        row_words = ((threshold,), (1,), bank.i_words, bank.q_words)
+        for row, words in zip(profile_rows, row_words, strict=True):
+            for w, word in enumerate(words):
+                values[row.replace("<p>", str(p)).replace("<w>", str(w))] = word
     return RegisterMap(values)
 
 
@@ -205,7 +225,7 @@ class _PipelineView:
     arb_window: int  # the longest correlator, disabled profiles included
 
 
-def _word(regs: RegisterMap, key: str, least: int = 1, most: int = 0xFFFFFFFF) -> int:
+def _word(regs: RegisterMap, key: str, least: int, most: int) -> int:
     """Register ``key`` of ``regs``, which must be in [least, most]: the one
     rule for a stage word the decode checks."""
     if not least <= (value := regs.read(key)) <= most:
@@ -234,19 +254,15 @@ def _decode_registers(profiles, regs: RegisterMap) -> _PipelineView:
     if view is not None:
         return view
 
-    energy = None
-    if regs.read("energy/enabled"):
-        # checked before any stage sizes its window register to it
-        window = _word(regs, "energy/window_len", most=MAX_ENERGY_WINDOW)
-        count = _word(regs, "energy/count_thresh", 0, window)
-        energy = (window, regs.read("energy/sample_thresh_raw"), count)
-
-    coarse = None
-    if regs.read("coarse/enabled"):
-        lag, plateau = _word(regs, "coarse/lag"), _word(regs, "coarse/plateau")
-        # any threshold word is legal: M can exceed 1, and a word above the
-        # M a stream reaches parks the stage
-        coarse = (lag, regs.read("coarse/thresh_q15"), plateau)
+    stages = {"energy": None, "coarse": None}
+    for name in stages:
+        if regs.read(f"{name}/enabled"):
+            # the stage's words in table order, each checked by its row
+            words = {}
+            for key, (least, most, _) in _REGISTERS.items():
+                if key.startswith(f"{name}/") and not key.endswith("/enabled"):
+                    words[key] = _word(regs, key, least, words.get(most, most))
+            stages[name] = tuple(words.values())
 
     banks = []
     for p, profile in enumerate(profiles):
@@ -262,16 +278,17 @@ def _decode_registers(profiles, regs: RegisterMap) -> _PipelineView:
                 f"{length}-point bank ({exc})"
             ) from None
     view = _PipelineView(
-        energy=energy,
-        coarse=coarse,
+        energy=stages["energy"],
+        coarse=stages["coarse"],
         holdoff=regs.read("fine/holdoff"),
         banks=tuple(banks),
         thresholds=tuple(regs.read(f"prof{p}/threshold") for p in range(len(profiles))),
         enabled=tuple(bool(regs.read(f"prof{p}/enabled")) for p in range(len(profiles))),
         arb_window=max(lengths),
     )
+    least = _REGISTERS["prof<p>/threshold"][0]
     for profile, threshold in zip(profiles, view.thresholds):
-        if threshold < 1:
+        if threshold < least:
             raise ConfigurationError(f"profile {profile.id!r}: threshold must be positive")
     regs._views[lengths] = view
     return view

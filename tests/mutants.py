@@ -6,12 +6,12 @@ collect this file on its own):
 
     python -m pytest -q tests/mutants.py
 
-The source tree, the tests and ``pyproject.toml`` are copied once to a
-temporary directory, and the named tests must pass there unpatched.  Then,
-per entry, the entry's old text in its file is replaced by the new text,
-the named tests run in a fresh pytest process with a fixed hypothesis seed
-and no shrinking of a failing example (the ``mutants`` profile in
-``conftest.py``), and the file is restored.  An entry fails when its old
+The source tree, the tests, ``pyproject.toml`` and ``README.md`` are
+copied once to a temporary directory, and the named tests must pass there
+unpatched.  Then, per entry, the entry's old text in its file is replaced
+by the new text, the named tests run in a fresh pytest process with a
+fixed hypothesis seed and no shrinking of a failing example (the
+``mutants`` profile in ``conftest.py``), and the file is restored.  An entry fails when its old
 text does not occur exactly once (the code it targets changed, so the entry
 must follow it), when any named test passes under the mutant (the mutant
 survives), or when its tests run longer than ``RUN_TIMEOUT_S`` (a mutant
@@ -74,7 +74,7 @@ BUILD_CALL = "return _build_register_map(entries, energy, coarse, fmt)"
 DECODE_MEMO = "tests/test_standards.py::TestDecodeMemo::"
 VIEW_LOOKUP = "    view = regs._views.get(lengths)\n"
 THRESHOLD_CHECK = """    for profile, threshold in zip(profiles, view.thresholds):
-        if threshold < 1:
+        if threshold < least:
             raise ConfigurationError(f"profile {profile.id!r}: threshold must be positive")
 """
 VIEW_STORE = "    regs._views[lengths] = view\n"
@@ -103,10 +103,15 @@ WINDOW_MAX = (
     "test_energy_window_above_the_maximum_allocates_nothing"
 )
 EXACT = "tests/test_coarse.py::TestExactTrigger::"
+WINDOW_ROW = '"energy/window_len": (1, MAX_ENERGY_WINDOW,'
+README_TABLE = "tests/test_standards.py::TestRegisterTable::test_readme_table_is_the_module_table"
 TIE = "tests/test_signal.py::TestQuantize::test_rounds_half_away_from_zero_beside_the_tie"
 SETTING = "tests/test_settings.py::test_integer_setting_takes_the_one_rule"
 SWEEP_INTS = """        _int_field(self, "trials_per_point", 1)
-        lo, hi = self.pad_before_range
+        try:
+            lo, hi = self.pad_before_range
+        except (TypeError, ValueError):
+            raise ValueError("pad_before_range must be a (lo, hi) pair") from None
         lo = _int_in(lo, "pad_before_range[0]", 0)
         hi = _int_in(hi, "pad_before_range[1]", lo)
         object.__setattr__(self, "pad_before_range", (lo, hi))
@@ -241,19 +246,20 @@ CATALOGUE = (
             "tests/test_standards.py::TestDuplicateIds::test_streaming_bank_rejects_a_repeated_id",
         ),
     ),
-    # the decode rejects, by key, a stage word no stage can run under
+    # the decode rejects, by key, a stage word no stage can run under: each
+    # row of the register table, its range widened to every 32-bit word
     *(
         Mutant(
             f"decode-{name}-check-dropped",
             STANDARDS,
-            f'_word(regs, "{key}"{most})',
-            f'regs.read("{key}")',
+            f'"{key}": ({least}, {most},',
+            f'"{key}": (0, 0xFFFFFFFF,',
             (f"{BAD_WORD}[{name}]",),
         )
-        for name, key, most in (
-            ("window", "energy/window_len", ", most=MAX_ENERGY_WINDOW"),
-            ("lag", "coarse/lag", ""),
-            ("plateau", "coarse/plateau", ""),
+        for name, key, least, most in (
+            ("window", "energy/window_len", 1, "MAX_ENERGY_WINDOW"),
+            ("lag", "coarse/lag", 1, "0xFFFFFFFF"),
+            ("plateau", "coarse/plateau", 1, "0xFFFFFFFF"),
         )
     ),
     # and an energy window wider than the exceedance register, before the
@@ -261,9 +267,17 @@ CATALOGUE = (
     Mutant(
         "decode-window-maximum-dropped",
         STANDARDS,
-        '_word(regs, "energy/window_len", most=MAX_ENERGY_WINDOW)',
-        '_word(regs, "energy/window_len")',
+        WINDOW_ROW,
+        '"energy/window_len": (1, 0xFFFFFFFF,',
         (f"{WINDOW_MAX}[65537]",),
+    ),
+    # the table is the one declaration README's table is checked against
+    Mutant(
+        "register-row-widened",
+        STANDARDS,
+        WINDOW_ROW,
+        '"energy/window_len": (1, MAX_ENERGY_WINDOW + 1,',
+        (f"{WINDOW_MAX}[65537]", README_TABLE),
     ),
     Mutant(
         "energy-config-window-maximum-dropped",
@@ -275,8 +289,8 @@ CATALOGUE = (
     Mutant(
         "decode-count-check-dropped",
         STANDARDS,
-        '_word(regs, "energy/count_thresh", 0, window)',
-        'regs.read("energy/count_thresh")',
+        '"energy/count_thresh": (0, "energy/window_len",',
+        '"energy/count_thresh": (0, 0xFFFFFFFF,',
         (
             f"{BAD_WORD}[count]",
             WORDS,
@@ -651,8 +665,8 @@ CATALOGUE = (
     Mutant(
         "snr-grid-empty-check-dropped",
         "src/pktdet/harness.py",
-        '        if not self.snr_points_db:\n            raise ValueError("snr_points_db must',
-        '        if False:\n            raise ValueError("snr_points_db must',
+        "            if not self.snr_points_db:\n                raise ValueError(",
+        "            if False:\n                raise ValueError(",
         (
             "tests/test_harness.py::TestRunSweep::test_config_validation",
             f"{MALFORMED}[snr-range-empty]",
@@ -720,6 +734,39 @@ CATALOGUE = (
         "ConfigParser(",
         ("tests/test_cli.py::test_ini_values_are_read_literally",),
     ),
+    # argparse's usage errors end in the one error line too
+    Mutant(
+        "usage-errors-exit-in-argparse",
+        "src/pktdet/cli.py",
+        'parser = _Parser(prog="pktdet"',
+        'parser = argparse.ArgumentParser(prog="pktdet"',
+        tuple(
+            f"tests/test_cli.py::test_usage_error_exits_2[{case}]"
+            for case in ("seed-not-an-int", "no-subcommand")
+        ),
+    ),
+    # a real-valued setting too large for a float is a bad setting
+    Mutant(
+        "real-overflow-escapes",
+        "src/pktdet/signal.py",
+        "except (TypeError, OverflowError):",
+        "except TypeError:",
+        tuple(
+            f"tests/test_settings.py::test_real_setting_rejects_an_int_beyond_a_float[{case}]"
+            for case in ("energy", "noise_sigma-snr", "run_sweep")
+        ),
+    ),
+    # and a SweepConfig container field that holds no container
+    Mutant(
+        "sweep-pad-pair-unchecked",
+        "src/pktdet/harness.py",
+        'raise ValueError("pad_before_range must be a (lo, hi) pair") from None',
+        "raise",
+        tuple(
+            f"tests/test_settings.py::test_container_field_holds_a_container[{case}]"
+            for case in ("pad_before_range", "pad_before_range-triple")
+        ),
+    ),
 )
 
 
@@ -748,7 +795,8 @@ def tree(tmp_path_factory):
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, tree / part, ignore=skip)
-    shutil.copy2(ROOT / "pyproject.toml", tree)
+    for name in ("pyproject.toml", "README.md"):  # README: its register table is tested
+        shutil.copy2(ROOT / name, tree)
     probe = subprocess.run(
         [sys.executable, "-c", "import pktdet; print(pktdet.__file__)"],
         cwd=tree,

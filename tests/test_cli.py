@@ -505,6 +505,36 @@ def test_bad_snr_exits_2(capsys, tmp_path, config_file, command, snr):
     assert err.startswith("error: ") and err.count("\n") == 1 and "snr_db" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen-iq", "--seed", "1.5", "--out", "OUT"], "argument --seed: invalid int value: '1.5'"),
+        (["gen-iq"], "the following arguments are required: --out"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["seed-not-an-int", "missing-out", "unknown-subcommand", "no-subcommand"],
+)
+def test_usage_error_exits_2(capsys, tmp_path, config_file, argv, message):
+    # argparse's own errors keep the contract: one error: line, no usage block
+    out = tmp_path / "out"
+    argv = [str(out) if arg == "OUT" else arg for arg in argv]
+    if argv[:1] == ["gen-iq"]:
+        argv += ["--profiles", str(config_file), "--transmit", "pn32"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["detect", "--help"])
+    assert exit_info.value.code == 0
+    assert "--energy-window" in capsys.readouterr().out
+
+
 @pytest.fixture
 def detect_registers(monkeypatch):
     """The register maps that `detect` runs its captures under."""

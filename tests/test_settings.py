@@ -15,7 +15,14 @@ from pktdet import harness
 from pktdet.coarse import CoarseConfig
 from pktdet.energy import EnergyConfig
 from pktdet.harness import SweepConfig, TrialOutcome, run_sweep, scenario_profiles
-from pktdet.signal import FixedPointFormat, Preamble, pn_preamble, seed_words
+from pktdet.signal import (
+    FixedPointFormat,
+    Preamble,
+    add_awgn,
+    noise_sigma,
+    pn_preamble,
+    seed_words,
+)
 from pktdet.standards import StandardProfile
 
 PROFILES = scenario_profiles(seed=7)
@@ -109,3 +116,53 @@ def test_real_setting_rejects_a_non_number(monkeypatch, name, build, value):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a real number$"):
         build(value)
     assert ran == []  # rejected as the configuration is built
+
+
+# a Python int beyond the largest float, which float() cannot convert
+HUGE = 10**400
+TOO_LARGE = [
+    ("sample_energy_threshold", lambda: EnergyConfig(16, HUGE, 8)),
+    ("metric_threshold", lambda: CoarseConfig(16, HUGE, 8)),
+    ("snr_db", lambda: noise_sigma(HUGE, 1.0)),
+    ("signal_power", lambda: noise_sigma(10.0, HUGE)),
+    ("snr_db", lambda: add_awgn(np.zeros(4, dtype=complex), HUGE, 1)),
+    ("snr_points_db", lambda: run_sweep(sweep(snr_points_db=(HUGE,)))),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    TOO_LARGE,
+    ids=["energy", "coarse", "noise_sigma-snr", "noise_sigma-power", "add_awgn", "run_sweep"],
+)
+def test_real_setting_rejects_an_int_beyond_a_float(monkeypatch, name, build):
+    ran = []
+    monkeypatch.setattr(harness, "run_trial", lambda *a: ran.append(a))
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a real number$"):
+        build()
+    assert ran == []
+
+
+CONTAINERS = [
+    ("snr_points_db", 5.0, "snr_points_db must be a sequence of real numbers"),
+    ("profiles", None, "profiles must be a sequence of profiles"),
+    ("profiles", (1, 2), "profiles must be a sequence of profiles"),
+    ("pad_before_range", None, "pad_before_range must be a (lo, hi) pair"),
+    ("pad_before_range", (8, 16, 24), "pad_before_range must be a (lo, hi) pair"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    CONTAINERS,
+    ids=[
+        "snr_points_db",
+        "profiles",
+        "profiles-of-ints",
+        "pad_before_range",
+        "pad_before_range-triple",
+    ],
+)
+def test_container_field_holds_a_container(name, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep(**{name: value})

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import pickle
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -890,6 +891,76 @@ class TestRegisterWords:
         assert enable_array(stream, *view.energy).tolist() == expected
         expected = coarse_trigger_exact(i, q, lag, thr_q15, plateau)
         assert detect_coarse(stream, *view.coarse).first_trigger == expected
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+STAGE_ROWS = [key for key in standards._REGISTERS if not key.startswith("prof<p>/")]
+STREAMING_ONLY = "the streaming bank supports energy + fine only"
+
+
+class TestRegisterTable:
+    """``standards._REGISTERS`` declares every register word once: the build
+    writes its keys, the decode checks each word by its row, and README's
+    register table prints it."""
+
+    def test_readme_table_is_the_module_table(self):
+        rows = []
+        for line in README.read_text(encoding="utf-8").splitlines():
+            if line.startswith("| `"):
+                key, least, most, meaning = (cell.strip() for cell in line.strip("|").split("|"))
+                most = most.strip("`") if most.startswith("`") else int(most, 0)
+                rows.append((key.strip("`"), (int(least, 0), most, meaning)))
+        assert rows == list(standards._REGISTERS.items())
+
+    @pytest.mark.parametrize("lengths", [(1,), (32,), (40, 64), (33, 1, 100)])
+    def test_built_keys_are_the_table_keys(self, lengths):
+        expected = list(STAGE_ROWS)
+        for p, length in enumerate(lengths):
+            for row in standards._REGISTERS:
+                if row.startswith("prof<p>/"):
+                    row = row.replace("<p>", str(p))
+                    words = range(-(-length // 32)) if "<w>" in row else [0]
+                    expected += [row.replace("<w>", str(w)) for w in words]
+        profiles = [profile(f"p{k}", n, 1) for k, n in enumerate(lengths)]
+        assert list(build_register_map(profiles)) == expected
+
+    @pytest.mark.parametrize("key", STAGE_ROWS)
+    def test_stage_row_takes_its_range(self, key):
+        least, most, _ = standards._REGISTERS[key]
+        p = profile("a", 32, 50)
+        stream, _ = make_capture(p)
+        # a count of 0 fits the least window, and the row's stage is on
+        streaming = build_register_map([p], energy=EnergyConfig(16, 0.25, 0))
+        regs = streaming.write("coarse/enabled", int(key.startswith("coarse/")))
+        most = regs[most] if isinstance(most, str) else most
+
+        def errors(m, running):
+            """The ConfigurationError text, or None, of each entry point given
+            map ``m``; the bank that ``m`` is published to runs ``running``."""
+            texts = []
+            for call in (
+                lambda: run_detector_bank(stream, [p], m),
+                lambda: DetectorBank([p], m, Q1_15),
+                lambda: DetectorBank([p], running, Q1_15).update_registers(m),
+            ):
+                try:
+                    call()
+                    texts.append(None)
+                except ConfigurationError as exc:
+                    texts.append(str(exc))
+            return texts
+
+        for value in (least, most):
+            accepted = regs.write(key, value)
+            # a publish keeps the energy topology, and the streaming bank
+            # takes no coarse stage
+            running = accepted.write("coarse/enabled", 0)
+            streamed = STREAMING_ONLY if accepted["coarse/enabled"] else None
+            assert errors(accepted, running) == [None, streamed, streamed]
+        for value in (least - 1, most + 1):
+            if 0 <= value <= 0xFFFFFFFF:  # a map holds 32-bit words only
+                message = f"register '{key}' must be in [{least}, {most}], not {value}"
+                assert errors(regs.write(key, value), streaming) == [message] * 3
 
 
 class TestRegisterValidation:
