@@ -57,9 +57,10 @@ def _cmd_gen_iq(args) -> None:
 def _cmd_detect(args) -> None:
     profiles = cfgfile.load_profiles(args.profiles)
     stream = read_iq(args.input)
-    coarse = None
-    if args.coarse_lag is not None:
-        coarse = CoarseConfig(args.coarse_lag, args.coarse_thresh, args.coarse_plateau)
+    tuning = {k: v for k, v in vars(args).items() if k in ("metric_threshold", "plateau_min")}
+    if args.coarse_lag is None and tuning:
+        raise ValueError("--coarse-thresh and --coarse-plateau need --coarse-lag")
+    coarse = None if args.coarse_lag is None else CoarseConfig(args.coarse_lag, **tuning)
     energy = EnergyConfig(args.energy_window, args.energy_sample_thresh, args.energy_count_thresh)
     regs = build_register_map(profiles, energy=energy, coarse=coarse, fmt=stream.format)
     events = run_detector_bank(stream, profiles, regs)
@@ -124,8 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--energy-count-thresh", type=int, default=EnergyConfig.count_threshold)
     p.add_argument("--coarse-lag", type=int, default=None, help="enable coarse stage at lag L")
-    p.add_argument("--coarse-thresh", type=float, default=CoarseConfig.metric_threshold)
-    p.add_argument("--coarse-plateau", type=int, default=CoarseConfig.plateau_min)
+    # set only with --coarse-lag; left out, CoarseConfig's defaults hold
+    p.add_argument(
+        "--coarse-thresh", type=float, dest="metric_threshold", default=argparse.SUPPRESS
+    )
+    p.add_argument("--coarse-plateau", type=int, dest="plateau_min", default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("sweep", help="Monte-Carlo SNR sweep")

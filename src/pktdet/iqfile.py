@@ -14,18 +14,16 @@ stored as 16-bit signed integers (the raw fixed-point codes).
 Every format's codes fit int16, since formats are signed and at most 16
 bits wide.
 
-``read_iq`` reads the file with ``os.open``/``os.read``, with no buffered
-file object: the first read asks for the size ``fstat`` reports plus one
-byte, so a regular file arrives whole, and reads go on to EOF, so a pipe
-(which reports size 0) or a short read still arrives whole.  It takes its
-``FixedPointFormat`` from a memo keyed on the header's two format bytes;
-a format that fails validation is not memoised.
+``read_iq`` reads the file through an unbuffered file object's ``readall``,
+which reads on to EOF, so a pipe (which reports size 0) or a short read
+still arrives whole.  It takes its ``FixedPointFormat`` from a memo keyed
+on the header's two format bytes; a format that fails validation is not
+memoised.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import struct
 
 import numpy as np
@@ -36,7 +34,6 @@ MAGIC = b"IQPD"
 VERSION = 1
 _HEADER = struct.Struct("<4sBBBBQ")
 _FLAG_SIGNED = 0x01
-_READ_CHUNK = 1 << 16  # a pipe's default capacity on Linux
 
 # a raised ValueError is not cached, and at most 135 formats are valid
 _format = functools.cache(FixedPointFormat)
@@ -54,23 +51,9 @@ def write_iq(path, stream: SampleStream) -> None:
         fh.write(interleaved)
 
 
-def _read_all(path) -> bytes:
-    """Every byte of the file at ``path``, read to EOF."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
-        while chunk := os.read(fd, _READ_CHUNK):
-            chunks.append(chunk)
-        return b"".join(chunks)  # one chunk is returned as it is
-    except OSError as exc:
-        exc.filename = os.fsdecode(path)  # as open() names it; os.read does not
-        raise
-    finally:
-        os.close(fd)
-
-
 def read_iq(path) -> SampleStream:
-    raw = _read_all(path)
+    with open(path, "rb", buffering=0) as fh:
+        raw = fh.readall()
     if len(raw) < _HEADER.size:
         raise ValueError("file too short for an IQPD header")
     magic, version, total_bits, frac_bits, flags, count = _HEADER.unpack_from(raw)

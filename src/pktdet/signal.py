@@ -284,12 +284,9 @@ def embed_preamble(
     """
     if not (0 <= pad_before <= MAX_PAD and 0 <= pad_after <= MAX_PAD):
         raise ValueError(f"pads must be in [0, {MAX_PAD}] samples")
-    parts = [
-        np.zeros(pad_before, dtype=np.complex128),
-        preamble.samples,
-        np.zeros(pad_after, dtype=np.complex128),
-    ]
-    return np.concatenate(parts), pad_before
+    signal = np.zeros(pad_before + len(preamble.samples) + pad_after, dtype=np.complex128)
+    signal[pad_before : len(signal) - pad_after] = preamble.samples
+    return signal, pad_before
 
 
 def add_awgn(signal, snr_db: float, seed, signal_power: float = 1.0) -> np.ndarray:

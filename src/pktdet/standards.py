@@ -315,8 +315,6 @@ def _extract_candidates(index, re, threshold: int, profile: StandardProfile, ord
     value at each.  A run breaks when the index jumps (gate gap) or ``re``
     drops below the threshold; its peak is its first maximum."""
     above = re >= threshold
-    if not np.count_nonzero(above):  # cheaper than above.any() on short spans
-        return []
     candidates = []
     peak = peak_index = None
     prev = -2  # below every index, so the first position opens a run

@@ -91,9 +91,7 @@ SEED_CHECK = """        if value < 0:
             raise ValueError(f"seed must be non-negative, got {value}")
 """
 EVENTS = "tests/test_standards.py::TestEventsFromCandidates::test_matches_the_reference"
-BAD_WORD = (
-    "tests/test_standards.py::TestRegisterValidation::test_bad_stage_word_is_rejected_by_key"
-)
+STAGE_ROW = "tests/test_standards.py::TestRegisterTable::test_stage_row_takes_its_range"
 WORDS = "tests/test_standards.py::TestRegisterWords::test_stages_equal_the_oracles_fed_the_words"
 WINDOW = "tests/test_energy.py::TestWindowEnergy::"
 BLOCK = "tests/test_signal.py::TestSampleStreamBlock::"
@@ -254,7 +252,7 @@ CATALOGUE = (
             STANDARDS,
             f'"{key}": ({least}, {most},',
             f'"{key}": (0, 0xFFFFFFFF,',
-            (f"{BAD_WORD}[{name}]",),
+            (f"{STAGE_ROW}[{key}]",),
         )
         for name, key, least, most in (
             ("window", "energy/window_len", 1, "MAX_ENERGY_WINDOW"),
@@ -291,12 +289,7 @@ CATALOGUE = (
         STANDARDS,
         '"energy/count_thresh": (0, "energy/window_len",',
         '"energy/count_thresh": (0, 0xFFFFFFFF,',
-        (
-            f"{BAD_WORD}[count]",
-            WORDS,
-            "tests/test_standards.py::TestRegisterValidation::"
-            "test_count_word_above_the_window_names_its_key_and_range",
-        ),
+        (f"{STAGE_ROW}[energy/count_thresh]", WORDS),
     ),
     # the batch energy gate
     Mutant(
@@ -399,12 +392,13 @@ CATALOGUE = (
         "return csum[width:] >= csum[: len(enable)]",
         (f"{LATCH}test_zero_holdoff_is_identity", f"{LATCH}test_matches_window_any"),
     ),
-    # a pipe reports size 0: its capture arrives only if the read loops to EOF
+    # a pipe reports size 0: a capture larger than its buffer arrives only
+    # if the read goes on to EOF
     Mutant(
-        "read-iq-first-read-only",
+        "read-iq-one-bounded-read",
         "src/pktdet/iqfile.py",
-        "        while chunk := os.read(fd, _READ_CHUNK):\n            chunks.append(chunk)\n",
-        "",
+        "raw = fh.readall()",
+        "raw = fh.read(1 << 16)",
         ("tests/test_iqfile.py::test_pipe_is_read_to_eof",),
     ),
     # the coarse stage: P and R from the prefix sums of one (n - L, 3)
@@ -535,16 +529,6 @@ CATALOGUE = (
         (f"{DECODE_MEMO}test_failed_decode_is_not_cached",),
     ),
     # the fine stage
-    Mutant(
-        "candidates-early-exit-inverted",
-        STANDARDS,
-        "    if not np.count_nonzero(above):",
-        "    if np.count_nonzero(above):",
-        (
-            "tests/test_standards.py::TestExtractCandidates::test_matches_naive_run_scan",
-            "tests/test_standards.py::TestRunDetectorBank::test_noiseless_event_at_ground_truth",
-        ),
-    ),
     Mutant(
         "gather-skipped-across-gaps",
         "src/pktdet/correlator.py",
@@ -743,6 +727,17 @@ CATALOGUE = (
         tuple(
             f"tests/test_cli.py::test_usage_error_exits_2[{case}]"
             for case in ("seed-not-an-int", "no-subcommand")
+        ),
+    ),
+    # detect's coarse tuning flags without the stage's lag are an error
+    Mutant(
+        "coarse-flags-without-lag-ignored",
+        "src/pktdet/cli.py",
+        "    if args.coarse_lag is None and tuning:",
+        "    if False:",
+        tuple(
+            f"tests/test_cli.py::test_detect_input_errors_exit_2[{case}-without-lag]"
+            for case in ("thresh", "thresh-and-plateau")
         ),
     ),
     # a real-valued setting too large for a float is a bad setting

@@ -1,12 +1,27 @@
-"""Drive the sample-at-a-time ``DetectorBank`` so its outputs can be
-compared with the batch path and the oracles."""
+"""Build streams from codes, and drive the sample-at-a-time
+``DetectorBank`` so its outputs can be compared with the batch path and the
+oracles."""
 
 import functools
 
 import numpy as np
 
-from pktdet.signal import Preamble
+from pktdet.signal import Q1_15, Preamble, SampleStream
 from pktdet.standards import DetectorBank, RegisterMap, StandardProfile, build_register_map
+
+
+def stream_from_codes(codes, fmt=Q1_15):
+    """A ``SampleStream`` of ``fmt`` holding the ``(i, q)`` code pairs
+    ``codes``."""
+    i = np.array([c[0] for c in codes], dtype=np.int32)
+    q = np.array([c[1] for c in codes], dtype=np.int32)
+    return SampleStream(format=fmt, i=i, q=q)
+
+
+def code_signs(stream):
+    """The signs of ``stream``'s codes as ``(si, sq)`` pairs of +-1 in
+    sample order, a zero code counting as +1."""
+    return [(1 if i >= 0 else -1, 1 if q >= 0 else -1) for i, q in stream.codes.T.tolist()]
 
 
 def sign_pairs(bank):

@@ -264,6 +264,13 @@ def test_detect_stage_flags(capsys, repeated_block_capture, flags, events):
         (["--profiles", "MISSING"], "No such file"),
         (["--coarse-lag", "16", "--coarse-thresh", "2"], "metric_threshold"),
         (["--energy-window", "0"], "window_len"),
+        # tuning for a coarse stage that is off is an error, not ignored
+        pytest.param(["--coarse-thresh", "0.3"], "need --coarse-lag", id="thresh-without-lag"),
+        pytest.param(
+            ["--coarse-thresh", "2", "--coarse-plateau", "0"],
+            "need --coarse-lag",
+            id="thresh-and-plateau-without-lag",
+        ),
     ],
 )
 def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, flags, message):

@@ -12,18 +12,13 @@ from pktdet.coarse import (
 from pktdet.signal import Q1_15, SampleStream, add_awgn, pn_preamble, quantize
 
 from oracles import coarse_trigger_exact, maximal_run_starts, plateau_scan, schmidl_point
+from streaming import stream_from_codes
 
 
 def repeated_block_stream(lag, seed=0, pad_after=0):
     block = pn_preamble(lag, seed).samples
     signal = np.concatenate([block, block, np.zeros(pad_after, dtype=complex)])
     return quantize(signal, Q1_15)
-
-
-def stream_from_codes(codes):
-    i = np.array([c[0] for c in codes], dtype=np.int32)
-    q = np.array([c[1] for c in codes], dtype=np.int32)
-    return SampleStream(format=Q1_15, i=i, q=q)
 
 
 # bool lists of long runs, where plateaus of most widths occur
@@ -239,13 +234,3 @@ class TestConfigValidation:
     def test_invalid(self, lag, thr, plateau):
         with pytest.raises(ValueError):
             CoarseConfig(lag, thr, plateau)
-
-    @pytest.mark.parametrize("field", ["half_period", "plateau_min"])
-    def test_whole_float_rejected(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            CoarseConfig(**{"half_period": 16, "plateau_min": 8, field: 8.0})
-
-    def test_integer_fields_become_ints(self):
-        cfg = CoarseConfig(np.int64(16), 0.5, np.uint8(8))
-        assert (type(cfg.half_period), type(cfg.plateau_min)) == (int, int)
-        assert cfg == CoarseConfig(16, 0.5, 8)

@@ -10,7 +10,6 @@ from pktdet.signal import (
     FixedPointFormat,
     Preamble,
     Q1_15,
-    SampleStream,
     embed_preamble,
     pn_preamble,
     quantize,
@@ -18,6 +17,7 @@ from pktdet.signal import (
 from pktdet.standards import DetectorBank, StandardProfile, build_register_map
 
 from oracles import oracle_enable
+from streaming import stream_from_codes
 
 
 def make_stream(values):
@@ -28,12 +28,6 @@ code_lists = st.lists(
     st.tuples(st.integers(-32768, 32767), st.integers(-32768, 32767)),
     max_size=48,
 )
-
-
-def stream_from_codes(codes, fmt=Q1_15):
-    i = np.array([c[0] for c in codes], dtype=np.int32)
-    q = np.array([c[1] for c in codes], dtype=np.int32)
-    return SampleStream(format=fmt, i=i, q=q)
 
 
 def streamed_enable(stream, cfg):
@@ -190,16 +184,6 @@ class TestConfigValidation:
     def test_non_finite_threshold_rejected(self, thr):
         with pytest.raises(ValueError, match="finite"):
             EnergyConfig(4, thr, 2)
-
-    @pytest.mark.parametrize("field", ["window_len", "count_threshold"])
-    def test_whole_float_rejected(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            EnergyConfig(**{"window_len": 16, "count_threshold": 8, field: 8.0})
-
-    def test_integer_fields_become_ints(self):
-        cfg = EnergyConfig(np.int64(16), 0.5, np.uint8(8))
-        assert (type(cfg.window_len), type(cfg.count_threshold)) == (int, int)
-        assert cfg == EnergyConfig(16, 0.5, 8)
 
 
 @pytest.mark.parametrize(

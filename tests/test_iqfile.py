@@ -1,5 +1,6 @@
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -36,18 +37,25 @@ def test_header_is_sixteen_bytes(tmp_path):
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
 def test_pipe_is_read_to_eof(tmp_path):
     # a pipe reports size 0, so the whole capture arrives only if the read
-    # goes on to EOF
+    # goes on to EOF; 80,016 bytes overflow a pipe's 64 KiB buffer, so a
+    # writer thread feeds them while the reader drains
     rng = np.random.default_rng(3)
-    stream = quantize(rng.normal(size=1000) * 0.3 + 1j * rng.normal(size=1000) * 0.3, Q1_15)
+    stream = quantize(rng.normal(size=20000) * 0.3 + 1j * rng.normal(size=20000) * 0.3, Q1_15)
     path = tmp_path / "capture.iqpd"
     write_iq(path, stream)
     r, w = os.pipe()
+
+    def feed():
+        with open(w, "wb") as sink:  # closing it is the reader's EOF
+            sink.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
     try:
-        os.write(w, path.read_bytes())  # 4,016 bytes fit a pipe's buffer
-        os.close(w)
         loaded = read_iq(f"/dev/fd/{r}")
     finally:
-        os.close(r)
+        os.close(r)  # a blocked writer then fails instead of waiting
+        writer.join()
     assert loaded.codes.tolist() == stream.codes.tolist()
 
 

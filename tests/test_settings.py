@@ -1,7 +1,7 @@
 """The one rule for settings, over every setting it covers.
 
-An integer setting takes any integer, NumPy's included, and stores it as an
-int; a whole float, a string, None or a value out of range raises a
+An integer setting takes any integer, NumPy's signed and unsigned ones
+included, and stores it as an int; a whole float, a string, None or a value out of range raises a
 ``ValueError`` naming the setting, before any trial runs or any RNG draws.
 A real-valued setting rejects a string or None the same way.
 """
@@ -96,9 +96,10 @@ def test_integer_setting_takes_the_one_rule(monkeypatch, name, build, stored, go
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(bad)
     assert ran == []  # rejected before any trial or draw
-    built = build(np.int64(good))
-    if stored is not None:
-        assert type(stored(built)) is int and stored(built) == good
+    for value in (np.int64(good), np.uint8(good)):
+        built = build(value)
+        if stored is not None:
+            assert type(stored(built)) is int and stored(built) == good
 
 
 REALS = [

@@ -3,7 +3,6 @@ import gc
 import math
 from dataclasses import fields, replace
 import pickle
-import re
 import tracemalloc
 from pathlib import Path
 
@@ -50,7 +49,7 @@ from oracles import (
     run_peaks,
     sign_partials,
 )
-from streaming import as_outputs, push_run, same_outputs, sign_pairs
+from streaming import as_outputs, code_signs, push_run, same_outputs, sign_pairs
 
 
 def profile(pid, length, threshold, seed=0):
@@ -139,27 +138,6 @@ class TestRegisterMap:
         regs = build_register_map([profile("a", 32, 50)]).write("prof0/threshold", value)
         assert regs.read("prof0/threshold") == int(value)
         assert type(regs.read("prof0/threshold")) is int
-
-    def test_every_stage_parameter_has_a_key(self):
-        regs = build_register_map([profile("a", 40, 50)])
-        expected = {
-            "energy/enabled",
-            "energy/window_len",
-            "energy/sample_thresh_raw",
-            "energy/count_thresh",
-            "coarse/enabled",
-            "coarse/lag",
-            "coarse/thresh_q15",
-            "coarse/plateau",
-            "fine/holdoff",
-            "prof0/threshold",
-            "prof0/enabled",
-            "prof0/coeff_i/0",
-            "prof0/coeff_i/1",
-            "prof0/coeff_q/0",
-            "prof0/coeff_q/1",
-        }
-        assert set(regs) == expected
 
 
 class TestRegisterRoundTrip:
@@ -894,7 +872,19 @@ class TestRegisterWords:
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-STAGE_ROWS = [key for key in standards._REGISTERS if not key.startswith("prof<p>/")]
+# each stage row and the range the decode must hold its word to, written out
+# rather than read from the table, so that a widened row fails
+STAGE_ROWS = {
+    "energy/enabled": (0, 0xFFFFFFFF),
+    "energy/window_len": (1, 65536),
+    "energy/sample_thresh_raw": (0, 0xFFFFFFFF),
+    "energy/count_thresh": (0, "energy/window_len"),
+    "coarse/enabled": (0, 0xFFFFFFFF),
+    "coarse/lag": (1, 0xFFFFFFFF),
+    "coarse/thresh_q15": (0, 0xFFFFFFFF),
+    "coarse/plateau": (1, 0xFFFFFFFF),
+    "fine/holdoff": (0, 0xFFFFFFFF),
+}
 STREAMING_ONLY = "the streaming bank supports energy + fine only"
 
 
@@ -926,7 +916,7 @@ class TestRegisterTable:
 
     @pytest.mark.parametrize("key", STAGE_ROWS)
     def test_stage_row_takes_its_range(self, key):
-        least, most, _ = standards._REGISTERS[key]
+        least, most = STAGE_ROWS[key]
         p = profile("a", 32, 50)
         stream, _ = make_capture(p)
         # a count of 0 fits the least window, and the row's stage is on
@@ -964,51 +954,11 @@ class TestRegisterTable:
 
 
 class TestRegisterValidation:
-    def test_garbage_coefficient_word(self):
-        p = profile("a", 40, 50)  # 40-point bank: 8 valid bits in the last word
-        regs = build_register_map([p])
-        bad = regs.write("prof0/coeff_i/1", 0xFFFFFFFF)
-        stream, _ = make_capture(p)
-        with pytest.raises(ConfigurationError):
-            run_detector_bank(stream, [p], bad)
-
     @pytest.mark.parametrize("threshold", [4.0, 1e300, 1.7976931348623157e308])
     def test_energy_threshold_beyond_the_register(self, threshold):
         # 4.0 on Q1.15 is 2**32 raw; larger values overflowed float scaling
         with pytest.raises(ConfigurationError, match="32-bit"):
             build_register_map([profile("a", 32, 50)], energy=EnergyConfig(16, threshold, 8))
-
-    # each map is bad in the named word alone; a disabled stage's words go
-    # unread, so the coarse cases turn the stage on
-    @pytest.mark.parametrize(
-        "key, words",
-        [
-            ("energy/window_len", {"energy/window_len": 0, "energy/count_thresh": 0}),
-            ("energy/count_thresh", {"energy/count_thresh": 17}),  # a 16-sample window
-            ("coarse/lag", {"coarse/lag": 0, "coarse/enabled": 1}),
-            ("coarse/plateau", {"coarse/plateau": 0, "coarse/enabled": 1}),
-        ],
-        ids=["window", "count", "lag", "plateau"],
-    )
-    def test_bad_stage_word_is_rejected_by_key(self, key, words):
-        p = profile("a", 32, 50)
-        stream, _ = make_capture(p)
-        regs = build_register_map([p], energy=EnergyConfig(16, 0.25, 8))
-        bad = RegisterMap({**regs, **words})
-        with pytest.raises(ConfigurationError, match=key):
-            run_detector_bank(stream, [p], bad)
-        with pytest.raises(ConfigurationError, match=key):
-            DetectorBank([p], bad, Q1_15)
-        with pytest.raises(ConfigurationError, match=key):
-            DetectorBank([p], regs, Q1_15).update_registers(bad)
-
-    def test_count_word_above_the_window_names_its_key_and_range(self):
-        # the one register-word rule, whose upper bound here is the window
-        p = profile("a", 32, 50)
-        regs = build_register_map([p], energy=EnergyConfig(16, 0.25, 8))
-        message = "register 'energy/count_thresh' must be in [0, 16], not 17"
-        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-            DetectorBank([p], regs.write("energy/count_thresh", 17), Q1_15)
 
     @pytest.mark.parametrize("window", [MAX_ENERGY_WINDOW + 1, 0xFFFFFFFF])
     def test_energy_window_above_the_maximum_allocates_nothing(self, window):
@@ -1051,13 +1001,6 @@ class TestRegisterValidation:
         regs = build_register_map([profile("a", 32, 50)])
         with pytest.raises(ConfigurationError, match="at least one profile"):
             _decode_registers([], regs)
-
-    def test_zero_threshold_register(self):
-        p = profile("a", 32, 50)
-        regs = build_register_map([p]).write("prof0/threshold", 0)
-        stream, _ = make_capture(p)
-        with pytest.raises(ConfigurationError):
-            run_detector_bank(stream, [p], regs)
 
 
 class TestStreamingDetectorBank:
@@ -1237,7 +1180,7 @@ class TestStreamingDetectorBank:
         length = 80
         codes = rng.integers(-2, 2, size=(2, length))
         stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
-        signs = [(1 if i >= 0 else -1, 1 if q >= 0 else -1) for i, q in codes.T.tolist()]
+        signs = code_signs(stream)
         for bank, outputs in zip(banks, push_run(banks, stream)):
             n = bank.length
             assert [t for t, _ in outputs] == list(range(n - 1, length))
@@ -1266,7 +1209,7 @@ class TestStreamingDetectorBank:
         length = 100
         codes = rng.integers(-2, 2, size=(2, length))
         stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
-        signs = [(1 if i >= 0 else -1, 1 if q >= 0 else -1) for i, q in codes.T.tolist()]
+        signs = code_signs(stream)
         banks = [[random_bank(rng, n) for n in lengths] for _ in range(2)]
         pushed = push_run(banks[0], stream, publish={publish_at: banks[1]})
         for k, (n, outputs) in enumerate(zip(lengths, pushed)):
@@ -1287,7 +1230,7 @@ class TestStreamingDetectorBank:
         length = long_n + 40
         codes = rng.integers(-2, 2, size=(2, length))
         stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
-        signs = [(1 if i >= 0 else -1, 1 if q >= 0 else -1) for i, q in codes.T.tolist()]
+        signs = code_signs(stream)
         refs = [sign_pairs(bank) for bank in banks]
 
         short_stream = SampleStream(format=Q1_15, i=codes[0, :100], q=codes[1, :100])
