@@ -779,9 +779,15 @@ def run_tests(tree: Path, ids) -> subprocess.CompletedProcess:
 
 
 def failed_ids(run: subprocess.CompletedProcess) -> set[str]:
-    """The ids on the ``FAILED`` lines of pytest's short summary."""
+    """The ids on the ``FAILED`` lines of pytest's short summary: the text
+    after ``FAILED `` up to the `` - `` that starts the message, so an id
+    may hold spaces."""
     lines = run.stdout.splitlines()
-    return {line.split()[1] for line in lines if line.startswith("FAILED ")}
+    return {
+        line.removeprefix("FAILED ").partition(" - ")[0]
+        for line in lines
+        if line.startswith("FAILED ")
+    }
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,11 @@ import functools
 
 import numpy as np
 
+from pktdet.correlator import CoefficientBank
 from pktdet.signal import Q1_15, Preamble, SampleStream
 from pktdet.standards import DetectorBank, RegisterMap, StandardProfile, build_register_map
+
+from oracles import sign_bits, split_words
 
 
 def stream_from_codes(codes, fmt=Q1_15):
@@ -29,6 +32,17 @@ def sign_pairs(bank):
     sample order, ready to push as codes."""
     si, sq = bank.sign_arrays
     return list(zip(si.tolist(), sq.tolist()))
+
+
+def bank_from_signs(pairs):
+    """The coefficient bank whose reference signs are ``pairs``, ``(si, sq)``
+    pairs of +-1 in sample order: the inverse of :func:`sign_pairs`, packed
+    by the oracles rather than by ``load_coefficients``."""
+    n = len(pairs)
+    i_words, q_words = (
+        split_words(bits, n) for bits in sign_bits(complex(si, sq) for si, sq in pairs)
+    )
+    return CoefficientBank(length=n, i_words=i_words, q_words=q_words)
 
 
 def with_banks(regs, banks):

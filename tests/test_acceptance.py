@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from pktdet.coarse import schmidl_cox_correlations, schmidl_cox_metric
-from pktdet.correlator import CoefficientBank, SignCorrelator, latch_enable, load_coefficients
+from pktdet.correlator import SignCorrelator, latch_enable, load_coefficients
 from pktdet.energy import EnergyConfig, enable_array
 from pktdet.harness import default_sweep_config, run_scope_scenario, run_sweep
 from pktdet.signal import (
@@ -46,7 +46,7 @@ from oracles import (
     sign_detection_probability,
     sign_partials,
 )
-from streaming import as_outputs, push_run, sign_pairs
+from streaming import as_outputs, bank_from_signs, push_run, sign_pairs
 
 
 def report(name: str, ok: bool, elapsed: float, detail: str = "") -> bool:
@@ -55,15 +55,6 @@ def report(name: str, ok: bool, elapsed: float, detail: str = "") -> bool:
         line += f" -- {detail}"
     print(line)
     return ok
-
-
-def bank_from_sign_words(n: int, i_bits: int, q_bits: int) -> CoefficientBank:
-    words = -(-n // 32)
-    return CoefficientBank(
-        length=n,
-        i_words=tuple((i_bits >> (32 * w)) & 0xFFFFFFFF for w in range(words)),
-        q_words=tuple((q_bits >> (32 * w)) & 0xFFFFFFFF for w in range(words)),
-    )
 
 
 def pairs_from_bits(n: int, i_bits: int, q_bits: int):
@@ -115,7 +106,7 @@ def test_criterion_1_oracle_equivalence():
     for n in range(1, 9):
         patterns = [pairs_from_bits(n, a, 0) for a in range(1 << n)]
         codes = [pair for pattern in patterns for pair in pattern]
-        banks = [bank_from_sign_words(n, b, 0) for b in range(1 << n)]
+        banks = [bank_from_signs(pattern) for pattern in patterns]
         for b, outputs in enumerate(correlate_both_ways(codes, banks, every=n)):
             for a, pattern in enumerate(patterns):
                 assert outputs[a * n + n - 1] == with_re(sign_partials(pattern, patterns[b]))
@@ -133,13 +124,9 @@ def test_criterion_1_oracle_equivalence():
     for n in lengths:
         for _ in range(per_length):
             a_i, a_q, b_i, b_q = (rand_bits(n) for _ in range(4))
-            bank = bank_from_sign_words(n, b_i, b_q)
-            (outputs,) = correlate_both_ways(pairs_from_bits(n, a_i, a_q), [bank])
-            out = outputs[n - 1]
-            expected = sign_partials(
-                pairs_from_bits(n, a_i, a_q), pairs_from_bits(n, b_i, b_q)
-            )
-            assert out == with_re(expected)
+            window, ref = pairs_from_bits(n, a_i, a_q), pairs_from_bits(n, b_i, b_q)
+            (outputs,) = correlate_both_ways(window, [bank_from_signs(ref)])
+            assert outputs[n - 1] == with_re(sign_partials(window, ref))
             randomized += 1
 
     elapsed = time.perf_counter() - t0

@@ -123,12 +123,21 @@ class TestMetric:
             schmidl_cox_correlations(stream, 0)
 
 
+def checked_run_starts(above, width):
+    """``_run_starts`` as a list, once checked against every maximal run of
+    ``width`` set flags and against the plateau scan's first trigger."""
+    starts = _run_starts(np.array(above, dtype=bool), width).tolist()
+    assert starts == maximal_run_starts(above, width)
+    assert (starts or [None])[0] == plateau_scan(above, True, width)
+    return starts
+
+
 class TestTrigger:
     def test_constant_metric_triggers_at_zero(self):
-        assert _run_starts(np.ones(16, dtype=bool), 4).tolist() == [0]
+        assert checked_run_starts([True] * 16, 4) == [0]
 
     def test_silent_metric_never_triggers(self):
-        assert _run_starts(np.zeros(16, dtype=bool), 4).tolist() == []
+        assert checked_run_starts([False] * 16, 4) == []
 
     @given(
         st.lists(st.booleans(), max_size=64) | run_lists,
@@ -138,9 +147,7 @@ class TestTrigger:
     @example([True] * 7 + [False] + [True] * 8, 8)
     def test_matches_naive_scan(self, above, width):
         # widths past the length and the largest plateau register included
-        starts = _run_starts(np.array(above, dtype=bool), width).tolist()
-        assert starts == maximal_run_starts(above, width)
-        assert (starts or [None])[0] == plateau_scan(above, True, width)
+        checked_run_starts(above, width)
 
     @given(
         st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=64),

@@ -21,7 +21,7 @@ from pktdet.signal import (
 )
 
 from oracles import float_xcorr_argmax, sign_bits, sign_partials, split_words
-from streaming import as_outputs, push_run, same_outputs, sign_pairs
+from streaming import as_outputs, bank_from_signs, code_signs, push_run, same_outputs, sign_pairs
 
 sign = st.sampled_from((-1, 1))
 sign_pair_lists = st.lists(st.tuples(sign, sign), min_size=1, max_size=128)
@@ -52,12 +52,6 @@ def block_masks(draw):
     return n, enable
 
 
-def bank_from_signs(pairs):
-    """Build a CoefficientBank whose sign pattern is exactly `pairs`."""
-    samples = np.array([si + 1j * sq for si, sq in pairs], dtype=complex)
-    return load_coefficients(Preamble(samples))
-
-
 def correlate_codes(codes, bank):
     """Push raw (i, q) codes through a fresh bank holding ``bank``; the
     output at the last code."""
@@ -68,10 +62,27 @@ def correlate_codes(codes, bank):
     return out
 
 
+def checked_sign_output(i, q):
+    """The output for one code against the all-positive reference, once
+    checked: p_ii and p_qq are the codes' signs, zero counting as +1, and
+    re is their sum."""
+    out = correlate_codes([(i, q)], bank_from_signs([(1, 1)]))
+    si, sq = (1 if i >= 0 else -1), (1 if q >= 0 else -1)
+    assert (out.p_ii, out.p_qq, out.re) == (si, sq, si + sq)
+    return out
+
+
+def checked_latch(raw, holdoff):
+    """``latch_enable`` as a list, once checked to be set wherever ``raw``
+    was within the last ``holdoff`` samples."""
+    latched = latch_enable(raw, holdoff).tolist()
+    assert latched == [any(raw[max(0, n - holdoff) : n + 1]) for n in range(len(raw))]
+    return latched
+
+
 class TestCategorize:
     def test_zero_maps_positive(self):
-        bank = bank_from_signs([(1, 1)])
-        assert correlate_codes([(0, 0)], bank).re == 2
+        assert checked_sign_output(0, 0).re == 2
 
     def test_mixed_signs(self):
         stream = quantize([-0.3 + 0.2j], Q1_15)
@@ -81,10 +92,7 @@ class TestCategorize:
 
     @given(st.integers(-32768, 32767), st.integers(-32768, 32767))
     def test_matches_componentwise_sign(self, i, q):
-        # against the all-positive reference, p_ii and p_qq are the signs
-        out = correlate_codes([(i, q)], bank_from_signs([(1, 1)]))
-        assert out.p_ii == (1 if i >= 0 else -1)
-        assert out.p_qq == (1 if q >= 0 else -1)
+        checked_sign_output(i, q)
 
 
 class TestCoefficientBank:
@@ -317,8 +325,8 @@ class TestCorrelateStream:
         codes = rng.integers(-3, 3, size=(2, length)).astype(np.int32)
         stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
         enable = rng.integers(0, 2, size=length).astype(bool) if masked else None
-        first = bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(n, 2))])
-        second = bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(n, 2))])
+        first = bank_from_signs(rng.choice((-1, 1), size=(n, 2)))
+        second = bank_from_signs(rng.choice((-1, 1), size=(n, 2)))
 
         corr = SignCorrelator(second if publish else first)
         batch = corr.process(stream, enable)
@@ -336,7 +344,7 @@ class TestCorrelateStream:
         rng = np.random.default_rng(seed)
         codes = rng.integers(-3, 3, size=(2, len(enable))).astype(np.int32)
         stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
-        bank = bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(n, 2))])
+        bank = bank_from_signs(rng.choice((-1, 1), size=(n, 2)))
         corr = SignCorrelator(bank)
         batch = corr.process(stream, enable)
         (pushed,) = push_run([bank], stream, enable)
@@ -358,12 +366,9 @@ class TestCorrelateStream:
         codes[:, spots[0]] = (0, -1)
         codes[:, spots[1]] = (-1, 0)
         enable = rng.integers(0, 2, size=length).astype(bool)
-        banks = [
-            bank_from_signs([tuple(p) for p in rng.choice((-1, 1), size=(n, 2))])
-            for _ in range(2)
-        ]
-        signs = [(1 if i >= 0 else -1, 1 if q >= 0 else -1) for i, q in codes.T.tolist()]
+        banks = [bank_from_signs(rng.choice((-1, 1), size=(n, 2))) for _ in range(2)]
         stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
+        signs = code_signs(stream)
 
         (pushed,) = push_run(banks[:1], stream, enable, {publish_at: banks[1:]})
         assert [t for t, _ in pushed] == [t for t in range(n - 1, length) if enable[t]]
@@ -409,13 +414,12 @@ class TestSignFlipModel:
 
 class TestLatchEnable:
     def test_extends_trailing_edge(self):
-        raw = np.array([0, 0, 1, 0, 0, 0, 0], dtype=bool)
-        latched = latch_enable(raw, 2)
-        assert latched.tolist() == [False, False, True, True, True, False, False]
+        raw = [False, False, True, False, False, False, False]
+        assert checked_latch(raw, 2) == [False, False, True, True, True, False, False]
 
     def test_zero_holdoff_is_identity(self):
-        raw = np.array([1, 0, 1, 0], dtype=bool)
-        assert latch_enable(raw, 0).tolist() == raw.tolist()
+        raw = [True, False, True, False]
+        assert checked_latch(raw, 0) == raw
 
     def test_negative_holdoff_rejected(self):
         with pytest.raises(ValueError, match="holdoff must be >= 0"):
@@ -431,7 +435,4 @@ class TestLatchEnable:
 
     @given(st.lists(st.booleans(), min_size=1, max_size=64), st.integers(0, 8))
     def test_matches_window_any(self, raw, holdoff):
-        latched = latch_enable(raw, holdoff)
-        for n in range(len(raw)):
-            expected = any(raw[max(0, n - holdoff) : n + 1])
-            assert bool(latched[n]) == expected
+        checked_latch(raw, holdoff)

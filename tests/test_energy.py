@@ -20,10 +20,6 @@ from oracles import oracle_enable
 from streaming import stream_from_codes
 
 
-def make_stream(values):
-    return quantize(values, Q1_15)
-
-
 code_lists = st.lists(
     st.tuples(st.integers(-32768, 32767), st.integers(-32768, 32767)),
     max_size=48,
@@ -52,19 +48,26 @@ def naive_gate(stream, cfg):
     return oracle_enable(stream.i, stream.q, cfg.window_len, thr_raw, cfg.count_threshold)
 
 
+def checked_gate(stream, cfg):
+    """The gate as a bool list, once the batch gate and the streaming bank's
+    gate have both been checked against the oracle's."""
+    expected = naive_gate(stream, cfg)
+    assert gate(stream, cfg).tolist() == expected
+    assert streamed_enable(stream, cfg) == expected
+    return expected
+
+
 class TestWindowEnergy:
     """Per-sample energies in natural units, as the gate compares them."""
 
     def test_zero_stream(self):
         # a silent sample has energy 0, which never exceeds even a 0 threshold
-        stream = make_stream(np.zeros(32, dtype=complex))
-        cfg = EnergyConfig(window_len=16, sample_energy_threshold=0.0, count_threshold=0)
-        assert not gate(stream, cfg).any()
-        assert not any(streamed_enable(stream, cfg))
+        stream = quantize(np.zeros(32, dtype=complex), Q1_15)
+        assert not any(checked_gate(stream, EnergyConfig(16, 0.0, 0)))
 
     def test_unit_samples(self):
         # (1.0, 0.0) saturates to code 32767: |y|^2 = (32767/32768)^2 exactly
-        stream = make_stream(np.ones(16, dtype=complex).real + 0j)
+        stream = quantize(np.ones(16, dtype=complex).real + 0j, Q1_15)
         energy = (32767 / 32768) ** 2
         for threshold, expected in ((energy, False), (energy - 2.0**-30, True)):
             cfg = EnergyConfig(16, threshold, 0)
@@ -74,36 +77,29 @@ class TestWindowEnergy:
 
 class TestEnergyGate:
     def test_silence_never_active(self):
-        stream = make_stream(np.zeros(40, dtype=complex))
-        cfg = EnergyConfig(window_len=8, sample_energy_threshold=0.01, count_threshold=2)
-        enable = gate(stream, cfg)
-        assert len(enable) == 40
-        assert not enable.any()
+        stream = quantize(np.zeros(40, dtype=complex), Q1_15)
+        assert checked_gate(stream, EnergyConfig(8, 0.01, 2)) == [False] * 40
 
     def test_preamble_opens_gate_near_start(self):
         preamble = pn_preamble(64, seed=1)
         signal, start = embed_preamble(preamble, pad_before=100, pad_after=60)
-        stream = make_stream(signal)
+        stream = quantize(signal, Q1_15)
         w = 16
         cfg = EnergyConfig(window_len=w, sample_energy_threshold=0.25, count_threshold=w - 1)
         first = int(np.flatnonzero(gate(stream, cfg))[0])
         assert 100 <= first <= 100 + w
 
     def test_count_threshold_equal_window_never_fires(self):
-        stream = make_stream(0.9 * np.ones(32) + 0.9j * np.ones(32))
-        cfg = EnergyConfig(window_len=8, sample_energy_threshold=0.1, count_threshold=8)
-        assert not gate(stream, cfg).any()
+        stream = quantize(0.9 * np.ones(32) + 0.9j * np.ones(32), Q1_15)
+        assert not any(checked_gate(stream, EnergyConfig(8, 0.1, 8)))
 
     @example(codes=[(30000, 0)] * 6, window_len=4, threshold=0.0, count_threshold=0)
     @example(codes=[(30000, 0)] * 6, window_len=4, threshold=0.0, count_threshold=3)
     @given(code_lists, st.integers(1, 8), st.floats(0, 2.5), st.integers(0, 8))
     def test_matches_naive_recount(self, codes, window_len, threshold, count_threshold):
         # windows longer than the stream included
-        stream = stream_from_codes(codes)
         cfg = EnergyConfig(window_len, threshold, min(count_threshold, window_len))
-        expected = naive_gate(stream, cfg)
-        assert gate(stream, cfg).tolist() == expected
-        assert streamed_enable(stream, cfg) == expected
+        checked_gate(stream_from_codes(codes), cfg)
 
     @given(code_lists)
     def test_streaming_equals_batch(self, codes):
@@ -122,14 +118,14 @@ class TestEnergyGate:
     def test_scaling_up_never_decreases_counts(self, values, gain):
         # the count over every window is non-decreasing iff the gate stays
         # open under gain at every count threshold
-        base = make_stream(values)
-        scaled = make_stream(np.asarray(values) * gain)
+        base = quantize(values, Q1_15)
+        scaled = quantize(np.asarray(values) * gain, Q1_15)
         for count_threshold in range(8):
             cfg = EnergyConfig(8, sample_energy_threshold=0.05, count_threshold=count_threshold)
             assert not (gate(base, cfg) & ~gate(scaled, cfg)).any()
 
     def test_enable_array_marks_window_ends(self):
-        stream = make_stream(0.9 * np.ones(12) + 0j)
+        stream = quantize(0.9 * np.ones(12) + 0j, Q1_15)
         cfg = EnergyConfig(8, 0.1, 2)
         enable = gate(stream, cfg)
         assert not enable[:7].any()
@@ -139,11 +135,11 @@ class TestEnergyGate:
     @pytest.mark.parametrize("length", [0, 1, 4, 7])
     def test_short_stream_gives_a_closed_gate(self, length):
         # no 8-sample window fills, however loud the stream
-        stream = make_stream(0.9 * np.ones(length, dtype=complex))
+        stream = quantize(0.9 * np.ones(length, dtype=complex), Q1_15)
         assert enable_array(stream, 8, 0, 0).tolist() == [False] * length
 
     def test_longest_window_register_allocates_nothing_for_it(self):
-        stream = make_stream(0.9 * np.ones(16, dtype=complex))
+        stream = quantize(0.9 * np.ones(16, dtype=complex), Q1_15)
         stream.energy  # built once per stream, whatever the window
         tracemalloc.start()
         try:

@@ -14,7 +14,7 @@ from pktdet import standards
 from pktdet.coarse import CoarseConfig, detect_coarse
 from pktdet.correlator import CorrelatorOutput, SignCorrelator, latch_enable, load_coefficients
 from pktdet.energy import EnergyConfig, enable_array
-from pktdet.harness import scenario_profiles
+from pktdet.harness import scenario_profiles, synthesize
 from pktdet.signal import (
     MAX_ENERGY_WINDOW,
     MAX_PREAMBLE_LEN,
@@ -22,8 +22,6 @@ from pktdet.signal import (
     Preamble,
     Q1_15,
     SampleStream,
-    add_awgn,
-    embed_preamble,
     pn_preamble,
     quantize,
 )
@@ -49,7 +47,7 @@ from oracles import (
     run_peaks,
     sign_partials,
 )
-from streaming import as_outputs, code_signs, push_run, same_outputs, sign_pairs
+from streaming import as_outputs, bank_from_signs, code_signs, push_run, same_outputs, sign_pairs
 
 
 def profile(pid, length, threshold, seed=0):
@@ -61,9 +59,7 @@ def profile(pid, length, threshold, seed=0):
 
 
 def make_capture(tx, pad_before=80, pad_after=96, snr_db=math.inf, seed=0):
-    clean, start = embed_preamble(tx.preamble, pad_before, pad_after)
-    noisy = add_awgn(clean, snr_db, seed, tx.preamble.mean_power)
-    return quantize(noisy, Q1_15), start
+    return synthesize(tx.preamble, pad_before, pad_after, snr_db, seed, Q1_15)
 
 
 class TestProfileValidation:
@@ -1176,7 +1172,7 @@ class TestStreamingDetectorBank:
         # push stores the slots of a bare record; each must be the record
         # __init__ builds from the oracle's partials, in field order
         rng = np.random.default_rng(28)
-        banks = [random_bank(rng, n) for n in (1, 5, 33)]
+        banks = [bank_from_signs(rng.choice((-1, 1), size=(2, n)).T) for n in (1, 5, 33)]
         length = 80
         codes = rng.integers(-2, 2, size=(2, length))
         stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
@@ -1210,7 +1206,10 @@ class TestStreamingDetectorBank:
         codes = rng.integers(-2, 2, size=(2, length))
         stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
         signs = code_signs(stream)
-        banks = [[random_bank(rng, n) for n in lengths] for _ in range(2)]
+        banks = [
+            [bank_from_signs(rng.choice((-1, 1), size=(2, n)).T) for n in lengths]
+            for _ in range(2)
+        ]
         pushed = push_run(banks[0], stream, publish={publish_at: banks[1]})
         for k, (n, outputs) in enumerate(zip(lengths, pushed)):
             assert [t for t, _ in outputs] == list(range(n - 1, length))
@@ -1226,7 +1225,7 @@ class TestStreamingDetectorBank:
         # 32-point bank beside it still reads only its newest 32 bits
         long_n = MAX_PREAMBLE_LEN
         rng = np.random.default_rng(16384)
-        banks = [random_bank(rng, long_n), random_bank(rng, 32)]
+        banks = [bank_from_signs(rng.choice((-1, 1), size=(2, n)).T) for n in (long_n, 32)]
         length = long_n + 40
         codes = rng.integers(-2, 2, size=(2, length))
         stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
@@ -1333,12 +1332,6 @@ class TestStreamingDetectorBank:
         assert set(o.re for o in outputs) == {64, -64}
         for o in outputs:
             assert abs(o.p_ii) == 32 and abs(o.p_qq) == 32
-
-
-def random_bank(rng, n):
-    """A coefficient bank of ``n`` random sign pairs."""
-    signs = rng.choice((-1.0, 1.0), size=(2, n))
-    return load_coefficients(Preamble(signs[0] + 1j * signs[1]))
 
 
 def partials(out):
