@@ -232,10 +232,10 @@ def run_trial(cfg: SweepConfig, snr_db: float, trial_seed) -> TrialOutcome:
     return TrialOutcome.FALSE_STANDARD
 
 
-def _sweep_point(args) -> tuple[int, list[TrialOutcome]]:
+def _sweep_point(args) -> tuple[TrialOutcome, ...]:
     cfg, snr_index, snr_db = args
-    seeds = [seed_words(cfg.seed, snr_index, t) for t in range(cfg.trials_per_point)]
-    return snr_index, [run_trial(cfg, snr_db, seed) for seed in seeds]
+    trials = range(cfg.trials_per_point)
+    return tuple(run_trial(cfg, snr_db, seed_words(cfg.seed, snr_index, t)) for t in trials)
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
@@ -259,27 +259,25 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_sweep_point, tasks))
+            outcomes = tuple(pool.map(_sweep_point, tasks))
     else:
-        results = dict(map(_sweep_point, tasks))
+        outcomes = tuple(map(_sweep_point, tasks))
 
     rows = []
-    outcomes = []
-    for k, snr in enumerate(cfg.snr_points_db):
-        point = results[k]
-        correct = sum(1 for o in point if o is TrialOutcome.CORRECT)
-        missed = sum(1 for o in point if o is TrialOutcome.MISSED)
+    for snr, point in zip(cfg.snr_points_db, outcomes):
+        correct = point.count(TrialOutcome.CORRECT)
+        missed = point.count(TrialOutcome.MISSED)
         false_standard = len(point) - correct - missed
         probability = correct / len(point)
         ci = 1.96 * math.sqrt(probability * (1.0 - probability) / len(point))
         rows.append(SweepRow(snr, len(point), correct, missed, false_standard, probability, ci))
-        outcomes.append(tuple(point))
-    return SweepResult(rows=tuple(rows), outcomes=tuple(outcomes))
+    return SweepResult(rows=tuple(rows), outcomes=outcomes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScopeResult:
-    """Full correlator traces for one capture (one column per standard)."""
+    """Full correlator traces for one capture (one column per standard);
+    compares and hashes by identity."""
 
     profile_ids: tuple[str, ...]
     thresholds: tuple[int, ...]

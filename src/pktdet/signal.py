@@ -126,7 +126,7 @@ class FixedPointFormat:
 Q1_15 = FixedPointFormat(16, 15)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleStream:
     """Immutable block of quantized I/Q samples.
 
@@ -137,7 +137,7 @@ class SampleStream:
     reads without a cast.  The constructor takes integer arrays of any
     width, checks every code against the format and copies them into a fresh
     block, so the caller's arrays stay theirs; a float or bool array is
-    rejected."""
+    rejected.  A stream compares and hashes by identity."""
 
     format: FixedPointFormat
     i: np.ndarray
@@ -196,9 +196,9 @@ class SampleStream:
         return signs[0], signs[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Preamble:
-    """Known reference sequence at full precision (pre-quantization)."""
+    """Full-precision (pre-quantization) reference sequence; compares and hashes by identity."""
 
     samples: np.ndarray = field(repr=False)
 

@@ -762,6 +762,29 @@ CATALOGUE = (
             for case in ("pad_before_range", "pad_before_range-triple")
         ),
     ),
+    # a sweep point holds one trial's seed at a time
+    Mutant(
+        "sweep-seeds-listed-up-front",
+        "src/pktdet/harness.py",
+        """    trials = range(cfg.trials_per_point)
+    return tuple(run_trial(cfg, snr_db, seed_words(cfg.seed, snr_index, t)) for t in trials)
+""",
+        """    seeds = [seed_words(cfg.seed, snr_index, t) for t in range(cfg.trials_per_point)]
+    return tuple(run_trial(cfg, snr_db, seed) for seed in seeds)
+""",
+        ("tests/test_harness.py::TestRunSweep::test_a_point_holds_no_seed_list",),
+    ),
+    # a record that holds an array compares by identity, not elementwise
+    Mutant(
+        "array-records-compare-by-value",
+        "src/pktdet/signal.py",
+        "@dataclass(frozen=True, eq=False)\nclass Preamble:",
+        "@dataclass(frozen=True)\nclass Preamble:",
+        tuple(
+            f"tests/test_harness.py::test_record_compares_and_hashes_without_raising[{name}]"
+            for name in ("Preamble", "StandardProfile", "SweepConfig", "Candidate")
+        ),
+    ),
 )
 
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +17,8 @@ from pktdet.harness import (
     run_trial,
     scenario_profiles,
 )
-from pktdet.signal import Preamble, add_awgn, pn_preamble, seed_words
-from pktdet.standards import StandardProfile, build_register_map
+from pktdet.signal import Q1_15, Preamble, add_awgn, pn_preamble, quantize, seed_words
+from pktdet.standards import Candidate, StandardProfile, build_register_map
 
 from oracles import float_xcorr_argmax
 
@@ -209,6 +210,20 @@ class TestRunSweep:
         run_sweep(tiny_config(snr_points_db=(6.0,), trials_per_point=2), workers=4)
         assert asked == [13]  # one point runs serially
 
+    def test_a_point_holds_no_seed_list(self, monkeypatch):
+        # each trial's seed is drawn as the trial starts, so a point holds
+        # its outcome tuple (8 B a trial) and no list of seed arrays
+        cfg = default_sweep_config(snr_points_db=(0.0,), trials_per_point=20_000)
+        monkeypatch.setattr(harness, "run_trial", lambda cfg, snr_db, seed: TrialOutcome.MISSED)
+        tracemalloc.start()
+        try:
+            (row,) = run_sweep(cfg).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.missed == 20_000
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_are_rejected(self, monkeypatch, workers):
         # a pool of min(workers, points) < 2 would run the sweep serially
@@ -323,3 +338,27 @@ class TestDefaults:
         a = cfg.profiles[1].preamble.samples
         b = cfg.profiles[2].preamble.samples
         assert not np.array_equal(a, b)
+
+
+PREAMBLE = pn_preamble(32, (3, 0))
+CONFIG = tiny_config()
+RECORDS = {
+    "Preamble": lambda: Preamble(PREAMBLE.samples),
+    "SampleStream": lambda: quantize(PREAMBLE.samples, Q1_15),
+    "StandardProfile": lambda: StandardProfile("pn32", PREAMBLE, 50),
+    "SweepConfig": lambda: replace(CONFIG),
+    "Candidate": lambda: Candidate(CONFIG.profiles[0], 64, 100, 0),
+    "ScopeResult": lambda: run_scope_scenario(CONFIG),
+}
+BY_IDENTITY = ("Preamble", "SampleStream", "ScopeResult")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_compares_and_hashes_without_raising(name):
+    # numpy's elementwise == has no truth value, so a record that holds an
+    # array is equal only to itself; the others compare field by field
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert a == a and a in [b, a]
+    assert (a == b) is (name not in BY_IDENTITY)
+    assert hash(a) == hash(a)
+    assert (hash(a) == hash(b)) is (name not in BY_IDENTITY)
