@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -276,12 +278,13 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 
 @dataclass(frozen=True, eq=False)
 class ScopeResult:
-    """Full correlator traces for one capture (one column per standard);
-    compares and hashes by identity."""
+    """Full correlator traces for one capture (one column per standard):
+    read-only arrays in a read-only mapping.  Compares and hashes by
+    identity."""
 
     profile_ids: tuple[str, ...]
     thresholds: tuple[int, ...]
-    traces: dict[str, np.ndarray]
+    traces: Mapping[str, np.ndarray]
     expected_peak_index: int
     events: tuple[DetectionEvent, ...]
 
@@ -311,13 +314,14 @@ def run_scope_scenario(cfg: SweepConfig, snr_db: float = 10.0, seed: int = 0) ->
         index, re = SignCorrelator(profile.bank).process(stream)
         trace = np.zeros(len(stream), dtype=np.int32)
         trace[index] = re
+        trace.flags.writeable = False
         traces[profile.id] = trace
     regs = build_register_map(cfg.profiles, fmt=cfg.sample_format)
     events = run_detector_bank(stream, cfg.profiles, regs)
     return ScopeResult(
         profile_ids=tuple(p.id for p in cfg.profiles),
         thresholds=tuple(p.fine_threshold for p in cfg.profiles),
-        traces=traces,
+        traces=MappingProxyType(traces),
         expected_peak_index=start + tx.correlator_len - 1,
         events=tuple(events),
     )

@@ -131,13 +131,14 @@ class SampleStream:
     """Immutable block of quantized I/Q samples.
 
     ``i`` and ``q`` hold raw integer codes; values are
-    ``code * 2**-fractional_bits``.  ``saturation_count`` records how many
-    components were clipped during quantization.  ``codes`` holds ``i`` and
-    ``q`` as the rows of one read-only (2, n) int64 block, which every stage
-    reads without a cast.  The constructor takes integer arrays of any
-    width, checks every code against the format and copies them into a fresh
-    block, so the caller's arrays stay theirs; a float or bool array is
-    rejected.  A stream compares and hashes by identity."""
+    ``code * 2**-fractional_bits``.  ``saturation_count``, an integer in
+    [0, 2n], records how many components were clipped during quantization.
+    ``codes`` holds ``i`` and ``q`` as the rows of one read-only (2, n)
+    int64 block, which every stage reads without a cast.  The constructor
+    takes integer arrays of any width, checks every code against the format
+    and copies them into a fresh block, so the caller's arrays stay theirs;
+    a float or bool array is rejected.  A stream compares and hashes by
+    identity."""
 
     format: FixedPointFormat
     i: np.ndarray
@@ -151,6 +152,7 @@ class SampleStream:
             raise ValueError("i and q must be 1-D arrays of equal length")
         if i.dtype.kind not in "iu" or q.dtype.kind not in "iu":
             raise ValueError(f"i and q must hold integer codes, not {i.dtype} and {q.dtype}")
+        _int_field(self, "saturation_count", 0, 2 * len(i))
         lo, hi = self.format.min_code, self.format.max_code
         # Python ints compare exactly whatever the arrays' integer type
         bounds = [int(f(arr)) for arr in (i, q) for f in (np.min, np.max)] if i.size else [0]

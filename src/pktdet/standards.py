@@ -445,16 +445,27 @@ class DetectorBank:
     mask.  The energy gate shifts each sample's exceedance into a
     ``window_len``-bit register and counts it with ``bit_count``, so a
     sample in the window keeps the comparison made when it arrived.
+
+    Readiness is decided when it changes, not per sample.  Arming puts in
+    force the gate's count threshold (``window_len``, which no count
+    exceeds, until the gate's window is full) and the taps whose windows
+    are full.  The constructor and every publish arm the bank from the
+    samples counted so far.  Until every window is full, the gate's and the
+    longest profile's, disabled profiles included, ``push`` is the
+    instance's fill step: it counts each sample once the datapath has taken
+    it and re-arms at a sample where a window becomes full.  Once every
+    window is full the fill step is gone, and a push counts no samples and
+    tests no tap's readiness.
     """
 
     def __init__(self, profiles, regs: RegisterMap, fmt: FixedPointFormat):
         self._profiles = list(profiles)
         self._lo, self._hi = fmt.min_code, fmt.max_code
+        self._seen = 0  # samples the fill step has counted
         self._adopt(regs)
         self._idle = dict.fromkeys(profile.id for profile in self._profiles)
         self._win_i = self._win_q = 0
         self._exceed = 0
-        self._seen = 0
         self._holdoff_left = 0
 
     def _adopt(self, regs: RegisterMap) -> None:
@@ -479,6 +490,32 @@ class DetectorBank:
             for profile, bank, on in zip(self._profiles, view.banks, view.enabled)
             if on
         )
+        self._fill_points = {window_len, span, *(tap[1] for tap in self._taps)}
+        self._arm()
+
+    def _arm(self) -> None:
+        """Arm the gate and the taps for the next sample, number ``_seen +
+        1``, and fill on to the next sample at which a window becomes full,
+        if there is one."""
+        upcoming = self._seen + 1
+        window_len = self._window_len
+        self._gate_thr = self._count_thr if window_len <= upcoming else window_len
+        self._ready = tuple(tap for tap in self._taps if tap[1] <= upcoming)
+        later = [n for n in self._fill_points if n > upcoming]
+        if later:
+            self._arm_at = min(later) - 1
+            self.push = self._fill
+        elif self.push == self._fill:
+            del self.push  # a full bank pushes through the class's push
+
+    def _fill(self, i_code: int, q_code: int) -> dict[str, CorrelatorOutput | None]:
+        """:meth:`push` while a window is filling: the sample's outputs, then
+        its count, so a rejected code is not counted."""
+        outs = type(self).push(self, i_code, q_code)
+        self._seen += 1
+        if self._seen == self._arm_at:
+            self._arm()
+        return outs
 
     def update_registers(self, regs: RegisterMap) -> None:
         """Publish a complete register map, in force from the next push.
@@ -497,23 +534,21 @@ class DetectorBank:
         top = self._top
         win_i = self._win_i = (self._win_i >> 1) | (top if i >= 0 else 0)
         win_q = self._win_q = (self._win_q >> 1) | (top if q >= 0 else 0)
-        seen = self._seen = self._seen + 1
         above = i * i + q * q > self._thr_raw
         exceed = self._exceed = ((self._exceed << 1) | above) & self._mask
         outs = self._idle.copy()
-        if seen >= self._window_len and exceed.bit_count() > self._count_thr:
+        if exceed.bit_count() > self._gate_thr:
             self._holdoff_left = self._holdoff
         elif self._holdoff_left:
             self._holdoff_left -= 1
         else:
             return outs
-        for pid, n, shift, b_i, b_q in self._taps:
-            if seen >= n:
-                w_i, w_q = win_i >> shift, win_q >> shift
-                # no __init__ runs, so all four slots must be stored here
-                out = outs[pid] = _new_record(CorrelatorOutput)
-                out.p_ii = n - 2 * (w_i ^ b_i).bit_count()
-                out.p_qq = n - 2 * (w_q ^ b_q).bit_count()
-                out.p_qi = n - 2 * (w_q ^ b_i).bit_count()
-                out.p_iq = n - 2 * (w_i ^ b_q).bit_count()
+        for pid, n, shift, b_i, b_q in self._ready:
+            w_i, w_q = win_i >> shift, win_q >> shift
+            # no __init__ runs, so all four slots must be stored here
+            out = outs[pid] = _new_record(CorrelatorOutput)
+            out.p_ii = n - 2 * (w_i ^ b_i).bit_count()
+            out.p_qq = n - 2 * (w_q ^ b_q).bit_count()
+            out.p_qi = n - 2 * (w_q ^ b_i).bit_count()
+            out.p_iq = n - 2 * (w_i ^ b_q).bit_count()
         return outs

@@ -61,8 +61,14 @@ BAD_PUSH = (
 )
 MALFORMED = "tests/test_cli.py::test_malformed_ini_exits_2"
 TAP = "(profile.id, bank.length, span - bank.length, *bank._packed)"
-P_QI_STORE = "                out.p_qi = n - 2 * (w_q ^ b_i).bit_count()\n"
-P_IQ_STORE = "                out.p_iq = n - 2 * (w_i ^ b_q).bit_count()\n"
+P_QI_STORE = "            out.p_qi = n - 2 * (w_q ^ b_i).bit_count()\n"
+P_IQ_STORE = "            out.p_iq = n - 2 * (w_i ^ b_q).bit_count()\n"
+TAP_READY = "tap[1] <= upcoming"
+GATE_READY = "self._count_thr if window_len <= upcoming else window_len"
+FILL = f"{STREAM}test_publishes_during_the_fill_match_the_oracle"
+ADOPT_ARM = """        self._fill_points = {window_len, span, *(tap[1] for tap in self._taps)}
+        self._arm()
+"""
 RECORD_KILLS = (
     f"{STREAM}test_mixed_lengths_match_the_oracle",
     f"{STREAM}test_each_record_equals_the_one_init_builds",
@@ -132,22 +138,52 @@ CATALOGUE = (
         TAP.replace("span - bank.length", "max(span - bank.length - 1, 0)"),
         (f"{STREAM}test_mixed_lengths_match_the_oracle",),
     ),
+    # readiness is armed where a window fills and at each publish
     Mutant(
         "correlator-ready-one-late",
         STANDARDS,
-        "            if seen >= n:\n",
-        "            if seen > n:\n",
+        TAP_READY,
+        "tap[1] < upcoming",
         (
             "tests/test_correlator.py::TestCorrelateAt::test_underfilled_window_not_ready",
             f"{STREAM}test_mixed_lengths_match_the_oracle",
+            FILL,
         ),
+    ),
+    Mutant(
+        "tap-armed-one-sample-early",
+        STANDARDS,
+        TAP_READY,
+        "tap[1] <= upcoming + 1",
+        (f"{STREAM}test_mixed_lengths_match_the_oracle", FILL),
     ),
     Mutant(
         "gate-readiness-dropped",
         STANDARDS,
-        "if seen >= self._window_len and exceed.bit_count() > self._count_thr:",
-        "if exceed.bit_count() > self._count_thr:",
-        (f"{GATE}test_enable_array_marks_window_ends", f"{GATE}test_matches_naive_recount"),
+        GATE_READY,
+        "self._count_thr",
+        (f"{GATE}test_enable_array_marks_window_ends", f"{GATE}test_matches_naive_recount", FILL),
+    ),
+    Mutant(
+        "gate-armed-before-its-window-is-full",
+        STANDARDS,
+        GATE_READY,
+        GATE_READY.replace("<= upcoming", "<= upcoming + 1"),
+        (FILL,),
+    ),
+    Mutant(
+        "publish-does-not-re-arm",
+        STANDARDS,
+        ADOPT_ARM,
+        ADOPT_ARM.replace("self._arm()", 'if not hasattr(self, "_ready"):\n            self._arm()'),
+        (f"{STREAM}test_mixed_lengths_match_the_oracle", FILL),
+    ),
+    Mutant(
+        "fill-ends-one-sample-early",
+        STANDARDS,
+        "n > upcoming]",
+        "n > upcoming + 1]",
+        (f"{STREAM}test_mixed_lengths_match_the_oracle", FILL),
     ),
     Mutant(
         "exceedance-mask-one-bit-short",
@@ -217,8 +253,16 @@ CATALOGUE = (
             ("clears-the-windows", "self._win_i = self._win_q = self._exceed = 0"),
             ("clears-the-exceedances", "self._exceed = 0"),
             ("resets-the-holdoff", "self._holdoff_left = 0"),
-            ("resets-the-samples-seen", "self._seen = 0"),
         )
+    ),
+    # the count a publish arms from is the fill's, so a publish cannot
+    # restart the fill
+    Mutant(
+        "publish-resets-the-samples-seen",
+        STANDARDS,
+        ADOPT_ARM,
+        ADOPT_ARM.replace("self._arm()", "self._seen = 0\n        self._arm()"),
+        (f"{STREAM}test_publishing_the_map_in_force_changes_nothing",),
     ),
     Mutant(
         "push-range-check-dropped",

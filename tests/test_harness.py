@@ -323,6 +323,16 @@ class TestScopeScenario:
         # one row per sample plus header and trailing newline
         assert len(lines) == 2 + len(result.traces["pn32"])
 
+    def test_traces_cannot_be_changed(self):
+        result = run_scope_scenario(tiny_config(), snr_db=math.inf, seed=0)
+        csv = result.to_csv()
+        with pytest.raises(ValueError, match="read-only"):
+            result.traces["pn32"][0] = 12345
+        with pytest.raises(TypeError):
+            result.traces["x"] = None
+        assert list(result.traces) == list(result.profile_ids)
+        assert result.to_csv() == csv
+
 
 class TestDefaults:
     def test_default_config_shape(self):

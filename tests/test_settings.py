@@ -18,6 +18,8 @@ from pktdet.harness import SweepConfig, TrialOutcome, run_sweep, scenario_profil
 from pktdet.signal import (
     FixedPointFormat,
     Preamble,
+    Q1_15,
+    SampleStream,
     add_awgn,
     noise_sigma,
     pn_preamble,
@@ -26,6 +28,7 @@ from pktdet.signal import (
 from pktdet.standards import StandardProfile
 
 PROFILES = scenario_profiles(seed=7)
+ZEROS = np.zeros(8, dtype=np.int16)  # 16 components, so at most 16 saturations
 
 
 def sweep(**overrides) -> SweepConfig:
@@ -75,6 +78,8 @@ SETTINGS = [
     ("seed_words", lambda v: seed_words(3, v), None, 16, -1, "seed must be non-negative, got -1"),
     ("preamble length", lambda v: pn_preamble(v, 0), None, 16,
      16385, "preamble length must be in [1, 16384]"),
+    ("saturation_count", lambda v: SampleStream(Q1_15, ZEROS, ZEROS, saturation_count=v),
+     lambda s: s.saturation_count, 16, -7, "saturation_count must be in [0, 16]"),
 ]
 
 

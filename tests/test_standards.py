@@ -47,7 +47,16 @@ from oracles import (
     run_peaks,
     sign_partials,
 )
-from streaming import as_outputs, bank_from_signs, code_signs, push_run, same_outputs, sign_pairs
+from streaming import (
+    as_outputs,
+    bank_from_signs,
+    blank_map,
+    code_signs,
+    push_run,
+    same_outputs,
+    sign_pairs,
+    with_banks,
+)
 
 
 def profile(pid, length, threshold, seed=0):
@@ -1219,6 +1228,76 @@ class TestStreamingDetectorBank:
         # and the batch path agrees with a run under one map
         for k, outputs in enumerate(push_run(banks[0], stream)):
             assert same_outputs(as_outputs(outputs), SignCorrelator(banks[0][k]).process(stream))
+
+    @example(lengths=[7, 8, 15], window=16, seed=0, holdoff=0)
+    @example(lengths=[1, 2, 3, 8], window=None, seed=1, holdoff=0)
+    @example(lengths=[3, 9], window=5, seed=2, holdoff=2)
+    @given(
+        st.lists(st.integers(1, 16), min_size=1, max_size=4),
+        st.none() | st.integers(1, 24),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3),
+    )
+    def test_publishes_during_the_fill_match_the_oracle(self, lengths, window, seed, holdoff):
+        # before each sample until the bank is full, a publish turns each
+        # profile on or off and gives it one of two banks.  A gate whose
+        # window outlasts every profile's arms after the taps, and hides
+        # them until it does; with no gate or a short one, each tap is seen
+        # to arm
+        full = max(window or 0, *lengths)
+        rng = np.random.default_rng(seed)
+        length = full + 24
+        loud = rng.random(length) < 0.8
+        codes = rng.integers(-128, 129, size=(2, length))
+        codes = np.where(loud, np.where(codes < 0, -(1 << 14), 1 << 14) + codes, codes)
+        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
+        signs = code_signs(stream)
+        banks = [
+            [bank_from_signs(rng.choice((-1, 1), size=(2, n)).T) for n in lengths]
+            for _ in range(2)
+        ]
+        profiles, _ = blank_map(tuple(lengths))
+        energy = window and EnergyConfig(window, 0.25, int(rng.integers(window)))
+        regs = build_register_map(profiles, energy=energy).write("fine/holdoff", holdoff)
+        # the map in force at each sample: its enables and its bank set
+        on = np.empty((length, len(lengths)), dtype=bool)
+        on[:full] = rng.random((full, len(lengths))) < 0.7
+        on[full:] = on[full - 1]
+        sets = np.empty(length, dtype=np.int64)
+        sets[:full] = rng.integers(2, size=full)
+        sets[full:] = sets[full - 1]
+
+        bank = DetectorBank(profiles, regs, Q1_15)
+        got = []
+        for t, (i, q) in enumerate(codes.T.tolist()):
+            if t < full:
+                published = with_banks(regs, banks[sets[t]])
+                for k in range(len(lengths)):
+                    published = published.write(f"prof{k}/enabled", int(on[t, k]))
+                bank.update_registers(published)
+            got.append(bank.push(i, q))
+
+        gate = np.ones(length, dtype=bool)
+        if window:
+            thr_raw = regs.read("energy/sample_thresh_raw")
+            raw = oracle_enable(stream.i, stream.q, window, thr_raw, energy.count_threshold)
+            gate = latch_enable(np.array(raw), holdoff)
+        for k, (p, n) in enumerate(zip(profiles, lengths)):
+            expected = [
+                CorrelatorOutput(
+                    *sign_partials(signs[t - n + 1 : t + 1], sign_pairs(banks[sets[t]][k]))
+                )
+                if gate[t] and on[t, k] and t + 1 >= n
+                else None
+                for t in range(length)
+            ]
+            streamed = [out[p.id] for out in got]
+            assert streamed == expected
+            # and the batch path agrees under each bank set
+            for s in range(2):
+                pairs = [(t, o) for t, o in enumerate(streamed) if o is not None and sets[t] == s]
+                batch = SignCorrelator(banks[s][k]).process(stream, gate & on[:, k] & (sets == s))
+                assert same_outputs(as_outputs(pairs), batch)
 
     def test_longest_bank_beside_a_short_one(self):
         # a 16,384-point bank widens the shared register to its limit; the
