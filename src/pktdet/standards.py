@@ -375,9 +375,25 @@ def events_from_candidates(
 def run_detector_bank(stream: SampleStream, profiles, regs: RegisterMap) -> list[DetectionEvent]:
     """Run the full pipeline over one stream and return arbitrated events.
 
+    The stages run in this order:
+
+    1. the energy gate, open everywhere when the stage is off;
+    2. the coarse stage, when on: its first trigger clears the gate before
+       it, and no trigger means no events;
+    3. the hold-off latch, over that cut gate;
+    4. each enabled profile's correlator over the latched positions, and
+       its candidates, the peaks of its above-threshold runs, which a gap
+       in the latched gate breaks;
+    5. arbitration, clustering within the longest correlator's length,
+       disabled profiles included.
+
     The energy gate is computed once and shared by every correlator; each
     enabled profile's correlator reports, and counts as work, only gated
-    positions (plus the hold-off extension).
+    positions (plus the hold-off extension).  An event's gate index starts
+    its latched run of the uncut energy gate, so it may lie before the
+    coarse index; the run starts are found only with the energy gate on and
+    a candidate made.  ``reference_run`` in ``tests/oracles.py`` states the
+    same rules one sample at a time.
     """
     profiles = list(profiles)
     view = _decode_registers(profiles, regs)

@@ -97,6 +97,7 @@ SEED_CHECK = """        if value < 0:
             raise ValueError(f"seed must be non-negative, got {value}")
 """
 EVENTS = "tests/test_standards.py::TestEventsFromCandidates::test_matches_the_reference"
+REFERENCE = "tests/test_standards.py::TestRunDetectorBank::test_events_equal_the_reference"
 STAGE_ROW = "tests/test_standards.py::TestRegisterTable::test_stage_row_takes_its_range"
 WORDS = "tests/test_standards.py::TestRegisterWords::test_stages_equal_the_oracles_fed_the_words"
 WINDOW = "tests/test_energy.py::TestWindowEnergy::"
@@ -656,7 +657,26 @@ CATALOGUE = (
             "test_another_standard_winning_is_a_false_standard",
         ),
     ),
-    # gate-run starts only for candidates, and the arbitration that reads them
+    # the batch pipeline's glue: the coarse cut, and gate-run starts from
+    # the uncut gate, only for candidates
+    Mutant(
+        "coarse-cut-one-sample-short",
+        STANDARDS,
+        "raw_enable[:coarse_index] = False",
+        "raw_enable[: max(coarse_index - 1, 0)] = False",
+        (REFERENCE,),
+    ),
+    Mutant(
+        "gate-run-starts-from-the-cut-enable",
+        STANDARDS,
+        "on = raw_energy.nonzero()[0]",
+        "on = raw_enable.nonzero()[0]",
+        (
+            "tests/test_standards.py::TestRunDetectorBank::"
+            "test_stage_trace_names_the_energy_gate_run[True]",
+            REFERENCE,
+        ),
+    ),
     Mutant(
         "gate-run-starts-guard-inverted",
         STANDARDS,
@@ -666,8 +686,10 @@ CATALOGUE = (
             "tests/test_standards.py::TestRunDetectorBank::test_noiseless_event_at_ground_truth",
             "tests/test_standards.py::TestRunDetectorBank::"
             "test_gate_on_without_candidates_returns_no_events",
+            REFERENCE,
         ),
     ),
+    # and the arbitration that reads them
     Mutant(
         "cluster-split-at-the-window",
         STANDARDS,

@@ -8,6 +8,7 @@ correlation.  None of it shares code with the package under test.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,101 @@ def latched_run_starts(raw, holdoff: int) -> list[int]:
     turns on are kept."""
     latched = [any(raw[max(0, k - holdoff) : k + 1]) for k in range(len(raw))]
     return [k for k, on in enumerate(latched) if on and (k == 0 or not latched[k - 1])]
+
+
+ReferenceCandidate = namedtuple("ReferenceCandidate", "profile peak_value peak_index order")
+
+
+def word_signs(regs, p: int, length: int) -> list[tuple[int, int]]:
+    """Profile ``p``'s reference signs as ``(si, sq)`` pairs of +-1, read bit
+    by bit off its coefficient words: bit k of word w is sample 32w + k."""
+    bits = [0, 0]
+    for part, name in enumerate("iq"):
+        for w in range((length + 31) // 32):
+            bits[part] |= regs[f"prof{p}/coeff_{name}/{w}"] << (32 * w)
+    return [tuple(1 if b >> k & 1 else -1 for b in bits) for k in range(length)]
+
+
+def reference_run(codes, profiles, regs, schedule=()):
+    """The whole pipeline over the ``(i, q)`` code pairs ``codes``, one
+    sample at a time in Python ints, reading each register word by key.
+
+    ``profiles`` give each standard's ``id`` and ``correlator_len`` in
+    registration order; ``regs`` is the map in force from sample 0, and each
+    ``(sample, map)`` of ``schedule`` is in force from its sample on.
+    Returns ``(events, record)``: ``events`` as :func:`arbitrated_events`
+    gives them, and ``record[t]`` the raw gate (the energy decision, before
+    any coarse cut), the latched gate and, per profile, its four partials
+    or None at sample t.
+
+    Per sample, under the map in force:
+      * a sample's exceedance is decided when it arrives, and the count of
+        the last ``energy/window_len`` of them is compared under the current
+        map; the gate stays shut until that many samples are in;
+      * the hold-off is a counter, reloaded while the raw gate is open;
+      * a profile reports at t when the gate is latched, the profile is
+        enabled and t + 1 >= n.
+    Events, under the first map only, from the outputs the record holds:
+      * the first coarse trigger clears the raw gate before it, and no
+        trigger means no events; the latch runs over that cut gate;
+      * candidates are the run peaks of ``re`` over the latched positions,
+        where a gap breaks a run;
+      * gate-run starts come from the uncut raw gate, only with energy on
+        and a candidate found;
+      * the arbitration window is the longest profile's length, disabled
+        profiles included.
+    A schedule with the coarse stage on raises: no pipeline runs one."""
+    codes = [(int(i), int(q)) for i, q in codes]
+    profiles = list(profiles)
+    schedule = dict(schedule)
+    first = regs
+    if schedule and any(m["coarse/enabled"] for m in (regs, *schedule.values())):
+        raise ValueError("a schedule with the coarse stage on")
+    start = 0  # where the cut gate may open; None for no coarse trigger
+    if regs["coarse/enabled"]:
+        start = coarse_trigger_exact(
+            [i for i, _ in codes],
+            [q for _, q in codes],
+            regs["coarse/lag"],
+            regs["coarse/thresh_q15"],
+            regs["coarse/plateau"],
+        )
+    signs, exceed, record = [], [], []
+    left = 0  # hold-off samples still to run
+    for t, (i, q) in enumerate(codes):
+        if t == 0 or t in schedule:
+            regs = schedule.get(t, regs)
+            refs = [word_signs(regs, p, x.correlator_len) for p, x in enumerate(profiles)]
+        signs.append((1 if i >= 0 else -1, 1 if q >= 0 else -1))
+        exceed.append(i * i + q * q > regs["energy/sample_thresh_raw"])
+        window = regs["energy/window_len"]
+        raw = not regs["energy/enabled"] or (
+            t + 1 >= window and sum(exceed[t + 1 - window :]) > regs["energy/count_thresh"]
+        )
+        if raw and start is not None and t >= start:
+            left, latched = regs["fine/holdoff"], True
+        elif left:
+            left, latched = left - 1, True
+        else:
+            latched = False
+        outs = []
+        for p, x in enumerate(profiles):
+            n = x.correlator_len
+            on = latched and regs[f"prof{p}/enabled"] and t + 1 >= n
+            outs.append(sign_partials(signs[t + 1 - n :], refs[p]) if on else None)
+        record.append((raw, latched, tuple(outs)))
+
+    candidates = []
+    for p, x in enumerate(profiles):
+        outputs = [(t, o[p][0] + o[p][1]) for t, (_, _, o) in enumerate(record) if o[p]]
+        for value, index in run_peaks(outputs, first[f"prof{p}/threshold"]):
+            candidates.append(ReferenceCandidate(x, value, index, p))
+    starts = None
+    if first["energy/enabled"] and candidates:
+        starts = latched_run_starts([raw for raw, _, _ in record], first["fine/holdoff"])
+    coarse_index = start if first["coarse/enabled"] else None
+    arb_window = max(x.correlator_len for x in profiles)
+    return arbitrated_events(candidates, arb_window, starts, coarse_index), record
 
 
 def float_xcorr(signal, reference) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Build streams from codes, and drive the sample-at-a-time
 ``DetectorBank`` so its outputs can be compared with the batch path and the
-oracles."""
+oracles, ``reference_run`` among them."""
 
 import functools
 
@@ -67,6 +67,18 @@ def blank_map(lengths):
     return profiles, build_register_map(profiles)
 
 
+def pushes(profiles, regs, codes, schedule=(), fmt=Q1_15):
+    """Push the ``(i, q)`` pairs ``codes`` through a ``DetectorBank`` under
+    ``regs``, publishing each ``(sample, map)`` of ``schedule`` just before
+    its sample; yield each push's output map."""
+    bank = DetectorBank(profiles, regs, fmt)
+    publishes = dict(schedule)
+    for t, (i, q) in enumerate(codes):
+        if t in publishes:
+            bank.update_registers(publishes[t])
+        yield bank.push(i, q)
+
+
 def push_run(banks, stream, enable=None, publish=None):
     """Push every sample of ``stream`` through an ungated ``DetectorBank``
     whose profile k holds ``banks[k]``; per bank, the ``(n,
@@ -75,17 +87,38 @@ def push_run(banks, stream, enable=None, publish=None):
     ``publish`` maps a sample index to the banks whose words are published
     just before that sample."""
     profiles, blank = blank_map(tuple(b.length for b in banks))
-    bank = DetectorBank(profiles, with_banks(blank, banks), stream.format)
-    pairs = {p.id: [] for p in profiles}
-    for t, (i, q) in enumerate(zip(stream.i.tolist(), stream.q.tolist())):
-        if publish and t in publish:
-            bank.update_registers(with_banks(blank, publish[t]))
-        outs = bank.push(i, q)
+    schedule = [(t, with_banks(blank, later)) for t, later in (publish or {}).items()]
+    codes = zip(stream.i.tolist(), stream.q.tolist())
+    run = pushes(profiles, with_banks(blank, banks), codes, schedule, stream.format)
+    pairs = [[] for _ in banks]
+    for t, outs in enumerate(run):
         if enable is None or enable[t]:
-            for pid, out in outs.items():
+            for k, out in enumerate(outs.values()):
                 if out is not None:
-                    pairs[pid].append((t, out))
-    return list(pairs.values())
+                    pairs[k].append((t, out))
+    return pairs
+
+
+def partials(out):
+    """A ``CorrelatorOutput``'s four partials, or None for None."""
+    return None if out is None else (out.p_ii, out.p_qq, out.p_qi, out.p_iq)
+
+
+def push_partials(profiles, regs, codes, schedule=()):
+    """Per Q1.15 push of :func:`pushes`, each profile's :func:`partials`, as
+    a ``reference_run`` record holds them."""
+    return [tuple(map(partials, outs.values())) for outs in pushes(profiles, regs, codes, schedule)]
+
+
+def recorded_partials(run):
+    """Per sample, each profile's partials or None, from a ``reference_run``
+    result."""
+    return [outs for _, _, outs in run[1]]
+
+
+def event_tuples(events):
+    """``DetectionEvent`` values as ``reference_run`` gives them."""
+    return [(e.standard_id, e.peak_value, e.peak_index, e.stage_trace) for e in events]
 
 
 def as_outputs(pairs):

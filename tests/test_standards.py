@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pktdet import standards
 from pktdet.coarse import CoarseConfig, detect_coarse
-from pktdet.correlator import CorrelatorOutput, SignCorrelator, latch_enable, load_coefficients
+from pktdet.correlator import CorrelatorOutput, SignCorrelator, load_coefficients
 from pktdet.energy import EnergyConfig, enable_array
 from pktdet.harness import scenario_profiles, synthesize
 from pktdet.signal import (
@@ -42,8 +42,8 @@ from pktdet.standards import (
 from oracles import (
     arbitrated_events,
     coarse_trigger_exact,
-    latched_run_starts,
     oracle_enable,
+    reference_run,
     run_peaks,
     sign_partials,
 )
@@ -52,9 +52,14 @@ from streaming import (
     bank_from_signs,
     blank_map,
     code_signs,
+    event_tuples,
+    partials,
+    push_partials,
     push_run,
+    recorded_partials,
     same_outputs,
     sign_pairs,
+    stream_from_codes,
     with_banks,
 )
 
@@ -69,6 +74,61 @@ def profile(pid, length, threshold, seed=0):
 
 def make_capture(tx, pad_before=80, pad_after=96, snr_db=math.inf, seed=0):
     return synthesize(tx.preamble, pad_before, pad_after, snr_db, seed, Q1_15)
+
+
+def profile_specs():
+    """A profile's ``(signs, threshold, enabled)``: 1 to 12 reference
+    ``(si, sq)`` sign pairs and a threshold up to the ideal maximum 2n."""
+    sign = st.sampled_from((-1, 1))
+    return st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(sign, sign), min_size=n, max_size=n),
+            st.integers(1, 2 * n),
+            st.booleans(),
+        )
+    )
+
+
+def up_to(lo, hi, widest):
+    """An integer in [lo, hi], or ``widest`` as often as any one of them."""
+    return st.integers(lo, hi + 1).map(lambda v: widest if v > hi else v)
+
+
+@st.composite
+def stage_words(draw):
+    """A word for every stage row, each stage on or off, with the widest
+    window, lag, plateau and hold-off among them; a sample threshold between
+    2**15 and 2**29 parts :func:`burst_codes`' loud samples from its quiet
+    ones."""
+    window = draw(up_to(1, 12, MAX_ENERGY_WINDOW))
+    return {
+        "energy/enabled": draw(st.booleans()),
+        "energy/window_len": window,
+        "energy/sample_thresh_raw": draw(st.integers(1 << 15, 1 << 29) | st.integers(0, 1 << 30)),
+        "energy/count_thresh": draw(st.integers(0, min(window, 12))),
+        "coarse/enabled": draw(st.booleans()),
+        "coarse/lag": draw(up_to(1, 6, 0xFFFFFFFF)),
+        "coarse/thresh_q15": draw(st.integers(0, 1 << 16)),
+        "coarse/plateau": draw(up_to(1, 4, 0xFFFFFFFF)),
+        "fine/holdoff": draw(up_to(0, 12, 0xFFFFFFFF)),
+    }
+
+
+# silence, one loud sample, then louder ones
+EDGE_CODES = [(0, 0)] * 5 + [(500, 500)] + [(-1000, -1000)] * 4
+# the words of EnergyConfig(1, 1000 / 2**30, 0), CoarseConfig(1, 1.0, 1)
+# and a hold-off of 0
+EDGE_WORDS = {
+    "energy/enabled": 1,
+    "energy/window_len": 1,
+    "energy/sample_thresh_raw": 1000,
+    "energy/count_thresh": 0,
+    "coarse/enabled": 1,
+    "coarse/lag": 1,
+    "coarse/thresh_q15": 1 << 15,
+    "coarse/plateau": 1,
+    "fine/holdoff": 0,
+}
 
 
 class TestProfileValidation:
@@ -547,8 +607,8 @@ class TestEventsFromCandidates:
         ]
         gate_run_starts = None if starts is None else np.array(starts, dtype=np.intp)
         events = events_from_candidates(candidates, arb_window, gate_run_starts, coarse_index)
-        got = [(e.standard_id, e.peak_value, e.peak_index, e.stage_trace) for e in events]
-        assert got == arbitrated_events(candidates, arb_window, starts, coarse_index)
+        expected = arbitrated_events(candidates, arb_window, starts, coarse_index)
+        assert event_tuples(events) == expected
         for event in events:
             assert all(type(v) is int for v in event.stage_trace if v is not None)
 
@@ -648,13 +708,11 @@ class TestRunDetectorBank:
         energy = EnergyConfig(16, 0.25, 8)
         coarse = CoarseConfig(half_period=16, metric_threshold=0.9, plateau_min=2)
         regs = build_register_map([p], energy=energy, coarse=coarse if coarse_on else None)
-        (event,) = run_detector_bank(stream, [p], regs)
-        view = _decode_registers([p], regs)
-        gate = latch_enable(enable_array(stream, *view.energy), view.holdoff)
-        starts = [n for n in range(event.peak_index + 1) if gate[n] and (n == 0 or not gate[n - 1])]
-        coarse_index = detect_coarse(stream, *view.coarse).first_trigger if coarse_on else None
-        assert event.stage_trace == (starts[-1], coarse_index)
-        assert not coarse_on or starts[-1] < coarse_index
+        events = run_detector_bank(stream, [p], regs)
+        assert len(events) == 1
+        assert event_tuples(events) == reference_run(stream.codes.T.tolist(), [p], regs)[0]
+        gate_index, coarse_index = events[0].stage_trace
+        assert not coarse_on or gate_index < coarse_index
 
     @given(
         raw=st.lists(st.booleans(), min_size=2, max_size=200),
@@ -666,29 +724,17 @@ class TestRunDetectorBank:
     def test_gate_index_is_the_latched_run_start(self, raw, holdoff, plateau):
         # A window-1 gate opens exactly on the loud samples, and a 1-point
         # (+, +) profile fires where a run of loud samples starts, so every
-        # raw run yields an event.  With the coarse stage on (plateau not
-        # None), M(d) = |y[d]|^2 / |y[d+1]|^2 >= 1 fails only where a quiet
-        # sample precedes a loud one, so the trigger moves with the data.
-        codes = np.where(raw, 1000, -1).astype(np.int32)
-        stream = SampleStream(format=Q1_15, i=codes, q=codes.copy())
+        # raw run after the coarse cut yields an event.  With the coarse
+        # stage on (plateau not None), M(d) = |y[d]|^2 / |y[d+1]|^2 >= 1
+        # fails only where a quiet sample precedes a loud one, so the
+        # trigger moves with the data.
+        codes = [(1000, 1000) if loud else (-1, -1) for loud in raw]
         p = StandardProfile("one", Preamble([1 + 1j]), 2)
         energy = EnergyConfig(1, 1000 / Q1_15.scale**2, 0)  # raw threshold 1000
         coarse = None if plateau is None else CoarseConfig(1, 1.0, plateau)
         regs = build_register_map([p], energy, coarse).write("fine/holdoff", holdoff)
-        events = run_detector_bank(stream, [p], regs)
-        coarse_index = None
-        if coarse is not None:
-            coarse_index = detect_coarse(stream, 1, 1 << 15, plateau).first_trigger
-        if coarse is not None and coarse_index is None:
-            assert events == []
-            return
-        first = coarse_index or 0
-        loud = [k for k in range(first, len(raw)) if raw[k] and (k == first or not raw[k - 1])]
-        assert [e.peak_index for e in events] == loud
-        starts = latched_run_starts(raw, holdoff)
-        for event in events:
-            gate_index = max(k for k in starts if k <= event.peak_index)
-            assert event.stage_trace == (gate_index, coarse_index)
+        events = run_detector_bank(stream_from_codes(codes), [p], regs)
+        assert event_tuples(events) == reference_run(codes, [p], regs)[0]
 
     @given(st.data())
     def test_every_stream_length_takes_each_stage_rule(self, data):
@@ -727,6 +773,34 @@ class TestRunDetectorBank:
         events = run_detector_bank(stream, [p], regs)
         if (energy_on and n < window) or (coarse_on and n < 2 * lag):
             assert events == []
+        assert event_tuples(events) == reference_run(codes, [p], regs)[0]
+
+    # EDGE_CODES under EDGE_WORDS: the coarse trigger at 6 cuts the gate's
+    # run that opens at 5.  A 1-point (+, +) profile scores re = 2 at 5
+    # only, so the cut leaves it no event; a (-, -) one scores 2 from 6 on,
+    # and its event's gate index is 5, the start of the uncut run
+    @example(codes=EDGE_CODES, specs=[([(1, 1)], 2, True)], words=EDGE_WORDS)
+    @example(codes=EDGE_CODES, specs=[([(-1, -1)], 2, True)], words=EDGE_WORDS)
+    @given(
+        codes=st.builds(
+            lambda seed, n: burst_codes(seed, n).tolist(),
+            st.integers(0, 2**32 - 1),
+            st.integers(0, 120).map(lambda k: 120 - k),  # the longest drawn most
+        ),
+        specs=st.lists(profile_specs(), min_size=1, max_size=3),
+        words=stage_words(),
+    )
+    @settings(max_examples=300)
+    def test_events_equal_the_reference(self, codes, specs, words):
+        # random bursts, 1-3 profiles and random words for every stage, the
+        # coarse stage on or off
+        profiles, blank = blank_map(tuple(len(signs) for signs, _, _ in specs))
+        values = {**with_banks(blank, [bank_from_signs(signs) for signs, _, _ in specs]), **words}
+        for k, (_, threshold, on) in enumerate(specs):
+            values[f"prof{k}/threshold"], values[f"prof{k}/enabled"] = threshold, on
+        regs = RegisterMap(values)
+        events = run_detector_bank(stream_from_codes(codes), profiles, regs)
+        assert event_tuples(events) == reference_run(codes, profiles, regs)[0]
 
     def test_longest_coarse_words_allocate_nothing_for_them(self):
         p = profile("a", 8, 10)
@@ -1028,35 +1102,23 @@ class TestStreamingDetectorBank:
     )
     @settings(max_examples=200)
     def test_matches_batch_outputs_when_idle(self, seed, length, specs, energy, holdoff):
-        codes = burst_codes(seed, length)
-        stream = SampleStream(format=Q1_15, i=codes[:, 0].copy(), q=codes[:, 1].copy())
+        # with no publish, every push equals the reference's record
+        codes = burst_codes(seed, length).tolist()
         profiles = [profile(f"p{k}", n, 1, s) for k, (n, s, _) in enumerate(specs)]
-        cfg = raw = None
+        cfg = None
         if energy is not None:
             window, thr_raw, count = energy
             cfg = EnergyConfig(window, thr_raw / Q1_15.scale**2, count % window)
-            raw = enable_array(stream, window, thr_raw, count % window)
         regs = build_register_map(profiles, energy=cfg).write("fine/holdoff", holdoff)
         for k, (_, _, on) in enumerate(specs):
             regs = regs.write(f"prof{k}/enabled", int(on))
-
-        bank = DetectorBank(profiles, regs, Q1_15)
-        pushed = [bank.push(int(i), int(q)) for i, q in zip(stream.i, stream.q)]
-
-        if raw is None:
-            raw = np.ones(len(stream), dtype=bool)
-        enable = latch_enable(raw, regs.read("fine/holdoff"))
-        for p, (_, _, on) in zip(profiles, specs):
-            batch = SignCorrelator(load_coefficients(p.preamble)).process(stream, enable & on)
-            streamed = [(n, out[p.id]) for n, out in enumerate(pushed) if out[p.id] is not None]
-            assert same_outputs(as_outputs(streamed), batch)
+        expected = recorded_partials(reference_run(codes, profiles, regs))
+        assert push_partials(profiles, regs, codes) == expected
 
     def test_energy_thresholds_adopted_mid_stream(self):
-        p, short = profile("a", 16, 20), profile("s", 3, 20)
-        w = 8
-        regs_old = build_register_map([p, short], energy=EnergyConfig(w, 0.2, 3))
+        profiles = [profile("a", 16, 20), profile("s", 3, 20)]
+        regs_old = build_register_map(profiles, energy=EnergyConfig(8, 0.2, 3))
         regs_old = regs_old.write("fine/holdoff", 0)
-        thr_old = regs_old.read("energy/sample_thresh_raw")
         thr_new = round(0.35 * Q1_15.scale**2)
         regs_new = regs_old.write("energy/count_thresh", 5).write(
             "energy/sample_thresh_raw", thr_new
@@ -1067,50 +1129,28 @@ class TestStreamingDetectorBank:
             rng.uniform(0.0, 0.9, length) * np.exp(2j * np.pi * rng.uniform(size=length)),
             Q1_15,
         )
-        publish = {90: regs_new, 170: regs_old}
+        codes = stream.codes.T.tolist()
+        schedule = [(90, regs_new), (170, regs_old)]
+        expected = reference_run(codes, profiles, regs_old, schedule)
+        assert push_partials(profiles, regs_old, codes, schedule) == recorded_partials(expected)
 
-        bank = DetectorBank([p, short], regs_old, Q1_15)
-        streamed = {"a": [], "s": []}
-        for n in range(length):
-            if n in publish:
-                bank.update_registers(publish[n])
-            for pid, out in bank.push(int(stream.i[n]), int(stream.q[n])).items():
-                if out is not None:
-                    streamed[pid].append((n, out))
+        # the capture tells the schedule apart from the plausible wrong ones
+        def gate(regs, schedule=()):
+            return [raw for raw, _, _ in reference_run(codes, profiles, regs, schedule)[1]]
 
-        # naive model: the registers in force at each sample
-        new_at = [90 <= n < 170 for n in range(length)]
-        energy = [int(i) ** 2 + int(q) ** 2 for i, q in zip(stream.i, stream.q)]
-
-        def model(thr_of, count_of, recompare=False):
-            enable = []
-            for n in range(length):
-                window = range(n - w + 1, n + 1)
-                # each sample meets the threshold in force when it arrived,
-                # unless recompare replays the window under the current one
-                count = sum(energy[k] > thr_of(n if recompare else k) for k in window)
-                enable.append(n >= w - 1 and count > count_of(n))
-            return enable
-
-        expected = model(
-            lambda k: thr_new if new_at[k] else thr_old, lambda n: 5 if new_at[n] else 3
-        )
-        for q in (p, short):
-            batch = SignCorrelator(q.bank).process(stream, expected)
-            assert same_outputs(as_outputs(streamed[q.id]), batch)
-        # the capture tells the model apart from the plausible wrong ones
-        wrong = (
-            model(lambda k: thr_old, lambda n: 3),
-            model(lambda k: thr_new, lambda n: 5),
-            model(lambda k: thr_new if new_at[k] else thr_old, lambda n: 3),
-            model(lambda k: thr_old, lambda n: 5 if new_at[n] else 3),
-            model(
-                lambda k: thr_new if new_at[k] else thr_old,
-                lambda n: 5 if new_at[n] else 3,
-                recompare=True,
-            ),
-        )
-        assert all(alternative != expected for alternative in wrong)
+        back = (170, regs_old)
+        wrong = [
+            gate(regs_old),  # the new words never adopted
+            gate(regs_new),  # the new words from the start
+            gate(regs_old, [(90, regs_old.write("energy/sample_thresh_raw", thr_new)), back]),
+            gate(regs_old, [(90, regs_old.write("energy/count_thresh", 5)), back]),
+        ]
+        # and each window compared afresh under the map in force, where each
+        # sample should keep the comparison made when it arrived
+        old = oracle_enable(stream.i, stream.q, 8, regs_old["energy/sample_thresh_raw"], 3)
+        new = oracle_enable(stream.i, stream.q, 8, thr_new, 5)
+        wrong.append([new[n] if 90 <= n < 170 else old[n] for n in range(length)])
+        assert all(alternative != gate(regs_old, schedule) for alternative in wrong)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -1211,23 +1251,16 @@ class TestStreamingDetectorBank:
         # profiles of 1, 31, 32 and 33 points read one shared shift register,
         # each its newest n bits, before and after new banks are published
         rng = np.random.default_rng(seed)
-        length = 100
-        codes = rng.integers(-2, 2, size=(2, length))
-        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
-        signs = code_signs(stream)
+        codes = rng.integers(-2, 2, size=(2, 100)).T.tolist()
         banks = [
             [bank_from_signs(rng.choice((-1, 1), size=(2, n)).T) for n in lengths]
             for _ in range(2)
         ]
-        pushed = push_run(banks[0], stream, publish={publish_at: banks[1]})
-        for k, (n, outputs) in enumerate(zip(lengths, pushed)):
-            assert [t for t, _ in outputs] == list(range(n - 1, length))
-            for t, out in outputs:
-                ref = sign_pairs(banks[t >= publish_at][k])
-                assert partials(out) == sign_partials(signs[t - n + 1 : t + 1], ref)
-        # and the batch path agrees with a run under one map
-        for k, outputs in enumerate(push_run(banks[0], stream)):
-            assert same_outputs(as_outputs(outputs), SignCorrelator(banks[0][k]).process(stream))
+        profiles, blank = blank_map(tuple(lengths))
+        regs, published = (with_banks(blank, bank_set) for bank_set in banks)
+        schedule = [(publish_at, published)]
+        expected = recorded_partials(reference_run(codes, profiles, regs, schedule))
+        assert push_partials(profiles, regs, codes, schedule) == expected
 
     @example(lengths=[7, 8, 15], window=16, seed=0, holdoff=0)
     @example(lengths=[1, 2, 3, 8], window=None, seed=1, holdoff=0)
@@ -1238,20 +1271,20 @@ class TestStreamingDetectorBank:
         st.integers(0, 2**32 - 1),
         st.integers(0, 3),
     )
+    @settings(max_examples=150)
     def test_publishes_during_the_fill_match_the_oracle(self, lengths, window, seed, holdoff):
-        # before each sample until the bank is full, a publish turns each
-        # profile on or off and gives it one of two banks.  A gate whose
-        # window outlasts every profile's arms after the taps, and hides
-        # them until it does; with no gate or a short one, each tap is seen
-        # to arm
+        # before each sample until the bank is full, and at random samples
+        # after it, a publish gives each profile one of two banks and turns
+        # it on or off; with a gate, it also draws the gate's thresholds
+        # and the hold-off.  A gate whose window outlasts every profile's
+        # arms after the taps, and hides them until it does; with no gate
+        # or a short one, each tap is seen to arm
         full = max(window or 0, *lengths)
         rng = np.random.default_rng(seed)
-        length = full + 24
+        length = full + 40
         loud = rng.random(length) < 0.8
         codes = rng.integers(-128, 129, size=(2, length))
         codes = np.where(loud, np.where(codes < 0, -(1 << 14), 1 << 14) + codes, codes)
-        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
-        signs = code_signs(stream)
         banks = [
             [bank_from_signs(rng.choice((-1, 1), size=(2, n)).T) for n in lengths]
             for _ in range(2)
@@ -1259,45 +1292,19 @@ class TestStreamingDetectorBank:
         profiles, _ = blank_map(tuple(lengths))
         energy = window and EnergyConfig(window, 0.25, int(rng.integers(window)))
         regs = build_register_map(profiles, energy=energy).write("fine/holdoff", holdoff)
-        # the map in force at each sample: its enables and its bank set
-        on = np.empty((length, len(lengths)), dtype=bool)
-        on[:full] = rng.random((full, len(lengths))) < 0.7
-        on[full:] = on[full - 1]
-        sets = np.empty(length, dtype=np.int64)
-        sets[:full] = rng.integers(2, size=full)
-        sets[full:] = sets[full - 1]
-
-        bank = DetectorBank(profiles, regs, Q1_15)
-        got = []
-        for t, (i, q) in enumerate(codes.T.tolist()):
-            if t < full:
-                published = with_banks(regs, banks[sets[t]])
-                for k in range(len(lengths)):
-                    published = published.write(f"prof{k}/enabled", int(on[t, k]))
-                bank.update_registers(published)
-            got.append(bank.push(i, q))
-
-        gate = np.ones(length, dtype=bool)
-        if window:
-            thr_raw = regs.read("energy/sample_thresh_raw")
-            raw = oracle_enable(stream.i, stream.q, window, thr_raw, energy.count_threshold)
-            gate = latch_enable(np.array(raw), holdoff)
-        for k, (p, n) in enumerate(zip(profiles, lengths)):
-            expected = [
-                CorrelatorOutput(
-                    *sign_partials(signs[t - n + 1 : t + 1], sign_pairs(banks[sets[t]][k]))
-                )
-                if gate[t] and on[t, k] and t + 1 >= n
-                else None
-                for t in range(length)
-            ]
-            streamed = [out[p.id] for out in got]
-            assert streamed == expected
-            # and the batch path agrees under each bank set
-            for s in range(2):
-                pairs = [(t, o) for t, o in enumerate(streamed) if o is not None and sets[t] == s]
-                batch = SignCorrelator(banks[s][k]).process(stream, gate & on[:, k] & (sets == s))
-                assert same_outputs(as_outputs(pairs), batch)
+        schedule = []
+        for t in range(length):
+            if t < full or rng.random() < 0.2:
+                words = {f"prof{k}/enabled": rng.random() < 0.7 for k in range(len(lengths))}
+                if window and rng.random() < 0.5:
+                    words["energy/sample_thresh_raw"] = int(rng.integers(1 << 30))
+                    words["energy/count_thresh"] = int(rng.integers(window))
+                    words["fine/holdoff"] = int(rng.integers(4))
+                published = with_banks(regs, banks[rng.integers(2)])
+                schedule.append((t, RegisterMap({**published, **words})))
+        codes = codes.T.tolist()
+        expected = recorded_partials(reference_run(codes, profiles, regs, schedule))
+        assert push_partials(profiles, regs, codes, schedule) == expected
 
     def test_longest_bank_beside_a_short_one(self):
         # a 16,384-point bank widens the shared register to its limit; the
@@ -1411,10 +1418,6 @@ class TestStreamingDetectorBank:
         assert set(o.re for o in outputs) == {64, -64}
         for o in outputs:
             assert abs(o.p_ii) == 32 and abs(o.p_qq) == 32
-
-
-def partials(out):
-    return out.p_ii, out.p_qq, out.p_qi, out.p_iq
 
 
 def burst_codes(seed, length):
