@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .coarse import CoarseConfig
+from .correlator import parse_bank
 from .energy import EnergyConfig
 from .harness import SweepConfig
 from .signal import FixedPointFormat, Preamble, pn_preamble, seed_words
@@ -104,8 +105,6 @@ def parse_preamble_source(source: str, base_dir: Path | None = None) -> Preamble
     if source.startswith("file:"):
         return Preamble(read_complex_file(resolve(source[5:])))
     if source.startswith("coeff:"):
-        from .correlator import parse_bank
-
         si, sq = parse_bank(resolve(source[6:]).read_text()).sign_arrays
         return Preamble(1.0 / math.sqrt(2.0) * (si + 1j * sq))
     raise ValueError(

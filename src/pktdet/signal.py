@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 # Correlator partial sums are accumulated in >=16-bit signed registers; this
-# caps the reference length so |re| <= 2n can never overflow them.
+# caps the reference length so each partial, |p_xy| <= n, fits one.  Their
+# sum re reaches 2n = 32,768 at the cap, one past int16, and needs 17 bits.
 MAX_PREAMBLE_LEN = 1 << 14
 # The energy gate's exceedance register holds one bit per window sample, so
 # its width, and the longest window, is fixed too.

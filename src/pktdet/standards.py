@@ -466,18 +466,17 @@ class DetectorBank:
     force the gate's count threshold (``window_len``, which no count
     exceeds, until the gate's window is full) and the taps whose windows
     are full.  The constructor and every publish arm the bank from the
-    samples counted so far.  Until every window is full, the gate's and the
-    longest profile's, disabled profiles included, ``push`` is the
-    instance's fill step: it counts each sample once the datapath has taken
-    it and re-arms at a sample where a window becomes full.  Once every
-    window is full the fill step is gone, and a push counts no samples and
-    tests no tap's readiness.
+    samples counted so far.  A push reads the gate threshold and the taps
+    armed for its sample; then, until every window is full, the gate's and
+    the longest profile's, disabled profiles included, it counts the sample
+    and re-arms where a window becomes full.  A rejected code is not
+    counted, and a full bank counts no samples.
     """
 
     def __init__(self, profiles, regs: RegisterMap, fmt: FixedPointFormat):
         self._profiles = list(profiles)
         self._lo, self._hi = fmt.min_code, fmt.max_code
-        self._seen = 0  # samples the fill step has counted
+        self._seen = 0  # samples counted while a window fills
         self._adopt(regs)
         self._idle = dict.fromkeys(profile.id for profile in self._profiles)
         self._win_i = self._win_q = 0
@@ -511,27 +510,14 @@ class DetectorBank:
 
     def _arm(self) -> None:
         """Arm the gate and the taps for the next sample, number ``_seen +
-        1``, and fill on to the next sample at which a window becomes full,
-        if there is one."""
+        1``, then set ``_arm_at`` to the count at which the next window
+        becomes full, or to -1 once every window is full."""
         upcoming = self._seen + 1
         window_len = self._window_len
         self._gate_thr = self._count_thr if window_len <= upcoming else window_len
         self._ready = tuple(tap for tap in self._taps if tap[1] <= upcoming)
         later = [n for n in self._fill_points if n > upcoming]
-        if later:
-            self._arm_at = min(later) - 1
-            self.push = self._fill
-        elif self.push == self._fill:
-            del self.push  # a full bank pushes through the class's push
-
-    def _fill(self, i_code: int, q_code: int) -> dict[str, CorrelatorOutput | None]:
-        """:meth:`push` while a window is filling: the sample's outputs, then
-        its count, so a rejected code is not counted."""
-        outs = type(self).push(self, i_code, q_code)
-        self._seen += 1
-        if self._seen == self._arm_at:
-            self._arm()
-        return outs
+        self._arm_at = min(later) - 1 if later else -1
 
     def update_registers(self, regs: RegisterMap) -> None:
         """Publish a complete register map, in force from the next push.
@@ -550,16 +536,21 @@ class DetectorBank:
         top = self._top
         win_i = self._win_i = (self._win_i >> 1) | (top if i >= 0 else 0)
         win_q = self._win_q = (self._win_q >> 1) | (top if q >= 0 else 0)
+        gate_thr, ready = self._gate_thr, self._ready
+        if self._arm_at > 0:  # a window is still filling
+            self._seen += 1
+            if self._seen == self._arm_at:
+                self._arm()
         above = i * i + q * q > self._thr_raw
         exceed = self._exceed = ((self._exceed << 1) | above) & self._mask
         outs = self._idle.copy()
-        if exceed.bit_count() > self._gate_thr:
+        if exceed.bit_count() > gate_thr:
             self._holdoff_left = self._holdoff
         elif self._holdoff_left:
             self._holdoff_left -= 1
         else:
             return outs
-        for pid, n, shift, b_i, b_q in self._ready:
+        for pid, n, shift, b_i, b_q in ready:
             w_i, w_q = win_i >> shift, win_q >> shift
             # no __init__ runs, so all four slots must be stored here
             out = outs[pid] = _new_record(CorrelatorOutput)

@@ -55,6 +55,12 @@ SIGN_SHIFT = """        top = self._top
         win_i = self._win_i = (self._win_i >> 1) | (top if i >= 0 else 0)
         win_q = self._win_q = (self._win_q >> 1) | (top if q >= 0 else 0)
 """
+ARMED_READ = "        gate_thr, ready = self._gate_thr, self._ready\n"
+FILL_COUNT = """        if self._arm_at > 0:  # a window is still filling
+            self._seen += 1
+            if self._seen == self._arm_at:
+                self._arm()
+"""
 BAD_PUSH = (
     f"{STREAM}test_push_rejects_codes_outside_the_format[q1.15]",
     f"{STREAM}test_push_rejects_codes_outside_the_format[q2.10]",
@@ -278,6 +284,29 @@ CATALOGUE = (
         RANGE_CHECK + SIGN_SHIFT,
         SIGN_SHIFT + RANGE_CHECK,
         BAD_PUSH,
+    ),
+    # a push counts its sample after the range check and after reading the
+    # state armed for it, and counts until every window is full
+    Mutant(
+        "bank-counts-a-rejected-code",
+        STANDARDS,
+        RANGE_CHECK + SIGN_SHIFT + ARMED_READ + FILL_COUNT,
+        ARMED_READ + FILL_COUNT + RANGE_CHECK + SIGN_SHIFT,
+        BAD_PUSH,
+    ),
+    Mutant(
+        "bank-re-arms-before-reading-its-state",
+        STANDARDS,
+        ARMED_READ + FILL_COUNT,
+        FILL_COUNT + ARMED_READ,
+        (f"{STREAM}test_matches_batch_outputs_when_idle",),
+    ),
+    Mutant(
+        "bank-fill-count-stops-after-one-window",
+        STANDARDS,
+        FILL_COUNT,
+        FILL_COUNT + "                self._arm_at = -1\n",
+        (f"{STREAM}test_matches_batch_outputs_when_idle",),
     ),
     Mutant(
         "duplicate-id-check-dropped",

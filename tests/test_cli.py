@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,20 @@ def config_file(tmp_path):
     path = tmp_path / "scenario.ini"
     path.write_text(CONFIG)
     return path
+
+
+def rejected(capsys, argv):
+    """Run ``main(argv)`` and check the exit contract of a rejected run:
+    ``main`` returns 2, stdout is empty, stderr is one line that starts with
+    ``error: ``, and no ``--out`` file is written.  Return the line's
+    message, after ``error: ``."""
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    capsys.readouterr()
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("\n") and not (out and out.exists())
+    return err.removeprefix("error: ").removesuffix("\n")
 
 
 def test_gen_coeff_matches_library(tmp_path, capsys):
@@ -157,21 +172,9 @@ def test_detect_consumes_gen_coeff_output(tmp_path):
     assert int(peak_index) == 90 + 63
 
 
-def test_detect_unknown_transmit_id(tmp_path, config_file):
-    assert (
-        main(
-            [
-                "gen-iq",
-                "--profiles",
-                str(config_file),
-                "--transmit",
-                "nope",
-                "--out",
-                str(tmp_path / "x.iqpd"),
-            ]
-        )
-        == 2
-    )
+def test_gen_iq_unknown_transmit_id(capsys, tmp_path, config_file):
+    argv = ["gen-iq", "--profiles", str(config_file), "--transmit", "nope", "--out"]
+    assert rejected(capsys, argv + [str(tmp_path / "x.iqpd")]) == "unknown profile 'nope'"
 
 
 def test_sweep_csv_is_deterministic(tmp_path, config_file):
@@ -189,9 +192,7 @@ def test_sweep_csv_is_deterministic(tmp_path, config_file):
 def test_sweep_rejects_workers_below_one(tmp_path, capsys, config_file, workers):
     out = tmp_path / "r.csv"
     argv = ["sweep", "--config", str(config_file), "--out", str(out), "--workers", workers]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "error: workers must be >= 1\n"
-    assert not out.exists()
+    assert rejected(capsys, argv) == "workers must be >= 1"
 
 
 def test_scope_default_scenario(tmp_path):
@@ -280,11 +281,7 @@ def test_detect_input_errors_exit_2(capsys, tmp_path, repeated_block_capture, fl
     paths = {"BAD_MAGIC": str(bad), "MISSING": str(tmp_path / "missing.ini")}
     argv = ["detect", "--profiles", str(profiles), "--input", str(capture)]
     argv += [paths.get(flag, flag) for flag in flags]  # a repeated flag overrides
-    capsys.readouterr()
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert message in rejected(capsys, argv)
 
 
 PAD_RANGE_FORM = "[sweep] pad_before: takes lo:hi or one integer"
@@ -367,11 +364,8 @@ def test_malformed_ini_exits_2(capsys, monkeypatch, tmp_path, old, new, message)
     monkeypatch.setattr(harness, "run_trial", counted)
     path = tmp_path / "bad.ini"
     path.write_text(CONFIG.replace(old, new, 1))
-    capsys.readouterr()
-    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and not (tmp_path / "out").exists()
-    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert message in rejected(capsys, argv)
     assert trials == []  # rejected before any trial ran
 
 
@@ -391,10 +385,8 @@ def test_ini_values_are_read_literally(tmp_path):
 
 def test_gen_coeff_rejects_an_overlong_pn_preamble(capsys):
     # 10**12 signs would take 16 TB, so the length is checked before the draw
-    capsys.readouterr()
-    assert main(["gen-coeff", "--preamble", "pn:seed=1,len=1000000000000"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: preamble length must be in [1, 16384]\n"
+    argv = ["gen-coeff", "--preamble", "pn:seed=1,len=1000000000000"]
+    assert rejected(capsys, argv) == "preamble length must be in [1, 16384]"
 
 
 def test_non_finite_preamble_file_exits_2(capsys, tmp_path, repeated_block_capture):
@@ -408,10 +400,7 @@ def test_non_finite_preamble_file_exits_2(capsys, tmp_path, repeated_block_captu
         (["gen-coeff", "--preamble", f"file:{ref}"], ""),
         (detect, "[profile nan] preamble: "),
     ):
-        capsys.readouterr()
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"error: {prefix}preamble samples must be finite\n"
+        assert rejected(capsys, argv) == f"{prefix}preamble samples must be finite"
 
 
 def test_overflowing_preamble_file_exits_2(capsys, tmp_path):
@@ -427,18 +416,12 @@ def test_overflowing_preamble_file_exits_2(capsys, tmp_path):
             "[profile big] preamble: ",
         ),
     ):
-        capsys.readouterr()
-        assert main(argv) == 2
-        stdout, err = capsys.readouterr()
-        assert stdout == "" and not out.exists()
-        assert err.startswith(f"error: {prefix}preamble samples are too large")
-        assert err.count("\n") == 1
+        assert rejected(capsys, argv).startswith(f"{prefix}preamble samples are too large")
 
 
 @pytest.mark.parametrize("command", ["gen-iq", "scope", "gen-coeff", "ini-preamble"])
 def test_negative_seed_exits_2(capsys, tmp_path, config_file, command):
     # every seed a user gives goes through signal.seed_words, which names it
-    out = tmp_path / "out"
     negative = "pn:seed=-1,len=32"
     gen_iq = ["gen-iq", "--profiles", str(config_file), "--transmit", "pn32"]
     argv = {
@@ -449,12 +432,8 @@ def test_negative_seed_exits_2(capsys, tmp_path, config_file, command):
     }[command]
     if command == "ini-preamble":
         config_file.write_text(CONFIG.replace("pn:seed=101,len=32", negative))
-    capsys.readouterr()
-    assert main(argv + ["--out", str(out)]) == 2
-    stdout, err = capsys.readouterr()
-    assert stdout == "" and not out.exists()
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert err.endswith("seed must be non-negative, got -1\n")
+    message = rejected(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert message.endswith("seed must be non-negative, got -1")
 
 
 @pytest.mark.parametrize(
@@ -475,11 +454,8 @@ def test_unreadable_preamble_names_its_key(capsys, tmp_path, command, source, re
         "gen-iq": ["gen-iq", "--transmit", "p"],
         "detect": ["detect", "--input", str(tmp_path / "none.iqpd")],
     }[command]
-    capsys.readouterr()
-    assert main(argv + ["--profiles", str(profiles), "--out", str(out)]) == 2
-    stdout, err = capsys.readouterr()
-    assert stdout == "" and not out.exists()
-    assert err.startswith(f"error: [profile p] preamble: {reason}") and err.count("\n") == 1
+    message = rejected(capsys, argv + ["--profiles", str(profiles), "--out", str(out)])
+    assert message.startswith(f"[profile p] preamble: {reason}")
 
 
 @pytest.mark.parametrize("command", ["gen-iq", "sweep"])
@@ -492,11 +468,8 @@ def test_pad_past_the_cap_exits_2(capsys, tmp_path, config_file, command):
     else:
         config_file.write_text(CONFIG.replace("pad_before = 32:48", "pad_before = 10000000000000"))
         argv = ["sweep", "--config", str(config_file)]
-    capsys.readouterr()
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and not (tmp_path / "out").exists()
-    assert err == "error: pads must be in [0, 16777216] samples\n"
+    message = rejected(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert message == "pads must be in [0, 16777216] samples"
 
 
 @pytest.mark.parametrize("snr", ["-inf", "1e308", "nan"])
@@ -505,11 +478,7 @@ def test_bad_snr_exits_2(capsys, tmp_path, config_file, command, snr):
     argv = [command, f"--snr={snr}", "--out", str(tmp_path / "out")]
     if command == "gen-iq":
         argv += ["--profiles", str(config_file), "--transmit", "pn32"]
-    capsys.readouterr()
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and not (tmp_path / "out").exists()
-    assert err.startswith("error: ") and err.count("\n") == 1 and "snr_db" in err
+    assert "snr_db" in rejected(capsys, argv)
 
 
 @pytest.mark.parametrize(
@@ -524,15 +493,10 @@ def test_bad_snr_exits_2(capsys, tmp_path, config_file, command, snr):
 )
 def test_usage_error_exits_2(capsys, tmp_path, config_file, argv, message):
     # argparse's own errors keep the contract: one error: line, no usage block
-    out = tmp_path / "out"
-    argv = [str(out) if arg == "OUT" else arg for arg in argv]
+    argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in argv]
     if argv[:1] == ["gen-iq"]:
         argv += ["--profiles", str(config_file), "--transmit", "pn32"]
-    capsys.readouterr()
-    assert main(argv) == 2
-    stdout, err = capsys.readouterr()
-    assert stdout == "" and not out.exists()
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert rejected(capsys, argv).startswith(message)
 
 
 def test_help_exits_0(capsys):
@@ -617,10 +581,8 @@ def test_sweep_transmit_overrides_the_config(capsys, tmp_path, config_file):
     assert main(["sweep", "--config", str(config_file), "--transmit", "pn32", "--out", str(out)]) == 0
     cfg = replace(load_sweep_config(config_file), transmitted_profile_id="pn32")
     assert out.read_text() == run_sweep(cfg).to_csv()
-    unknown = ["sweep", "--config", str(config_file), "--transmit", "nope", "--out", str(out)]
-    capsys.readouterr()
-    assert main(unknown) == 2
-    assert capsys.readouterr().err == "error: unknown profile 'nope'\n"
+    unknown = ["sweep", "--config", str(config_file), "--transmit", "nope", "--out"]
+    assert rejected(capsys, unknown + [str(tmp_path / "u.csv")]) == "unknown profile 'nope'"
 
 
 @pytest.mark.parametrize("transmit", [None, "pn32"])

@@ -11,6 +11,7 @@ from pktdet.correlator import (
     parse_bank,
 )
 from pktdet.signal import (
+    MAX_PREAMBLE_LEN,
     Preamble,
     Q1_15,
     SampleStream,
@@ -21,7 +22,15 @@ from pktdet.signal import (
 )
 
 from oracles import float_xcorr_argmax, sign_bits, sign_partials, split_words
-from streaming import as_outputs, bank_from_signs, code_signs, push_run, same_outputs, sign_pairs
+from streaming import (
+    as_outputs,
+    bank_from_signs,
+    code_signs,
+    push_run,
+    same_outputs,
+    sign_pairs,
+    stream_from_codes,
+)
 
 sign = st.sampled_from((-1, 1))
 sign_pair_lists = st.lists(st.tuples(sign, sign), min_size=1, max_size=128)
@@ -55,11 +64,18 @@ def block_masks(draw):
 def correlate_codes(codes, bank):
     """Push raw (i, q) codes through a fresh bank holding ``bank``; the
     output at the last code."""
-    codes = np.array(codes, dtype=np.int32).reshape(-1, 2)
-    (pairs,) = push_run([bank], SampleStream(format=Q1_15, i=codes[:, 0], q=codes[:, 1]))
+    (pairs,) = push_run([bank], stream_from_codes(codes))
     t, out = pairs[-1]
     assert t == len(codes) - 1
     return out
+
+
+def batch_re(codes, bank):
+    """``SignCorrelator.process``'s re at the last of the (i, q) ``codes``,
+    which fill ``bank``'s window exactly."""
+    index, re = SignCorrelator(bank).process(stream_from_codes(codes))
+    assert index.tolist() == [len(codes) - 1]
+    return int(re[0])
 
 
 def checked_sign_output(i, q):
@@ -174,17 +190,19 @@ class TestCoefficientBank:
 
 class TestCorrelateAt:
     def test_self_correlation_hits_ideal_maximum(self):
-        for n, ideal in ((32, 64), (64, 128)):
-            preamble = pn_preamble(n, seed=9)
-            bank = load_coefficients(preamble)
+        # at the longest bank each partial, n, fits 16 bits; re = 2n may not
+        for n in (32, 64, MAX_PREAMBLE_LEN):
+            bank = load_coefficients(pn_preamble(n, seed=9))
             out = correlate_codes(sign_pairs(bank), bank)
-            assert out.re == ideal
+            assert (out.re, out.p_ii, out.p_qq) == (2 * n, n, n)
             assert out.p_qi - out.p_iq == 0
+            assert batch_re(sign_pairs(bank), bank) == 2 * n
 
     def test_negated_window_hits_ideal_minimum(self):
-        bank = load_coefficients(pn_preamble(32, seed=9))
-        out = correlate_codes([(-si, -sq) for si, sq in sign_pairs(bank)], bank)
-        assert out.re == -64
+        for n in (32, MAX_PREAMBLE_LEN):
+            bank = load_coefficients(pn_preamble(n, seed=9))
+            negated = [(-si, -sq) for si, sq in sign_pairs(bank)]
+            assert correlate_codes(negated, bank).re == batch_re(negated, bank) == -2 * n
 
     def test_underfilled_window_not_ready(self):
         bank = load_coefficients(pn_preamble(8, seed=1))

@@ -4,6 +4,7 @@ import math
 from dataclasses import fields, replace
 import pickle
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1387,6 +1388,26 @@ class TestStreamingDetectorBank:
                     with pytest.raises(ValueError, match="out of range"):
                         rejecting.push(*pair)
             assert rejecting.push(i, q) == clean.push(i, q)
+
+    def test_a_filling_bank_is_freed_when_dropped(self):
+        # the bank holds no bound method of itself, so with the collector
+        # off a bank whose windows are still filling is freed at once
+        profiles = [profile("a", 40, 50), profile("s", 3, 5)]
+        regs = build_register_map(profiles, energy=EnergyConfig(16, 0.25, 8))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for pushes in (0, 20):
+                bank = DetectorBank(profiles, regs, Q1_15)
+                for _ in range(pushes):
+                    bank.push(20000, -20000)
+                assert "push" not in vars(bank)
+                alive = weakref.ref(bank)
+                del bank
+                assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_register_adoption_is_atomic(self):
         # two sentinel banks: all-positive signs vs all-negative signs, read
