@@ -18,12 +18,15 @@ reference coefficient (matched-filter orientation), so the peak for a
 preamble starting at stream index s lands at output index s + n - 1.
 
 The detection decision elsewhere in the pipeline compares ``re`` against a
-threshold, so the batch path computes only ``re``: p_ii + p_qq as two dot
-products of +-1 sign arrays, one ``np.correlate`` each.  It computes only
-the windows from the first to the last enabled position, so idle air the
-gate keeps closed before and after a packet costs no correlation.  The
-sample-at-a-time model of the hardware's XNOR/popcount datapath, with all
-four partials, is :class:`pktdet.standards.DetectorBank`.
+threshold, so the batch path computes only ``re``: p_ii + p_qq as dot
+products of +-1 sign arrays, one ``np.correlate`` per partial.  It computes
+only the windows from the first to the last enabled position, so idle air
+the gate keeps closed before and after a packet costs no correlation.
+Given the threshold t, it also skips p_qq wherever it cannot matter: p_qq
+is at most n, so ``re`` can reach t only where p_ii >= t - n, and p_qq is
+computed only over the span of those positions.  The sample-at-a-time
+model of the hardware's XNOR/popcount datapath, with all four partials,
+is :class:`pktdet.standards.DetectorBank`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .signal import Preamble, SampleStream, prefix_sums
+from .signal import Preamble, SampleStream, _int_in, prefix_sums
 
 WORD_BITS = 32
 WORD_MASK = 0xFFFFFFFF
@@ -174,11 +177,16 @@ class SignCorrelator:
     :meth:`process` correlates a whole stream from an empty window and
     reports the enabled positions where the window is full; ``work_count``
     tallies those positions over every call (the energy gate's
-    power-saving contract).
+    power-saving contract).  With a ``threshold`` (the profile's decoded
+    threshold word, an integer in [1, 2**32 - 1]), it reports only the
+    positions where ``re`` can still reach it.
     """
 
-    def __init__(self, bank: CoefficientBank) -> None:
+    def __init__(self, bank: CoefficientBank, threshold: int | None = None) -> None:
         self.bank = bank
+        if threshold is not None:  # an int: a NumPy uint32 would wrap in threshold - n
+            threshold = _int_in(threshold, "threshold", 1, WORD_MASK)
+        self.threshold = threshold
         self.work_count = 0
 
     def process(self, stream: SampleStream, enable=None) -> tuple[np.ndarray, np.ndarray]:
@@ -186,33 +194,45 @@ class SignCorrelator:
 
         Returns ``(index, re)``: the enabled positions where the window is
         full, and the int64 ``re = p_ii + p_qq`` at those positions.
-        ``enable`` must match the stream length when given.  Only the
-        windows from the first to the last of those positions are computed.
+        ``enable`` must be one-dimensional and match the stream length when
+        given.  Only the windows from the first to the last of those
+        positions are computed.  With a threshold t, only the positions
+        where p_ii >= t - n are returned (the others have ``re < t``), with
+        their exact ``re``; ``work_count`` still counts every enabled
+        full-window position.
         """
         length = len(stream)
         enable = np.ones(length, dtype=bool) if enable is None else np.asarray(enable, dtype=bool)
-        if len(enable) != length:
+        if enable.shape != (length,):
             raise ValueError("enable must have one entry per stream sample")
-        first = self.bank.length - 1  # the first position with a full window
-        # enabled positions, less ``first`` (nonzero skips flatnonzero's ravel)
-        index = enable[first:].nonzero()[0]
-        count = len(index)
-        self.work_count += count
-        if not count:
-            return index, np.zeros(0, dtype=np.int64)
-        # position first + k has its window at stream[k : k + n], so the
-        # span from the first to the last enabled position starts at index[0]
-        lo, last = int(index[0]), int(index[-1])
-        # float64 takes numpy's fast dot path; every term is +-1, so each
-        # sum is an integer of magnitude <= 2n, far below 2**53, and exact
+        n = self.bank.length
+        # enabled positions, less n - 1, the first position with a full
+        # window (nonzero skips flatnonzero's ravel)
+        index = enable[n - 1 :].nonzero()[0]
+        self.work_count += len(index)
         s_i, s_q = stream.sign_arrays
         ref_i, ref_q = self.bank.sign_arrays
-        re = np.correlate(s_i[lo : last + first + 1], ref_i)
-        np.add(re, np.correlate(s_q[lo : last + first + 1], ref_q), out=re)
-        if last - lo >= count:  # a gap: pick the enabled windows
-            re = re[index - lo]
-        index += first
-        return index, re.astype(np.int64)
+        re = _correlate_at(s_i, ref_i, index)
+        if self.threshold is not None:  # p_qq <= n
+            keep = re >= self.threshold - n
+            index, re = index[keep], re[keep]
+        re += _correlate_at(s_q, ref_q, index)
+        return index + (n - 1), re.astype(np.int64)
+
+
+def _correlate_at(signs: np.ndarray, ref: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The float64 correlation of ``ref`` with ``signs[k : k + len(ref)]``
+    for each k of the increasing ``index``: one ``np.correlate`` over their
+    span, gathered where it has a gap.  float64 takes numpy's fast dot path;
+    every term is +-1, so each sum is an integer far below 2**53, and exact."""
+    count = len(index)
+    if not count:
+        return np.zeros(0)
+    lo, hi = int(index[0]), int(index[-1])
+    out = np.correlate(signs[lo : hi + len(ref)], ref)
+    if hi - lo >= count:  # a gap
+        out = out[index - lo]
+    return out
 
 
 def latch_enable(enable, holdoff: int) -> np.ndarray:

@@ -418,7 +418,8 @@ def run_detector_bank(stream: SampleStream, profiles, regs: RegisterMap) -> list
     for order, profile in enumerate(profiles):
         if not view.enabled[order]:
             continue
-        index, re = SignCorrelator(view.banks[order]).process(stream, enable)
+        correlator = SignCorrelator(view.banks[order], view.thresholds[order])
+        index, re = correlator.process(stream, enable)
         candidates.extend(_extract_candidates(index, re, view.thresholds[order], profile, order))
 
     gate_run_starts = None

@@ -91,6 +91,7 @@ THRESHOLD_CHECK = """    for profile, threshold in zip(profiles, view.thresholds
 """
 VIEW_STORE = "    regs._views[lengths] = view\n"
 SPAN = "tests/test_correlator.py::TestCorrelateStream::"
+SCREEN = f"{SPAN}test_threshold_screen_keeps_where_re_can_reach_it"
 SEED_WORDS = (
     "tests/test_harness.py::TestSeedWords::test_words_draw_the_tuple_stream",
     *(
@@ -606,9 +607,32 @@ CATALOGUE = (
     Mutant(
         "gather-skipped-across-gaps",
         "src/pktdet/correlator.py",
-        "if last - lo >= count:",
-        "if last - lo < count:",
+        "if hi - lo >= count:",
+        "if hi - lo < count:",
         (f"{SPAN}test_process_equals_repeated_push", f"{SPAN}test_process_span_edges"),
+    ),
+    # p_qq <= n, so re can reach t only where p_ii >= t - n
+    Mutant(
+        "screen-bound-one-step-tight",
+        "src/pktdet/correlator.py",
+        "keep = re >= self.threshold - n",
+        "keep = re >= self.threshold - n + 1",
+        (SCREEN, REFERENCE),
+    ),
+    Mutant(
+        "screen-against-the-threshold",
+        "src/pktdet/correlator.py",
+        "keep = re >= self.threshold - n",
+        "keep = re >= self.threshold",
+        (SCREEN, REFERENCE),
+    ),
+    # a NumPy uint32 word below n would wrap in threshold - n
+    Mutant(
+        "screen-threshold-taken-unchecked",
+        "src/pktdet/correlator.py",
+        'threshold = _int_in(threshold, "threshold", 1, WORD_MASK)',
+        "threshold = threshold",
+        (f"{SPAN}test_threshold_takes_the_integer_rule",),
     ),
     # each sweep trial's seed words draw its (seed, snr_index, t) stream
     Mutant(

@@ -20,11 +20,13 @@ from pktdet.signal import (
     pn_preamble,
     quantize,
 )
+from pktdet.standards import _extract_candidates
 
 from oracles import float_xcorr_argmax, sign_bits, sign_partials, split_words
 from streaming import (
     as_outputs,
     bank_from_signs,
+    blank_map,
     code_signs,
     push_run,
     same_outputs,
@@ -59,6 +61,14 @@ def block_masks(draw):
     elif shape == "start":
         enable[: draw(st.integers(1, len(enable)))] = True
     return n, enable
+
+
+@st.composite
+def screened_masks(draw):
+    """A :func:`block_masks` draw and a threshold word for its bank: 1 to
+    2n + 2, so past the ideal maximum 2n too, or the largest word."""
+    n, enable = draw(block_masks())
+    return n, enable, draw(st.integers(1, 2 * n + 2) | st.just(2**32 - 1))
 
 
 def correlate_codes(codes, bank):
@@ -369,6 +379,32 @@ class TestCorrelateStream:
         assert same_outputs(batch, as_outputs(pushed))
         assert corr.work_count == len(pushed) == len(batch[0])
 
+    # seed 3: position 30 has p_qq = n and p_ii = t - n, so its re = t
+    @example(screened=(6, (np.arange(40) % 13) < 9, 10), seed=3)
+    @given(screened_masks(), st.integers(0, 2**32 - 1))
+    def test_threshold_screen_keeps_where_re_can_reach_it(self, screened, seed):
+        # p_qq <= n, so re = p_ii + p_qq can reach t only where p_ii >= t - n;
+        # the screen returns exactly those positions of the push path
+        n, enable, threshold = screened
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(-3, 3, size=(2, len(enable))).astype(np.int32)
+        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
+        bank = bank_from_signs(rng.choice((-1, 1), size=(n, 2)))
+        plain, screen = SignCorrelator(bank), SignCorrelator(bank, threshold)
+        everywhere = plain.process(stream, enable)
+        screened_out = screen.process(stream, enable)
+        (pushed,) = push_run([bank], stream, enable)
+        reach = [(t, out) for t, out in pushed if out.p_ii >= threshold - n]
+        assert same_outputs(screened_out, as_outputs(reach))
+        assert screen.work_count == plain.work_count == len(pushed)
+        ((profile,), _) = blank_map((n,))
+        screened_peaks, peaks = (
+            _extract_candidates(*out, threshold, profile, 0) for out in (screened_out, everywhere)
+        )
+        assert screened_peaks == peaks
+        if threshold > 2 * n:  # a parked profile
+            assert len(screened_out[0]) == 0
+
     @example(n=32, seed=0, publish_at=0)
     @example(n=64, seed=1, publish_at=192)
     @given(st.integers(1, 70), st.integers(0, 2**32 - 1), st.integers(0, 210))
@@ -401,6 +437,32 @@ class TestCorrelateStream:
         stream = quantize(np.zeros(16, dtype=complex), Q1_15)
         with pytest.raises(ValueError):
             SignCorrelator(load_coefficients(preamble)).process(stream, enable=[True] * 5)
+
+    @pytest.mark.parametrize(
+        "shape", [(32, 2), (32, 1), (1, 32), ()], ids=["32x2", "32x1", "1x32", "0-d"]
+    )
+    def test_enable_of_another_shape_rejected(self, shape):
+        # the len() of a (32, 2) or (32, 1) enable is the stream length, but
+        # it holds more than one entry per position
+        stream = stream_from_codes([(1, -1)] * 32)
+        corr = SignCorrelator(bank_from_signs([(1, 1)] * 8))
+        with pytest.raises(ValueError, match="one entry per stream sample"):
+            corr.process(stream, enable=np.ones(shape, dtype=bool))
+        assert corr.work_count == 0
+
+    def test_threshold_takes_the_integer_rule(self):
+        bank = bank_from_signs([(1, 1)] * 8)
+        for bad in (16.0, "16"):
+            with pytest.raises(ValueError, match="^threshold must be an integer$"):
+                SignCorrelator(bank, bad)
+        for bad in (0, 2**32):
+            with pytest.raises(ValueError, match=r"^threshold must be in \[1, 4294967295\]$"):
+                SignCorrelator(bank, bad)
+        # a NumPy word below n is read as an int: threshold - n must not wrap
+        stream = stream_from_codes([(1, -1)] * 32)
+        word = SignCorrelator(bank, np.uint32(1))
+        assert type(word.threshold) is int
+        assert same_outputs(word.process(stream), SignCorrelator(bank, 1).process(stream))
 
 
 class TestSignFlipModel:
