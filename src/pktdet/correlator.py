@@ -22,11 +22,12 @@ threshold, so the batch path computes only ``re``: p_ii + p_qq as dot
 products of +-1 sign arrays, one ``np.correlate`` per partial.  It computes
 only the windows from the first to the last enabled position, so idle air
 the gate keeps closed before and after a packet costs no correlation.
-Given the threshold t, it also skips p_qq wherever it cannot matter: p_qq
-is at most n, so ``re`` can reach t only where p_ii >= t - n, and p_qq is
-computed only over the span of those positions.  The sample-at-a-time
-model of the hardware's XNOR/popcount datapath, with all four partials,
-is :class:`pktdet.standards.DetectorBank`.
+Given the threshold t, an int in [0, 2**32 - 1], it also skips p_qq
+wherever it cannot matter: p_qq <= n, so ``re`` can reach t only where
+p_ii >= t - n, and p_qq is computed only over the span of those
+positions; p_ii >= -n, so the default t = 0 keeps every position.  The
+sample-at-a-time model of the hardware's XNOR/popcount datapath, with all
+four partials, is :class:`pktdet.standards.DetectorBank`.
 """
 
 from __future__ import annotations
@@ -175,18 +176,17 @@ class SignCorrelator:
     """Batch sign correlator for one coefficient bank.
 
     :meth:`process` correlates a whole stream from an empty window and
-    reports the enabled positions where the window is full; ``work_count``
-    tallies those positions over every call (the energy gate's
-    power-saving contract).  With a ``threshold`` (the profile's decoded
-    threshold word, an integer in [1, 2**32 - 1]), it reports only the
-    positions where ``re`` can still reach it.
+    reports the enabled positions where the window is full and ``re`` can
+    still reach ``threshold`` (the profile's decoded threshold word, an
+    integer in [0, 2**32 - 1]; the default 0 keeps every such position).
+    ``work_count`` tallies every enabled full-window position over every
+    call (the energy gate's power-saving contract).
     """
 
-    def __init__(self, bank: CoefficientBank, threshold: int | None = None) -> None:
+    def __init__(self, bank: CoefficientBank, threshold: int = 0) -> None:
         self.bank = bank
-        if threshold is not None:  # an int: a NumPy uint32 would wrap in threshold - n
-            threshold = _int_in(threshold, "threshold", 1, WORD_MASK)
-        self.threshold = threshold
+        # an int: a NumPy uint32 would wrap in threshold - n
+        self.threshold = _int_in(threshold, "threshold", 0, WORD_MASK)
         self.work_count = 0
 
     def process(self, stream: SampleStream, enable=None) -> tuple[np.ndarray, np.ndarray]:
@@ -196,10 +196,10 @@ class SignCorrelator:
         full, and the int64 ``re = p_ii + p_qq`` at those positions.
         ``enable`` must be one-dimensional and match the stream length when
         given.  Only the windows from the first to the last of those
-        positions are computed.  With a threshold t, only the positions
-        where p_ii >= t - n are returned (the others have ``re < t``), with
-        their exact ``re``; ``work_count`` still counts every enabled
-        full-window position.
+        positions are computed, and only the positions where p_ii >= t - n
+        for the threshold t are returned (the others have ``re < t``), with
+        their exact ``re``; at t = 0 that is every one of them.
+        ``work_count`` counts every enabled full-window position.
         """
         length = len(stream)
         enable = np.ones(length, dtype=bool) if enable is None else np.asarray(enable, dtype=bool)
@@ -213,9 +213,8 @@ class SignCorrelator:
         s_i, s_q = stream.sign_arrays
         ref_i, ref_q = self.bank.sign_arrays
         re = _correlate_at(s_i, ref_i, index)
-        if self.threshold is not None:  # p_qq <= n
-            keep = re >= self.threshold - n
-            index, re = index[keep], re[keep]
+        keep = re >= self.threshold - n  # p_qq <= n
+        index, re = index[keep], re[keep]
         re += _correlate_at(s_q, ref_q, index)
         return index + (n - 1), re.astype(np.int64)
 

@@ -92,6 +92,7 @@ THRESHOLD_CHECK = """    for profile, threshold in zip(profiles, view.thresholds
 VIEW_STORE = "    regs._views[lengths] = view\n"
 SPAN = "tests/test_correlator.py::TestCorrelateStream::"
 SCREEN = f"{SPAN}test_threshold_screen_keeps_where_re_can_reach_it"
+SCOPE = "tests/test_harness.py::TestScopeScenario::"
 SEED_WORDS = (
     "tests/test_harness.py::TestSeedWords::test_words_draw_the_tuple_stream",
     *(
@@ -609,7 +610,7 @@ CATALOGUE = (
         "src/pktdet/correlator.py",
         "if hi - lo >= count:",
         "if hi - lo < count:",
-        (f"{SPAN}test_process_equals_repeated_push", f"{SPAN}test_process_span_edges"),
+        (f"{SPAN}test_process_equals_fresh_push_run", SCREEN),
     ),
     # p_qq <= n, so re can reach t only where p_ii >= t - n
     Mutant(
@@ -624,15 +625,26 @@ CATALOGUE = (
         "src/pktdet/correlator.py",
         "keep = re >= self.threshold - n",
         "keep = re >= self.threshold",
-        (SCREEN, REFERENCE),
+        (SCREEN, REFERENCE, f"{SCOPE}test_traces_hold_re_at_every_position[10.0]"),
     ),
     # a NumPy uint32 word below n would wrap in threshold - n
     Mutant(
         "screen-threshold-taken-unchecked",
         "src/pktdet/correlator.py",
-        'threshold = _int_in(threshold, "threshold", 1, WORD_MASK)',
-        "threshold = threshold",
-        (f"{SPAN}test_threshold_takes_the_integer_rule",),
+        'self.threshold = _int_in(threshold, "threshold", 0, WORD_MASK)',
+        "self.threshold = threshold",
+        (f"{SETTING}[threshold]",),
+    ),
+    # p_ii >= -n, so the default 0 keeps every position; 1 drops p_ii = -n
+    Mutant(
+        "default-threshold-screens",
+        "src/pktdet/correlator.py",
+        "threshold: int = 0",
+        "threshold: int = 1",
+        (
+            "tests/test_correlator.py::TestCorrelateAt::test_negated_window_hits_ideal_minimum",
+            SCREEN,
+        ),
     ),
     # each sweep trial's seed words draw its (seed, snr_index, t) stream
     Mutant(

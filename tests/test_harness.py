@@ -20,7 +20,7 @@ from pktdet.harness import (
 from pktdet.signal import Q1_15, Preamble, add_awgn, pn_preamble, quantize, seed_words
 from pktdet.standards import Candidate, StandardProfile, build_register_map
 
-from oracles import float_xcorr_argmax
+from oracles import float_xcorr_argmax, reference_run
 
 
 def tiny_config(**overrides):
@@ -332,6 +332,19 @@ class TestScopeScenario:
             result.traces["x"] = None
         assert list(result.traces) == list(result.profile_ids)
         assert result.to_csv() == csv
+
+    @pytest.mark.parametrize("snr_db", (-10.0, 10.0))
+    def test_traces_hold_re_at_every_position(self, snr_db):
+        # each profile's re = p_ii + p_qq wherever its window is full, else 0
+        cfg = tiny_config()
+        result = run_scope_scenario(cfg, snr_db=snr_db, seed=3)
+        tx = cfg.transmitted_profile()
+        stream, _ = harness._synthesize_capture(cfg, tx, snr_db, seed_words(cfg.seed, 3))
+        regs = build_register_map(cfg.profiles)  # energy and coarse stages off
+        _, record = reference_run(stream.codes.T.tolist(), cfg.profiles, regs)
+        for p, pid in enumerate(result.profile_ids):
+            expected = [0 if o[p] is None else o[p][0] + o[p][1] for _, _, o in record]
+            assert result.traces[pid].tolist() == expected
 
 
 class TestDefaults:

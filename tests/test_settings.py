@@ -13,6 +13,7 @@ import pytest
 
 from pktdet import harness
 from pktdet.coarse import CoarseConfig
+from pktdet.correlator import SignCorrelator
 from pktdet.energy import EnergyConfig
 from pktdet.harness import SweepConfig, TrialOutcome, run_sweep, scenario_profiles
 from pktdet.signal import (
@@ -64,6 +65,8 @@ SETTINGS = [
      0, "plateau_min must be >= 1"),
     ("fine_threshold", lambda v: StandardProfile("a", Preamble([1, -1]), v),
      lambda p: p.fine_threshold, 16, 0, "fine_threshold must be >= 1"),
+    ("threshold", lambda v: SignCorrelator(PROFILES[0].bank, v), lambda c: c.threshold, 16,
+     2**32, "threshold must be in [0, 4294967295]"),
     ("trials_per_point", lambda v: sweep(trials_per_point=v), lambda c: c.trials_per_point, 16,
      0, "trials_per_point must be >= 1"),
     ("pad_after", lambda v: sweep(pad_after=v), lambda c: c.pad_after, 16,
