@@ -327,8 +327,17 @@ class TestCorrelateStream:
         assert corr.work_count == ready_enabled
         assert len(index) == len(re) == ready_enabled
 
+    def test_process_equals_repeated_push(self):
+        rng = np.random.default_rng(11)
+        preamble = pn_preamble(8, seed=1)
+        bank = load_coefficients(preamble)
+        stream = quantize(rng.normal(size=40) * 0.4 + 1j * rng.normal(size=40) * 0.4, Q1_15)
+        enable = rng.integers(0, 2, size=40).astype(bool)
+
+        batch = SignCorrelator(bank).process(stream, enable)
+        assert same_outputs(as_outputs(push_run([bank], stream, enable)[0]), batch)
+
     @example(n=64, length=0, seed=0, masked=True, publish=False)
-    @example(n=8, length=24, seed=11, masked=True, publish=False)
     @example(n=64, length=63, seed=1, masked=False, publish=True)
     @given(
         st.integers(1, 64),
@@ -354,11 +363,24 @@ class TestCorrelateStream:
         assert same_outputs(batch, as_outputs(pushed))
         assert corr.work_count == len(pushed) == len(batch[0])
 
-    # the first two, at threshold 0, put the ends of the correlated span at
-    # the stream's edges or far inside it; seed 3: position 30 has p_qq = n
-    # and p_ii = t - n, so its re = t
-    @example(screened=(64, np.arange(200) == 199, 0), seed=0)
-    @example(screened=(16, ((np.arange(120) - 20) % 60) < 5, 0), seed=1)
+    @example(shaped=(64, np.arange(200) == 199), seed=0)
+    @example(shaped=(16, ((np.arange(120) - 20) % 60) < 5), seed=1)
+    @given(block_masks(), st.integers(0, 2**32 - 1))
+    def test_process_span_edges(self, shaped, seed):
+        # process correlates only the span from the first to the last
+        # enabled full window; every edge of that span must match push
+        n, enable = shaped
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(-3, 3, size=(2, len(enable))).astype(np.int32)
+        stream = SampleStream(format=Q1_15, i=codes[0], q=codes[1])
+        bank = bank_from_signs(rng.choice((-1, 1), size=(n, 2)))
+        corr = SignCorrelator(bank)
+        batch = corr.process(stream, enable)
+        (pushed,) = push_run([bank], stream, enable)
+        assert same_outputs(batch, as_outputs(pushed))
+        assert corr.work_count == len(pushed) == len(batch[0])
+
+    # seed 3: position 30 has p_qq = n and p_ii = t - n, so its re = t
     @example(screened=(6, (np.arange(40) % 13) < 9, 10), seed=3)
     @given(screened_masks(), st.integers(0, 2**32 - 1))
     def test_threshold_screen_keeps_where_re_can_reach_it(self, screened, seed):
