@@ -49,8 +49,12 @@ class CoefficientBank:
 
     Bit k of word w (for I and Q separately) holds the sign of reference
     sample ``32*w + k``: 1 for a component >= 0, 0 for a component < 0.
-    Bits past ``valid_bits_in_last_word`` are zero, so a 16-point reference
-    fills half of one word pair and a 64-point reference fills two pairs.
+    The length (>= 1) and each word (in [0, 2**32 - 1]) take the one
+    integer rule (:func:`pktdet.signal._int_in`), and the words are stored
+    as tuples of ints, ceil(length / 32) per component.  Bits past sample
+    ``length - 1`` are zero, so a 16-point reference fills half of one word
+    pair and a 64-point reference fills two pairs.  ``_packed`` holds each
+    component's words joined into one integer, bit k = reference sample k.
     """
 
     length: int
@@ -58,55 +62,37 @@ class CoefficientBank:
     q_words: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("bank length must be >= 1")
-        expected_words = words_for(self.length)
-        if len(self.i_words) != expected_words or len(self.q_words) != expected_words:
-            raise ValueError("word count must be ceil(length / 32) for I and Q")
-        tail_mask = (1 << self.valid_bits_in_last_word) - 1
-        for words in (self.i_words, self.q_words):
-            if any(not 0 <= w <= WORD_MASK for w in words):
-                raise ValueError("coefficient words must be unsigned 32-bit values")
-            if words[-1] & ~tail_mask:
-                raise ValueError("bits beyond valid_bits_in_last_word must be zero")
-
-    @property
-    def valid_bits_in_last_word(self) -> int:
-        return self.length - WORD_BITS * (words_for(self.length) - 1)
+        length = _int_in(self.length, "bank length", 1)
+        object.__setattr__(self, "length", length)
+        packed = []
+        for name in ("i_words", "q_words"):
+            words = getattr(self, name)
+            words = tuple(_int_in(w, "coefficient word", 0, WORD_MASK) for w in words)
+            if len(words) != words_for(length):
+                raise ValueError("word count must be ceil(length / 32) for I and Q")
+            bits = _join_words(words)
+            if bits >> length:
+                raise ValueError(f"bits past sample {length - 1} must be zero")
+            object.__setattr__(self, name, words)
+            packed.append(bits)
+        object.__setattr__(self, "_packed", tuple(packed))
 
     @cached_property
     def sign_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The I and Q reference signs as +-1 int64 arrays in sample order;
         built on first use, so a bank that only streams never pays for it."""
-        bits = [_unpack_words(words, self.length) for words in (self.i_words, self.q_words)]
-        signs = 2 * np.array(bits, dtype=np.int64) - 1
+        size = -(-self.length // 8)  # bytes per component
+        raw = b"".join(joined.to_bytes(size, "little") for joined in self._packed)
+        bits = np.frombuffer(raw, np.uint8).reshape(2, size)
+        bits = np.unpackbits(bits, axis=1, count=self.length, bitorder="little")
+        signs = 2 * bits.astype(np.int64) - 1
         signs.flags.writeable = False
         return signs[0], signs[1]
-
-    @cached_property
-    def _packed(self) -> tuple[int, int]:
-        """All I-sign bits and all Q-sign bits as two integers, bit k =
-        reference sample k."""
-        return _join_words(self.i_words), _join_words(self.q_words)
 
 
 def words_for(length: int) -> int:
     """Number of 32-bit words that hold ``length`` sign bits."""
     return -(-length // WORD_BITS)
-
-
-def _pack_words(bits) -> tuple[int, ...]:
-    """Bits in sample order -> 32-bit words, bit k of word w = sample
-    ``32*w + k``; the last word is zero-padded."""
-    padded = np.zeros(words_for(len(bits)) * WORD_BITS, dtype=bool)
-    padded[: len(bits)] = bits
-    return tuple(np.packbits(padded, bitorder="little").view("<u4").tolist())
-
-
-def _unpack_words(words, length: int) -> np.ndarray:
-    """The first ``length`` bits of :func:`_pack_words` words, as 0/1 uint8."""
-    raw = np.array(words, dtype="<u4").view(np.uint8)
-    return np.unpackbits(raw, count=length, bitorder="little")
 
 
 def _join_words(words: tuple[int, ...]) -> int:
@@ -117,11 +103,12 @@ def _join_words(words: tuple[int, ...]) -> int:
 def load_coefficients(preamble: Preamble) -> CoefficientBank:
     """Pack the reference's component signs into a coefficient bank."""
     samples = preamble.samples
-    return CoefficientBank(
-        length=preamble.length,
-        i_words=_pack_words(samples.real >= 0),
-        q_words=_pack_words(samples.imag >= 0),
-    )
+    count = words_for(preamble.length)
+    words = []
+    for signs in (samples.real >= 0, samples.imag >= 0):
+        joined = int.from_bytes(np.packbits(signs, bitorder="little").tobytes(), "little")
+        words.append(tuple(joined >> (WORD_BITS * w) & WORD_MASK for w in range(count)))
+    return CoefficientBank(preamble.length, *words)
 
 
 def dump_bank(bank: CoefficientBank) -> str:

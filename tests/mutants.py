@@ -477,6 +477,13 @@ CATALOGUE = (
         "raw = fh.read(1 << 16)",
         ("tests/test_iqfile.py::test_pipe_is_read_to_eof",),
     ),
+    Mutant(
+        "iqpd-version-unchecked",
+        "src/pktdet/iqfile.py",
+        "if version != VERSION:",
+        "if False:",
+        ("tests/test_iqfile.py::test_other_version_rejected",),
+    ),
     # the coarse stage: P and R from the prefix sums of one (n - L, 3)
     # block of lag products, then the metric
     Mutant(
@@ -644,6 +651,31 @@ CATALOGUE = (
         (
             "tests/test_correlator.py::TestCorrelateAt::test_negated_window_hits_ideal_minimum",
             SCREEN,
+        ),
+    ),
+    # the coefficient bank: the one integer rule, then its tail bits
+    Mutant(
+        "bank-word-taken-unchecked",
+        "src/pktdet/correlator.py",
+        '_int_in(w, "coefficient word", 0, WORD_MASK) for w in words',
+        "w for w in words",
+        (f"{SETTING}[coefficient-word]",),
+    ),
+    Mutant(
+        "bank-length-taken-unchecked",
+        "src/pktdet/correlator.py",
+        'length = _int_in(self.length, "bank length", 1)',
+        "length = self.length",
+        (f"{SETTING}[bank-length]",),
+    ),
+    Mutant(
+        "bank-tail-bits-unchecked",
+        "src/pktdet/correlator.py",
+        "if bits >> length:",
+        "if False:",
+        (
+            "tests/test_correlator.py::TestCoefficientBank::test_word_count_validation",
+            "tests/test_standards.py::TestBankCache::test_invalid_words_raise_on_every_call",
         ),
     ),
     # each sweep trial's seed words draw its (seed, snr_index, t) stream

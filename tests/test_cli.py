@@ -78,6 +78,14 @@ def test_gen_coeff_from_file(tmp_path):
     assert sign_pairs(bank) == [(1, -1), (-1, 1)]
 
 
+def test_coeff_dump_with_a_tail_bit_exits_2(tmp_path, capsys):
+    # bit 8 of the I word is sample 8, past an 8-point bank's last sample
+    path = tmp_path / "bank.txt"
+    path.write_text("n=8\n00000100\n00000000\n")
+    message = rejected(capsys, ["gen-coeff", "--preamble", f"coeff:{path}"])
+    assert message == "bits past sample 7 must be zero"
+
+
 def test_gen_iq_then_detect_round_trip(tmp_path, config_file):
     capture = tmp_path / "capture.iqpd"
     events_csv = tmp_path / "events.csv"

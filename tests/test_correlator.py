@@ -126,19 +126,16 @@ class TestCoefficientBank:
     def test_sixteen_point_fills_half_a_word(self):
         bank = load_coefficients(pn_preamble(16, seed=1))
         assert len(bank.i_words) == 1
-        assert bank.valid_bits_in_last_word == 16
         assert bank.i_words[0] <= 0xFFFF
 
     def test_thirty_two_point_fills_one_word(self):
         bank = load_coefficients(pn_preamble(32, seed=1))
         assert len(bank.i_words) == 1
-        assert bank.valid_bits_in_last_word == 32
 
     def test_sixty_four_point_uses_two_words(self):
         preamble = pn_preamble(64, seed=1)
         bank = load_coefficients(preamble)
         assert len(bank.i_words) == 2
-        assert bank.valid_bits_in_last_word == 32
         # unpack reproduces the componentwise signs
         expected = [
             (1 if s.real >= 0 else -1, 1 if s.imag >= 0 else -1) for s in preamble.samples
@@ -156,7 +153,7 @@ class TestCoefficientBank:
             CoefficientBank(length=8, i_words=(0x100,), q_words=(0,))
         with pytest.raises(ValueError, match="bank length must be >= 1"):
             CoefficientBank(length=0, i_words=(), q_words=())
-        with pytest.raises(ValueError, match="unsigned 32-bit"):
+        with pytest.raises(ValueError, match=r"coefficient word must be in \[0, 4294967295\]"):
             CoefficientBank(length=40, i_words=(-1, 0), q_words=(0, 0))
 
     @given(sign_pair_lists)

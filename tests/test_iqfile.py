@@ -90,6 +90,16 @@ def test_bad_magic_rejected(tmp_path):
         read_iq(path)
 
 
+def test_other_version_rejected(tmp_path):
+    path = tmp_path / "v2.iqpd"
+    write_iq(path, quantize([0.1 + 0.1j], Q1_15))
+    raw = bytearray(path.read_bytes())
+    raw[4] = 2  # the container version byte
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="^unsupported IQPD version 2$"):
+        read_iq(path)
+
+
 def test_truncated_payload_rejected(tmp_path):
     stream = quantize([0.1 + 0.1j, 0.2 + 0.2j], Q1_15)
     path = tmp_path / "trunc.iqpd"

@@ -13,7 +13,7 @@ import pytest
 
 from pktdet import harness
 from pktdet.coarse import CoarseConfig
-from pktdet.correlator import SignCorrelator
+from pktdet.correlator import CoefficientBank, SignCorrelator
 from pktdet.energy import EnergyConfig
 from pktdet.harness import SweepConfig, TrialOutcome, run_sweep, scenario_profiles
 from pktdet.signal import (
@@ -67,6 +67,10 @@ SETTINGS = [
      lambda p: p.fine_threshold, 16, 0, "fine_threshold must be >= 1"),
     ("threshold", lambda v: SignCorrelator(PROFILES[0].bank, v), lambda c: c.threshold, 16,
      2**32, "threshold must be in [0, 4294967295]"),
+    ("bank length", lambda v: CoefficientBank(v, (0,), (0,)), lambda b: b.length, 16,
+     0, "bank length must be >= 1"),
+    ("coefficient word", lambda v: CoefficientBank(8, (v,), (0,)), lambda b: b.i_words[0], 16,
+     2**32, "coefficient word must be in [0, 4294967295]"),
     ("trials_per_point", lambda v: sweep(trials_per_point=v), lambda c: c.trials_per_point, 16,
      0, "trials_per_point must be >= 1"),
     ("pad_after", lambda v: sweep(pad_after=v), lambda c: c.pad_after, 16,
